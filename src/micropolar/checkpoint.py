@@ -33,26 +33,22 @@ def checkpoint_write(traj: TrajectoryState, path: str,
         "config_hash": config_hash,
         "fields": {},
     }
-    blobs = []
     for name in _FIELD_SETS:
         nodes = getattr(traj, name)
         header["fields"][name] = {
             "components": nodes[0].components,
             "mean_zero": [bool(f.mean_zero) for f in nodes],
         }
-        for f in nodes:
-            c = np.ascontiguousarray(f.coeffs, dtype=np.complex128)
-            inter = np.empty(c.size * 2, dtype="<f8")
-            inter[0::2] = c.real.reshape(-1)
-            inter[1::2] = c.imag.reshape(-1)
-            blobs.append(inter.tobytes())
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
-        for b in blobs:
-            fh.write(b)
+        # little-endian complex128 is the interleaved re/im float64 layout;
+        # each node goes straight to the file
+        for name in _FIELD_SETS:
+            for f in getattr(traj, name):
+                fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
 
 
 def read_header(path: str) -> dict:
@@ -95,8 +91,7 @@ def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectorySt
                 raw = fh.read(nbytes)
                 if len(raw) != nbytes:
                     raise CheckpointError(f"{path}: truncated payload in {name}[{j}]")
-                inter = np.frombuffer(raw, dtype="<f8")
-                c = (inter[0::2] + 1j * inter[1::2]).reshape((comp,) + grid.shape)
+                c = np.frombuffer(raw, dtype="<c16").reshape((comp,) + grid.shape)
                 nodes.append(SpectralField(grid, c, mean_zero=bool(meta["mean_zero"][j])))
             sets[name] = nodes
         if fh.read(1):

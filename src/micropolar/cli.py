@@ -32,13 +32,18 @@ from .analysis import (
     verify_smoothing,
 )
 from .checkpoint import checkpoint_read, checkpoint_write, read_header
-from .errors import CheckpointError, ConfigurationError
+from .errors import (
+    CheckpointError,
+    ConfigurationError,
+    PreconditionError,
+    SingularOperatorError,
+)
 from .exponents import BASE, ExponentConfig, check_config, select_intermediate
 from .fields import GridSpec, SpectralField, random_field
 from .gronwall import gronwall_bound, gronwall_oracle
 from .nonlinear import CouplingParams, ForcingSpec, generators
 from .operators import leray_project
-from .solver import PicardConfig, global_solve, picard_solve
+from .solver import PicardConfig, global_solve, picard_solve, window_horizons
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -176,8 +181,8 @@ def lambda_chain_cap(grid: GridSpec, params: CouplingParams) -> float:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -290,13 +295,13 @@ def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     norms = WeightedNorms(cfg.exponents, cfg.grid, cfg.params)
     cols = ["t", "l2_u", "l2_om", "l2_th",
             "x_alpha0_u", "y_beta0_om", "z_gamma0_th"]
+    # at the base exponents the time weight is 1: these are the plain norms
+    base = np.stack([norms.weighted_curve(tag, nodes, traj.times, norms.base[tag])
+                     for tag, nodes in (("u", traj.u), ("om", traj.om), ("th", traj.th))])
     rows = []
     for j in range(traj.node_count):
         u, om, th = traj.state_at(j)
-        rows.append([float(traj.times[j]), u.l2(), om.l2(), th.l2(),
-                     norms.fractional_norm("u", u, cfg.exponents.alpha0),
-                     norms.fractional_norm("om", om, cfg.exponents.beta0),
-                     norms.fractional_norm("th", th, cfg.exponents.gamma0)])
+        rows.append([float(traj.times[j]), u.l2(), om.l2(), th.l2(), *base[:, j]])
     return cols, rows
 
 
@@ -455,6 +460,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         bundle.verdicts["theorem-2.1 slopes"] = all(
             f.passed is not False for f in fits)
     elif target in {"theorem-2.2", "global-decay"}:
+        _require_large_time_window(cfg)
         u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, seed)
         result = global_solve(u0, om0, th0, exps, params, cfg.forcing_f,
                               cfg.forcing_g, cfg.picard, cfg.t_total)
@@ -519,6 +525,23 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
     else:
         raise ConfigurationError(f"unknown verification target {target!r}")
     return reports
+
+
+def _require_large_time_window(cfg: RunConfig) -> None:
+    """The large-time rates are fitted on t in [1, t_total], which needs at
+    least 4 nodes; refuse before solving when the run cannot reach them."""
+    times, offset = [np.zeros(1)], 0.0
+    for horizon in window_horizons(cfg.picard, cfg.t_total):
+        nodes = cfg.picard.node_grid(horizon=horizon)
+        times.append(nodes[1:] + offset)
+        offset += float(nodes[-1])
+    times = np.concatenate(times)
+    count = int(np.count_nonzero((times >= 1.0) & (times <= cfg.t_total)))
+    if count < 4:
+        raise ConfigurationError(
+            f"theorem-2.2 fits decay rates on t in [1, t_total] and needs at "
+            f"least 4 nodes there; t_total = {cfg.t_total:g} gives {count}; "
+            f"use t_total >= {1.0 + cfg.picard.horizon:g}")
 
 
 def _cmd_verify(args) -> int:
@@ -673,10 +696,8 @@ def dispatch(argv: list) -> int:
                 print("checkpoint resume requires --config", file=sys.stderr)
                 return USAGE_ERROR
             return _cmd_checkpoint(args)
-    except (ConfigurationError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigurationError, CheckpointError, PreconditionError,
+            SingularOperatorError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

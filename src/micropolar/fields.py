@@ -3,12 +3,13 @@
 Coefficients follow the convention f(x) = sum_k c_k exp(i 2pi k.x / L), so the
 k=0 coefficient of a real field is its mean value.  Arrays use numpy's fftn
 layout along the spatial axes, with a leading component axis (1 for scalars,
-dim for vectors).
+dim for vectors).  Transforms run on the half spectrum of the last axis
+(real-data FFTs); the other half follows from conjugate symmetry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -181,10 +182,6 @@ class SpectralField:
         return SpectralField(grid, np.zeros((components,) + grid.shape, dtype=np.complex128), mean_zero)
 
     @staticmethod
-    def from_physical(grid: GridSpec, values: np.ndarray) -> "SpectralField":
-        return to_spectral(grid, values)
-
-    @staticmethod
     def single_mode(grid: GridSpec, k: tuple, amplitude) -> "SpectralField":
         """Real field amplitude * 2 Re[a exp(i 2pi k.x/L)] built from mode k and -k.
 
@@ -247,18 +244,61 @@ class SpectralField:
     def hermitian_defect(self) -> float:
         """Max |c(-k) - conj(c(k))|; zero for a real field."""
         c = self.coeffs
-        flipped = c.copy()
-        for ax in range(1, 1 + self.grid.dim):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        return float(np.max(np.abs(flipped - np.conj(c))))
+        return float(np.max(np.abs(_reflect(c, self.grid.dim) - np.conj(c))))
+
+
+def _reflect(c: np.ndarray, dim: int) -> np.ndarray:
+    """c(-k) for full-spectrum arrays whose last dim axes are spatial."""
+    for ax in range(-dim, 0):
+        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
+    return c
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The modes with last-axis index 0..n/2 that a real transform keeps (a view)."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+@lru_cache(maxsize=64)
+def _mirror_index(grid: GridSpec) -> np.ndarray:
+    """Flat position of every full-spectrum mode in [half, conj(half)], both
+    flattened: modes with last-axis index above n/2 are the conjugates of
+    their negatives, which the half spectrum holds."""
+    m = grid.n // 2 + 1
+    half_shape = grid.shape[:-1] + (m,)
+    idx = np.indices(grid.shape)
+    upper = idx[-1] >= m
+    src = np.where(upper, (-idx) % grid.n, idx)
+    flat = np.ravel_multi_index(tuple(src), half_shape) + upper * int(np.prod(half_shape))
+    flat = flat.reshape(-1)
+    flat.setflags(write=False)
+    return flat
+
+
+def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Full-spectrum coefficients of real fields from their half spectrum;
+    any leading axes are kept."""
+    lead = half.shape[: half.ndim - grid.dim]
+    flat = half.reshape(lead + (-1,))
+    both = np.concatenate([flat, flat.conj()], axis=-1)
+    return both[..., _mirror_index(grid)].reshape(lead + grid.shape)
+
+
+def irfft_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Grid values from a half spectrum over the last dim axes (unscaled sum)."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         norm="forward")
+
+
+def rfft_half(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of real grid values over the last dim axes (scaled by 1/N)."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Inverse transform to the collocation grid; returns a real array
     of shape (components, n, ..., n)."""
-    axes = tuple(range(1, 1 + f.grid.dim))
-    out = np.fft.ifftn(f.coeffs * f.grid.num_modes, axes=axes)
-    return np.ascontiguousarray(out.real)
+    return irfft_half(f.grid, half_spectrum(f.coeffs))
 
 
 def to_spectral(grid: GridSpec, values: np.ndarray) -> SpectralField:
@@ -270,9 +310,7 @@ def to_spectral(grid: GridSpec, values: np.ndarray) -> SpectralField:
         raise ConfigurationError(
             f"physical data shape {v.shape} does not match grid {grid.shape}"
         )
-    axes = tuple(range(1, 1 + grid.dim))
-    coeffs = np.fft.fftn(v, axes=axes) / grid.num_modes
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, full_spectrum(grid, rfft_half(grid, v)))
 
 
 def random_field(grid: GridSpec, components: int, rng: np.random.Generator,
@@ -294,9 +332,9 @@ def random_field(grid: GridSpec, components: int, rng: np.random.Generator,
         for k in integer_wavevectors(grid):
             support &= np.abs(k) <= kmax
         envelope = envelope * support
-    f = SpectralField(grid, noise * envelope, mean_zero=mean_zero)
-    # hermitianize: keep the real part of the inverse transform
-    f = to_spectral(grid, to_physical(f))
+    c = noise * envelope
+    # hermitianize: the real part of the field owns the symmetric part of c
+    f = SpectralField(grid, 0.5 * (c + np.conj(_reflect(c, grid.dim))))
     if kmax is not None:
         f = SpectralField(grid, f.coeffs * support, mean_zero=mean_zero)
     if mean_zero:
@@ -307,7 +345,3 @@ def random_field(grid: GridSpec, components: int, rng: np.random.Generator,
     if norm > 0:
         f = f * (amplitude / norm)
     return f
-
-
-def replace_coeffs(f: SpectralField, coeffs: np.ndarray) -> SpectralField:
-    return replace(f, coeffs=coeffs)

@@ -2,24 +2,38 @@
 
 All quadratic products are formed pointwise on the collocation grid and
 truncated by the 2/3 rule afterwards, which is alias-free for fields already
-supported inside the dealias ball.
+supported inside the dealias ball.  Every evaluation stacks the planes it
+needs into one inverse real transform and its outputs into one forward
+transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .fields import GridSpec, SpectralField, to_physical, to_spectral
+from .fields import (
+    GridSpec,
+    SpectralField,
+    dealias_mask,
+    deriv_wavevectors,
+    full_spectrum,
+    half_spectrum,
+    irfft_half,
+    rfft_half,
+    to_physical,
+    to_spectral,
+)
 from .operators import (
+    curl,
     divergence_defect,
     gamma_operator,
-    gradient,
     laplace_operator,
-    leray_project,
-    rot,
+    parallel_part,
+    projector_symbols,
     stokes_operator,
 )
 
@@ -136,15 +150,74 @@ class ForcingSpec:
         return ForcingSpec("zero", ())
 
 
+def _forcing_values(spec: ForcingSpec, theta_vals: np.ndarray,
+                    components: int) -> np.ndarray:
+    vals = spec(theta_vals)
+    if vals.shape[0] != components:
+        raise ConfigurationError(
+            f"forcing has {vals.shape[0]} components, expected {components}")
+    return vals
+
+
 def evaluate_forcing(spec: ForcingSpec, theta: SpectralField, components: int) -> SpectralField:
     """Transform f(theta) back to spectral space, dealiased."""
     if spec.kind == "zero":
         return SpectralField.zero(theta.grid, components, mean_zero=False)
-    vals = spec(to_physical(theta)[0])
-    if vals.shape[0] != components:
-        raise ConfigurationError(
-            f"forcing has {vals.shape[0]} components, expected {components}")
+    vals = _forcing_values(spec, to_physical(theta)[0], components)
     return to_spectral(theta.grid, vals).dealias()
+
+
+@lru_cache(maxsize=64)
+def _half_symbols(grid: GridSpec) -> tuple:
+    """Half-spectrum symbols: derivative wavevectors (Nyquist zeroed) as a
+    tuple and stacked times i, the projector symbols and the dealias mask."""
+    dk = tuple(half_spectrum(k) for k in deriv_wavevectors(grid))
+    ik = 1j * np.stack(dk)
+    ik.setflags(write=False)
+    kap, ksq = projector_symbols(grid)
+    return (dk, ik, half_spectrum(kap), half_spectrum(ksq),
+            half_spectrum(dealias_mask(grid)))
+
+
+def _gradient_planes(ch: np.ndarray, ik: np.ndarray) -> np.ndarray:
+    """Half-spectrum gradients of half-spectrum coefficients (comp, *half) as
+    planes (comp * dim, *half); plane c * dim + a is d_a f_c."""
+    return (ik * ch[:, np.newaxis]).reshape((-1,) + ch.shape[1:])
+
+
+def _curl_values(du: np.ndarray) -> np.ndarray:
+    """Curl of a vector field from its grid gradient du[c, a] = d_a u_c."""
+    if du.shape[0] == 3:
+        return np.stack([du[2, 1] - du[1, 2], du[0, 2] - du[2, 0],
+                         du[1, 0] - du[0, 1]])
+    return (du[1, 0] - du[0, 1])[np.newaxis]
+
+
+def _phi_values(du, dv, om, psi, dom, dpsi, params: CouplingParams) -> np.ndarray:
+    """Bilinear dissipation function at the grid points from grid values:
+    velocity gradients du, dv (dim, dim, *grid) with [c, a] = d_a u_c,
+    microrotations om, psi (C, *grid) and their gradients (C, dim, *grid)."""
+    d_u = 0.5 * (du + np.swapaxes(du, 0, 1))
+    d_v = d_u if dv is du else 0.5 * (dv + np.swapaxes(dv, 0, 1))
+    phi = 2.0 * params.mu * np.sum(d_u * d_v, axis=(0, 1))
+
+    rel_u = 0.5 * _curl_values(du) - om
+    rel_v = rel_u if (dv is du and psi is om) else 0.5 * _curl_values(dv) - psi
+    phi = phi + 4.0 * params.mu_r * np.sum(rel_u * rel_v, axis=0)
+
+    if du.shape[0] == 3 and om.shape[0] > 1:
+        div_om = np.trace(np.swapaxes(dom, 0, 1))  # sum_i d_i om_i
+        div_psi = np.trace(np.swapaxes(dpsi, 0, 1))
+        phi = phi + params.c0 * div_om * div_psi
+        grad_om = np.swapaxes(dom, 0, 1)  # (i, j) = d_i om_j
+        grad_psi = np.swapaxes(dpsi, 0, 1)
+        phi = phi + (params.ca + params.cd) * np.sum(grad_om * grad_psi, axis=(0, 1))
+        phi = phi + (params.cd - params.ca) * np.sum(
+            grad_om * np.swapaxes(grad_psi, 0, 1), axis=(0, 1))
+    else:
+        # planar microrotation: only the transverse gradient part survives
+        phi = phi + (params.ca + params.cd) * np.sum(dom[0] * dpsi[0], axis=0)
+    return phi
 
 
 def _check_grids(*fs: SpectralField):
@@ -165,25 +238,13 @@ def advect(u: SpectralField, w: SpectralField) -> SpectralField:
     _check_grids(u, w)
     if u.is_scalar:
         raise TypeError("advecting velocity must be a vector field")
-    u_phys = to_physical(u)
     grid = u.grid
-    dw = gradient(w)  # (comp, dim, *grid) spectral
-    out = np.zeros((w.components,) + grid.shape)
-    for c in range(w.components):
-        dwc_phys = to_physical(SpectralField(grid, dw[c], mean_zero=True))
-        for a in range(grid.dim):
-            out[c] += u_phys[a] * dwc_phys[a]
-    return to_spectral(grid, out).dealias()
-
-
-def _phys_gradients(f: SpectralField) -> np.ndarray:
-    """Physical-space gradient array of shape (components, dim, *grid)."""
-    grid = f.grid
-    g = gradient(f)
-    out = np.empty((f.components, grid.dim) + grid.shape)
-    for c in range(f.components):
-        out[c] = to_physical(SpectralField(grid, g[c], mean_zero=True))
-    return out
+    ik = _half_symbols(grid)[1]
+    uh = half_spectrum(u.coeffs)
+    phys = irfft_half(grid, np.concatenate([uh, _gradient_planes(half_spectrum(w.coeffs), ik)]))
+    u_vals = phys[: grid.dim]
+    dw = phys[grid.dim:].reshape((w.components, grid.dim) + grid.shape)
+    return to_spectral(grid, np.sum(u_vals * dw, axis=1)).dealias()
 
 
 def dissipation_phi(u: SpectralField, v: SpectralField,
@@ -204,43 +265,17 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
     _check_grids(u, v, om, psi)
     grid = u.grid
     dim = grid.dim
-
-    du = _phys_gradients(u)   # (dim, dim, *grid)
-    dv = _phys_gradients(v)
-    d_u = 0.5 * (du + np.swapaxes(du, 0, 1))
-    d_v = 0.5 * (dv + np.swapaxes(dv, 0, 1))
-    phi = 2.0 * params.mu * np.sum(d_u * d_v, axis=(0, 1))
-
-    rot_u = to_physical(rot(u))
-    rot_v = to_physical(rot(v))
-    om_phys = to_physical(om)
-    psi_phys = to_physical(psi)
-    rel_u = 0.5 * rot_u - om_phys
-    rel_v = 0.5 * rot_v - psi_phys
-    phi = phi + 4.0 * params.mu_r * np.sum(rel_u * rel_v, axis=0)
-
-    dom = _phys_gradients(om)
-    dpsi = _phys_gradients(psi)
-    if dim == 3 and not om.is_scalar:
-        div_om = np.trace(np.swapaxes(dom, 0, 1))  # sum_i d_i om_i
-        div_psi = np.trace(np.swapaxes(dpsi, 0, 1))
-        phi = phi + params.c0 * div_om * div_psi
-        grad_om = np.swapaxes(dom, 0, 1)  # (i, j) = d_i om_j
-        grad_psi = np.swapaxes(dpsi, 0, 1)
-        phi = phi + (params.ca + params.cd) * np.sum(grad_om * grad_psi, axis=(0, 1))
-        phi = phi + (params.cd - params.ca) * np.sum(
-            grad_om * np.swapaxes(grad_psi, 0, 1), axis=(0, 1))
-    else:
-        # planar microrotation: only the transverse gradient part survives
-        phi = phi + (params.ca + params.cd) * np.sum(dom[0] * dpsi[0], axis=0)
-
+    ik = _half_symbols(grid)[1]
+    parts = [half_spectrum(om.coeffs), half_spectrum(psi.coeffs)]
+    parts += [_gradient_planes(half_spectrum(x.coeffs), ik) for x in (u, v, om, psi)]
+    sizes = np.cumsum([p.shape[0] for p in parts])[:-1]
+    om_v, psi_v, du, dv, dom, dpsi = np.split(irfft_half(grid, np.concatenate(parts)), sizes)
+    phi = _phi_values(du.reshape((dim, dim) + grid.shape),
+                      dv.reshape((dim, dim) + grid.shape), om_v, psi_v,
+                      dom.reshape((om.components, dim) + grid.shape),
+                      dpsi.reshape((psi.components, dim) + grid.shape), params)
     out = to_spectral(grid, phi)
     return out.dealias() if dealias else out
-
-
-def dissipation_phi_diag(u: SpectralField, om: SpectralField,
-                         params: CouplingParams) -> SpectralField:
-    return dissipation_phi(u, u, om, om, params)
 
 
 def assemble_rhs(u: SpectralField, om: SpectralField, th: SpectralField,
@@ -255,30 +290,52 @@ def assemble_rhs(u: SpectralField, om: SpectralField, th: SpectralField,
 
     linear_only drops transport and the dissipation function (linear-regime
     diagnostics).  All outputs are dealiased; F is solenoidal.
+
+    One inverse real transform takes u, om and the gradients of u, om and
+    th (plus th when there is forcing) to the grid; transport, Phi and the
+    forcing are formed there and one forward transform returns them.  The
+    linear terms, the 2/3 rule and the projection act on the half spectrum.
     """
     _check_grids(u, om, th)
     if check_solenoidal:
         require_solenoidal(u)
     grid = u.grid
-    two_mur = 2.0 * params.mu_r / params.rho
+    dim, ncomp = grid.dim, om.components
+    dk, ik, kap, ksq, mask = _half_symbols(grid)
+    uh, omh, thh = (half_spectrum(x.coeffs) for x in (u, om, th))
+    forced = f.kind != "zero" or g.kind != "zero"
 
-    f_rhs = two_mur * leray_project(rot(om)) if params.mu_r > 0 else \
-        SpectralField.zero(grid, grid.dim)
+    nout = dim + ncomp + 1
+    vals = np.zeros((nout,) + grid.shape)  # F, G, H at the grid points
+    if not linear_only:
+        planes = [uh, omh, _gradient_planes(np.concatenate([uh, omh, thh]), ik), thh]
+        phys = irfft_half(grid, np.concatenate(planes if forced else planes[:-1]))
+        u_vals, om_vals = phys[:dim], phys[dim: dim + ncomp]
+        grads = phys[dim + ncomp: dim + ncomp + nout * dim].reshape((nout, dim) + grid.shape)
+        vals -= np.sum(u_vals * grads, axis=1)
+        du, dom = grads[:dim], grads[dim: dim + ncomp]
+        vals[-1] += _phi_values(du, du, om_vals, om_vals, dom, dom, params) \
+            / (params.rho * params.cv)
+    elif forced:
+        phys = irfft_half(grid, thh)
     if f.kind != "zero":
-        f_rhs = f_rhs + leray_project(evaluate_forcing(f, th, grid.dim))
-    if not linear_only:
-        f_rhs = f_rhs - leray_project(advect(u, u))
-
-    g_rhs = (-2.0 * two_mur) * om + two_mur * rot(u) if params.mu_r > 0 else \
-        SpectralField.zero(grid, om.components, mean_zero=False)
+        vals[:dim] += _forcing_values(f, phys[-1], dim)
     if g.kind != "zero":
-        g_rhs = g_rhs + evaluate_forcing(g, th, om.components)
-    if not linear_only:
-        g_rhs = g_rhs - advect(u, om)
+        vals[dim: dim + ncomp] += _forcing_values(g, phys[-1], ncomp)
+    if forced or not linear_only:
+        out = rfft_half(grid, vals)
+    else:
+        out = np.zeros((nout,) + uh.shape[1:], dtype=np.complex128)
 
-    h_rhs = SpectralField.zero(grid, 1, mean_zero=False)
-    if not linear_only:
-        phi = dissipation_phi(u, u, om, om, params)
-        h_rhs = (1.0 / (params.rho * params.cv)) * phi - advect(u, th)
-
-    return f_rhs.dealias(), g_rhs.dealias(), h_rhs.dealias()
+    if params.mu_r > 0:
+        two_mur = 2.0 * params.mu_r / params.rho
+        out[:dim] += two_mur * curl(omh, dk)
+        out[dim: dim + ncomp] += (-2.0 * two_mur) * omh + two_mur * curl(uh, dk)
+    out[:dim] -= parallel_part(out[:dim], kap, ksq)
+    out *= mask
+    full = full_spectrum(grid, out)
+    g_mean_zero = linear_only and g.kind == "zero" and params.mu_r > 0 and om.mean_zero
+    # copies, so that no output keeps the others' planes alive
+    return (SpectralField(grid, full[:dim], mean_zero=True),
+            SpectralField(grid, full[dim: dim + ncomp].copy(), mean_zero=g_mean_zero),
+            SpectralField(grid, full[dim + ncomp:].copy()))

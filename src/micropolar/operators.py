@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,15 +93,30 @@ def lambda1(grid: GridSpec) -> float:
 # Leray projection and parallel/transverse splitting
 
 
-def _split_parallel(v_coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Component of v parallel to k per mode: k (k . v) / |k|^2 (zero at k=0)."""
-    kap = wavevectors(grid)
+@lru_cache(maxsize=64)
+def projector_symbols(grid: GridSpec) -> tuple:
+    """Stacked wavevectors (dim, *grid) and |kappa|^2 with 1 at k = 0, the
+    symbols of the split into the parts parallel and transverse to k."""
+    kap = np.stack(wavevectors(grid))
     ksq = laplacian_symbol(grid).copy()
     ksq[_zero_index(grid)] = 1.0
-    kdotv = sum(kap[i] * v_coeffs[i] for i in range(grid.dim)) / ksq
-    out = np.stack([kap[i] * kdotv for i in range(grid.dim)])
-    out[(slice(None),) + _zero_index(grid)] = 0.0
-    return out
+    kap.setflags(write=False)
+    ksq.setflags(write=False)
+    return kap, ksq
+
+
+def parallel_part(v: np.ndarray, kap: np.ndarray, ksq: np.ndarray) -> np.ndarray:
+    """k (k . v) / |k|^2 per mode, zero at k=0.  v holds its vector components
+    on the axis before the spatial axes that kap and ksq span (full or half
+    spectrum); any leading axes are kept."""
+    axis = -ksq.ndim - 1
+    kdotv = np.sum(kap * v, axis=axis) / ksq
+    return kap * np.expand_dims(kdotv, axis)
+
+
+def _split_parallel(v_coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Component of v parallel to k per mode: k (k . v) / |k|^2 (zero at k=0)."""
+    return parallel_part(v_coeffs, *projector_symbols(grid))
 
 
 def leray_project(v: SpectralField) -> SpectralField:
@@ -153,6 +169,16 @@ def spectral_function(op: OperatorSymbol, fn, f: SpectralField) -> SpectralField
     return SpectralField(grid, fn(eig) * coeffs, f.mean_zero)
 
 
+def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
+    """eig**power per mode; zero eigenvalues map to 0 for power != 0 and to 1
+    for power = 0."""
+    if power == 0:
+        return np.ones_like(eig)
+    with np.errstate(divide="ignore"):
+        out = np.where(eig > 0, eig, 1.0) ** power
+    return np.where(eig > 0, out, 0.0)
+
+
 def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
     """Fractional power action: per-mode multiplication by eigenvalue**power.
 
@@ -163,15 +189,7 @@ def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
     power = op.power
     if power < 0:
         _check_mean_mode(f, op)
-
-    def fn(eig):
-        if power == 0:
-            return np.ones_like(eig)
-        with np.errstate(divide="ignore"):
-            out = np.where(eig > 0, eig, 1.0) ** power
-        return np.where(eig > 0, out, 0.0)
-
-    out = spectral_function(op, fn, f)
+    out = spectral_function(op, lambda eig: power_weight(eig, power), f)
     if power < 0:
         out = out.drop_mean()
     return out
@@ -209,27 +227,28 @@ def divergence(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, out[np.newaxis], mean_zero=True)
 
 
+def curl(c: np.ndarray, ks: tuple) -> np.ndarray:
+    """Curl of a coefficient array (components first) with derivative
+    wavevectors ks: 3D vector -> vector; 2D vector -> scalar vorticity;
+    2D scalar -> vector (d_y f, -d_x f)."""
+    if len(ks) == 3:
+        return np.stack([
+            1j * (ks[1] * c[2] - ks[2] * c[1]),
+            1j * (ks[2] * c[0] - ks[0] * c[2]),
+            1j * (ks[0] * c[1] - ks[1] * c[0]),
+        ])
+    if c.shape[0] == 1:
+        return np.stack([1j * ks[1] * c[0], -1j * ks[0] * c[0]])
+    return (1j * (ks[0] * c[1] - ks[1] * c[0]))[np.newaxis]
+
+
 def rot(f: SpectralField) -> SpectralField:
     """Curl. 3D vector -> vector; 2D vector -> scalar vorticity;
     2D scalar -> vector (d_y f, -d_x f)."""
-    ks = deriv_wavevectors(f.grid)
-    if f.grid.dim == 3:
-        if f.is_scalar:
-            raise TypeError("3D rot expects a vector field")
-        u = f.coeffs
-        out = np.stack([
-            1j * (ks[1] * u[2] - ks[2] * u[1]),
-            1j * (ks[2] * u[0] - ks[0] * u[2]),
-            1j * (ks[0] * u[1] - ks[1] * u[0]),
-        ])
-        return SpectralField(f.grid, out, mean_zero=True)
-    if f.is_scalar:
-        w = f.coeffs[0]
-        out = np.stack([1j * ks[1] * w, -1j * ks[0] * w])
-        return SpectralField(f.grid, out, mean_zero=True)
-    u = f.coeffs
-    out = 1j * (ks[0] * u[1] - ks[1] * u[0])
-    return SpectralField(f.grid, out[np.newaxis], mean_zero=True)
+    if f.grid.dim == 3 and f.is_scalar:
+        raise TypeError("3D rot expects a vector field")
+    return SpectralField(f.grid, curl(f.coeffs, deriv_wavevectors(f.grid)),
+                         mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +334,6 @@ def norm(f: SpectralField, req: NormRequest, op: OperatorSymbol | None = None) -
         else:
             op = laplace_operator(f.grid)
     return lebesgue_norm(apply_operator(op.with_power(req.exp), f), req.s)
-
-
-def fractional_l2(f: SpectralField, op: OperatorSymbol, exp: float) -> float:
-    """Fast ||op^exp f||_2 via Parseval (solver hot path; equals the
-    quadrature-based norm to machine precision for truncated fields)."""
-    g = apply_operator(op.with_power(exp), f)
-    return g.l2()
 
 
 def divergence_defect(v: SpectralField) -> float:

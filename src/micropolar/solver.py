@@ -18,14 +18,18 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .exponents import ExponentConfig
-from .fields import GridSpec, SpectralField
+from .fields import GridSpec, SpectralField, half_spectrum, irfft_half, _zero_index
 from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators
 from .operators import (
     OperatorKind,
     OperatorSymbol,
     _split_parallel,
     apply_operator,
+    curl,
     lebesgue_norm,
+    parallel_part,
+    power_weight,
+    projector_symbols,
     semigroup_apply,
 )
 
@@ -292,17 +296,37 @@ def picard_step(traj: TrajectoryState, params: CouplingParams,
 # Weighted norms
 
 
+def time_weight(times: np.ndarray, power: float) -> np.ndarray:
+    """t^power at every node; at t = 0 the weight is 0 for power > 0, else 1."""
+    w = np.ones_like(times)
+    pos = times > 0
+    w[pos] = times[pos] ** power
+    if power > 0:
+        w[~pos] = 0.0
+    return w
+
+
+def _stack_half(nodes) -> np.ndarray:
+    """Half-spectrum coefficients of a node list as one array
+    (nodes, comp, *half); an array is taken as already stacked."""
+    if isinstance(nodes, np.ndarray):
+        return nodes
+    return np.stack([half_spectrum(fld.coeffs) for fld in nodes])
+
+
 class WeightedNorms:
     """t^(x - x0)-weighted fractional norms along a trajectory, at the nine
     intermediate exponents of the configuration."""
 
     def __init__(self, cfg: ExponentConfig, grid: GridSpec, params: CouplingParams):
         self.cfg = cfg
+        self.grid = grid
         a_op, g_op, b_op = generators(grid, params)
         self.ops = {"u": a_op, "om": g_op, "th": b_op}
         self.lebesgue = {"u": cfg.p, "om": cfg.q, "th": cfg.r}
         self.base = {"u": cfg.alpha0, "om": cfg.beta0, "th": cfg.gamma0}
         self.exps = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
+        self._parseval = {}
 
     def fractional_norm(self, tag: str, fld: SpectralField, exp: float) -> float:
         g = apply_operator(self.ops[tag].with_power(exp), fld)
@@ -311,35 +335,95 @@ class WeightedNorms:
             return g.l2()
         return lebesgue_norm(g, s)
 
-    def weighted_curve(self, tag: str, nodes: list, times: np.ndarray,
-                       exp: float) -> np.ndarray:
+    def _weight(self, tag: str, eig: np.ndarray, exp: float) -> np.ndarray:
+        w = power_weight(eig, exp)
+        if self.ops[tag].kind is OperatorKind.STOKES:
+            w = w.copy()
+            w[_zero_index(self.grid)] = 0.0  # the projection removes the mean
+        return w
+
+    def _parseval_weights(self, tag: str, eigs: list, exps) -> list:
+        """Per subspace, the (half-spectrum modes, exponents) matrix of
+        |eig^exp|^2, with the interior half-spectrum columns counted twice
+        for the conjugate modes they stand for."""
+        key = (tag, len(eigs), tuple(exps))
+        if key not in self._parseval:
+            n = self.grid.n
+            cols = np.ones(n // 2 + 1)
+            cols[1: n // 2] = 2.0
+            self._parseval[key] = [
+                np.stack([(self._weight(tag, eig, x) ** 2 * cols).reshape(-1)
+                          for x in exps], axis=1)
+                for eig in eigs]
+        return self._parseval[key]
+
+    def _node_norms(self, tag: str, half: np.ndarray, exps) -> np.ndarray:
+        """||op^exp field|| at every node for every exponent, shape
+        (exponents, nodes), from the stacked half-spectrum coefficients
+        (nodes, comp, *half) of real fields.
+
+        The split into the generator's invariant subspaces is computed once.
+        For s = 2 the norms are one Parseval reduction of the per-mode
+        energies of each subspace over all nodes and exponents; other s take
+        one batched inverse transform per exponent."""
+        op, s, grid = self.ops[tag], self.lebesgue[tag], self.grid
+        eigs = [half_spectrum(e) for e in eig_families(op, half.shape[1])]
+        split = op.kind is OperatorKind.STOKES or len(eigs) == 2
+        kap, ksq = (half_spectrum(x) for x in projector_symbols(grid))
+        if s == 2.0:
+            if split:
+                # |perp|^2 = |k x c|^2 / |k|^2 and |para|^2 = |k . c|^2 / |k|^2;
+                # at k = 0 the whole coefficient belongs to the first family
+                comps = np.moveaxis(half, 1, 0)
+                zero = (Ellipsis,) + _zero_index(grid)
+                perp = np.sum(np.abs(curl(comps, tuple(kap))) ** 2, axis=0) / ksq
+                perp[zero] = np.sum(np.abs(half[zero]) ** 2, axis=1)
+                para = np.abs(sum(kap[a] * comps[a] for a in range(grid.dim))) ** 2 / ksq
+                parts = [perp, para]
+            else:
+                parts = [np.sum(np.abs(half) ** 2, axis=1)]
+            total = sum(e.reshape(len(e), -1) @ w for e, w in
+                        zip(parts, self._parseval_weights(tag, eigs, exps)))
+            return np.sqrt(grid.volume * total).T
+        parts = [half]
+        if split:
+            para = parallel_part(half, kap, ksq)
+            parts = [half - para, para]
+        out = []
+        for x in exps:
+            g = sum(self._weight(tag, eig, x) * p for p, eig in zip(parts, eigs))
+            vals = irfft_half(grid, g)
+            mag = np.sum(vals * vals, axis=1).reshape(len(g), -1)
+            out.append((np.sum(mag ** (s / 2.0), axis=1) * grid.cell_volume) ** (1.0 / s))
+        return np.array(out)
+
+    def weighted_curve(self, tag: str, nodes, times: np.ndarray, exp) -> np.ndarray:
         """t^(exp - base) ||op^exp field(t)|| at every node (zero weight at t=0
-        when exp > base)."""
+        when exp > base).  nodes is a list of fields or their stacked
+        half-spectrum coefficients (nodes, comp, *half); a sequence of
+        exponents gives one curve per exponent, stacked."""
+        exps = np.atleast_1d(exp)
+        vals = self._node_norms(tag, _stack_half(nodes), exps)
         base = self.base[tag]
-        vals = np.array([self.fractional_norm(tag, fld, exp) for fld in nodes])
-        w = np.ones_like(times)
-        mask = times > 0
-        w[mask] = times[mask] ** (exp - base)
-        if exp > base:
-            w[~mask] = 0.0
-        return w * vals
+        curves = np.stack([time_weight(times, x - base) for x in exps]) * vals
+        return curves if np.ndim(exp) else curves[0]
 
     def iteration_table(self, traj: TrajectoryState) -> dict:
         """Weighted-norm curves for all nine exponents of one iterate."""
         out = {}
         for tag, nodes in (("u", traj.u), ("om", traj.om), ("th", traj.th)):
-            for exp in self.exps[tag]:
-                out[(tag, exp)] = self.weighted_curve(tag, nodes, traj.times, exp)
+            curves = self.weighted_curve(tag, nodes, traj.times, self.exps[tag])
+            out.update(((tag, exp), c) for exp, c in zip(self.exps[tag], curves))
         return out
 
     def difference(self, a: TrajectoryState, b: TrajectoryState) -> dict:
         """Sup over nodes of the weighted norms of the iterate difference."""
         out = {}
         for tag, na, nb in (("u", a.u, b.u), ("om", a.om, b.om), ("th", a.th, b.th)):
-            diff = [na[j] - nb[j] for j in range(len(na))]
-            for exp in self.exps[tag]:
-                out[(tag, exp)] = float(
-                    np.max(self.weighted_curve(tag, diff, a.times, exp)))
+            diff = _stack_half(na) - _stack_half(nb)
+            curves = self.weighted_curve(tag, diff, a.times, self.exps[tag])
+            out.update(((tag, exp), float(np.max(c)))
+                       for exp, c in zip(self.exps[tag], curves))
         return out
 
 
@@ -523,6 +607,12 @@ def _concat_trajectories(segments: list) -> TrajectoryState:
                            m=segments[-1].m)
 
 
+def window_horizons(pic: PicardConfig, t_total: float) -> list:
+    """Horizons of the windows that march from t = 0 to t_total."""
+    n_windows = max(1, int(math.ceil(t_total / pic.horizon - 1e-12)))
+    return [min(pic.horizon, t_total - w * pic.horizon) for w in range(n_windows)]
+
+
 def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                  cfg: ExponentConfig, params: CouplingParams,
                  f: ForcingSpec, g: ForcingSpec, pic: PicardConfig,
@@ -535,14 +625,10 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     temperature carry dynamically generated mean modes (checkpoint resume)."""
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
-    window = pic.horizon
-    n_windows = max(1, int(math.ceil(t_total / window - 1e-12)))
     segments, reports = [], []
     cur = (u0, om0, th0)
     completed = True
-    for w in range(n_windows):
-        remaining = t_total - w * window
-        horizon = min(window, remaining)
+    for w, horizon in enumerate(window_horizons(pic, t_total)):
         times = pic.node_grid(horizon=horizon)
         traj, rep = picard_solve(cur[0], cur[1], cur[2], cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
@@ -560,18 +646,11 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     norms = WeightedNorms(cfg, u0.grid, params)
     e_curves, e_sup = {}, {}
     t = full.times
-    mt = np.minimum(t, 1.0)
     for tag, nodes in (("u", full.u), ("om", full.om), ("th", full.th)):
         rate = cfg.lam2 if tag == "th" else cfg.lam
-        base = norms.base[tag]
-        for exp in norms.exps[tag]:
-            vals = np.array([norms.fractional_norm(tag, fld, exp) for fld in nodes])
-            weight = np.ones_like(t)
-            pos = t > 0
-            weight[pos] = mt[pos] ** (exp - base)
-            if exp > base:
-                weight[~pos] = 0.0
-            curve = weight * np.exp(rate * t) * vals
+        curves = norms.weighted_curve(tag, nodes, np.minimum(t, 1.0), norms.exps[tag])
+        for exp, weighted in zip(norms.exps[tag], curves):
+            curve = weighted * np.exp(rate * t)
             e_curves[(tag, exp)] = curve
             e_sup[(tag, exp)] = np.maximum.accumulate(curve)
 

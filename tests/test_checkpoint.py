@@ -31,6 +31,25 @@ def test_roundtrip_bit_exact(grid2d, params, tmp_path):
             assert a.mean_zero == b.mean_zero
 
 
+def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
+    traj = _trajectory(grid2d, params)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="abc123")
+    expected = []
+    for name in ("u", "om", "th", "rhs_u", "rhs_om", "rhs_th",
+                 "free_u", "free_om", "free_th"):
+        for f in getattr(traj, name):
+            inter = np.empty(f.coeffs.size * 2, dtype="<f8")
+            inter[0::2] = f.coeffs.real.reshape(-1)
+            inter[1::2] = f.coeffs.imag.reshape(-1)
+            expected.append(inter.tobytes())
+    payload = b"".join(expected)
+    data = path.read_bytes()
+    assert data.endswith(payload)
+    (hlen,) = np.frombuffer(data[8:16], dtype="<u8")
+    assert len(data) == 16 + int(hlen) + len(payload)
+
+
 def test_header_readable(grid2d, params, tmp_path):
     traj = _trajectory(grid2d, params)
     path = tmp_path / "t.mpk"

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from micropolar.cli import (
     load_config,
     write_report,
 )
+from micropolar.errors import PreconditionError, SingularOperatorError
 from micropolar.operators import divergence_defect
 
 
@@ -114,6 +116,14 @@ def test_simulate_and_resume(config_path, tmp_path):
     cfg = load_config(config_path)
     files = os.listdir(cfg.output_dir)
     assert "efunctions.csv" in files and "energy.csv" in files
+    with open(os.path.join(cfg.output_dir, "energy.csv")) as fh:
+        cols = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    assert rows and cols[:5] == ["t", "kinetic", "heat", "dissipation", "total"]
+    for row in rows:
+        for col, cell in zip(cols, row):
+            if col != "provenance":
+                float(cell)
     ck = os.path.join(cfg.output_dir, "checkpoint_w0.mpk")
     assert os.path.exists(ck)
     assert dispatch(["checkpoint", "info", ck]) == 0
@@ -182,6 +192,32 @@ def test_config_hash_stable(config_path):
 def test_usage_error_exit_code():
     assert dispatch(["unknown-command"]) == 2
     assert dispatch(["checkpoint", "resume", "somepath"]) == 2
+
+
+def test_verify_theorem_2_2_without_large_time_window(tmp_path, capsys):
+    # the rates are fitted on [1, t_total]: t_total = 1 is refused before solving
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_config_dict(str(tmp_path / "out"), t_total=1.0)))
+    start = time.perf_counter()
+    rc = dispatch(["verify", "theorem-2.2", "--config", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "t_total >= 1.25" in err
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("exc", [PreconditionError, SingularOperatorError])
+def test_dispatch_maps_precondition_errors(config_path, capsys, monkeypatch, exc):
+    import micropolar.cli as cli
+
+    def fail(args):
+        raise exc("bad input")
+
+    monkeypatch.setattr(cli, "_cmd_picard", fail)
+    assert dispatch(["picard", "--config", config_path]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_builtin_config_verify(tmp_path):

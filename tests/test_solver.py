@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from micropolar.solver import (
     WeightedNorms,
     duhamel_residual,
     interval_weights,
+    TrajectoryState,
     picard_step,
+    time_weight,
 )
 
 ZERO = mp.ForcingSpec.zero()
@@ -271,6 +274,44 @@ def test_weighted_norm_weights(grid2d, params, cfg2, rng):
     curve = norms.weighted_curve("u", traj.u, times, cfg2.alpha1)
     assert curve[0] == 0.0  # vanishing weight at t = 0 for alpha1 > alpha0
     assert np.all(np.isfinite(curve))
+
+
+def _random_nodes(grid, rng, count):
+    om_comp = 1 if grid.dim == 2 else 3
+    u = [mp.leray_project(mp.random_field(grid, grid.dim, rng)) for _ in range(count)]
+    om = [mp.random_field(grid, om_comp, rng, mean_zero=False) for _ in range(count)]
+    th = [mp.random_field(grid, 1, rng, mean_zero=False) for _ in range(count)]
+    return u, om, th
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_norms_match_per_node(grid2d, grid3d, params, cfg2, s, dim):
+    """weighted_curve and difference reduce over all nodes at once; they
+    must equal the per-node fractional_norm loop."""
+    grid = grid2d if dim == 2 else grid3d
+    cfg = dataclasses.replace(cfg2, p=s, q=s, r=s)
+    norms = WeightedNorms(cfg, grid, params)
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 0.25, 6)
+    a = TrajectoryState(times, *_random_nodes(grid, rng, 6), [], [], [], [], [], [])
+    b = TrajectoryState(times, *_random_nodes(grid, rng, 6), [], [], [], [], [], [])
+    diffs = norms.difference(a, b)
+    for tag in ("u", "om", "th"):
+        exps = tuple(norms.exps[tag]) + (0.0, norms.base[tag], 1.0)
+        curves = norms.weighted_curve(tag, getattr(a, tag), times, exps)
+        for exp, got in zip(exps, curves):
+            w = time_weight(times, exp - norms.base[tag])
+            ref = w * np.array([norms.fractional_norm(tag, f, exp)
+                                for f in getattr(a, tag)])
+            single = norms.weighted_curve(tag, getattr(a, tag), times, exp)
+            for curve in (got, single):
+                assert np.max(np.abs(curve - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for exp in norms.exps[tag]:
+            w = time_weight(times, exp - norms.base[tag])
+            ref = max(w[j] * norms.fractional_norm(tag, fa - fb, exp)
+                      for j, (fa, fb) in enumerate(zip(getattr(a, tag), getattr(b, tag))))
+            assert diffs[(tag, exp)] == pytest.approx(ref, rel=1e-13)
 
 
 def test_contraction_ratio_nondecreasing_in_horizon(grid2d, params, cfg2, rng):
