@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,19 +113,16 @@ class RunConfig:
     t_total: float = 1.0
     output_dir: str = "out"
 
-    def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(), "exponents": self.exponents.to_dict(),
-                "params": self.params.to_dict(),
-                "forcing_f": self.forcing_f.to_dict(),
-                "forcing_g": self.forcing_g.to_dict(),
-                "picard": self.picard.to_dict(),
-                "initial_data": self.initial_data.to_dict(),
-                "seed": self.seed, "t_total": self.t_total,
-                "output_dir": self.output_dir}
-
 
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Hash of the inputs that set the trajectory; t_total and output_dir are
+    left out, so a checkpoint resumes into any directory and any horizon."""
+    canon = json.dumps(
+        {"grid": cfg.grid.to_dict(), "exponents": cfg.exponents.to_dict(),
+         "params": cfg.params.to_dict(), "forcing_f": cfg.forcing_f.to_dict(),
+         "forcing_g": cfg.forcing_g.to_dict(), "picard": cfg.picard.to_dict(),
+         "initial_data": cfg.initial_data.to_dict(), "seed": cfg.seed},
+        sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -230,7 +226,7 @@ def write_report(bundle: ReportBundle, outdir: str) -> list:
 
 def _new_bundle(cfg: RunConfig | None, command: str) -> ReportBundle:
     bundle = ReportBundle()
-    bundle.meta = {"command": command, "created": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    bundle.meta = {"command": command}
     if cfg is not None:
         bundle.meta["config_hash"] = config_hash(cfg)
         bundle.meta["seed"] = cfg.seed
@@ -305,10 +301,10 @@ def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     return cols, rows
 
 
-def _iteration_table(reports) -> tuple:
+def _iteration_table(reports, first_window: int) -> tuple:
     cols = ["window", "m", "total_diff", "ratio", "norm_tag", "norm_exp", "diff"]
     rows = []
-    for w, rep in enumerate(reports):
+    for w, rep in enumerate(reports, first_window):
         for rec in rep.iterations:
             for (tag, exp), val in sorted(rec.diffs.items()):
                 rows.append([w, rec.m, rec.total,
@@ -317,43 +313,50 @@ def _iteration_table(reports) -> tuple:
     return cols, rows
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    bundle = _new_bundle(cfg, "simulate")
-    u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
+def _march(cfg: RunConfig, bundle: ReportBundle, state: tuple, t0: float,
+           first_window: int) -> int:
+    """Solve from state at time t0 to t_total, checkpoint each window's end
+    (windows numbered from first_window) and write the report."""
     chash = config_hash(cfg)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
 
     def hook(w, traj):
-        checkpoint_write(traj, os.path.join(outdir, f"checkpoint_w{w}.mpk"), chash)
+        window = first_window + w
+        checkpoint_write(traj, os.path.join(outdir, f"checkpoint_w{window}.mpk"),
+                         chash, window)
 
-    result = global_solve(u0, om0, th0, cfg.exponents, cfg.params,
+    result = global_solve(*state, cfg.exponents, cfg.params,
                           cfg.forcing_f, cfg.forcing_g, cfg.picard,
-                          cfg.t_total, checkpoint_hook=hook)
+                          cfg.t_total, checkpoint_hook=hook, t0=t0)
     cols, rows = _norm_table_rows(result.traj, cfg)
     bundle.add_table("nodes", cols, rows)
-    bundle.add_table("iterations", *_iteration_table(result.reports))
-    e_cols = ["t"] + [f"E_{tag}_{exp:.6g}" for (tag, exp) in sorted(result.e_sup)]
-    e_rows = []
-    for j, t in enumerate(result.traj.times):
-        e_rows.append([float(t)] + [float(result.e_sup[key][j])
-                                    for key in sorted(result.e_sup)])
-    bundle.add_table("efunctions", e_cols, e_rows)
+    bundle.add_table("iterations", *_iteration_table(result.reports, first_window))
+    keys = sorted(result.e_sup)
+    bundle.add_table("efunctions", ["t"] + [f"E_{tag}_{exp:.6g}" for tag, exp in keys],
+                     [[float(t)] + [float(result.e_sup[k][j]) for k in keys]
+                      for j, t in enumerate(result.traj.times)])
     elog = energy_report(result.traj, cfg.params, cfg.forcing_f, cfg.forcing_g)
     bundle.add_table("energy", ["t", "kinetic", "heat", "dissipation", "total"],
                      [[float(elog.times[j]), elog.kinetic[j], elog.heat[j],
                        elog.dissipation[j], elog.total[j]]
                       for j in range(elog.times.size)])
-    bundle.verdicts = {
+    bundle.verdicts.update({
         "completed": result.completed,
         "windows_converged": all(r.converged for r in result.reports),
-        "within_small_data_bound": not result.bound_crossed,
-    }
+        "within_small_data_bound": ("not_evaluated" if result.e_bound is None
+                                    else not result.bound_crossed),
+    })
     if elog.conservative:
         bundle.verdicts["energy_relative_drift"] = elog.relative_drift
     write_report(bundle, outdir)
     return 0 if (result.completed and not bundle.failed()) else CHECK_FAILED
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _apply_overrides(load_config(args.config), args)
+    state = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
+    return _march(cfg, _new_bundle(cfg, "simulate"), state, 0.0, 0)
 
 
 def _cmd_picard(args) -> int:
@@ -368,7 +371,7 @@ def _cmd_picard(args) -> int:
     traj, rep = picard_solve(u0, om0, th0, cfg.exponents, cfg.params,
                              cfg.forcing_f, cfg.forcing_g, cfg.picard,
                              constants=constants)
-    bundle.add_table("iterations", *_iteration_table([rep]))
+    bundle.add_table("iterations", *_iteration_table([rep], 0))
     cols, rows = _norm_table_rows(traj, cfg)
     bundle.add_table("nodes", cols, rows)
     outdir = cfg.output_dir
@@ -586,30 +589,25 @@ def _cmd_gronwall(args) -> int:
 
 def _cmd_checkpoint(args) -> int:
     if args.action == "info":
-        header = read_header(args.path)
-        header.pop("fields", None)
-        print(json.dumps(header, indent=1, sort_keys=True))
+        print(json.dumps(read_header(args.path), indent=1, sort_keys=True))
         return 0
-    cfg = load_config(args.config)
-    chash = config_hash(cfg)
-    traj = checkpoint_read(args.path, expected_hash=chash)
-    t_end = float(traj.times[-1])
-    remaining = cfg.t_total - t_end
-    if remaining <= 0:
+    if not args.config:
+        raise ConfigurationError("checkpoint resume requires --config")
+    cfg = _apply_overrides(load_config(args.config), args)
+    ckpt_dir = os.path.dirname(os.path.realpath(args.path))
+    if os.path.realpath(cfg.output_dir) == ckpt_dir:
+        raise ConfigurationError(
+            f"resume would overwrite the report of the run in {ckpt_dir}; "
+            f"choose another report directory with --out")
+    traj = checkpoint_read(args.path, expected_hash=config_hash(cfg))
+    t_end = float(traj.times[0])
+    if cfg.t_total <= t_end:
         print("checkpoint already covers requested horizon")
         return 0
-    u0, om0, th0 = traj.state_at(traj.node_count - 1)
-    result = global_solve(u0, om0, th0, cfg.exponents, cfg.params,
-                          cfg.forcing_f, cfg.forcing_g, cfg.picard, remaining,
-                          strict_initial=False)
     bundle = _new_bundle(cfg, "checkpoint resume")
-    cols, rows = _norm_table_rows(result.traj, cfg)
-    for row in rows:
-        row[0] += t_end
-    bundle.add_table("nodes", cols, rows)
-    bundle.verdicts = {"completed": result.completed, "resumed_from": t_end}
-    write_report(bundle, args.out or cfg.output_dir)
-    return 0 if result.completed else CHECK_FAILED
+    bundle.verdicts["resumed_from"] = t_end
+    return _march(cfg, bundle, traj.state_at(0), t_end,
+                  read_header(args.path)["window"] + 1)
 
 
 def _builtin_config() -> RunConfig:
@@ -692,9 +690,6 @@ def dispatch(argv: list) -> int:
         if args.command == "gronwall":
             return _cmd_gronwall(args)
         if args.command == "checkpoint":
-            if args.action == "resume" and not args.config:
-                print("checkpoint resume requires --config", file=sys.stderr)
-                return USAGE_ERROR
             return _cmd_checkpoint(args)
     except (ConfigurationError, CheckpointError, PreconditionError,
             SingularOperatorError, FileNotFoundError) as exc:

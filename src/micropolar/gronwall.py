@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .solver import beta_function
+
+MAX_ORACLE_POINTS = 2 ** 21   # refined oracle grid; bounds its memory
 
 
 def _validate(a, alphas, b, betas):
@@ -85,54 +88,69 @@ def gronwall_oracle(a, alphas, b, betas, t_max: float, n_points: int = 1200,
     value z(0) = lim t^alpha* a(t).  The transformed kernel moments
     int (t-s)^(-beta) s^(k-alpha*) ds over each cell are exact incomplete
     beta integrals, with z piecewise linear; the system is lower triangular.
-    """
-    from scipy.special import betainc
 
+    A diagonal weight >= 1 would flip the sign of the substitution; then
+    every cell is split into r equal parts, r doubling until all are below 1
+    (at most MAX_ORACLE_POINTS points, else PreconditionError).
+    """
     a, alphas, b, betas = _validate(a, alphas, b, betas)
     if times is None:
         times = np.linspace(0.0, t_max, n_points + 1)[1:]
     times = np.asarray(times, dtype=np.float64)
-    n = times.size
-    a_curve = sum(ai * times ** (-al) for ai, al in zip(a, alphas))
-    if np.all(b == 0):
-        return GronwallBound(times, a_curve, 0, 1.0)
-
     astar = float(np.max(alphas))
-    a_tilde = sum(ai * times ** (astar - al) for ai, al in zip(a, alphas))
-    z0 = float(sum(ai for ai, al in zip(a, alphas) if al == astar))
-
-    # weights[i, j]: coefficient of z(t_j) in the transformed integral at t_i
-    # (column 0 belongs to the known z(0)); cells are [t0[l], t0[l+1]].
-    t0 = np.concatenate(([0.0], times))
-    w = np.zeros((n, n + 1))
-    for bj, beta in zip(b, betas):
-        if bj == 0:
-            continue
-        x1, x2 = 1.0 - astar, 2.0 - astar
-        y1 = 1.0 - beta
-        b1c = beta_function(x1, y1)
-        b2c = beta_function(x2, y1)
-        for i in range(n):
-            tn = times[i]
-            xs = t0[: i + 2] / tn
-            inc0 = b1c * betainc(x1, y1, xs) * tn ** (x1 + y1 - 1.0)
-            inc1 = b2c * betainc(x2, y1, xs) * tn ** (x2 + y1 - 1.0)
-            m0 = np.diff(inc0)   # int_cell (tn-s)^(-beta) s^(-astar) ds
-            m1 = np.diff(inc1)   # int_cell (tn-s)^(-beta) s^(1-astar) ds
-            h = np.diff(t0[: i + 2])
-            upper = (m1 - t0[: i + 1] * m0) / h      # weight of the cell's right node
-            lower = (t0[1: i + 2] * m0 - m1) / h     # weight of the cell's left node
-            scale = bj * tn ** astar
-            w[i, 1: i + 2] += scale * upper
-            w[i, : i + 1] += scale * lower
-
-    z = np.zeros(n + 1)
-    z[0] = z0
+    starts = np.concatenate(([0.0], times[:-1]))
+    r = 1
+    while True:
+        if times.size * r > MAX_ORACLE_POINTS:
+            raise PreconditionError(
+                f"the kernel is too strong for the oracle: splitting each cell "
+                f"into {r} parts exceeds {MAX_ORACLE_POINTS} grid points")
+        fine = np.linspace(starts, times, r + 1, axis=1)[:, 1:].reshape(-1)
+        z = _transformed_fixed_point(a, alphas, b, betas, astar, fine)
+        if z is not None:
+            break
+        r *= 2
     # strong kernels can push the fixed point past float range; inf is the
     # faithful representation (the bound overflows alongside it)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            acc = a_tilde[i] + np.dot(w[i, : i + 1], z[: i + 1])
-            z[i + 1] = acc / (1.0 - w[i, i + 1])
-        y = z[1:] / times ** astar
+        y = z[r::r] / times ** astar
     return GronwallBound(times, y, 0, 1.0)
+
+
+def _transformed_fixed_point(a, alphas, b, betas, astar: float, times: np.ndarray):
+    """z = t^alpha* y at 0 and at every time, or None when a diagonal weight
+    reaches 1 before z overflows."""
+    from scipy.special import betainc
+
+    n = times.size
+    a_tilde = sum(ai * times ** (astar - al) for ai, al in zip(a, alphas))
+    x1, x2 = 1.0 - astar, 2.0 - astar
+    kernels = [(bj, 1.0 - beta, beta_function(x1, 1.0 - beta),
+                beta_function(x2, 1.0 - beta))
+               for bj, beta in zip(b, betas) if bj != 0]
+    # row[j]: coefficient of z(t_j) in the transformed integral at t_i
+    # (entry 0 belongs to the known z(0)); cells are [t0[l], t0[l+1]].
+    t0 = np.concatenate(([0.0], times))
+    h = np.diff(t0)
+    z = np.zeros(n + 1)
+    z[0] = float(sum(ai for ai, al in zip(a, alphas) if al == astar))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            tn = times[i]
+            xs = t0[: i + 2] / tn
+            row = np.zeros(i + 2)
+            for bj, y1, b1c, b2c in kernels:
+                m0 = np.diff(b1c * betainc(x1, y1, xs) * tn ** (x1 + y1 - 1.0))
+                m1 = np.diff(b2c * betainc(x2, y1, xs) * tn ** (x2 + y1 - 1.0))
+                # m0 = int_cell (tn-s)^(-beta) s^(-astar) ds, m1 the same with s^(1-astar)
+                scale = bj * tn ** astar
+                row[1:] += scale * (m1 - t0[: i + 1] * m0) / h[: i + 1]   # right nodes
+                row[:-1] += scale * (t0[1: i + 2] * m0 - m1) / h[: i + 1]  # left nodes
+            if row[-1] >= 1.0:
+                return None
+            z[i + 1] = (a_tilde[i] + np.dot(row[:-1], z[: i + 1])) / (1.0 - row[-1])
+            if np.isinf(z[i + 1]):
+                # every later value sums this one with a positive weight
+                z[i + 2:] = np.inf
+                break
+    return z

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -581,7 +581,6 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams) -> dict:
 class GlobalResult:
     traj: TrajectoryState
     reports: list
-    e_curves: dict                 # (tag, exp) -> instantaneous weighted values
     e_sup: dict                    # (tag, exp) -> running sup (the E functions)
     e_bound: float | None = None   # small-data self-consistency threshold
     bound_crossed: bool = False
@@ -589,22 +588,14 @@ class GlobalResult:
 
 
 def _concat_trajectories(segments: list) -> TrajectoryState:
-    base = segments[0]
-    times = [base.times]
-    u, om, th = list(base.u), list(base.om), list(base.th)
-    ru, rom, rth = list(base.rhs_u), list(base.rhs_om), list(base.rhs_th)
-    fu, fom, fth = list(base.free_u), list(base.free_om), list(base.free_th)
-    offset = float(base.times[-1])
-    for seg in segments[1:]:
-        times.append(seg.times[1:] + offset)
-        u.extend(seg.u[1:]); om.extend(seg.om[1:]); th.extend(seg.th[1:])
-        ru.extend(seg.rhs_u[1:]); rom.extend(seg.rhs_om[1:]); rth.extend(seg.rhs_th[1:])
-        fu.extend(seg.free_u[1:]); fom.extend(seg.free_om[1:]); fth.extend(seg.free_th[1:])
-        offset += float(seg.times[-1])
-    return TrajectoryState(times=np.concatenate(times), u=u, om=om, th=th,
-                           rhs_u=ru, rhs_om=rom, rhs_th=rth,
-                           free_u=fu, free_om=fom, free_th=fth,
-                           m=segments[-1].m)
+    """Join consecutive windows (absolute times); each window after the first
+    starts at the node that ended the one before."""
+    lists = [f.name for f in fields(TrajectoryState) if f.name not in ("times", "m")]
+    joined = {name: getattr(segments[0], name)
+              + [fld for seg in segments[1:] for fld in getattr(seg, name)[1:]]
+              for name in lists}
+    times = np.concatenate([segments[0].times] + [seg.times[1:] for seg in segments[1:]])
+    return TrajectoryState(times=times, m=segments[-1].m, **joined)
 
 
 def window_horizons(pic: PicardConfig, t_total: float) -> list:
@@ -617,45 +608,45 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                  cfg: ExponentConfig, params: CouplingParams,
                  f: ForcingSpec, g: ForcingSpec, pic: PicardConfig,
                  t_total: float, constants=None,
-                 checkpoint_hook=None, strict_initial: bool = True) -> GlobalResult:
-    """March windows of picard_solve, restarting each window from the previous
-    endpoint, and log the decay-weighted sup functions along the way.
+                 checkpoint_hook=None, t0: float = 0.0) -> GlobalResult:
+    """March windows of picard_solve from the state (u0, om0, th0) at time t0
+    to t_total, restarting each window from the previous endpoint, and log
+    the decay-weighted sup functions along the way.
 
-    strict_initial=False admits restart states whose microrotation or
-    temperature carry dynamically generated mean modes (checkpoint resume)."""
+    Node times are absolute.  The initial-data preconditions hold at t0 = 0
+    only: a later state carries the mean modes the dynamics generate.
+    checkpoint_hook(w, traj) receives each converged window."""
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
     segments, reports = [], []
     cur = (u0, om0, th0)
-    completed = True
-    for w, horizon in enumerate(window_horizons(pic, t_total)):
+    offset = t0
+    for w, horizon in enumerate(window_horizons(pic, t_total - t0)):
         times = pic.node_grid(horizon=horizon)
         traj, rep = picard_solve(cur[0], cur[1], cur[2], cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
-                                 times=times, strict=(w == 0 and strict_initial))
-        segments.append(traj)
+                                 times=times, strict=(w == 0 and t0 == 0))
+        segments.append(replace(traj, times=times + offset))
         reports.append(rep)
         if not rep.converged:
-            completed = False
             break
         cur = traj.state_at(traj.node_count - 1)
+        offset += float(times[-1])
         if checkpoint_hook is not None:
-            checkpoint_hook(w, _concat_trajectories(segments))
+            checkpoint_hook(w, segments[-1])
     full = _concat_trajectories(segments)
 
     norms = WeightedNorms(cfg, u0.grid, params)
-    e_curves, e_sup = {}, {}
+    e_sup = {}
     t = full.times
     for tag, nodes in (("u", full.u), ("om", full.om), ("th", full.th)):
         rate = cfg.lam2 if tag == "th" else cfg.lam
         curves = norms.weighted_curve(tag, nodes, np.minimum(t, 1.0), norms.exps[tag])
         for exp, weighted in zip(norms.exps[tag], curves):
-            curve = weighted * np.exp(rate * t)
-            e_curves[(tag, exp)] = curve
-            e_sup[(tag, exp)] = np.maximum.accumulate(curve)
+            e_sup[(tag, exp)] = np.maximum.accumulate(weighted * np.exp(rate * t))
 
-    result = GlobalResult(traj=full, reports=reports, e_curves=e_curves,
-                          e_sup=e_sup, completed=completed)
+    result = GlobalResult(traj=full, reports=reports, e_sup=e_sup,
+                          completed=all(rep.converged for rep in reports))
     if constants is not None:
         from .kmbounds import generic_constant
         cg = generic_constant(cfg, params, constants)

@@ -22,13 +22,13 @@ def test_roundtrip_bit_exact(grid2d, params, tmp_path):
     path = tmp_path / "t.mpk"
     checkpoint_write(traj, str(path), config_hash="abc123")
     back = checkpoint_read(str(path))
-    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.times, traj.times[-1:])
     assert back.m == traj.m
-    for name in ("u", "om", "th", "rhs_u", "rhs_om", "rhs_th",
-                 "free_u", "free_om", "free_th"):
-        for a, b in zip(getattr(traj, name), getattr(back, name)):
-            assert np.array_equal(a.coeffs, b.coeffs)
-            assert a.mean_zero == b.mean_zero
+    for a, b in zip(traj.state_at(traj.node_count - 1), back.state_at(0)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.mean_zero == b.mean_zero
+    for name in ("rhs_u", "rhs_om", "rhs_th", "free_u", "free_om", "free_th"):
+        assert getattr(back, name) == []
 
 
 def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
@@ -36,13 +36,11 @@ def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
     path = tmp_path / "t.mpk"
     checkpoint_write(traj, str(path), config_hash="abc123")
     expected = []
-    for name in ("u", "om", "th", "rhs_u", "rhs_om", "rhs_th",
-                 "free_u", "free_om", "free_th"):
-        for f in getattr(traj, name):
-            inter = np.empty(f.coeffs.size * 2, dtype="<f8")
-            inter[0::2] = f.coeffs.real.reshape(-1)
-            inter[1::2] = f.coeffs.imag.reshape(-1)
-            expected.append(inter.tobytes())
+    for f in traj.state_at(traj.node_count - 1):
+        inter = np.empty(f.coeffs.size * 2, dtype="<f8")
+        inter[0::2] = f.coeffs.real.reshape(-1)
+        inter[1::2] = f.coeffs.imag.reshape(-1)
+        expected.append(inter.tobytes())
     payload = b"".join(expected)
     data = path.read_bytes()
     assert data.endswith(payload)
@@ -53,11 +51,14 @@ def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
 def test_header_readable(grid2d, params, tmp_path):
     traj = _trajectory(grid2d, params)
     path = tmp_path / "t.mpk"
-    checkpoint_write(traj, str(path), config_hash="deadbeef")
+    checkpoint_write(traj, str(path), "deadbeef", 3)
     header = read_header(str(path))
     assert header["config_hash"] == "deadbeef"
     assert header["grid"]["n"] == grid2d.n
-    assert len(header["times"]) == traj.node_count
+    assert header["t_end"] == traj.times[-1]
+    assert header["window"] == 3
+    assert {name: meta["components"] for name, meta in header["fields"].items()} \
+        == {"u": 2, "om": 1, "th": 1}
 
 
 def test_truncated_file_rejected(grid2d, params, tmp_path):
@@ -100,7 +101,9 @@ def test_resume_matches_uninterrupted(grid2d, params, cfg2, tmp_path):
     loaded = checkpoint_read(str(path), expected_hash="h")
     state = loaded.state_at(loaded.node_count - 1)
     resumed = mp.global_solve(state[0], state[1], state[2], cfg2, params,
-                              ZERO, ZERO, pic, 0.25, strict_initial=False)
+                              ZERO, ZERO, pic, 0.5, t0=0.25)
+    assert resumed.traj.times[0] == 0.25
+    assert resumed.traj.times[-1] == full.traj.times[-1]
     end_full = full.traj.state_at(full.traj.node_count - 1)
     end_res = resumed.traj.state_at(resumed.traj.node_count - 1)
     from micropolar.solver import duhamel_residual

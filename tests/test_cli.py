@@ -124,6 +124,8 @@ def test_simulate_and_resume(config_path, tmp_path):
         for col, cell in zip(cols, row):
             if col != "provenance":
                 float(cell)
+    verdicts = json.loads(open(os.path.join(cfg.output_dir, "verdicts.json")).read())
+    assert verdicts["within_small_data_bound"] == "not_evaluated"
     ck = os.path.join(cfg.output_dir, "checkpoint_w0.mpk")
     assert os.path.exists(ck)
     assert dispatch(["checkpoint", "info", ck]) == 0
@@ -142,15 +144,75 @@ def test_checkpoint_resume_hash_guard(config_path, tmp_path):
     assert dispatch(["checkpoint", "resume", ck, "--config", str(other_path)]) == 2
 
 
-def test_verify_deterministic_bytes(config_path, tmp_path):
+def _read_dir(path) -> dict:
+    return {name: open(os.path.join(path, name), "rb").read()
+            for name in os.listdir(path)}
+
+
+def test_resume_extends_into_another_directory(tmp_path):
+    # the t_total = 0.5 run's last checkpoint resumes to t_total = 1.0 under
+    # another --out and reproduces the uninterrupted 1.0 run byte for byte
+    paths = {}
+    for t_total in (0.5, 1.0):
+        paths[t_total] = tmp_path / f"run{t_total}.json"
+        paths[t_total].write_text(json.dumps(
+            _config_dict(str(tmp_path / "unused"), t_total=t_total)))
+    short, full, resumed = (str(tmp_path / d) for d in ("short", "full", "resumed"))
+    assert dispatch(["simulate", "--config", str(paths[0.5]), "--out", short]) == 0
+    assert dispatch(["simulate", "--config", str(paths[1.0]), "--out", full]) == 0
+    assert dispatch(["checkpoint", "resume", os.path.join(short, "checkpoint_w1.mpk"),
+                     "--config", str(paths[1.0]), "--out", resumed]) == 0
+    got, want = _read_dir(resumed), _read_dir(full)
+    assert {"iterations.csv", "energy.csv", "efunctions.csv", "nodes.csv",
+            "checkpoint_w2.mpk", "checkpoint_w3.mpk"} <= set(got)
+    assert "checkpoint_w1.mpk" not in got
+    for name in ("checkpoint_w2.mpk", "checkpoint_w3.mpk"):
+        assert got[name] == want[name]
+    rows = want["nodes.csv"].decode().splitlines()
+    assert got["nodes.csv"].decode().splitlines() == \
+        rows[:1] + [r for r in rows[1:] if float(r.split(",")[0]) >= 0.5]
+    iterations = want["iterations.csv"].decode().splitlines()
+    assert got["iterations.csv"].decode().splitlines() == \
+        iterations[:1] + [r for r in iterations[1:] if r.split(",")[0] in ("2", "3")]
+    verdicts = json.loads(got["verdicts.json"])
+    assert verdicts["completed"] is True and verdicts["resumed_from"] == 0.5
+
+
+def test_resume_refuses_to_overwrite_its_run(config_path, tmp_path, capsys):
+    assert dispatch(["simulate", "--config", config_path]) == 0
+    outdir = load_config(config_path).output_dir
+    before = open(os.path.join(outdir, "nodes.csv"), "rb").read()
+    capsys.readouterr()
+    rc = dispatch(["checkpoint", "resume", os.path.join(outdir, "checkpoint_w0.mpk"),
+                   "--config", config_path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "--out" in err and "Traceback" not in err
+    assert open(os.path.join(outdir, "nodes.csv"), "rb").read() == before
+
+
+def _two_runs(argv, tmp_path) -> list:
     outs = []
-    for name in ("v1", "v2"):
+    for name in ("r1", "r2"):
         out = str(tmp_path / name)
-        rc = dispatch(["verify", "2.10", "--config", config_path, "--seed", "7",
-                       "--ensemble", "12", "--out", out])
-        assert rc == 0
-        outs.append(open(os.path.join(out, "ratios.csv"), "rb").read())
-    assert outs[0] == outs[1]
+        assert dispatch(argv + ["--out", out]) == 0
+        outs.append(_read_dir(out))
+    return outs
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_run_deterministic_bytes(config_path, tmp_path, command):
+    # checkpoints included: no file records the output directory or the clock
+    first, second = _two_runs([command, "--config", config_path], tmp_path)
+    assert any(name.endswith(".mpk") for name in first)
+    assert first == second
+
+
+def test_verify_deterministic_bytes(config_path, tmp_path):
+    first, second = _two_runs(["verify", "2.10", "--config", config_path,
+                               "--seed", "7", "--ensemble", "12"], tmp_path)
+    assert "ratios.csv" in first and "meta.json" in first
+    assert first == second
 
 
 def test_gronwall_command(tmp_path):
