@@ -16,12 +16,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .exponents import ExponentConfig
-from .fields import GridSpec, SpectralField, random_field
+from .fields import GridSpec, SpectralField, full_spectrum, half_spectrum, random_field
 from .kmbounds import LemmaConstants, semigroup_constant
 from .nonlinear import (
     CouplingParams,
     ForcingSpec,
     advect,
+    advect_coeffs,
+    dissipation_coeffs,
     dissipation_phi,
     evaluate_forcing,
     generators,
@@ -30,7 +32,9 @@ from .operators import (
     OperatorSymbol,
     apply_operator,
     lebesgue_norm,
+    leray_coeffs,
     leray_project,
+    power_coeffs,
     rot,
     sobolev_norm,
 )
@@ -38,11 +42,12 @@ from .solver import TrajectoryState, WeightedNorms
 
 
 def worker_count() -> int:
-    """Worker cap from MICROPOLAR_THREADS (default 1)."""
+    """Worker cap from MICROPOLAR_THREADS (default 1), at most the CPU count."""
     try:
-        return max(1, int(os.environ.get("MICROPOLAR_THREADS", "1")))
+        n = int(os.environ.get("MICROPOLAR_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _parallel_map(fn, items):
@@ -119,19 +124,37 @@ def _mode_energies(op: OperatorSymbol, f: SpectralField) -> list:
     return out
 
 
+def _decay_matrices(op: OperatorSymbol, components: int, t_grid: np.ndarray) -> list:
+    """exp(-2 t mu) over the t grid and the positive eigenvalues mu, one
+    matrix per eigenvalue family of a field with the given component count."""
+    from .solver import eig_families
+
+    mats = []
+    for eig in eig_families(op, components):
+        eig = eig.reshape(-1)
+        mats.append(np.exp(-2.0 * np.outer(t_grid, eig[eig > 0])))
+    return mats
+
+
 def smoothing_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
-                          lam: float, t_grid: np.ndarray) -> np.ndarray:
-    """t^alpha e^(lam t) ||op^alpha e^(-t op) f||_2 / ||f||_2 over the grid."""
+                          lam: float, t_grid: np.ndarray,
+                          decay: list | None = None) -> np.ndarray:
+    """t^alpha e^(lam t) ||op^alpha e^(-t op) f||_2 / ||f||_2 over the grid.
+
+    decay is _decay_matrices(op, f.components, t_grid), which callers that
+    evaluate many fields on one grid compute once."""
     fams = _mode_energies(op, f)
     total = sum(np.sum(e) for _, e in fams)
     if total == 0:
         return np.zeros_like(t_grid)
+    if decay is None:
+        decay = _decay_matrices(op, f.components, t_grid)
     vals = np.zeros_like(t_grid, dtype=np.float64)
-    for eig, energy in fams:
+    for (eig, energy), mat in zip(fams, decay):
         pos = eig > 0
         mu, en = eig[pos], energy[pos]
         amp = mu ** (2 * alpha) if alpha != 0 else np.ones_like(mu)
-        vals += np.exp(-2.0 * np.outer(t_grid, mu)) @ (amp * en)
+        vals += mat @ (amp * en)
         if alpha == 0:
             vals += np.sum(energy[~pos])  # zero modes persist under the semigroup
     weight = np.where(t_grid > 0, t_grid, 1.0) ** alpha
@@ -177,17 +200,18 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
         components = 1 if op.kind.value == "laplace" else grid.dim
     if t_grid is None:
         t_grid = default_t_grid()
+    decay = _decay_matrices(op, components, t_grid)
     probe_ratio = 0.0
     if include_probe:
         probe = extremal_smoothing_probe(op, components)
         probe_ratio = float(np.max(smoothing_ratio_curve(op, probe, alpha, lam,
-                                                         t_grid)))
+                                                         t_grid, decay)))
 
     def one(rng):
         f = random_field(grid, components, rng, sigma=sigma)
         if solenoidal:
             f = leray_project(f)
-        val = float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid)))
+        val = float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid, decay)))
         return max(val, probe_ratio)
 
     ratios = np.array(_parallel_map(one, ensemble_rngs(seed, ensemble)))
@@ -246,10 +270,11 @@ def vanishing_weight_proxy(op: OperatorSymbol, alpha: float, ensemble: int = 20,
     grid = op.grid
     components = 1 if op.kind.value == "laplace" else grid.dim
     t_grid = np.sort(np.array([2.0 ** (-k) for k in range(levels)]))
+    decay = _decay_matrices(op, components, t_grid)
     results = []
     for rng in ensemble_rngs(seed, ensemble):
         f = random_field(grid, components, rng, sigma=sigma)
-        curve = smoothing_ratio_curve(op, f, alpha, 0.0, t_grid)
+        curve = smoothing_ratio_curve(op, f, alpha, 0.0, t_grid, decay)
         peak = int(np.argmax(curve))
         rising = curve[: peak + 1]
         monotone = bool(np.all(np.diff(rising) >= -1e-13))
@@ -314,10 +339,15 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
 # low-mode subspace is the top singular value of an explicit matrix.  A few
 # alternations from a random start land on a stationary pair, making the
 # ensemble statistic concentrate at the (restricted) sup.
+#
+# The subspace of each argument slot and the factorization of its weight
+# depend on the lemma only, so verify_bilinear builds them once per call; a
+# member then maps the whole basis through the left side at once.
 
 
-def _real_mode_basis(grid: GridSpec, components: int, kmax: int) -> list:
-    """Real cosine/sine basis fields of the modes 0 < |k|_inf <= kmax."""
+def _real_mode_basis(grid: GridSpec, components: int, kmax: int) -> np.ndarray:
+    """Real cosine/sine basis fields of the modes 0 < |k|_inf <= kmax as
+    stacked full-spectrum coefficients (basis, components, *grid)."""
     from .fields import integer_wavevectors
 
     ks = integer_wavevectors(grid)
@@ -330,151 +360,155 @@ def _real_mode_basis(grid: GridSpec, components: int, kmax: int) -> list:
         if first < 0:           # one representative per +-k pair
             continue
         reps.append(kv)
-    basis = []
+    basis = np.zeros((2 * components * len(reps), components) + grid.shape,
+                     dtype=np.complex128)
+    b = 0
     for kv in reps:
+        idx = tuple(k % grid.n for k in kv)
+        neg = tuple(-k % grid.n for k in kv)
         for c in range(components):
-            amp = np.zeros(components, dtype=complex)
-            amp[c] = 0.5
-            basis.append(SpectralField.single_mode(grid, kv, amp))
-            amp[c] = -0.5j
-            basis.append(SpectralField.single_mode(grid, kv, amp))
+            for amp in (0.5, -0.5j):    # cosine, sine
+                basis[(b, c) + idx] = amp
+                basis[(b, c) + neg] += np.conj(amp)  # self-conjugate: 2 Re(amp)
+                b += 1
     return basis
 
 
-def _stack_real(coeffs: np.ndarray) -> np.ndarray:
-    flat = coeffs.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
+def _real_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Stacked coefficients (members, ...) as the real matrix (rows, members)
+    of their real and imaginary parts, less the rows zero in every member."""
+    flat = coeffs.reshape(len(coeffs), -1)
+    mat = np.concatenate([flat.real, flat.imag], axis=1).T
+    rows = np.flatnonzero(np.any(mat != 0.0, axis=1))
+    return mat[rows] if rows.size else mat[:1]
 
 
-def _restricted_slot_sup(fwd, weight, basis: list, project=None) -> tuple:
-    """sup ||fwd(v)||_2 / ||weight(v)||_2 over span(basis), with the maximizer.
+@dataclass(frozen=True)
+class _SlotSpace:
+    """One argument slot of a quadratic estimate restricted to a mode basis:
+    the (projected) basis fields whose weight is not zero, stacked, and R^+
+    from the QR factorization of their weight images, so that the weight
+    norm of sum_i x_i fields_i is proportional to |R x|."""
 
-    fwd and weight map SpectralField -> SpectralField; project optionally
-    restricts the basis (e.g. Leray) before use.
-    """
-    fields, b_cols, s_cols = [], [], []
-    for v in basis:
-        if project is not None:
-            v = project(v)
-        w = weight(v)
-        if w.l2() < 1e-12:
-            continue
-        fields.append(v)
-        b_cols.append(_stack_real(w.coeffs))
-        s_cols.append(_stack_real(fwd(v).coeffs))
-    if not fields:
+    grid: GridSpec
+    fields: np.ndarray
+    r_pinv: np.ndarray
+
+
+def _slot_space(basis: np.ndarray, weight: OperatorSymbol,
+                project: bool) -> _SlotSpace:
+    grid = weight.grid
+    fields = leray_coeffs(grid, basis) if project else basis
+    images = power_coeffs(weight, fields)
+    norms = np.sqrt(grid.volume * np.sum(np.abs(images.reshape(len(images), -1)) ** 2,
+                                         axis=1))
+    keep = norms >= 1e-12
+    fields, images = fields[keep], images[keep]
+    r_mat = np.linalg.qr(_real_rows(images), mode="r") if len(fields) else np.zeros((0, 0))
+    return _SlotSpace(grid, fields, np.linalg.pinv(r_mat, rcond=1e-10))
+
+
+def _slot_sup(space: _SlotSpace, images: np.ndarray) -> tuple:
+    """sup ||fwd(v)||_2 / ||weight(v)||_2 over the slot space, with the
+    maximizer, from the images fwd(fields) of the space's basis fields."""
+    if not len(space.fields):
         return 0.0, None
-    b_mat = np.stack(b_cols, axis=1)
-    s_mat = np.stack(s_cols, axis=1)
-    q_mat, r_mat = np.linalg.qr(b_mat)
-    r_pinv = np.linalg.pinv(r_mat, rcond=1e-10)
-    t_mat = s_mat @ r_pinv
-    u_svd, sing, vt = np.linalg.svd(t_mat, full_matrices=False)
-    x = r_pinv @ vt[0]
-    out = fields[0] * float(x[0])
-    for i in range(1, len(fields)):
-        out = out + fields[i] * float(x[i])
-    return float(sing[0]), out
+    _, sing, vt = np.linalg.svd(_real_rows(images) @ space.r_pinv,
+                                full_matrices=False)
+    out = np.tensordot(space.r_pinv @ vt[0], space.fields, axes=1)
+    return float(sing[0]), SpectralField(space.grid, out, mean_zero=True)
 
 
-def _exact_pair_sup(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
-                    params: CouplingParams, rng, kmax: int = 2,
+# kmax of the mode basis of the exact-sup slots and of their random start
+_EXACT_KMAX = 2
+
+
+@dataclass(frozen=True)
+class _ExactSupLemma:
+    """A quadratic estimate with exact restricted maximization: a velocity
+    slot weighted by A^alpha and a second slot of field `tag` weighted by
+    that field's generator to `exp` (2.5 has two velocity slots of one
+    kind).  For 2.5-2.7 the left side is |op^(-delta) (P) (u.grad) w| with
+    op the generator of `tag`; 2.8 (delta None) bounds Phi."""
+
+    alpha: float
+    tag: str
+    exp: float
+    delta: float | None
+
+
+def _exact_sup_lemma(lemma_id: str, cfg: ExponentConfig) -> _ExactSupLemma:
+    table = {"2.5": _ExactSupLemma(cfg.alpha1, "u", cfg.alpha1, cfg.delta1),
+             "2.6": _ExactSupLemma(cfg.alpha2, "om", cfg.beta2, cfg.delta2),
+             "2.7": _ExactSupLemma(cfg.alpha3, "th", cfg.gamma3, cfg.delta3),
+             "2.8": _ExactSupLemma(cfg.alpha3, "om", cfg.beta3, None)}
+    if lemma_id not in table:
+        raise ConfigurationError(f"no exact maximization for estimate {lemma_id!r}")
+    return table[lemma_id]
+
+
+def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
+                 params: CouplingParams) -> dict:
+    """The slot spaces of an exact-sup lemma by field tag: velocity slots
+    range over the Leray-projected basis."""
+    ops = dict(zip(("u", "om", "th"), generators(grid, params)))
+    comps = {"u": grid.dim, "om": 1 if grid.dim == 2 else 3, "th": 1}
+    return {tag: _slot_space(_real_mode_basis(grid, comps[tag], _EXACT_KMAX),
+                             ops[tag].with_power(exp), project=tag == "u")
+            for tag, exp in (("u", lemma.alpha), (lemma.tag, lemma.exp))}
+
+
+def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
+                    params: CouplingParams, spaces: dict, rng,
                     alternations: int = 3, sigma: float = 2.0) -> float:
-    """Alternating restricted maximization of a quadratic estimate ratio."""
-    a_op, g_op, b_op = generators(grid, params)
+    """Alternating restricted maximization of a quadratic estimate ratio over
+    the slot spaces of _slot_spaces."""
     norms = WeightedNorms(cfg, grid, params)
-    dim = grid.dim
-    om_comp = 1 if dim == 2 else 3
-    vec_basis = _real_mode_basis(grid, dim, kmax)
-    mic_basis = _real_mode_basis(grid, om_comp, kmax)
-    scal_basis = _real_mode_basis(grid, 1, kmax)
+    dim, tag = grid.dim, lemma.tag
 
     def unit(tag, fld, exp):
         n = norms.fractional_norm(tag, fld, exp)
         return fld * (1.0 / n) if n > 0 else fld
 
-    if lemma_id == "2.5":
-        u = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma, kmax=kmax)),
-                 cfg.alpha1)
-        best = 0.0
-        for _ in range(alternations):
-            sup_v, v = _restricted_slot_sup(
-                lambda w: apply_operator(a_op.with_power(-cfg.delta1),
-                                         leray_project(advect(u, w))),
-                lambda w: apply_operator(a_op.with_power(cfg.alpha1), w),
-                vec_basis, project=leray_project)
-            best = max(best, sup_v)
-            v = unit("u", v, cfg.alpha1)
-            sup_u, u_new = _restricted_slot_sup(
-                lambda w: apply_operator(a_op.with_power(-cfg.delta1),
-                                         leray_project(advect(w, v))),
-                lambda w: apply_operator(a_op.with_power(cfg.alpha1), w),
-                vec_basis, project=leray_project)
-            best = max(best, sup_u)
-            u = unit("u", u_new, cfg.alpha1)
-        return best
+    u = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma,
+                                             kmax=_EXACT_KMAX)), lemma.alpha)
+    best = 0.0
+    if lemma.delta is None:     # 2.8
+        vel, mic = spaces["u"], spaces["om"]
+        zero_u = np.zeros((1, dim) + grid.shape, dtype=np.complex128)
+        zero_om = np.zeros((1, mic.fields.shape[1]) + grid.shape, dtype=np.complex128)
 
-    if lemma_id == "2.6":
-        u = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma, kmax=kmax)),
-                 cfg.alpha2)
-        best = 0.0
-        for _ in range(alternations):
-            sup_om, om = _restricted_slot_sup(
-                lambda w: apply_operator(g_op.with_power(-cfg.delta2), advect(u, w)),
-                lambda w: apply_operator(g_op.with_power(cfg.beta2), w), mic_basis)
-            best = max(best, sup_om)
-            om = unit("om", om, cfg.beta2)
-            sup_u, u_new = _restricted_slot_sup(
-                lambda w: apply_operator(g_op.with_power(-cfg.delta2), advect(w, om)),
-                lambda w: apply_operator(a_op.with_power(cfg.alpha2), w),
-                vec_basis, project=leray_project)
-            best = max(best, sup_u)
-            u = unit("u", u_new, cfg.alpha2)
-        return best
+        def phi(*coeffs):
+            halves = (half_spectrum(c) for c in coeffs)
+            return full_spectrum(grid, dissipation_coeffs(grid, *halves, params))
 
-    if lemma_id == "2.7":
-        u = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma, kmax=kmax)),
-                 cfg.alpha3)
-        best = 0.0
+        left_tag, left = "u", u
         for _ in range(alternations):
-            sup_th, th = _restricted_slot_sup(
-                lambda w: apply_operator(b_op.with_power(-cfg.delta3), advect(u, w)),
-                lambda w: apply_operator(b_op.with_power(cfg.gamma3), w), scal_basis)
-            best = max(best, sup_th)
-            th = unit("th", th, cfg.gamma3)
-            sup_u, u_new = _restricted_slot_sup(
-                lambda w: apply_operator(b_op.with_power(-cfg.delta3), advect(w, th)),
-                lambda w: apply_operator(a_op.with_power(cfg.alpha3), w),
-                vec_basis, project=leray_project)
-            best = max(best, sup_u)
-            u = unit("u", u_new, cfg.alpha3)
-        return best
-
-    if lemma_id == "2.8":
-        zero_u = SpectralField.zero(grid, dim)
-        zero_om = SpectralField.zero(grid, om_comp, mean_zero=False)
-        left_tag = "u"
-        left = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma,
-                                                    kmax=kmax)), cfg.alpha3)
-        best = 0.0
-        for _ in range(alternations):
-            lu = left if left_tag == "u" else zero_u
-            lo = left if left_tag == "om" else zero_om
-            sup_v, v = _restricted_slot_sup(
-                lambda w: dissipation_phi(lu, w, lo, zero_om, params),
-                lambda w: apply_operator(a_op.with_power(cfg.alpha3), w),
-                vec_basis, project=leray_project)
-            sup_p, psi = _restricted_slot_sup(
-                lambda w: dissipation_phi(lu, zero_u, lo, w, params),
-                lambda w: apply_operator(g_op.with_power(cfg.beta3), w), mic_basis)
+            lu = left.coeffs[np.newaxis] if left_tag == "u" else zero_u
+            lo = left.coeffs[np.newaxis] if left_tag == "om" else zero_om
+            sup_v, v = _slot_sup(vel, phi(lu, vel.fields, lo, zero_om))
+            sup_p, psi = _slot_sup(mic, phi(lu, zero_u, lo, mic.fields))
             best = max(best, sup_v, sup_p)
             if sup_v >= sup_p:
-                left_tag, left = "u", unit("u", v, cfg.alpha3)
+                left_tag, left = "u", unit("u", v, lemma.alpha)
             else:
-                left_tag, left = "om", unit("om", psi, cfg.beta3)
+                left_tag, left = "om", unit("om", psi, lemma.exp)
         return best / (1.0 + params.mu_r)
 
-    raise ConfigurationError(f"no exact maximization for estimate {lemma_id!r}")
+    op = dict(zip(("u", "om", "th"), generators(grid, params)))[tag]
+    inverse = op.with_power(-lemma.delta)
+
+    def lhs(uc, wc):
+        c = full_spectrum(grid, advect_coeffs(grid, half_spectrum(uc), half_spectrum(wc)))
+        return power_coeffs(inverse, leray_coeffs(grid, c) if tag == "u" else c)
+
+    for _ in range(alternations):
+        sup_w, w = _slot_sup(spaces[tag], lhs(u.coeffs[np.newaxis], spaces[tag].fields))
+        w = unit(tag, w, lemma.exp)
+        sup_u, u = _slot_sup(spaces["u"], lhs(spaces["u"].fields, w.coeffs[np.newaxis]))
+        u = unit("u", u, lemma.alpha)
+        best = max(best, sup_w, sup_u)
+    return best
 
 
 def _hilbert_exponents(lemma_id: str, cfg: ExponentConfig) -> bool:
@@ -589,9 +623,12 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
 
     if lemma_id in ("2.5", "2.6", "2.7", "2.8") and _hilbert_exponents(lemma_id, cfg):
         ensemble = min(ensemble, 16)  # members are exact restricted sups
+        lemma = _exact_sup_lemma(lemma_id, cfg)
+        spaces = _slot_spaces(lemma, grid, params)
 
         def one(rng):
-            return _exact_pair_sup(lemma_id, cfg, grid, params, rng, sigma=sigma)
+            return _exact_pair_sup(lemma, cfg, grid, params, spaces, rng,
+                                   sigma=sigma)
 
         notes = "torus-fitted constant (alternating restricted maximization)"
     else:

@@ -9,6 +9,7 @@ over components and modes).  Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -50,11 +51,18 @@ def checkpoint_write(traj: TrajectoryState, path: str,
 def _read_header(fh, path: str) -> dict:
     if fh.read(8) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (hlen,) = struct.unpack("<Q", fh.read(8))
-    head = fh.read(hlen)
-    if len(head) != hlen:
+    size = fh.read(8)
+    if len(size) != 8:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(head.decode("utf-8"))
+    (hlen,) = struct.unpack("<Q", size)
+    if hlen > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except ValueError:      # invalid UTF-8 or JSON
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {header.get('version')} != {FORMAT_VERSION}")

@@ -601,7 +601,7 @@ def _cmd_checkpoint(args) -> int:
             f"choose another report directory with --out")
     traj = checkpoint_read(args.path, expected_hash=config_hash(cfg))
     t_end = float(traj.times[0])
-    if cfg.t_total <= t_end:
+    if not window_horizons(cfg.picard, cfg.t_total, t_end):
         print("checkpoint already covers requested horizon")
         return 0
     bundle = _new_bundle(cfg, "checkpoint resume")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .solver import beta_function
 
 MAX_ORACLE_POINTS = 2 ** 21   # refined oracle grid; bounds its memory
@@ -25,11 +25,11 @@ def _validate(a, alphas, b, betas):
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     if a.shape != alphas.shape or b.shape != betas.shape:
-        raise ValueError("coefficient and exponent lists must match in length")
+        raise ConfigurationError("coefficient and exponent lists must match in length")
     if np.any(a <= 0) or np.any(b < 0):
-        raise ValueError("coefficients a_i must be positive, b_j nonnegative")
+        raise ConfigurationError("coefficients a_i must be positive, b_j nonnegative")
     if np.any(alphas < 0) or np.any(alphas >= 1) or np.any(betas < 0) or np.any(betas >= 1):
-        raise ValueError("all exponents must lie in [0, 1)")
+        raise ConfigurationError("all exponents must lie in [0, 1)")
     return a, alphas, b, betas
 
 

@@ -180,9 +180,25 @@ def _half_symbols(grid: GridSpec) -> tuple:
 
 
 def _gradient_planes(ch: np.ndarray, ik: np.ndarray) -> np.ndarray:
-    """Half-spectrum gradients of half-spectrum coefficients (comp, *half) as
-    planes (comp * dim, *half); plane c * dim + a is d_a f_c."""
-    return (ik * ch[:, np.newaxis]).reshape((-1,) + ch.shape[1:])
+    """Half-spectrum gradients of half-spectrum coefficients (..., comp, *half)
+    as planes (..., comp * dim, *half); plane c * dim + a is d_a f_c."""
+    nd = ik.ndim - 1
+    grads = ik * np.expand_dims(ch, -nd - 1)
+    return grads.reshape(ch.shape[: ch.ndim - nd - 1] + (-1,) + ch.shape[-nd:])
+
+
+def _grid_values(grid: GridSpec, *halves: np.ndarray) -> list:
+    """Grid values of batched half spectra (batch, planes, *half) from one
+    inverse transform, each returned as (planes, batch, *grid): the batch axis
+    after the component axes, where _phi_values takes it."""
+    vals = irfft_half(grid, np.concatenate([h.reshape((-1,) + h.shape[2:])
+                                            for h in halves]))
+    out, start = [], 0
+    for h in halves:
+        stop = start + h.shape[0] * h.shape[1]
+        out.append(np.swapaxes(vals[start:stop].reshape(h.shape[:2] + grid.shape), 0, 1))
+        start = stop
+    return out
 
 
 def _curl_values(du: np.ndarray) -> np.ndarray:
@@ -233,18 +249,43 @@ def require_solenoidal(u: SpectralField, tol: float = SOLENOIDAL_TOL):
         raise PreconditionError(f"velocity is not solenoidal (relative div {defect:.2e})")
 
 
+def advect_coeffs(grid: GridSpec, uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """(u . grad) w on half spectra with a leading batch axis, dealiased:
+    uh (B, dim, *half) and wh (B, C, *half), either B may be 1, give
+    (B, C, *half).  One inverse transform takes u and grad w to the grid."""
+    _, ik, _, _, mask = _half_symbols(grid)
+    u_vals, dw = _grid_values(grid, uh, _gradient_planes(wh, ik))
+    dw = dw.reshape((wh.shape[1], grid.dim) + dw.shape[1:])
+    return np.swapaxes(rfft_half(grid, np.sum(u_vals * dw, axis=1)), 0, 1) * mask
+
+
 def advect(u: SpectralField, w: SpectralField) -> SpectralField:
     """(u . grad) w evaluated pointwise from spectral derivatives, dealiased."""
     _check_grids(u, w)
     if u.is_scalar:
         raise TypeError("advecting velocity must be a vector field")
-    grid = u.grid
-    ik = _half_symbols(grid)[1]
-    uh = half_spectrum(u.coeffs)
-    phys = irfft_half(grid, np.concatenate([uh, _gradient_planes(half_spectrum(w.coeffs), ik)]))
-    u_vals = phys[: grid.dim]
-    dw = phys[grid.dim:].reshape((w.components, grid.dim) + grid.shape)
-    return to_spectral(grid, np.sum(u_vals * dw, axis=1)).dealias()
+    out = advect_coeffs(u.grid, half_spectrum(u.coeffs)[np.newaxis],
+                        half_spectrum(w.coeffs)[np.newaxis])
+    return SpectralField(u.grid, full_spectrum(u.grid, out[0]))
+
+
+def dissipation_coeffs(grid: GridSpec, uh: np.ndarray, vh: np.ndarray,
+                       omh: np.ndarray, psih: np.ndarray, params: CouplingParams,
+                       dealias: bool = True) -> np.ndarray:
+    """Bilinear dissipation function on half spectra with a leading batch
+    axis: uh, vh (B, dim, *half) and omh, psih (B, C, *half), any B may be 1,
+    give (B, 1, *half).  One inverse transform takes om, psi and the
+    gradients of all four to the grid."""
+    dim = grid.dim
+    _, ik, _, _, mask = _half_symbols(grid)
+    om_v, psi_v, du, dv, dom, dpsi = _grid_values(
+        grid, omh, psih, *(_gradient_planes(x, ik) for x in (uh, vh, omh, psih)))
+    phi = _phi_values(du.reshape((dim, dim) + du.shape[1:]),
+                      dv.reshape((dim, dim) + dv.shape[1:]), om_v, psi_v,
+                      dom.reshape((omh.shape[1], dim) + dom.shape[1:]),
+                      dpsi.reshape((psih.shape[1], dim) + dpsi.shape[1:]), params)
+    out = rfft_half(grid, phi)[:, np.newaxis]
+    return out * mask if dealias else out
 
 
 def dissipation_phi(u: SpectralField, v: SpectralField,
@@ -263,19 +304,9 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
     (the integral of the product) is identical either way.
     """
     _check_grids(u, v, om, psi)
-    grid = u.grid
-    dim = grid.dim
-    ik = _half_symbols(grid)[1]
-    parts = [half_spectrum(om.coeffs), half_spectrum(psi.coeffs)]
-    parts += [_gradient_planes(half_spectrum(x.coeffs), ik) for x in (u, v, om, psi)]
-    sizes = np.cumsum([p.shape[0] for p in parts])[:-1]
-    om_v, psi_v, du, dv, dom, dpsi = np.split(irfft_half(grid, np.concatenate(parts)), sizes)
-    phi = _phi_values(du.reshape((dim, dim) + grid.shape),
-                      dv.reshape((dim, dim) + grid.shape), om_v, psi_v,
-                      dom.reshape((om.components, dim) + grid.shape),
-                      dpsi.reshape((psi.components, dim) + grid.shape), params)
-    out = to_spectral(grid, phi)
-    return out.dealias() if dealias else out
+    out = dissipation_coeffs(u.grid, *(half_spectrum(x.coeffs)[np.newaxis]
+                                       for x in (u, v, om, psi)), params, dealias)
+    return SpectralField(u.grid, full_spectrum(u.grid, out[0]))
 
 
 def assemble_rhs(u: SpectralField, om: SpectralField, th: SpectralField,

@@ -119,25 +119,23 @@ def _split_parallel(v_coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return parallel_part(v_coeffs, *projector_symbols(grid))
 
 
+def leray_coeffs(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """v - k (k.v)/|k|^2 with the k=0 mode zeroed, on full-spectrum
+    coefficients (..., dim, *grid); any leading axes are kept."""
+    out = v - _split_parallel(v, grid)
+    out[(Ellipsis,) + _zero_index(grid)] = 0.0
+    return out
+
+
 def leray_project(v: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: v - k (k.v)/|k|^2, k=0 mode zeroed."""
     if v.is_scalar:
         raise TypeError("Leray projection expects a vector field")
-    para = _split_parallel(v.coeffs, v.grid)
-    out = v.coeffs - para
-    out[(slice(None),) + _zero_index(v.grid)] = 0.0
-    return SpectralField(v.grid, out, mean_zero=True)
+    return SpectralField(v.grid, leray_coeffs(v.grid, v.coeffs), mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
 # Spectral functions of the generators
-
-
-def _check_mean_mode(f: SpectralField, op: OperatorSymbol):
-    if f.max_mean_magnitude() > MEAN_TOL * max(1.0, float(np.max(np.abs(f.coeffs)))):
-        raise SingularOperatorError(
-            f"{op.kind.value} with power {op.power} needs a mean-zero field"
-        )
 
 
 def _component_check(op: OperatorSymbol, f: SpectralField):
@@ -147,26 +145,30 @@ def _component_check(op: OperatorSymbol, f: SpectralField):
         raise TypeError("Stokes operator expects a vector field")
 
 
-def spectral_function(op: OperatorSymbol, fn, f: SpectralField) -> SpectralField:
-    """Apply fn(generator) per mode, respecting GAMMA's two invariant subspaces.
+def spectral_coeffs(op: OperatorSymbol, fn, c: np.ndarray) -> np.ndarray:
+    """fn(generator) per mode on full-spectrum coefficients (..., comp, *grid),
+    any leading axes kept, respecting GAMMA's two invariant subspaces.
 
     fn maps an eigenvalue array to a weight array; fn(0) is applied at k=0.
     """
-    _component_check(op, f)
     grid = op.grid
-    if op.kind is OperatorKind.GAMMA and not f.is_scalar:
+    if op.kind is OperatorKind.GAMMA and c.shape[-grid.dim - 1] > 1:
         eig_perp, eig_para = op.eigenvalues()
-        para = _split_parallel(f.coeffs, grid)
-        out = fn(eig_perp) * (f.coeffs - para) + fn(eig_para) * para
+        para = _split_parallel(c, grid)
+        out = fn(eig_perp) * (c - para) + fn(eig_para) * para
         # k = 0: both eigenvalues vanish; act as the scalar fn(0)
-        zi = (slice(None),) + _zero_index(grid)
-        out[zi] = fn(np.zeros(1))[0] * f.coeffs[zi]
-        return SpectralField(grid, out, f.mean_zero)
-    eig = op.eigenvalues()[0]
-    coeffs = f.coeffs
+        zi = (Ellipsis,) + _zero_index(grid)
+        out[zi] = fn(np.zeros(1))[0] * c[zi]
+        return out
     if op.kind is OperatorKind.STOKES:
-        coeffs = leray_project(f).coeffs
-    return SpectralField(grid, fn(eig) * coeffs, f.mean_zero)
+        c = leray_coeffs(grid, c)
+    return fn(op.eigenvalues()[0]) * c
+
+
+def spectral_function(op: OperatorSymbol, fn, f: SpectralField) -> SpectralField:
+    """Apply fn(generator) per mode to one field (see spectral_coeffs)."""
+    _component_check(op, f)
+    return SpectralField(op.grid, spectral_coeffs(op, fn, f.coeffs), f.mean_zero)
 
 
 def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
@@ -179,20 +181,30 @@ def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
     return np.where(eig > 0, out, 0.0)
 
 
-def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
-    """Fractional power action: per-mode multiplication by eigenvalue**power.
+def power_coeffs(op: OperatorSymbol, c: np.ndarray) -> np.ndarray:
+    """Fractional power action on full-spectrum coefficients (..., comp, *grid);
+    each index of the leading axes is one field.
 
-    Zero eigenvalues map to zero for power > 0 and to identity for power = 0;
-    negative powers require a mean-zero field.
+    Zero eigenvalues map to zero for power > 0 and to identity for power = 0.
+    A negative power needs every field mean-zero (SingularOperatorError
+    otherwise) and zeroes the mean mode.
     """
+    power, grid = op.power, op.grid
+    if power < 0:
+        zi = (Ellipsis,) + _zero_index(grid)
+        flat = np.abs(c).reshape(c.shape[: c.ndim - grid.dim - 1] + (-1,))
+        if np.any(np.max(np.abs(c[zi]), axis=-1)
+                  > MEAN_TOL * np.maximum(1.0, np.max(flat, axis=-1))):
+            raise SingularOperatorError(
+                f"{op.kind.value} with power {power} needs a mean-zero field")
+    return spectral_coeffs(op, lambda eig: power_weight(eig, power), c)
+
+
+def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
+    """Fractional power action on one field (see power_coeffs)."""
     _component_check(op, f)
-    power = op.power
-    if power < 0:
-        _check_mean_mode(f, op)
-    out = spectral_function(op, lambda eig: power_weight(eig, power), f)
-    if power < 0:
-        out = out.drop_mean()
-    return out
+    return SpectralField(op.grid, power_coeffs(op, f.coeffs),
+                         f.mean_zero or op.power < 0)
 
 
 def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralField:

@@ -598,10 +598,18 @@ def _concat_trajectories(segments: list) -> TrajectoryState:
     return TrajectoryState(times=times, m=segments[-1].m, **joined)
 
 
-def window_horizons(pic: PicardConfig, t_total: float) -> list:
-    """Horizons of the windows that march from t = 0 to t_total."""
-    n_windows = max(1, int(math.ceil(t_total / pic.horizon - 1e-12)))
-    return [min(pic.horizon, t_total - w * pic.horizon) for w in range(n_windows)]
+def window_horizons(pic: PicardConfig, t_total: float, t0: float = 0.0) -> list:
+    """Horizons of the windows that march from t0 to t_total: those of the
+    march from t = 0, from the window that starts at t0 on, so that a march
+    resumed at a window's end repeats the uninterrupted one.  A t0 inside a
+    window first runs to that window's end.  The list is empty when t0 already reaches t_total."""
+    h = pic.horizon
+    n_windows = int(math.ceil(t_total / h - 1e-12))
+    first = int(math.floor(t0 / h + 1e-9))
+    out = [min(h, t_total - w * h) for w in range(first, n_windows)]
+    if out and t0 - first * h > 1e-9 * h:
+        out[0] -= t0 - first * h
+    return out if out and out[0] > 1e-9 * h else []
 
 
 def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
@@ -618,10 +626,13 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     checkpoint_hook(w, traj) receives each converged window."""
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
+    horizons = window_horizons(pic, t_total, t0)
+    if not horizons:
+        raise ConfigurationError(f"t_total {t_total:g} must exceed the start time {t0:g}")
     segments, reports = [], []
     cur = (u0, om0, th0)
     offset = t0
-    for w, horizon in enumerate(window_horizons(pic, t_total - t0)):
+    for w, horizon in enumerate(horizons):
         times = pic.node_grid(horizon=horizon)
         traj, rep = picard_solve(cur[0], cur[1], cur[2], cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -281,6 +284,7 @@ def test_fitted_constants_seed_stable(grid2d, params, cfg2):
 
 def test_worker_count_env(monkeypatch):
     from micropolar.analysis import worker_count
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("MICROPOLAR_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("MICROPOLAR_THREADS", "4")
@@ -289,12 +293,218 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
 
 
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    from micropolar.analysis import worker_count
+    monkeypatch.setenv("MICROPOLAR_THREADS", "64")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)   # count unknown
+    assert worker_count() == 1
+    monkeypatch.setenv("MICROPOLAR_THREADS", "0")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 1
+
+
 def test_parallel_map_matches_serial(grid2d, params, cfg2, monkeypatch):
-    monkeypatch.setenv("MICROPOLAR_THREADS", "3")
-    rep_par = mp.verify_bilinear("2.10", cfg2, grid2d, params, ensemble=8, seed=5)
-    monkeypatch.setenv("MICROPOLAR_THREADS", "1")
-    rep_ser = mp.verify_bilinear("2.10", cfg2, grid2d, params, ensemble=8, seed=5)
-    assert np.array_equal(rep_par.ratios, rep_ser.ratios)
+    # 2.6 runs the exact restricted maximization: its members share one set
+    # of read-only slot spaces across the threads (more threads than cores,
+    # switching often)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for lemma, ensemble in (("2.10", 8), ("2.6", 2)):
+        monkeypatch.setenv("MICROPOLAR_THREADS", "3")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rep_par = mp.verify_bilinear(lemma, cfg2, grid2d, params,
+                                         ensemble=ensemble, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setenv("MICROPOLAR_THREADS", "1")
+        rep_ser = mp.verify_bilinear(lemma, cfg2, grid2d, params,
+                                     ensemble=ensemble, seed=5)
+        assert rep_ser.ratios.size == ensemble
+        assert np.array_equal(rep_par.ratios, rep_ser.ratios)
+
+
+# -- exact restricted maximization against the per-field reference --------
+#
+# The reference below maps one basis field at a time through the estimate's
+# left side and sums the maximizer field by field; analysis maps the stacked
+# basis at once and factors each slot's weight once per call.
+
+
+def _reference_mode_basis(grid, components, kmax):
+    from micropolar.fields import integer_wavevectors
+
+    ks = integer_wavevectors(grid)
+    reps = []
+    for idx in np.ndindex(*grid.shape):
+        kv = tuple(int(ks[a][idx]) for a in range(grid.dim))
+        if not all(abs(k) <= kmax for k in kv) or all(k == 0 for k in kv):
+            continue
+        if next(k for k in kv if k != 0) < 0:
+            continue
+        reps.append(kv)
+    basis = []
+    for kv in reps:
+        for c in range(components):
+            amp = np.zeros(components, dtype=complex)
+            amp[c] = 0.5
+            basis.append(mp.SpectralField.single_mode(grid, kv, amp))
+            amp[c] = -0.5j
+            basis.append(mp.SpectralField.single_mode(grid, kv, amp))
+    return basis
+
+
+def _stack_real(coeffs):
+    flat = coeffs.reshape(-1)
+    return np.concatenate([flat.real, flat.imag])
+
+
+def _reference_slot_sup(fwd, weight, basis, project=None):
+    fields, b_cols, s_cols = [], [], []
+    for v in basis:
+        if project is not None:
+            v = project(v)
+        w = weight(v)
+        if w.l2() < 1e-12:
+            continue
+        fields.append(v)
+        b_cols.append(_stack_real(w.coeffs))
+        s_cols.append(_stack_real(fwd(v).coeffs))
+    _, r_mat = np.linalg.qr(np.stack(b_cols, axis=1))
+    r_pinv = np.linalg.pinv(r_mat, rcond=1e-10)
+    _, sing, vt = np.linalg.svd(np.stack(s_cols, axis=1) @ r_pinv, full_matrices=False)
+    x = r_pinv @ vt[0]
+    out = fields[0] * float(x[0])
+    for i in range(1, len(fields)):
+        out = out + fields[i] * float(x[i])
+    return float(sing[0]), out
+
+
+def _reference_pair_sup(lemma_id, cfg, grid, params, rng, kmax=2, alternations=3,
+                        sigma=2.0):
+    from micropolar.solver import WeightedNorms
+
+    a_op, g_op, b_op = mp.generators(grid, params)
+    norms = WeightedNorms(cfg, grid, params)
+    dim = grid.dim
+    om_comp = 1 if dim == 2 else 3
+    vec = _reference_mode_basis(grid, dim, kmax)
+    mic = _reference_mode_basis(grid, om_comp, kmax)
+    scal = _reference_mode_basis(grid, 1, kmax)
+    P = mp.leray_project
+
+    def unit(tag, fld, exp):
+        n = norms.fractional_norm(tag, fld, exp)
+        return fld * (1.0 / n) if n > 0 else fld
+
+    def power(op, x):
+        return lambda w: mp.apply_operator(op.with_power(x), w)
+
+    alpha = {"2.5": cfg.alpha1, "2.6": cfg.alpha2}.get(lemma_id, cfg.alpha3)
+    u = unit("u", P(mp.random_field(grid, dim, rng, sigma=sigma, kmax=kmax)), alpha)
+    best = 0.0
+    if lemma_id == "2.8":
+        zero_u = mp.SpectralField.zero(grid, dim)
+        zero_om = mp.SpectralField.zero(grid, om_comp, mean_zero=False)
+        left_tag, left = "u", u
+        for _ in range(alternations):
+            lu = left if left_tag == "u" else zero_u
+            lo = left if left_tag == "om" else zero_om
+            sup_v, v = _reference_slot_sup(
+                lambda w: mp.dissipation_phi(lu, w, lo, zero_om, params),
+                power(a_op, cfg.alpha3), vec, project=P)
+            sup_p, psi = _reference_slot_sup(
+                lambda w: mp.dissipation_phi(lu, zero_u, lo, w, params),
+                power(g_op, cfg.beta3), mic)
+            best = max(best, sup_v, sup_p)
+            if sup_v >= sup_p:
+                left_tag, left = "u", unit("u", v, cfg.alpha3)
+            else:
+                left_tag, left = "om", unit("om", psi, cfg.beta3)
+        return best / (1.0 + params.mu_r)
+    op, delta, tag, exp, basis, project = {
+        "2.5": (a_op, cfg.delta1, "u", cfg.alpha1, vec, P),
+        "2.6": (g_op, cfg.delta2, "om", cfg.beta2, mic, None),
+        "2.7": (b_op, cfg.delta3, "th", cfg.gamma3, scal, None)}[lemma_id]
+    weight = power({"u": a_op, "om": g_op, "th": b_op}[tag], exp)
+
+    def lhs(x, y):
+        adv = mp.advect(x, y)
+        return mp.apply_operator(op.with_power(-delta),
+                                 P(adv) if lemma_id == "2.5" else adv)
+
+    for _ in range(alternations):
+        sup_w, w = _reference_slot_sup(lambda z: lhs(u, z), weight, basis, project)
+        w = unit(tag, w, exp)
+        sup_u, u = _reference_slot_sup(lambda z: lhs(z, w), power(a_op, alpha), vec, P)
+        u = unit("u", u, alpha)
+        best = max(best, sup_w, sup_u)
+    return best
+
+
+@pytest.mark.parametrize("lemma", ["2.5", "2.6", "2.7", "2.8"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_pair_sup_matches_per_field_reference(lemma, dim, params, grid2d,
+                                                    grid3d):
+    from micropolar.analysis import (_exact_pair_sup, _exact_sup_lemma, _slot_spaces,
+                                     ensemble_rngs)
+    from micropolar.cli import lambda_chain_cap
+
+    grid = grid2d if dim == 2 else grid3d
+    base = mp.ExponentConfig(p=2, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
+    cfg = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params)).config
+    # the 3D basis has 372 velocity fields: one member, one alternation
+    members, alternations = (2, 3) if dim == 2 else (1, 1)
+    spec = _exact_sup_lemma(lemma, cfg)
+    spaces = _slot_spaces(spec, grid, params)
+    for rng_new, rng_ref in zip(ensemble_rngs(3, members), ensemble_rngs(3, members)):
+        got = _exact_pair_sup(spec, cfg, grid, params, spaces, rng_new,
+                              alternations=alternations)
+        want = _reference_pair_sup(lemma, cfg, grid, params, rng_ref,
+                                   alternations=alternations)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _reference_smoothing_curve(op, f, alpha, lam, t_grid):
+    """The per-member formula: every call builds its own decay matrices."""
+    from micropolar.analysis import _mode_energies
+
+    fams = _mode_energies(op, f)
+    total = sum(np.sum(e) for _, e in fams)
+    vals = np.zeros_like(t_grid, dtype=np.float64)
+    for eig, energy in fams:
+        pos = eig > 0
+        mu, en = eig[pos], energy[pos]
+        amp = mu ** (2 * alpha) if alpha != 0 else np.ones_like(mu)
+        vals += np.exp(-2.0 * np.outer(t_grid, mu)) @ (amp * en)
+        if alpha == 0:
+            vals += np.sum(energy[~pos])
+    weight = np.where(t_grid > 0, t_grid, 1.0) ** alpha
+    if alpha > 0:
+        weight = np.where(t_grid > 0, weight, 0.0)
+    return weight * np.exp(lam * t_grid) * np.sqrt(vals / total)
+
+
+@pytest.mark.parametrize("kind", ["stokes", "gamma", "laplace"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_smoothing_ratios_match_per_member_formula(grid2d, params, kind, alpha):
+    from micropolar.analysis import ensemble_rngs, extremal_smoothing_probe
+
+    ops = dict(zip(("stokes", "gamma", "laplace"), mp.generators(grid2d, params)))
+    op = ops[kind]
+    lam = 0.5 * op.min_positive_eigenvalue()
+    comp = 1 if kind == "laplace" else 2
+    rep = mp.verify_smoothing(op, alpha, lam, ensemble=6, seed=3)
+    t_grid = default_t_grid()
+    probe = float(np.max(_reference_smoothing_curve(
+        op, extremal_smoothing_probe(op, comp), alpha, lam, t_grid)))
+    want = [max(float(np.max(_reference_smoothing_curve(
+        op, mp.random_field(grid2d, comp, rng), alpha, lam, t_grid))), probe)
+        for rng in ensemble_rngs(3, 6)]
+    assert rep.ratios.tolist() == want
 
 
 def test_singular_derivative_fit(grid2d, params, cfg2):

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import time
 
 import pytest
@@ -189,6 +190,62 @@ def test_resume_refuses_to_overwrite_its_run(config_path, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:") and "--out" in err and "Traceback" not in err
     assert open(os.path.join(outdir, "nodes.csv"), "rb").read() == before
+
+
+def test_resume_repeats_non_binary_windows(tmp_path, capsys):
+    # horizon 0.1 is no binary fraction: the resumed march must cut its last
+    # window as the uninterrupted one does, from the absolute window grid
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_dict(str(tmp_path / "unused"), horizon=0.1,
+                                            t_total=1.0)))
+    full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
+    assert dispatch(["simulate", "--config", str(path), "--out", full]) == 0
+    assert dispatch(["checkpoint", "resume", os.path.join(full, "checkpoint_w2.mpk"),
+                     "--config", str(path), "--out", resumed]) == 0
+    names = [f"checkpoint_w{w}.mpk" for w in range(3, 10)]
+    got, want = _read_dir(resumed), _read_dir(full)
+    assert "checkpoint_w10.mpk" not in got
+    for name in names:
+        assert got[name] == want[name], name
+    # the last window ends at 0.9999999999999999, as the offsets add up:
+    # that checkpoint covers t_total = 1
+    rc = dispatch(["checkpoint", "resume", os.path.join(full, "checkpoint_w9.mpk"),
+                   "--config", str(path), "--out", str(tmp_path / "again")])
+    assert rc == 0
+    assert "checkpoint already covers requested horizon" in capsys.readouterr().out
+
+
+def test_simulate_refuses_empty_march(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_dict(str(tmp_path / "out"), t_total=0.0)))
+    assert dispatch(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_total" in err and "Traceback" not in err
+
+
+_MALFORMED_HEADERS = {
+    "short-length": b"MPCKPT01" + b"\x05\x00\x00",
+    "not-json": b"MPCKPT01" + struct.pack("<Q", 4) + b"\xff\xfe{}",
+    "not-object": b"MPCKPT01" + struct.pack("<Q", 9) + b"[1, 2, 3]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_HEADERS))
+def test_checkpoint_info_rejects_malformed_header(tmp_path, capsys, case):
+    path = tmp_path / "bad.mpk"
+    path.write_bytes(_MALFORMED_HEADERS[case])
+    assert dispatch(["checkpoint", "info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gronwall_invalid_input_exit_code(tmp_path, capsys):
+    rc = dispatch(["gronwall", "--a", "1", "--alpha", "1.2", "--b", "1",
+                   "--beta", "0.5", "--out", str(tmp_path / "gr")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "[0, 1)" in err and "Traceback" not in err
 
 
 def _two_runs(argv, tmp_path) -> list:

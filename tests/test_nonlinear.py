@@ -324,3 +324,51 @@ def test_energy_consistency_general_heat_capacity(grid2d):
     elog = energy_report(traj, params, zero, zero)
     assert elog.relative_drift <= 1e-4
     assert elog.kinetic_monotone()
+
+
+# -- batched kernels against a per-field loop ------------------------------
+
+
+def _close(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_kernels_match_per_field_loop(dim, grid2d, grid3d, params):
+    from micropolar.fields import full_spectrum, half_spectrum
+    from micropolar.nonlinear import advect_coeffs, dissipation_coeffs
+
+    grid = grid2d if dim == 2 else grid3d
+    rng = np.random.default_rng(21)
+    oc = 1 if dim == 2 else 3
+    nb = 5
+    us = [mp.leray_project(mp.random_field(grid, dim, rng)) for _ in range(nb)]
+    vs = [mp.leray_project(mp.random_field(grid, dim, rng)) for _ in range(nb)]
+    oms = [mp.random_field(grid, oc, rng) for _ in range(nb)]
+    psis = [mp.random_field(grid, oc, rng) for _ in range(nb)]
+
+    def stack(fields):
+        return half_spectrum(np.stack([f.coeffs for f in fields]))
+
+    def unstack(half):
+        return full_spectrum(grid, half)
+
+    # every member batched, then one side fixed (batch axis of length 1)
+    got = unstack(advect_coeffs(grid, stack(us), stack(vs)))
+    assert _close(got, np.stack([mp.advect(u, v).coeffs for u, v in zip(us, vs)]))
+    got = unstack(advect_coeffs(grid, stack(us[:1]), stack(oms)))
+    assert _close(got, np.stack([mp.advect(us[0], om).coeffs for om in oms]))
+    got = unstack(advect_coeffs(grid, stack(us), stack(oms[:1])))
+    assert _close(got, np.stack([mp.advect(u, oms[0]).coeffs for u in us]))
+
+    got = unstack(dissipation_coeffs(grid, stack(us), stack(vs), stack(oms),
+                                     stack(psis), params))
+    assert got.shape == (nb, 1) + grid.shape
+    assert _close(got, np.stack([mp.dissipation_phi(*x, params).coeffs
+                                 for x in zip(us, vs, oms, psis)]))
+    got = unstack(dissipation_coeffs(grid, stack(us[:1]), stack(vs), stack(oms[:1]),
+                                     stack(psis[:1]), params, dealias=False))
+    assert _close(got, np.stack([mp.dissipation_phi(us[0], v, oms[0], psis[0], params,
+                                                    dealias=False).coeffs
+                                 for v in vs]))

@@ -194,3 +194,34 @@ def test_gamma_general_coefficients(grid3d):
     para = mp.SpectralField.single_mode(grid3d, (1, 0, 0), [1.0, 0.0, 0.0])
     assert mp.apply_operator(op, trans).l2() / trans.l2() == pytest.approx(0.8)
     assert mp.apply_operator(op, para).l2() / para.l2() == pytest.approx(1.4)
+
+
+@pytest.mark.parametrize("kind", ["stokes", "gamma", "laplace"])
+def test_batched_power_matches_per_field(grid2d, rng, kind):
+    from micropolar.operators import leray_coeffs, power_coeffs
+
+    op = {"stokes": mp.stokes_operator, "gamma": mp.gamma_operator,
+          "laplace": mp.laplace_operator}[kind](grid2d)
+    comp = 1 if kind == "laplace" else 2
+    fields = [mp.random_field(grid2d, comp, rng) for _ in range(4)]
+    stacked = np.stack([f.coeffs for f in fields])
+    for power in (-0.5, 0.0, 0.75):
+        got = power_coeffs(op.with_power(power), stacked)
+        want = np.stack([mp.apply_operator(op.with_power(power), f).coeffs
+                         for f in fields])
+        assert np.array_equal(got, want)
+    if comp == 2:
+        want = np.stack([mp.leray_project(f).coeffs for f in fields])
+        assert np.array_equal(leray_coeffs(grid2d, stacked), want)
+
+
+def test_batched_negative_power_checks_every_member(grid2d, rng):
+    from micropolar.operators import power_coeffs
+
+    op = mp.laplace_operator(grid2d, power=-0.5)
+    stacked = np.stack([mp.random_field(grid2d, 1, rng).coeffs for _ in range(3)])
+    stacked[2, 0, 0, 0] = 0.1      # the last member alone has a mean
+    with pytest.raises(SingularOperatorError):
+        power_coeffs(op, stacked)
+    out = power_coeffs(op, stacked[:2])
+    assert np.all(out[:, :, 0, 0] == 0.0)

@@ -396,3 +396,22 @@ def test_global_decay_bound_stable_under_data_halving(grid2d, params, cfg2, rng)
         if res.e_bound is not None:
             assert not res.bound_crossed
     assert abs(cs[0] - cs[1]) <= 0.2 * max(cs)
+
+
+def test_window_horizons_follow_the_march_from_zero():
+    from micropolar.solver import window_horizons
+
+    pic = mp.PicardConfig(horizon=0.1)
+    full = window_horizons(pic, 1.0)
+    assert len(full) == 10
+    t_end = 0.0
+    for w in range(9):
+        t_end += full[w]    # a window end as the march accumulates it
+        assert window_horizons(pic, 1.0, t_end) == full[w + 1:]
+    assert window_horizons(pic, 1.0, t_end + full[9]) == []
+    assert window_horizons(pic, 0.0) == []
+    # a start inside a window (the end of a shorter run) first runs to the
+    # window's end, then on the grid of the march from zero
+    pic = mp.PicardConfig(horizon=0.25)
+    got = window_horizons(pic, 1.0, 0.3)
+    assert got[1:] == [0.25, 0.25] and got[0] == pytest.approx(0.2, abs=1e-15)
