@@ -8,8 +8,6 @@ computed from two independent half-ensembles.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,24 +36,11 @@ from .operators import (
     rot,
     sobolev_norm,
 )
-from .solver import TrajectoryState, WeightedNorms
+from .solver import TrajectoryState, WeightedNorms, time_weight
 
 
-def worker_count() -> int:
-    """Worker cap from MICROPOLAR_THREADS (default 1), at most the CPU count."""
-    try:
-        n = int(os.environ.get("MICROPOLAR_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def _parallel_map(fn, items):
-    n = worker_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+# spectral envelope exponent of every ensemble's random fields, |c_k| ~ |k|^-2
+_SIGMA = 2.0
 
 
 @dataclass
@@ -105,6 +90,12 @@ def ensemble_rngs(seed: int, n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Semigroup smoothing, Hoelder difference, and vanishing-weight proxy
+
+
+def _field_components(op: OperatorSymbol) -> int:
+    """Components of the random fields a generator's checks draw: 1 for the
+    scalar Laplacian, the space dimension for the vector generators."""
+    return 1 if op.kind.value == "laplace" else op.grid.dim
 
 
 def _mode_energies(op: OperatorSymbol, f: SpectralField) -> list:
@@ -157,10 +148,7 @@ def smoothing_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
         vals += mat @ (amp * en)
         if alpha == 0:
             vals += np.sum(energy[~pos])  # zero modes persist under the semigroup
-    weight = np.where(t_grid > 0, t_grid, 1.0) ** alpha
-    if alpha > 0:
-        weight = np.where(t_grid > 0, weight, 0.0)
-    return weight * np.exp(lam * t_grid) * np.sqrt(vals / total)
+    return time_weight(t_grid, alpha) * np.exp(lam * t_grid) * np.sqrt(vals / total)
 
 
 def default_t_grid(n: int = 240) -> np.ndarray:
@@ -180,41 +168,33 @@ def extremal_smoothing_probe(op: OperatorSymbol, components: int) -> SpectralFie
 
 
 def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
-                     ensemble: int = 100, seed: int = 0, sigma: float = 2.0,
-                     t_grid: np.ndarray | None = None,
-                     components: int | None = None,
-                     solenoidal: bool = False,
-                     include_probe: bool = True) -> EstimateReport:
+                     ensemble: int = 100, seed: int = 0,
+                     solenoidal: bool = False) -> EstimateReport:
     """Smoothing-estimate ratio sup_t t^a e^(lam t) ||L^a e^(-tL) u|| / ||u||
     over a random ensemble, reported against the analytic per-mode bound.
 
     Each member takes the max with the known extremal eigenmode ratio so the
-    sup statistic concentrates; include_probe=False gives plain sampling."""
+    sup statistic concentrates."""
     lam_min = op.min_positive_eigenvalue()
     if not 0 <= lam < lam_min:
         raise ValueError(f"need 0 <= lam < {lam_min}, got {lam}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    grid = op.grid
-    if components is None:
-        components = 1 if op.kind.value == "laplace" else grid.dim
-    if t_grid is None:
-        t_grid = default_t_grid()
+    components = _field_components(op)
+    t_grid = default_t_grid()
     decay = _decay_matrices(op, components, t_grid)
-    probe_ratio = 0.0
-    if include_probe:
-        probe = extremal_smoothing_probe(op, components)
-        probe_ratio = float(np.max(smoothing_ratio_curve(op, probe, alpha, lam,
-                                                         t_grid, decay)))
+    probe = extremal_smoothing_probe(op, components)
+    probe_ratio = float(np.max(smoothing_ratio_curve(op, probe, alpha, lam,
+                                                     t_grid, decay)))
 
     def one(rng):
-        f = random_field(grid, components, rng, sigma=sigma)
+        f = random_field(op.grid, components, rng, sigma=_SIGMA)
         if solenoidal:
             f = leray_project(f)
         val = float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid, decay)))
         return max(val, probe_ratio)
 
-    ratios = np.array(_parallel_map(one, ensemble_rngs(seed, ensemble)))
+    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, ensemble)])
     bound = semigroup_constant(alpha, lam, lam_min)
     return make_report(f"smoothing a={alpha} lam={lam}", ratios,
                        notes=f"analytic per-mode bound {bound:.6g}")
@@ -238,48 +218,43 @@ def holder_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
 
 
 def verify_holder_difference(op: OperatorSymbol, alpha: float,
-                             ensemble: int = 100, seed: int = 0,
-                             sigma: float = 2.0,
-                             t_grid: np.ndarray | None = None) -> EstimateReport:
+                             ensemble: int = 100, seed: int = 0) -> EstimateReport:
     """Semigroup difference estimate ||(e^(-tL)-I)u|| <= C t^a ||L^a u||; the
     analytic constant is sup_x (1-e^-x)/x^a."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    grid = op.grid
-    components = 1 if op.kind.value == "laplace" else grid.dim
-    if t_grid is None:
-        t_grid = default_t_grid()
+    components = _field_components(op)
+    t_grid = default_t_grid()
 
     def one(rng):
-        f = random_field(grid, components, rng, sigma=sigma)
+        f = random_field(op.grid, components, rng, sigma=_SIGMA)
         return float(np.max(holder_ratio_curve(op, f, alpha, t_grid)))
 
-    ratios = np.array(_parallel_map(one, ensemble_rngs(seed, ensemble)))
+    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, ensemble)])
     from .kmbounds import holder_constant
     return make_report(f"holder-difference a={alpha}", ratios,
                        notes=f"analytic bound {holder_constant(alpha):.6g}")
 
 
 def vanishing_weight_proxy(op: OperatorSymbol, alpha: float, ensemble: int = 20,
-                           seed: int = 0, sigma: float = 2.0,
-                           levels: int = 16) -> dict:
+                           seed: int = 0) -> dict:
     """Dyadic-grid proxy for the o(t^-alpha) statement: below its peak the
     weighted ratio t^alpha ||L^alpha e^(-tL) u|| / ||u|| must decrease
-    monotonically as t halves toward 0, by a large total factor.  A finite
-    computation cannot certify the limit; this is a documented proxy."""
-    grid = op.grid
-    components = 1 if op.kind.value == "laplace" else grid.dim
-    t_grid = np.sort(np.array([2.0 ** (-k) for k in range(levels)]))
+    monotonically as t halves toward 0 (t = 1, 1/2, ..., 2^-15), by a large
+    total factor.  A finite computation cannot certify the limit; this
+    is a documented proxy."""
+    components = _field_components(op)
+    t_grid = np.sort(np.array([2.0 ** (-k) for k in range(16)]))
     decay = _decay_matrices(op, components, t_grid)
-    results = []
-    for rng in ensemble_rngs(seed, ensemble):
-        f = random_field(grid, components, rng, sigma=sigma)
+
+    def one(rng):
+        f = random_field(op.grid, components, rng, sigma=_SIGMA)
         curve = smoothing_ratio_curve(op, f, alpha, 0.0, t_grid, decay)
         peak = int(np.argmax(curve))
-        rising = curve[: peak + 1]
-        monotone = bool(np.all(np.diff(rising) >= -1e-13))
-        shrink = float(curve[peak] / max(curve[0], 1e-300))
-        results.append((monotone, shrink))
+        monotone = bool(np.all(np.diff(curve[: peak + 1]) >= -1e-13))
+        return monotone, float(curve[peak] / max(curve[0], 1e-300))
+
+    results = [one(rng) for rng in ensemble_rngs(seed, ensemble)]
     return {"all_monotone": all(m for m, _ in results),
             "min_shrink_factor": min(s for _, s in results),
             "note": "finite-grid proxy; certifies decrease, not a limit"}
@@ -291,7 +266,7 @@ def vanishing_weight_proxy(op: OperatorSymbol, alpha: float, ensemble: int = 20,
 
 def verify_embeddings(alpha: float, p: float, k: int, s: float,
                       grid: GridSpec, ensemble: int = 60, seed: int = 0,
-                      sigma: float = 2.0, solenoidal: bool = True) -> EstimateReport:
+                      solenoidal: bool = True) -> EstimateReport:
     """Fractional-space to Sobolev embedding ratio ||u||_{W^{k,s}} / ||L^a u||_p.
 
     At the boundary Sobolev index 1/s = 1/p - (2a-k)/3 the ratio is bounded
@@ -315,13 +290,13 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
     def one(rng):
         best = 0.0
         for kmax in (None, None, 2, 2):
-            f = random_field(grid, components, rng, sigma=sigma, kmax=kmax)
+            f = random_field(grid, components, rng, sigma=_SIGMA, kmax=kmax)
             if solenoidal:
                 f = leray_project(f)
             best = max(best, ratio(f))
         return best
 
-    ratios = np.array(_parallel_map(one, ensemble_rngs(seed, ensemble)))
+    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, ensemble)])
     report = make_report(f"embedding a={alpha} p={p} -> W^{k},{s}", ratios)
     if boundary:
         report.verdict = bool(np.isfinite(report.ratio_max))
@@ -460,7 +435,7 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
 
 def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
                     params: CouplingParams, spaces: dict, rng,
-                    alternations: int = 3, sigma: float = 2.0) -> float:
+                    alternations: int = 3) -> float:
     """Alternating restricted maximization of a quadratic estimate ratio over
     the slot spaces of _slot_spaces."""
     norms = WeightedNorms(cfg, grid, params)
@@ -470,7 +445,7 @@ def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
         n = norms.fractional_norm(tag, fld, exp)
         return fld * (1.0 / n) if n > 0 else fld
 
-    u = unit("u", leray_project(random_field(grid, dim, rng, sigma=sigma,
+    u = unit("u", leray_project(random_field(grid, dim, rng, sigma=_SIGMA,
                                              kmax=_EXACT_KMAX)), lemma.alpha)
     best = 0.0
     if lemma.delta is None:     # 2.8
@@ -519,21 +494,21 @@ def _hilbert_exponents(lemma_id: str, cfg: ExponentConfig) -> bool:
 
 def _bilinear_ratio(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                     params: CouplingParams, f: ForcingSpec, g: ForcingSpec,
-                    rng, sigma: float, kmax: int | None = None) -> float:
+                    rng, kmax: int | None = None) -> float:
     a_op, g_op, b_op = generators(grid, params)
     norms = WeightedNorms(cfg, grid, params)
     dim = grid.dim
     om_comp = 1 if dim == 2 else 3
 
     def vec(solen=True):
-        v = random_field(grid, dim, rng, sigma=sigma, kmax=kmax)
+        v = random_field(grid, dim, rng, sigma=_SIGMA, kmax=kmax)
         return leray_project(v) if solen else v
 
     def micro():
-        return random_field(grid, om_comp, rng, sigma=sigma, kmax=kmax)
+        return random_field(grid, om_comp, rng, sigma=_SIGMA, kmax=kmax)
 
     def scal():
-        return random_field(grid, 1, rng, sigma=sigma, kmax=kmax)
+        return random_field(grid, 1, rng, sigma=_SIGMA, kmax=kmax)
 
     if lemma_id == "2.5":
         u, v = vec(), vec()
@@ -601,14 +576,13 @@ def _probe_forcing(components: int) -> ForcingSpec:
 def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                     params: CouplingParams, f: ForcingSpec | None = None,
                     g: ForcingSpec | None = None, ensemble: int = 100,
-                    seed: int = 0, sigma: float = 2.0,
-                    inner_batch: int = 8) -> EstimateReport:
+                    seed: int = 0) -> EstimateReport:
     """Ratio test for one of the nine coupling estimates; the max ratio is the
     torus-fitted constant consumed by the bound recursion.
 
-    Each ensemble member reports the sup ratio over an inner batch of field
-    draws, so the member statistic concentrates near the essential sup and
-    the stability verdict is meaningful."""
+    Each ensemble member reports the sup ratio over five full-spectrum and
+    five low-mode field draws, so the member statistic concentrates near the
+    essential sup and the stability verdict is meaningful."""
     if not cfg.has_intermediates:
         raise ConfigurationError("estimate checks need a completed exponent config")
     from .exponents import check_config
@@ -627,24 +601,22 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
         spaces = _slot_spaces(lemma, grid, params)
 
         def one(rng):
-            return _exact_pair_sup(lemma, cfg, grid, params, spaces, rng,
-                                   sigma=sigma)
+            return _exact_pair_sup(lemma, cfg, grid, params, spaces, rng)
 
         notes = "torus-fitted constant (alternating restricted maximization)"
     else:
         probes = _deterministic_probes(lemma_id, cfg, grid, params, f, g)
 
         def one(rng):
-            full = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng, sigma)
-                       for _ in range(inner_batch // 2 + 1))
-            low = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng,
-                                      sigma, kmax=2)
-                      for _ in range(inner_batch // 2 + 1))
+            full = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng)
+                       for _ in range(5))
+            low = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng, kmax=2)
+                      for _ in range(5))
             return max([full, low] + probes)
 
         notes = "torus-fitted constant"
 
-    ratios = np.array(_parallel_map(one, ensemble_rngs(seed, ensemble)))
+    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, ensemble)])
     return make_report(lemma_id, ratios, notes=notes)
 
 
@@ -701,12 +673,12 @@ def _deterministic_probes(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
 def fit_lemma_constants(cfg: ExponentConfig, grid: GridSpec,
                         params: CouplingParams, f: ForcingSpec | None = None,
                         g: ForcingSpec | None = None, ensemble: int = 40,
-                        seed: int = 0, sigma: float = 2.0) -> LemmaConstants:
+                        seed: int = 0) -> LemmaConstants:
     values = {}
     for i, lemma_id in enumerate(
             ["2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13"]):
         rep = verify_bilinear(lemma_id, cfg, grid, params, f, g,
-                              ensemble=ensemble, seed=seed + 101 * i, sigma=sigma)
+                              ensemble=ensemble, seed=seed + 101 * i)
         values[f"c{i + 1}"] = rep.fitted_constant
     return LemmaConstants(**values)
 
@@ -794,6 +766,16 @@ def fit_decay(traj: TrajectoryState, cfg: ExponentConfig, params: CouplingParams
 # Strong-solution residuals
 
 
+def _node_derivative(times: np.ndarray, nodes: list, j: int) -> SpectralField:
+    """d/dt of the node fields at interior node j by 3-point differentiation
+    on the non-uniform grid (exact on quadratics)."""
+    hm = float(times[j] - times[j - 1])
+    hp = float(times[j + 1] - times[j])
+    d_plus = (nodes[j + 1] - nodes[j]) * (1.0 / hp)
+    d_minus = (nodes[j] - nodes[j - 1]) * (1.0 / hm)
+    return (hm / (hm + hp)) * d_plus + (hp / (hm + hp)) * d_minus
+
+
 def pde_residual(traj: TrajectoryState, params: CouplingParams) -> dict:
     """||d_t y + L y - RHS||_2 at interior nodes by 3-point differentiation
     (exact on quadratics, so second order on smooth trajectories)."""
@@ -804,11 +786,7 @@ def pde_residual(traj: TrajectoryState, params: CouplingParams) -> dict:
                                 ("th", b_op, traj.th, traj.rhs_th)):
         res = np.zeros(traj.node_count - 2)
         for j in range(1, traj.node_count - 1):
-            hm = float(traj.times[j] - traj.times[j - 1])
-            hp = float(traj.times[j + 1] - traj.times[j])
-            d_plus = (nodes[j + 1] - nodes[j]) * (1.0 / hp)
-            d_minus = (nodes[j] - nodes[j - 1]) * (1.0 / hm)
-            dt = (hm / (hm + hp)) * d_plus + (hp / (hm + hp)) * d_minus
+            dt = _node_derivative(traj.times, nodes, j)
             resid = dt + apply_operator(op, nodes[j]) - rhs[j]
             res[j - 1] = resid.l2()
         out[tag] = res
@@ -836,17 +814,9 @@ def singular_derivative_fit(traj: TrajectoryState, cfg: ExponentConfig,
     norms = WeightedNorms(cfg, traj.grid, params)
     nodes = {"u": traj.u, "om": traj.om, "th": traj.th}[tag]
     base = norms.base[tag]
-    t = traj.times
-    vals, ts = [], []
-    for j in range(1, traj.node_count - 1):
-        hm, hp = float(t[j] - t[j - 1]), float(t[j + 1] - t[j])
-        d_plus = (nodes[j + 1] - nodes[j]) * (1.0 / hp)
-        d_minus = (nodes[j] - nodes[j - 1]) * (1.0 / hm)
-        dt = (hm / (hm + hp)) * d_plus + (hp / (hm + hp)) * d_minus
-        vals.append(norms.fractional_norm(tag, dt, exp))
-        ts.append(float(t[j]))
-    ts = np.array(ts)
-    vals = np.array(vals)
+    ts = traj.times[1:-1]
+    vals = np.array([norms.fractional_norm(tag, _node_derivative(traj.times, nodes, j), exp)
+                     for j in range(1, traj.node_count - 1)])
     weighted = ts ** (1 + exp - base) * vals
     slope, res = _window_fit(ts, vals, ts[0], ts[-1], loglog=True)
     return {"sup_weighted": float(np.max(weighted)), "slope": slope,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -271,7 +272,7 @@ def _cmd_exponents(args) -> int:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     pic = cfg.picard
-    if getattr(args, "dt", None):
+    if getattr(args, "dt", None) is not None:
         pic = PicardConfig.from_dict({**pic.to_dict(),
                                       "nodes_per_unit": int(round(1.0 / args.dt))})
     if getattr(args, "refine", None):
@@ -625,6 +626,19 @@ def _builtin_config() -> RunConfig:
         seed=0, t_total=1.0, output_dir="out")
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="micropolar",
@@ -644,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--dt", type=float)
+        p.add_argument("--dt", type=_positive(float))
         p.add_argument("--refine", type=int)
         if name == "picard":
             p.add_argument("--fit-constants", action="store_true")
@@ -653,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("target")
     p_ver.add_argument("--config")
     p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--ensemble", type=int, default=100)
+    p_ver.add_argument("--ensemble", type=_positive(int), default=100)
     p_ver.add_argument("--out")
 
     p_gr = sub.add_parser("gronwall")

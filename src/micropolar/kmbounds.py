@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 from .exponents import ExponentConfig, equality_branches
 from .fields import SpectralField
 from .nonlinear import CouplingParams, generators
-from .solver import WeightedNorms, beta_function, initial_trajectory
+from .solver import WeightedNorms, beta_function, initial_trajectory, time_weight
 
 
 def semigroup_constant(a: float, lam: float, lam_min: float) -> float:
@@ -170,6 +170,12 @@ def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
     return out
 
 
+def _recursion_weight(times: np.ndarray, power: float) -> np.ndarray:
+    """t^power with the recursion's value at t = 0: 1 for power 0, else 0
+    (time_weight gives 1 there for a negative power)."""
+    return np.where(times > 0, time_weight(times, power), float(power == 0))
+
+
 def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
                  constants: LemmaConstants, times: np.ndarray,
                  lf: float = 0.0, lg: float = 0.0,
@@ -188,16 +194,8 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
     times = np.asarray(times, dtype=np.float64)
     coeffs = _recursion_coefficients(cfg, params, constants, lf, lg, eig_mins)
     tracker = KmTracker(times=times, history=[dict(k0)])
-    tpow_cache = {}
-
-    def tpow(e: float) -> np.ndarray:
-        if e not in tpow_cache:
-            w = np.zeros_like(times)
-            pos = times > 0
-            w[pos] = times[pos] ** e
-            w[~pos] = 1.0 if e == 0 else 0.0
-            tpow_cache[e] = w
-        return tpow_cache[e]
+    tpow = {power: _recursion_weight(times, power)
+            for terms in coeffs.values() for _, power, _ in terms}
 
     for m in range(1, m_max + 1):
         prev = tracker.history[-1]
@@ -208,7 +206,7 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
                 prod = np.ones_like(times)
                 for src in sources:
                     prod = prod * prev[src]
-                acc = acc + coefficient * prod * tpow(power)
+                acc = acc + coefficient * prod * tpow[power]
             cur[key] = acc
         change = max(float(np.max(np.abs(cur[k] - prev[k]))) for k in cur)
         tracker.history.append(cur)
@@ -281,12 +279,11 @@ def _matrix_spectral_radius_curve(k0max: np.ndarray, cfg: ExponentConfig,
     via the cubic characteristic polynomial.  Data-size entries carry the
     quadratic coefficient, coupling entries the linear one."""
     e_ab = 1 + cfg.alpha0 - cfg.beta0 - cfg.alpha2 - cfg.delta2
-    e_b2 = 1 - cfg.beta2
+    tas = cl * _recursion_weight(times, e_ab)
+    tbs = cl * _recursion_weight(times, 1 - cfg.beta2)
     rho = np.zeros_like(times)
-    for j, t in enumerate(times):
+    for j, (ta, tb) in enumerate(zip(tas, tbs)):
         k0 = cq * k0max[j]
-        ta = cl * (t ** e_ab if t > 0 else (1.0 if e_ab == 0 else 0.0))
-        tb = cl * (t ** e_b2 if t > 0 else (1.0 if e_b2 == 0 else 0.0))
         mat = np.array([
             [k0, cl, cl],
             [k0 + ta, k0 + tb, cl],
@@ -337,8 +334,9 @@ def local_horizon(u0: SpectralField, om0: SpectralField, th0: SpectralField,
         b = min(1 + cfg.alpha0 - cfg.beta0 - cfg.alpha2 - cfg.delta2,
                 1 - cfg.beta2,
                 1 + cfg.gamma0 - cfg.beta0 - cfg.gamma2)
-        ta = np.where(times > 0, times ** a, 0.0)
-        tb = np.where(times > 0, times ** b, 0.0)
+        # at t = 0 the factors are the data terms alone, whatever the sign of a, b
+        ta = time_weight(times, a) * (times > 0)
+        tb = time_weight(times, b) * (times > 0)
         factors["velocity"] = cq * k0max + cl * ta
         factors["microrotation"] = cq * k0max + cl * tb
         factors["temperature"] = cq * k0max

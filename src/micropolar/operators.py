@@ -220,11 +220,6 @@ def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralF
 # Differential operators (spectral)
 
 
-def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
-    k = deriv_wavevectors(f.grid)[axis]
-    return SpectralField(f.grid, 1j * k * f.coeffs, mean_zero=True)
-
-
 def gradient(f: SpectralField) -> np.ndarray:
     """d f_c / d x_a as a complex array of shape (components, dim, *grid)."""
     ks = deriv_wavevectors(f.grid)

@@ -453,10 +453,6 @@ class ConvergenceReport:
     def ratios(self) -> list:
         return [rec.ratio for rec in self.iterations if rec.ratio is not None]
 
-    @property
-    def final_diff(self) -> float | None:
-        return self.iterations[-1].total if self.iterations else None
-
 
 def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                  cfg: ExponentConfig, params: CouplingParams,

@@ -433,3 +433,29 @@ def test_dt_and_refine_overrides(config_path):
     cfg2 = load_config(config_path)
     ns2 = argparse.Namespace(dt=None, refine=2, seed=None, out=None)
     assert _apply_overrides(cfg2, ns2).picard.nodes_per_unit == 64 * 4
+
+
+@pytest.mark.parametrize("ensemble", ["0", "-3"])
+def test_verify_rejects_empty_ensemble(tmp_path, capsys, ensemble):
+    # an ensemble needs a member: below 1 is a usage error, not 12 failed checks
+    out = tmp_path / "v"
+    rc = dispatch(["verify", "2.1", "--ensemble", ensemble, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        f"micropolar verify: error: argument --ensemble: must be a positive "
+        f"number, got {ensemble}"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01"])
+def test_nonpositive_dt_is_usage_error(config_path, tmp_path, capsys, dt):
+    # a given --dt is never ignored: 0 or below is refused before any solve
+    out = tmp_path / "p"
+    rc = dispatch(["picard", "--config", config_path, "--dt", dt, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1
+    assert "--dt" in err and "Traceback" not in err
+    assert not out.exists()
