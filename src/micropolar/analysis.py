@@ -33,10 +33,18 @@ from .operators import (
     leray_coeffs,
     leray_project,
     power_coeffs,
+    projector_symbols,
     rot,
     sobolev_norm,
 )
-from .solver import TrajectoryState, WeightedNorms, time_weight
+from .solver import (
+    TAGS,
+    TrajectoryState,
+    WeightedNorms,
+    node_l2,
+    node_rhs,
+    time_weight,
+)
 
 
 # spectral envelope exponent of every ensemble's random fields, |c_k| ~ |k|^-2
@@ -105,7 +113,7 @@ def _mode_energies(op: OperatorSymbol, f: SpectralField) -> list:
 
     if op.kind.value == "stokes" and not f.is_scalar:
         f = leray_project(f)
-    parts = _decompose(op.with_power(1.0), f.coeffs, f.grid)
+    parts = _decompose(op.with_power(1.0), f.coeffs, *projector_symbols(f.grid))
     eigs = eig_families(op, f.components)
     vol = f.grid.volume
     out = []
@@ -426,7 +434,7 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
                  params: CouplingParams) -> dict:
     """The slot spaces of an exact-sup lemma by field tag: velocity slots
     range over the Leray-projected basis."""
-    ops = dict(zip(("u", "om", "th"), generators(grid, params)))
+    ops = dict(zip(TAGS, generators(grid, params)))
     comps = {"u": grid.dim, "om": 1 if grid.dim == 2 else 3, "th": 1}
     return {tag: _slot_space(_real_mode_basis(grid, comps[tag], _EXACT_KMAX),
                              ops[tag].with_power(exp), project=tag == "u")
@@ -470,7 +478,7 @@ def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
                 left_tag, left = "om", unit("om", psi, lemma.exp)
         return best / (1.0 + params.mu_r)
 
-    op = dict(zip(("u", "om", "th"), generators(grid, params)))[tag]
+    op = dict(zip(TAGS, generators(grid, params)))[tag]
     inverse = op.with_power(-lemma.delta)
 
     def lhs(uc, wc):
@@ -500,9 +508,8 @@ def _bilinear_ratio(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     dim = grid.dim
     om_comp = 1 if dim == 2 else 3
 
-    def vec(solen=True):
-        v = random_field(grid, dim, rng, sigma=_SIGMA, kmax=kmax)
-        return leray_project(v) if solen else v
+    def vec():
+        return leray_project(random_field(grid, dim, rng, sigma=_SIGMA, kmax=kmax))
 
     def micro():
         return random_field(grid, om_comp, rng, sigma=_SIGMA, kmax=kmax)
@@ -537,33 +544,44 @@ def _bilinear_ratio(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
         no = norms.fractional_norm("om", om, cfg.beta3)
         np_ = norms.fractional_norm("om", psi, cfg.beta3)
         rhs = (1 + params.mu_r) * (nu * nv + nu * np_ + nv * no + no * np_)
-    elif lemma_id == "2.9":
-        om = micro()
-        lhs = lebesgue_norm(apply_operator(a_op.with_power(-cfg.delta1),
-                                           leray_project(rot(om))), cfg.p)
-        rhs = norms.fractional_norm("om", om, cfg.beta1)
-    elif lemma_id == "2.10":
-        om = micro()
-        lhs = lebesgue_norm(om, cfg.q)
-        rhs = norms.fractional_norm("om", om, cfg.beta2)
-    elif lemma_id == "2.11":
-        u = vec()
-        lhs = lebesgue_norm(apply_operator(g_op.with_power(-cfg.delta2), rot(u)),
-                            cfg.q)
-        rhs = norms.fractional_norm("u", u, cfg.alpha2)
-    elif lemma_id == "2.12":
-        th = scal()
-        probe = f if f.lipschitz > 0 else _probe_forcing(grid.dim)
-        lhs = lebesgue_norm(leray_project(evaluate_forcing(probe, th, grid.dim)),
-                            cfg.p)
-        rhs = probe.lipschitz * norms.fractional_norm("th", th, cfg.gamma1)
-    elif lemma_id == "2.13":
-        th = scal()
-        probe = g if g.lipschitz > 0 else _probe_forcing(om_comp)
-        lhs = lebesgue_norm(evaluate_forcing(probe, th, om_comp), cfg.q)
-        rhs = probe.lipschitz * norms.fractional_norm("th", th, cfg.gamma2)
+    elif lemma_id in _ZERO_ORDER:
+        draw = {"om": micro, "u": vec, "th": scal}[_ZERO_ORDER[lemma_id]]
+        return _zero_order_ratio(lemma_id, cfg, f, g, norms, draw())
     else:
         raise ConfigurationError(f"unknown estimate id {lemma_id!r}")
+    return lhs / rhs if rhs > 0 else 0.0
+
+
+# the field each zero-order estimate bounds: microrotation, velocity or
+# temperature
+_ZERO_ORDER = {"2.9": "om", "2.10": "om", "2.11": "u", "2.12": "th", "2.13": "th"}
+
+
+def _zero_order_ratio(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
+                      g: ForcingSpec, norms: WeightedNorms, x: SpectralField) -> float:
+    """Left over right side of the zero-order estimate lemma_id at the field x
+    of the kind _ZERO_ORDER names (0 when the right side vanishes)."""
+    dim = x.grid.dim
+    om_comp = 1 if dim == 2 else 3
+    if lemma_id == "2.9":
+        lhs = lebesgue_norm(apply_operator(norms.ops["u"].with_power(-cfg.delta1),
+                                           leray_project(rot(x))), cfg.p)
+        rhs = norms.fractional_norm("om", x, cfg.beta1)
+    elif lemma_id == "2.10":
+        lhs = lebesgue_norm(x, cfg.q)
+        rhs = norms.fractional_norm("om", x, cfg.beta2)
+    elif lemma_id == "2.11":
+        lhs = lebesgue_norm(apply_operator(norms.ops["om"].with_power(-cfg.delta2),
+                                           rot(x)), cfg.q)
+        rhs = norms.fractional_norm("u", x, cfg.alpha2)
+    elif lemma_id == "2.12":
+        probe = f if f.lipschitz > 0 else _probe_forcing(dim)
+        lhs = lebesgue_norm(leray_project(evaluate_forcing(probe, x, dim)), cfg.p)
+        rhs = probe.lipschitz * norms.fractional_norm("th", x, cfg.gamma1)
+    else:
+        probe = g if g.lipschitz > 0 else _probe_forcing(om_comp)
+        lhs = lebesgue_norm(evaluate_forcing(probe, x, om_comp), cfg.q)
+        rhs = probe.lipschitz * norms.fractional_norm("th", x, cfg.gamma2)
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -625,49 +643,22 @@ def _deterministic_probes(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                           g: ForcingSpec) -> list:
     """Known near-extremal single-mode ratios folded into every ensemble
     member, pinning the sup statistics of the zero-order estimates."""
-    a_op, g_op, b_op = generators(grid, params)
-    norms = WeightedNorms(cfg, grid, params)
     dim = grid.dim
     om_comp = 1 if dim == 2 else 3
-    probes = []
     k_low = (1,) + (0,) * (dim - 1)
     k_perp = (0,) * (dim - 1) + (1,)          # transverse to the e1 forcing probe
-    amp_trans = [1.0] if om_comp == 1 else [0.0, 1.0, 0.0]
     if lemma_id == "2.10":
-        om = SpectralField.single_mode(grid, k_low, [1.0] * om_comp)
-        denom = norms.fractional_norm("om", om, cfg.beta2)
-        if denom > 0:
-            probes.append(lebesgue_norm(om, cfg.q) / denom)
+        x = SpectralField.single_mode(grid, k_low, [1.0] * om_comp)
     elif lemma_id == "2.9":
-        om = SpectralField.single_mode(grid, k_low, amp_trans)
-        denom = norms.fractional_norm("om", om, cfg.beta1)
-        lhs = lebesgue_norm(apply_operator(a_op.with_power(-cfg.delta1),
-                                           leray_project(rot(om))), cfg.p)
-        if denom > 0:
-            probes.append(lhs / denom)
+        x = SpectralField.single_mode(grid, k_low, [1.0] if om_comp == 1 else [0.0, 1.0, 0.0])
     elif lemma_id == "2.11":
-        u = SpectralField.single_mode(grid, k_low, [0.0, 1.0] if dim == 2
-                                      else [0.0, 1.0, 0.0])
-        denom = norms.fractional_norm("u", u, cfg.alpha2)
-        lhs = lebesgue_norm(apply_operator(g_op.with_power(-cfg.delta2),
-                                           rot(u)), cfg.q)
-        if denom > 0:
-            probes.append(lhs / denom)
+        x = SpectralField.single_mode(grid, k_low, [0.0, 1.0] + [0.0] * (dim - 2))
     elif lemma_id in ("2.12", "2.13") and f.kind in ("zero", "linear") \
             and g.kind in ("zero", "linear"):
-        th = SpectralField.single_mode(grid, k_perp, 1.0)
-        if lemma_id == "2.12":
-            probe = f if f.lipschitz > 0 else _probe_forcing(grid.dim)
-            denom = probe.lipschitz * norms.fractional_norm("th", th, cfg.gamma1)
-            lhs = lebesgue_norm(leray_project(evaluate_forcing(probe, th, grid.dim)),
-                                cfg.p)
-        else:
-            probe = g if g.lipschitz > 0 else _probe_forcing(om_comp)
-            denom = probe.lipschitz * norms.fractional_norm("th", th, cfg.gamma2)
-            lhs = lebesgue_norm(evaluate_forcing(probe, th, om_comp), cfg.q)
-        if denom > 0:
-            probes.append(lhs / denom)
-    return probes
+        x = SpectralField.single_mode(grid, k_perp, 1.0)
+    else:
+        return []
+    return [_zero_order_ratio(lemma_id, cfg, f, g, WeightedNorms(cfg, grid, params), x)]
 
 
 def fit_lemma_constants(cfg: ExponentConfig, grid: GridSpec,
@@ -731,14 +722,11 @@ def fit_decay(traj: TrajectoryState, cfg: ExponentConfig, params: CouplingParams
     """
     norms = WeightedNorms(cfg, traj.grid, params)
     if exponents is None:
-        exponents = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
+        exponents = norms.exps
     fits = []
-    nodes = {"u": traj.u, "om": traj.om, "th": traj.th}
     for tag, exps in exponents.items():
         base = norms.base[tag]
-        for exp in exps:
-            vals = np.array([norms.fractional_norm(tag, fld, exp)
-                             for fld in nodes[tag]])
+        for exp, vals in zip(exps, norms.node_norms(tag, traj.coeffs[tag], exps)):
             if np.all(vals < 1e-300):
                 fits.append(DecayFit(f"{tag}^{exp}", (0, 0), "skipped",
                                      0.0, 0.0, 0.0, None))
@@ -766,30 +754,31 @@ def fit_decay(traj: TrajectoryState, cfg: ExponentConfig, params: CouplingParams
 # Strong-solution residuals
 
 
-def _node_derivative(times: np.ndarray, nodes: list, j: int) -> SpectralField:
-    """d/dt of the node fields at interior node j by 3-point differentiation
-    on the non-uniform grid (exact on quadratics)."""
-    hm = float(times[j] - times[j - 1])
-    hp = float(times[j + 1] - times[j])
-    d_plus = (nodes[j + 1] - nodes[j]) * (1.0 / hp)
-    d_minus = (nodes[j] - nodes[j - 1]) * (1.0 / hm)
+def _node_derivative(times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """d/dt of node-stacked coefficients at the interior nodes by 3-point
+    differentiation on the non-uniform grid (exact on quadratics)."""
+    shape = (-1,) + (1,) * (nodes.ndim - 1)
+    hm = np.diff(times)[:-1].reshape(shape)
+    hp = np.diff(times)[1:].reshape(shape)
+    d_plus = (nodes[2:] - nodes[1:-1]) * (1.0 / hp)
+    d_minus = (nodes[1:-1] - nodes[:-2]) * (1.0 / hm)
     return (hm / (hm + hp)) * d_plus + (hp / (hm + hp)) * d_minus
 
 
-def pde_residual(traj: TrajectoryState, params: CouplingParams) -> dict:
+def pde_residual(traj: TrajectoryState, params: CouplingParams,
+                 f: ForcingSpec = ForcingSpec(), g: ForcingSpec = ForcingSpec(),
+                 linear_only: bool = False) -> dict:
     """||d_t y + L y - RHS||_2 at interior nodes by 3-point differentiation
-    (exact on quadratics, so second order on smooth trajectories)."""
-    a_op, g_op, b_op = generators(traj.grid, params)
+    (exact on quadratics, so second order on smooth trajectories); the RHS
+    has forcing f, g (zero by default)."""
+    grid = traj.grid
+    rhs = node_rhs(traj, params, f, g, linear_only)
     out = {"times": traj.times[1:-1]}
-    for tag, op, nodes, rhs in (("u", a_op, traj.u, traj.rhs_u),
-                                ("om", g_op, traj.om, traj.rhs_om),
-                                ("th", b_op, traj.th, traj.rhs_th)):
-        res = np.zeros(traj.node_count - 2)
-        for j in range(1, traj.node_count - 1):
-            dt = _node_derivative(traj.times, nodes, j)
-            resid = dt + apply_operator(op, nodes[j]) - rhs[j]
-            res[j - 1] = resid.l2()
-        out[tag] = res
+    for (tag, half), op in zip(traj.coeffs.items(), generators(grid, params)):
+        nodes = full_spectrum(grid, half)
+        resid = (_node_derivative(traj.times, nodes) + power_coeffs(op, nodes[1:-1])
+                 - full_spectrum(grid, rhs[tag][1:-1]))
+        out[tag] = node_l2(grid, resid)
     return out
 
 
@@ -801,7 +790,7 @@ def residual_refinement_order(residuals: list) -> list:
         t = res["times"]
         lo, hi = t[0] + (t[-1] - t[0]) / 3, t[-1] - (t[-1] - t[0]) / 3
         mask = (t >= lo) & (t <= hi)
-        worst = max(float(np.max(res[tag][mask])) for tag in ("u", "om", "th"))
+        worst = max(float(np.max(res[tag][mask])) for tag in TAGS)
         mids.append(worst)
     return [float(np.log2(mids[k] / mids[k + 1])) for k in range(len(mids) - 1)]
 
@@ -812,11 +801,9 @@ def singular_derivative_fit(traj: TrajectoryState, cfg: ExponentConfig,
     """Boundedness probe for t^(1+exp-base) ||d_t field||: reports the sup of
     the weighted derivative norm and its log-log trend."""
     norms = WeightedNorms(cfg, traj.grid, params)
-    nodes = {"u": traj.u, "om": traj.om, "th": traj.th}[tag]
     base = norms.base[tag]
     ts = traj.times[1:-1]
-    vals = np.array([norms.fractional_norm(tag, _node_derivative(traj.times, nodes, j), exp)
-                     for j in range(1, traj.node_count - 1)])
+    vals = norms.node_norms(tag, _node_derivative(traj.times, traj.coeffs[tag]), [exp])[0]
     weighted = ts ** (1 + exp - base) * vals
     slope, res = _window_fit(ts, vals, ts[0], ts[-1], loglog=True)
     return {"sup_weighted": float(np.max(weighted)), "slope": slope,
@@ -835,14 +822,11 @@ def dependence_ratio(base: TrajectoryState, pert: TrajectoryState,
         raise ConfigurationError("dependence runs must share a node grid")
     norms = WeightedNorms(cfg, base.grid, params)
     out = {}
-    for (a, b, g) in cfg.triples():
-        du = [base.u[j] - pert.u[j] for j in range(base.node_count)]
-        dom = [base.om[j] - pert.om[j] for j in range(base.node_count)]
-        dth = [base.th[j] - pert.th[j] for j in range(base.node_count)]
-        curve = (norms.weighted_curve("u", du, base.times, a)
-                 + norms.weighted_curve("om", dom, base.times, b)
-                 + norms.weighted_curve("th", dth, base.times, g))
-        out[(a, b, g)] = float(np.max(curve)) / d0
+    diff = {tag: base.coeffs[tag] - pert.coeffs[tag] for tag in TAGS}
+    for triple in cfg.triples():
+        curve = sum(norms.weighted_curve(tag, diff[tag], base.times, exp)
+                    for tag, exp in zip(TAGS, triple))
+        out[triple] = float(np.max(curve)) / d0
     return out
 
 
@@ -862,22 +846,17 @@ def time_hoelder_quotients(traj: TrajectoryState, cfg: ExponentConfig,
     if tau <= 0:
         raise ValueError("the Hoelder estimate holds away from t = 0; tau > 0 required")
     norms = WeightedNorms(cfg, traj.grid, params)
-    nodes = {"u": traj.u, "om": traj.om, "th": traj.th}[tag]
+    half = traj.coeffs[tag]
     idx = np.nonzero(traj.times >= tau - 1e-12)[0]
     quotients = {}
     steps = 1
     while idx.size > steps:
-        hs, qs = [], []
-        for pos in range(idx.size - steps):
-            j, k = idx[pos], idx[pos + steps]
-            h = float(traj.times[k] - traj.times[j])
-            if h <= 0:
-                continue
-            diff = nodes[k] - nodes[j]
-            qs.append(norms.fractional_norm(tag, diff, 1.0) / h ** alpha_hat)
-            hs.append(h)
-        if qs:
-            quotients[float(np.median(hs))] = float(np.max(qs))
+        j, k = idx[:-steps], idx[steps:]
+        h = traj.times[k] - traj.times[j]
+        j, k, h = j[h > 0], k[h > 0], h[h > 0]
+        if h.size:
+            qs = norms.node_norms(tag, half[k] - half[j], [1.0])[0] / h ** alpha_hat
+            quotients[float(np.median(h))] = float(np.max(qs))
         steps *= 2
     hs_sorted = sorted(quotients)
     small_h_trend = None

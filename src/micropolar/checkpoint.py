@@ -15,12 +15,11 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .fields import GridSpec, SpectralField
-from .solver import TrajectoryState
+from .fields import GridSpec, full_spectrum, half_spectrum
+from .solver import TAGS, TrajectoryState
 
 MAGIC = b"MPCKPT01"
 FORMAT_VERSION = 2
-_FIELDS = ("u", "om", "th")
 
 
 def checkpoint_write(traj: TrajectoryState, path: str,
@@ -36,7 +35,7 @@ def checkpoint_write(traj: TrajectoryState, path: str,
         "iteration": traj.m,
         "config_hash": config_hash,
         "fields": {name: {"components": f.components, "mean_zero": bool(f.mean_zero)}
-                   for name, f in zip(_FIELDS, state)},
+                   for name, f in zip(TAGS, state)},
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -75,8 +74,8 @@ def read_header(path: str) -> dict:
 
 
 def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectoryState:
-    """The checkpoint as a one-node trajectory: times [t_end], the end state,
-    no right-hand side or free evolution."""
+    """The checkpoint as a one-node trajectory: times [t_end] and the end
+    state, which is also its own free evolution over a window of length 0."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         if expected_hash is not None and header.get("config_hash") != expected_hash:
@@ -84,17 +83,19 @@ def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectorySt
                 f"{path}: checkpoint belongs to config {header.get('config_hash')!r}, "
                 f"refusing resume with {expected_hash!r}")
         grid = GridSpec.from_dict(header["grid"])
-        state = []
-        for name in _FIELDS:
+        state = {}
+        for name in TAGS:
             meta = header["fields"][name]
             comp = int(meta["components"])
             nbytes = comp * grid.num_modes * 16
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload in {name}")
-            c = np.frombuffer(raw, dtype="<c16").reshape((comp,) + grid.shape)
-            state.append([SpectralField(grid, c, mean_zero=bool(meta["mean_zero"]))])
+            c = np.frombuffer(raw, dtype="<c16").reshape((1, comp) + grid.shape)
+            state[name] = half_spectrum(c)
+            if not np.array_equal(full_spectrum(grid, state[name]), c, equal_nan=True):
+                raise CheckpointError(f"{path}: {name} is not the spectrum of a real field")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after payload")
-    return TrajectoryState(np.array([float(header["t_end"])]), *state,
-                           [], [], [], [], [], [], m=int(header["iteration"]))
+    return TrajectoryState(np.array([float(header["t_end"])]), grid, state, state,
+                           m=int(header["iteration"]))

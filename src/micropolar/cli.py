@@ -7,6 +7,7 @@ Exit codes: 0 all asserted checks passed, 1 an asserted check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -127,15 +128,28 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}")
+            return json.load(fh)
+    except ValueError as exc:       # invalid JSON or not UTF-8
+        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def _config_fields():
+    """Report a missing or malformed config field as a ConfigurationError."""
     try:
+        yield
+    except ConfigurationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed config field: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    raw = _read_json(path)
+    with _config_fields():
         grid = GridSpec.from_dict(raw.get("grid", {}))
         exp_raw = dict(raw.get("exponents", {}))
         want_select = bool(exp_raw.pop("select", False))
@@ -153,19 +167,18 @@ def load_config(path: str) -> RunConfig:
         if not verdict.passed:
             raise ConfigurationError(
                 "exponents: " + "; ".join(str(v) for v in verdict.violations[:4]))
+        seed = int(raw.get("seed", 0))
+        if seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
         return RunConfig(
             grid=grid, exponents=exps, params=params,
             forcing_f=ForcingSpec.from_dict(raw.get("forcing_f", {"kind": "zero"})),
             forcing_g=ForcingSpec.from_dict(raw.get("forcing_g", {"kind": "zero"})),
             picard=PicardConfig.from_dict(raw.get("picard", {})),
             initial_data=InitialDataSpec.from_dict(raw.get("initial_data", {})),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             t_total=float(raw.get("t_total", 1.0)),
             output_dir=str(raw.get("output_dir", "out")))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"malformed config field: {exc}")
 
 
 def lambda_chain_cap(grid: GridSpec, params: CouplingParams) -> float:
@@ -239,13 +252,14 @@ def _new_bundle(cfg: RunConfig | None, command: str) -> ReportBundle:
 
 
 def _cmd_exponents(args) -> int:
-    cfg_raw = json.load(open(args.config))
-    exp_raw = dict(cfg_raw.get("exponents", cfg_raw))
-    exp_raw.pop("select", None)
-    exps = ExponentConfig.from_dict(exp_raw)
-    grid = GridSpec.from_dict(cfg_raw.get("grid", {})) if "grid" in cfg_raw else GridSpec()
-    params = CouplingParams.from_dict(cfg_raw["params"]) if "params" in cfg_raw \
-        else CouplingParams()
+    cfg_raw = _read_json(args.config)
+    with _config_fields():
+        exp_raw = dict(cfg_raw.get("exponents", cfg_raw))
+        exp_raw.pop("select", None)
+        exps = ExponentConfig.from_dict(exp_raw)
+        grid = GridSpec.from_dict(cfg_raw["grid"]) if "grid" in cfg_raw else GridSpec()
+        params = CouplingParams.from_dict(cfg_raw["params"]) if "params" in cfg_raw \
+            else CouplingParams()
     cap = lambda_chain_cap(grid, params)
     if args.action == "check":
         result = check_config(exps, args.level, lambda_cap=cap)
@@ -293,8 +307,8 @@ def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     cols = ["t", "l2_u", "l2_om", "l2_th",
             "x_alpha0_u", "y_beta0_om", "z_gamma0_th"]
     # at the base exponents the time weight is 1: these are the plain norms
-    base = np.stack([norms.weighted_curve(tag, nodes, traj.times, norms.base[tag])
-                     for tag, nodes in (("u", traj.u), ("om", traj.om), ("th", traj.th))])
+    base = np.stack([norms.weighted_curve(tag, half, traj.times, norms.base[tag])
+                     for tag, half in traj.coeffs.items()])
     rows = []
     for j in range(traj.node_count):
         u, om, th = traj.state_at(j)
@@ -487,7 +501,8 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
             if not rep.converged:
                 raise ConfigurationError(
                     "residual verification refused: the run did not converge")
-            residual_levels.append(pde_residual(traj, params))
+            residual_levels.append(pde_residual(traj, params, cfg.forcing_f,
+                                                cfg.forcing_g, pic.linear_only))
         orders = residual_refinement_order(residual_levels)
         bundle.add_table("residual_orders", ["level", "order"],
                          [[k, o] for k, o in enumerate(orders)])
@@ -626,17 +641,24 @@ def _builtin_config() -> RunConfig:
         seed=0, t_total=1.0, output_dir="out")
 
 
-def _positive(kind):
-    """argparse type: a finite number of the given kind above zero."""
+def _number(kind, admit, what: str):
+    """argparse type: a number of the given kind that admit accepts."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+        if not admit(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
     return parse
+
+
+def _positive(kind):
+    return _number(kind, lambda v: 0 < v < math.inf, "a positive number")
+
+
+_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "picard"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_seed)
         p.add_argument("--out")
         p.add_argument("--dt", type=_positive(float))
         p.add_argument("--refine", type=int)
@@ -666,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verify an estimate or theorem")
     p_ver.add_argument("target")
     p_ver.add_argument("--config")
-    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--seed", type=_seed)
     p_ver.add_argument("--ensemble", type=_positive(int), default=100)
     p_ver.add_argument("--out")
 

@@ -280,7 +280,11 @@ def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     any leading axes are kept."""
     lead = half.shape[: half.ndim - grid.dim]
     flat = half.reshape(lead + (-1,))
-    both = np.concatenate([flat, flat.conj()], axis=-1)
+    mirror = flat.conj()
+    # a zero imaginary part mirrors to +0.0, the value that arithmetic on the
+    # conjugate modes themselves gives, so written spectra keep their bytes
+    mirror.imag += 0.0
+    both = np.concatenate([flat, mirror], axis=-1)
     return both[..., _mirror_index(grid)].reshape(lead + grid.shape)
 
 

@@ -98,11 +98,7 @@ def k0_curves(u0: SpectralField, om0: SpectralField, th0: SpectralField,
               times: np.ndarray) -> dict:
     """K^0 at the nine exponents: running sup over s <= t of
     s^(x - x0) ||free evolution(s)||, zero at t = 0."""
-    from .nonlinear import ForcingSpec
-
-    zero = ForcingSpec.zero()
-    traj = initial_trajectory(u0, om0, th0, times, params, zero, zero,
-                              linear_only=True, strict=False)
+    traj = initial_trajectory(u0, om0, th0, times, params, strict=False)
     norms = WeightedNorms(cfg, u0.grid, params)
     table = norms.iteration_table(traj)
     return {key: np.maximum.accumulate(curve) for key, curve in table.items()}

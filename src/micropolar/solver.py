@@ -1,36 +1,43 @@
 """Successive approximation of the coupled integral equations.
 
 A trajectory is the whole time curve of (velocity, microrotation,
-temperature); one iteration maps the curve u ->  free-evolution +
-integral of exp(-(t-s) generator) applied to the nonlinearity along the
-curve.  The integral uses per-mode exact exponential weights with
-piecewise-linear interpolation of the integrand between nodes (order 2
-in the node spacing); the linear part is therefore treated exactly.
+temperature), each field held as the node-stacked half spectra of a real
+field; one iteration maps the curve u ->  free-evolution + integral of
+exp(-(t-s) generator) applied to the nonlinearity along the curve.  The
+integral uses per-mode exact exponential weights with piecewise-linear
+interpolation of the integrand between nodes (order 2 in the node
+spacing); the linear part is therefore treated exactly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .exponents import ExponentConfig
-from .fields import GridSpec, SpectralField, half_spectrum, irfft_half, _zero_index
+from .fields import (
+    GridSpec,
+    SpectralField,
+    full_spectrum,
+    half_spectrum,
+    irfft_half,
+    _zero_index,
+)
 from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators
 from .operators import (
     OperatorKind,
     OperatorSymbol,
-    _split_parallel,
     apply_operator,
     curl,
     lebesgue_norm,
     parallel_part,
     power_weight,
     projector_symbols,
-    semigroup_apply,
+    spectral_coeffs,
 )
 
 MEAN_TOL = 1e-10
@@ -86,11 +93,13 @@ def cubic_weights(eig: np.ndarray, h: float) -> tuple:
     return tuple(h ** (k + 1) * _psi(k, z) for k in range(4))
 
 
-def _decompose(op: OperatorSymbol, coeffs: np.ndarray, grid: GridSpec) -> list:
-    """Split coefficients into the operator's invariant subspaces, matching
-    eig_families order."""
-    if op.kind is OperatorKind.GAMMA and coeffs.shape[0] > 1:
-        para = _split_parallel(coeffs, grid)
+def _decompose(op: OperatorSymbol, coeffs: np.ndarray, kap: np.ndarray,
+               ksq: np.ndarray) -> list:
+    """Split coefficients (..., comp, *modes) into the operator's invariant
+    subspaces, matching eig_families order; kap and ksq are the projector
+    symbols on the same modes (full or half spectrum)."""
+    if op.kind is OperatorKind.GAMMA and coeffs.shape[-ksq.ndim - 1] > 1:
+        para = parallel_part(coeffs, kap, ksq)
         return [coeffs - para, para]
     return [coeffs]
 
@@ -105,6 +114,14 @@ def eig_families(op: OperatorSymbol, components: int) -> list:
     return eigs
 
 
+def _half_subspaces(op: OperatorSymbol, half: np.ndarray) -> list:
+    """(eigenvalues, part) per invariant subspace of node-stacked half
+    spectra (nodes, comp, *half), both on the half spectrum."""
+    eigs = eig_families(op, half.shape[1])
+    kap, ksq = (half_spectrum(x) for x in projector_symbols(op.grid))
+    return list(zip((half_spectrum(e) for e in eigs), _decompose(op, half, kap, ksq)))
+
+
 class DuhamelPropagator:
     """Exact per-mode propagation of int_0^t exp(-(t-s) L) N(s) ds along a
     node grid, one subspace recursion per invariant eigenvalue family."""
@@ -112,7 +129,6 @@ class DuhamelPropagator:
     def __init__(self, op: OperatorSymbol, times: np.ndarray):
         self.op = op.with_power(1.0)
         self.times = np.asarray(times, dtype=np.float64)
-        self.grid = op.grid
         self._weights = {}
 
     def _interval(self, h: float, eigs: list) -> list:
@@ -121,28 +137,24 @@ class DuhamelPropagator:
             self._weights[key] = [interval_weights(eig, h) for eig in eigs]
         return self._weights[key]
 
-    def integrate_nodes(self, rhs: list) -> list:
-        """Duhamel integrals at every node given RHS samples at the nodes."""
-        parts = [_decompose(self.op, f.coeffs, self.grid) for f in rhs]
-        eigs = eig_families(self.op, rhs[0].components)
-        nsub = len(eigs)
-        acc = [np.zeros_like(parts[0][i]) for i in range(nsub)]
-        out = [np.zeros_like(parts[0][0])]
+    def integrate_nodes(self, rhs: np.ndarray) -> np.ndarray:
+        """Duhamel integrals at every node of RHS samples at the nodes, both
+        node-stacked half spectra (nodes, comp, *half)."""
+        eigs, parts = zip(*_half_subspaces(self.op, rhs))
+        acc = [np.zeros_like(p[0]) for p in parts]
+        out = np.zeros_like(rhs)
         for j in range(len(self.times) - 1):
             h = float(self.times[j + 1] - self.times[j])
-            ws = self._interval(h, eigs)
-            total = None
-            for i in range(nsub):
-                decay, w0, w1 = ws[i]
-                acc[i] = decay * acc[i] + w0 * parts[j][i] + w1 * parts[j + 1][i]
-                total = acc[i].copy() if total is None else total + acc[i]
-            out.append(total)
+            for i, (decay, w0, w1) in enumerate(self._interval(h, eigs)):
+                acc[i] = decay * acc[i] + w0 * parts[i][j] + w1 * parts[i][j + 1]
+            out[j + 1] = sum(acc[1:], acc[0])
         return out
 
 
-def duhamel_integral(op: OperatorSymbol, rhs: list, times: np.ndarray,
+def duhamel_integral(op: OperatorSymbol, rhs: np.ndarray, times: np.ndarray,
                      t: float) -> SpectralField:
-    """Duhamel integral at grid node t (t must match a node)."""
+    """Duhamel integral at grid node t (t must match a node) of RHS samples
+    given as node-stacked half spectra (nodes, comp, *half)."""
     times = np.asarray(times, dtype=np.float64)
     tol = 1e-12 * max(1.0, float(times[-1]))
     matches = np.nonzero(np.abs(times - t) <= tol)[0]
@@ -151,12 +163,16 @@ def duhamel_integral(op: OperatorSymbol, rhs: list, times: np.ndarray,
             f"t={t} is not a trajectory node; off-grid evaluation is unsupported")
     j = int(matches[0])
     prop = DuhamelPropagator(op, times[: j + 1])
-    coeffs = prop.integrate_nodes(rhs[: j + 1])[j]
-    return SpectralField(op.grid, coeffs, mean_zero=rhs[0].mean_zero)
+    half = prop.integrate_nodes(rhs[: j + 1])[j]
+    return SpectralField(op.grid, full_spectrum(op.grid, half))
 
 
 # ---------------------------------------------------------------------------
 # Trajectories
+
+# the field tags in the order of generators(): velocity, microrotation,
+# temperature
+TAGS = ("u", "om", "th")
 
 
 @dataclass(frozen=True)
@@ -199,43 +215,51 @@ class PicardConfig:
 
 @dataclass
 class TrajectoryState:
-    """Node-sampled curves of the three fields plus cached RHS values."""
+    """Node-sampled curves of the three fields.  coeffs and free map each tag
+    of TAGS, in that order, to the read-only half spectra (nodes, comp, *half)
+    of the iterate and of the window's free evolution."""
 
     times: np.ndarray
-    u: list
-    om: list
-    th: list
-    rhs_u: list
-    rhs_om: list
-    rhs_th: list
-    free_u: list
-    free_om: list
-    free_th: list
+    grid: GridSpec
+    coeffs: dict
+    free: dict
     m: int = 0
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.u[0].grid
+    def __post_init__(self):
+        for arr in (*self.coeffs.values(), *self.free.values()):
+            arr.setflags(write=False)
 
     @property
     def node_count(self) -> int:
         return len(self.times)
 
+    def _field(self, tag: str, half: np.ndarray) -> SpectralField:
+        # the Stokes semigroup and the projected RHS keep the velocity mean-zero
+        return SpectralField(self.grid, full_spectrum(self.grid, half),
+                             mean_zero=tag == "u")
+
     def state_at(self, j: int) -> tuple:
-        return self.u[j], self.om[j], self.th[j]
+        """(u, om, th) at node j as full-spectrum fields."""
+        return tuple(self._field(tag, c[j]) for tag, c in self.coeffs.items())
+
+    @property
+    def u(self) -> tuple:
+        """The velocity at every node as full-spectrum fields: a view for
+        readers of checkpoints and reports; the solver uses the arrays."""
+        return tuple(self._field("u", c) for c in self.coeffs["u"])
 
 
-def _compute_rhs(u, om, th, params, f, g, linear_only):
-    return assemble_rhs(u, om, th, params, f, g, linear_only=linear_only,
-                        check_solenoidal=False)
+def _free_evolution(op: OperatorSymbol, f0: SpectralField, times: np.ndarray) -> np.ndarray:
+    """exp(-t op) f0 at every node as stacked half spectra."""
+    return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
+                                                   f0.coeffs))
+                     for t in times.tolist()])
 
 
 def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                        times: np.ndarray, params: CouplingParams,
-                       f: ForcingSpec, g: ForcingSpec,
-                       linear_only: bool = False,
                        strict: bool = True) -> TrajectoryState:
-    """Free-evolution trajectory (iteration zero) with RHS caches."""
+    """Free-evolution trajectory (iteration zero)."""
     from .operators import divergence_defect
 
     if strict:
@@ -245,51 +269,37 @@ def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField
             scale = max(1.0, float(np.max(np.abs(f0.coeffs))) if f0.coeffs.size else 1.0)
             if f0.max_mean_magnitude() > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
-    a_op, g_op, b_op = generators(u0.grid, params)
-    u_nodes, om_nodes, th_nodes = [], [], []
-    for t in times:
-        u_nodes.append(semigroup_apply(a_op, float(t), u0))
-        om_nodes.append(semigroup_apply(g_op, float(t), om0))
-        th_nodes.append(semigroup_apply(b_op, float(t), th0))
-    rhs = [_compute_rhs(u_nodes[j], om_nodes[j], th_nodes[j], params, f, g, linear_only)
-           for j in range(len(times))]
-    return TrajectoryState(
-        times=np.asarray(times, dtype=np.float64),
-        u=list(u_nodes), om=list(om_nodes), th=list(th_nodes),
-        rhs_u=[r[0] for r in rhs], rhs_om=[r[1] for r in rhs], rhs_th=[r[2] for r in rhs],
-        free_u=u_nodes, free_om=om_nodes, free_th=th_nodes, m=0)
+    times = np.asarray(times, dtype=np.float64)
+    free = {tag: _free_evolution(op, f0, times) for tag, op, f0
+            in zip(TAGS, generators(u0.grid, params), (u0, om0, th0))}
+    return TrajectoryState(times=times, grid=u0.grid, coeffs=free, free=free, m=0)
+
+
+def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+             g: ForcingSpec, linear_only: bool = False) -> dict:
+    """Right-hand sides of the iterate, one assemble_rhs call per node, as
+    node-stacked half spectra keyed by the tag of the equation they drive."""
+    rhs = [assemble_rhs(*traj.state_at(j), params, f, g, linear_only=linear_only,
+                        check_solenoidal=False)
+           for j in range(traj.node_count)]
+    return {tag: np.stack([half_spectrum(r.coeffs) for r in col])
+            for tag, col in zip(TAGS, zip(*rhs))}
 
 
 def picard_step(traj: TrajectoryState, params: CouplingParams,
                 f: ForcingSpec, g: ForcingSpec,
                 linear_only: bool = False,
                 propagators: tuple | None = None) -> TrajectoryState:
-    """One successive-approximation sweep: free evolution plus the Duhamel
-    integral of the cached RHS curves, then refreshed caches."""
-    grid = traj.grid
+    """One successive-approximation sweep: the RHS of the input iterate at
+    every node, then free evolution plus its Duhamel integral."""
     if propagators is None:
-        a_op, g_op, b_op = generators(grid, params)
-        propagators = (DuhamelPropagator(a_op, traj.times),
-                       DuhamelPropagator(g_op, traj.times),
-                       DuhamelPropagator(b_op, traj.times))
-    prop_a, prop_g, prop_b = propagators
-    int_u = prop_a.integrate_nodes(traj.rhs_u)
-    int_om = prop_g.integrate_nodes(traj.rhs_om)
-    int_th = prop_b.integrate_nodes(traj.rhs_th)
-    new_u = [traj.free_u[j] + SpectralField(grid, int_u[j], mean_zero=True)
-             for j in range(traj.node_count)]
-    new_om = [traj.free_om[j] + SpectralField(grid, int_om[j])
-              for j in range(traj.node_count)]
-    new_th = [traj.free_th[j] + SpectralField(grid, int_th[j])
-              for j in range(traj.node_count)]
-    rhs = [_compute_rhs(new_u[j], new_om[j], new_th[j], params, f, g, linear_only)
-           for j in range(traj.node_count)]
-    return TrajectoryState(
-        times=traj.times, u=new_u, om=new_om, th=new_th,
-        rhs_u=[r[0] for r in rhs], rhs_om=[r[1] for r in rhs],
-        rhs_th=[r[2] for r in rhs],
-        free_u=traj.free_u, free_om=traj.free_om, free_th=traj.free_th,
-        m=traj.m + 1)
+        propagators = tuple(DuhamelPropagator(op, traj.times)
+                            for op in generators(traj.grid, params))
+    rhs = node_rhs(traj, params, f, g, linear_only)
+    new = {tag: traj.free[tag] + prop.integrate_nodes(rhs[tag])
+           for tag, prop in zip(TAGS, propagators)}
+    new["u"][(Ellipsis,) + _zero_index(traj.grid)] = 0.0
+    return replace(traj, coeffs=new, m=traj.m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +316,6 @@ def time_weight(times: np.ndarray, power: float) -> np.ndarray:
     return w
 
 
-def _stack_half(nodes) -> np.ndarray:
-    """Half-spectrum coefficients of a node list as one array
-    (nodes, comp, *half); an array is taken as already stacked."""
-    if isinstance(nodes, np.ndarray):
-        return nodes
-    return np.stack([half_spectrum(fld.coeffs) for fld in nodes])
-
-
 class WeightedNorms:
     """t^(x - x0)-weighted fractional norms along a trajectory, at the nine
     intermediate exponents of the configuration."""
@@ -321,8 +323,7 @@ class WeightedNorms:
     def __init__(self, cfg: ExponentConfig, grid: GridSpec, params: CouplingParams):
         self.cfg = cfg
         self.grid = grid
-        a_op, g_op, b_op = generators(grid, params)
-        self.ops = {"u": a_op, "om": g_op, "th": b_op}
+        self.ops = dict(zip(TAGS, generators(grid, params)))
         self.lebesgue = {"u": cfg.p, "om": cfg.q, "th": cfg.r}
         self.base = {"u": cfg.alpha0, "om": cfg.beta0, "th": cfg.gamma0}
         self.exps = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
@@ -357,7 +358,7 @@ class WeightedNorms:
                 for eig in eigs]
         return self._parseval[key]
 
-    def _node_norms(self, tag: str, half: np.ndarray, exps) -> np.ndarray:
+    def node_norms(self, tag: str, half: np.ndarray, exps) -> np.ndarray:
         """||op^exp field|| at every node for every exponent, shape
         (exponents, nodes), from the stacked half-spectrum coefficients
         (nodes, comp, *half) of real fields.
@@ -397,13 +398,13 @@ class WeightedNorms:
             out.append((np.sum(mag ** (s / 2.0), axis=1) * grid.cell_volume) ** (1.0 / s))
         return np.array(out)
 
-    def weighted_curve(self, tag: str, nodes, times: np.ndarray, exp) -> np.ndarray:
+    def weighted_curve(self, tag: str, half: np.ndarray, times: np.ndarray,
+                       exp) -> np.ndarray:
         """t^(exp - base) ||op^exp field(t)|| at every node (zero weight at t=0
-        when exp > base).  nodes is a list of fields or their stacked
-        half-spectrum coefficients (nodes, comp, *half); a sequence of
-        exponents gives one curve per exponent, stacked."""
+        when exp > base) of node-stacked half spectra (nodes, comp, *half); a
+        sequence of exponents gives one curve per exponent, stacked."""
         exps = np.atleast_1d(exp)
-        vals = self._node_norms(tag, _stack_half(nodes), exps)
+        vals = self.node_norms(tag, half, exps)
         base = self.base[tag]
         curves = np.stack([time_weight(times, x - base) for x in exps]) * vals
         return curves if np.ndim(exp) else curves[0]
@@ -411,16 +412,16 @@ class WeightedNorms:
     def iteration_table(self, traj: TrajectoryState) -> dict:
         """Weighted-norm curves for all nine exponents of one iterate."""
         out = {}
-        for tag, nodes in (("u", traj.u), ("om", traj.om), ("th", traj.th)):
-            curves = self.weighted_curve(tag, nodes, traj.times, self.exps[tag])
+        for tag, half in traj.coeffs.items():
+            curves = self.weighted_curve(tag, half, traj.times, self.exps[tag])
             out.update(((tag, exp), c) for exp, c in zip(self.exps[tag], curves))
         return out
 
     def difference(self, a: TrajectoryState, b: TrajectoryState) -> dict:
         """Sup over nodes of the weighted norms of the iterate difference."""
         out = {}
-        for tag, na, nb in (("u", a.u, b.u), ("om", a.om, b.om), ("th", a.th, b.th)):
-            diff = _stack_half(na) - _stack_half(nb)
+        for tag in TAGS:
+            diff = a.coeffs[tag] - b.coeffs[tag]
             curves = self.weighted_curve(tag, diff, a.times, self.exps[tag])
             out.update(((tag, exp), float(np.max(c)))
                        for exp, c in zip(self.exps[tag], curves))
@@ -485,11 +486,8 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
             warnings.warn(msg)
             report.notes.append(msg)
 
-    a_op, g_op, b_op = generators(u0.grid, params)
-    props = (DuhamelPropagator(a_op, times), DuhamelPropagator(g_op, times),
-             DuhamelPropagator(b_op, times))
-    traj = initial_trajectory(u0, om0, th0, times, params, f, g,
-                              linear_only=pic.linear_only, strict=strict)
+    props = tuple(DuhamelPropagator(op, times) for op in generators(u0.grid, params))
+    traj = initial_trajectory(u0, om0, th0, times, params, strict=strict)
     if record_norms:
         report.iterate_norms.append(norms.iteration_table(traj))
     prev_total = None
@@ -520,52 +518,46 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     return traj, report
 
 
-def duhamel_residual(traj: TrajectoryState, params: CouplingParams) -> dict:
-    """Independent check that the trajectory solves the integral equations.
+def node_l2(grid: GridSpec, full: np.ndarray) -> np.ndarray:
+    """L2 norm at every node of node-stacked full-spectrum coefficients
+    (nodes, comp, *grid), each summed as SpectralField.l2 sums it."""
+    # one sum per node: a batched sum over an axis rounds differently
+    return np.array([np.sqrt(grid.volume * np.sum(np.abs(c) ** 2)) for c in full])
 
-    Recomputes the Duhamel integral of the cached RHS with cubic (rather than
-    linear) interpolation of the integrand; the L2 mismatch per node measures
-    the distance from a refined quadrature and shrinks at second order in the
-    node spacing.
+
+def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
+                     f: ForcingSpec = ForcingSpec(), g: ForcingSpec = ForcingSpec(),
+                     linear_only: bool = False) -> dict:
+    """Independent check that the trajectory solves the integral equations
+    whose nonlinearity has forcing f, g (zero by default).
+
+    Recomputes the Duhamel integral of the trajectory's RHS with cubic (rather
+    than linear) interpolation of the integrand; the L2 mismatch per node
+    measures the distance from a refined quadrature and shrinks at second
+    order in the node spacing.
     """
     from scipy.interpolate import CubicSpline
 
-    grid = traj.grid
-    a_op, g_op, b_op = generators(grid, params)
+    times = traj.times
+    rhs = node_rhs(traj, params, f, g, linear_only)
     out = {}
-    for tag, op, rhs_nodes, state_nodes, free_nodes in (
-            ("u", a_op, traj.rhs_u, traj.u, traj.free_u),
-            ("om", g_op, traj.rhs_om, traj.om, traj.free_om),
-            ("th", b_op, traj.rhs_th, traj.th, traj.free_th)):
-        times = traj.times
-        eig_sets = eig_families(op, rhs_nodes[0].components)
-        parts = [_decompose(op, f.coeffs, grid) for f in rhs_nodes]
-        nsub = len(eig_sets)
-        residuals = np.zeros(len(times))
-        acc = None
-        for i in range(nsub):
-            data = np.stack([p[i] for p in parts])  # (nodes, comp, *grid)
-            spline = CubicSpline(times, data.reshape(len(times), -1), axis=0)
-            cs = spline.c  # (4, nodes-1, flatdim)
-            comp = parts[0][i].shape[0]
-            eig_full = np.broadcast_to(eig_sets[i], (comp,) + grid.shape).reshape(-1)
+    for (tag, half), op in zip(traj.coeffs.items(), generators(traj.grid, params)):
+        acc = 0.0
+        for eig, part in _half_subspaces(op, rhs[tag]):
+            cs = CubicSpline(times, part.reshape(len(times), -1), axis=0).c  # (4, nodes-1, flat)
+            eig_flat = np.broadcast_to(eig, part.shape[1:]).reshape(-1)
             run = np.zeros(cs.shape[2], dtype=np.complex128)
-            vals = [run.copy()]
+            vals = [run]
             for j in range(len(times) - 1):
                 h = float(times[j + 1] - times[j])
-                w = cubic_weights(eig_full, h)
+                w = cubic_weights(eig_flat, h)
                 seg = (w[0] * cs[3, j] + w[1] * cs[2, j]
                        + w[2] * cs[1, j] + w[3] * cs[0, j])
-                run = np.exp(-h * eig_full) * run + seg
-                vals.append(run.copy())
-            stackv = np.stack(vals)
-            acc = stackv if acc is None else acc + stackv
-        shape = (len(times),) + parts[0][0].shape
-        acc = acc.reshape(shape)
-        for j in range(len(times)):
-            refined = free_nodes[j] + SpectralField(grid, acc[j])
-            residuals[j] = (state_nodes[j] - refined).l2()
-        out[tag] = residuals
+                run = np.exp(-h * eig_flat) * run + seg
+                vals.append(run)
+            acc = acc + np.stack(vals)
+        refined = traj.free[tag] + acc.reshape(half.shape)
+        out[tag] = node_l2(traj.grid, full_spectrum(traj.grid, half - refined))
     return out
 
 
@@ -586,12 +578,14 @@ class GlobalResult:
 def _concat_trajectories(segments: list) -> TrajectoryState:
     """Join consecutive windows (absolute times); each window after the first
     starts at the node that ended the one before."""
-    lists = [f.name for f in fields(TrajectoryState) if f.name not in ("times", "m")]
-    joined = {name: getattr(segments[0], name)
-              + [fld for seg in segments[1:] for fld in getattr(seg, name)[1:]]
-              for name in lists}
-    times = np.concatenate([segments[0].times] + [seg.times[1:] for seg in segments[1:]])
-    return TrajectoryState(times=times, m=segments[-1].m, **joined)
+    def join(arrays):
+        return np.concatenate([arrays[0]] + [a[1:] for a in arrays[1:]])
+
+    return TrajectoryState(
+        times=join([seg.times for seg in segments]), grid=segments[0].grid,
+        coeffs={tag: join([seg.coeffs[tag] for seg in segments]) for tag in TAGS},
+        free={tag: join([seg.free[tag] for seg in segments]) for tag in TAGS},
+        m=segments[-1].m)
 
 
 def window_horizons(pic: PicardConfig, t_total: float, t0: float = 0.0) -> list:
@@ -646,9 +640,9 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     norms = WeightedNorms(cfg, u0.grid, params)
     e_sup = {}
     t = full.times
-    for tag, nodes in (("u", full.u), ("om", full.om), ("th", full.th)):
+    for tag, half in full.coeffs.items():
         rate = cfg.lam2 if tag == "th" else cfg.lam
-        curves = norms.weighted_curve(tag, nodes, np.minimum(t, 1.0), norms.exps[tag])
+        curves = norms.weighted_curve(tag, half, np.minimum(t, 1.0), norms.exps[tag])
         for exp, weighted in zip(norms.exps[tag], curves):
             e_sup[(tag, exp)] = np.maximum.accumulate(weighted * np.exp(rate * t))
 

@@ -14,7 +14,7 @@ def _trajectory(grid, params, seed=5):
     om0 = mp.random_field(grid, 1, rng, amplitude=0.2, sigma=3.0)
     th0 = mp.random_field(grid, 1, rng, amplitude=0.2, sigma=3.0)
     times = np.linspace(0, 0.25, 9)
-    return mp.initial_trajectory(u0, om0, th0, times, params, ZERO, ZERO)
+    return mp.initial_trajectory(u0, om0, th0, times, params)
 
 
 def test_roundtrip_bit_exact(grid2d, params, tmp_path):
@@ -27,8 +27,9 @@ def test_roundtrip_bit_exact(grid2d, params, tmp_path):
     for a, b in zip(traj.state_at(traj.node_count - 1), back.state_at(0)):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.mean_zero == b.mean_zero
-    for name in ("rhs_u", "rhs_om", "rhs_th", "free_u", "free_om", "free_th"):
-        assert getattr(back, name) == []
+    for tag, half in back.coeffs.items():
+        assert np.array_equal(half, traj.coeffs[tag][-1:])
+        assert np.array_equal(back.free[tag], half)
 
 
 def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
@@ -130,3 +131,31 @@ def test_version_mismatch_refused(grid2d, params, tmp_path):
     path.write_bytes(bytes(rebuilt))
     with pytest.raises(CheckpointError):
         read_header(str(path))
+
+
+def test_benchmark_reader_contract(grid2d, params, tmp_path):
+    """A written checkpoint reads the way the benchmark's output check reads
+    it: per-node full-spectrum velocities, one time and a full end state."""
+    traj = _trajectory(grid2d, params)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="abc123")
+    back = checkpoint_read(str(path))
+    u = np.stack([f.coeffs for f in back.u])
+    assert u.shape == (1, grid2d.dim) + grid2d.shape
+    assert len(back.times) == 1
+    state = tuple(f.coeffs for f in back.state_at(len(back.times) - 1))
+    assert [c.shape for c in state] == [(2,) + grid2d.shape, (1,) + grid2d.shape,
+                                        (1,) + grid2d.shape]
+    assert np.array_equal(u[0], state[0])
+
+
+def test_non_real_payload_rejected(grid2d, params, tmp_path):
+    traj = _trajectory(grid2d, params)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="x")
+    data = bytearray(path.read_bytes())
+    # the last coefficient of th is the conjugate of a stored mode
+    data[-16:] = np.array([1.0 + 2.0j], dtype="<c16").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="real field"):
+        checkpoint_read(str(path))

@@ -459,3 +459,45 @@ def test_nonpositive_dt_is_usage_error(config_path, tmp_path, capsys, dt):
     assert sum("error:" in ln for ln in err.splitlines()) == 1
     assert "--dt" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard", "verify"])
+def test_negative_seed_is_usage_error(config_path, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    target = ["2.10", "--ensemble", "2"] if command == "verify" else []
+    rc = dispatch([command, *target, "--config", config_path, "--seed", "-1",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1
+    assert "--seed" in err
+    assert not out.exists()
+
+
+def test_negative_config_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(_config_dict(str(out), seed=-4)))
+    rc = dispatch(["simulate", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1
+    assert "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",                                    # not JSON
+    json.dumps({"params": [1, 2]}),                 # malformed params, no exponents
+    json.dumps({"exponents": {"p": 2, "q": 2, "r": 2, "alpha0": 0.5,
+                              "beta0": 0.5, "gamma0": 0.0},
+                "grid": "2d"}),                     # malformed grid
+])
+@pytest.mark.parametrize("action", ["check", "select"])
+def test_exponents_bad_config_is_usage_error(tmp_path, capsys, text, action):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = dispatch(["exponents", action, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1

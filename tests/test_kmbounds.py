@@ -175,11 +175,9 @@ def test_weighted_distance_from_free_evolution_dominated(grid2d, params, cfg2,
     norms = WeightedNorms(cfg2, grid2d, params)
     k0 = k0_curves(u0, om0, th0, cfg2, params, traj.times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
-    for tag, nodes, free in (("u", traj.u, traj.free_u),
-                             ("om", traj.om, traj.free_om),
-                             ("th", traj.th, traj.free_th)):
+    for tag, half in traj.coeffs.items():
         for exp in norms.exps[tag]:
-            diff = [nodes[j] - free[j] for j in range(traj.node_count)]
+            diff = half - traj.free[tag]
             curve = norms.weighted_curve(tag, diff, traj.times, exp)
             with np.errstate(invalid="ignore"):
                 ratio = np.where(k0max > 0, curve / np.maximum(k0max, 1e-300), 0.0)

@@ -9,16 +9,28 @@ from scipy.linalg import expm
 
 import micropolar as mp
 from micropolar.errors import ConfigurationError, PreconditionError
+from micropolar.fields import full_spectrum, half_spectrum
 from micropolar.solver import (
+    TAGS,
     WeightedNorms,
     duhamel_residual,
     interval_weights,
+    node_rhs,
     TrajectoryState,
     picard_step,
     time_weight,
 )
 
 ZERO = mp.ForcingSpec.zero()
+
+
+def _stack(fields):
+    """Node-stacked half spectra of a list of fields."""
+    return np.stack([half_spectrum(f.coeffs) for f in fields])
+
+
+def _field(grid, half):
+    return mp.SpectralField(grid, full_spectrum(grid, half))
 
 
 # -- beta function ----------------------------------------------------------
@@ -69,7 +81,7 @@ def test_interval_weights_match_quadrature():
 
 def test_duhamel_zero_forcing(grid2d):
     times = np.linspace(0, 1, 17)
-    z = [mp.SpectralField.zero(grid2d, 1) for _ in times]
+    z = _stack([mp.SpectralField.zero(grid2d, 1) for _ in times])
     out = mp.duhamel_integral(mp.laplace_operator(grid2d), z, times, 1.0)
     assert out.l2() == 0.0
 
@@ -79,7 +91,7 @@ def test_duhamel_constant_mode_exact(grid2d):
     mode = mp.SpectralField.single_mode(grid2d, (2, 1), 0.3)
     mu = 5.0
     out = mp.duhamel_integral(mp.laplace_operator(grid2d),
-                              [mode] * len(times), times, 0.5)
+                              _stack([mode] * len(times)), times, 0.5)
     expect = (1 - np.exp(-0.5 * mu)) / mu
     assert np.max(np.abs(out.coeffs - expect * mode.coeffs)) <= 1e-14
 
@@ -88,7 +100,7 @@ def test_duhamel_linear_data_exact(grid2d):
     times = np.linspace(0, 0.5, 21)
     mode = mp.SpectralField.single_mode(grid2d, (2, 1), 1.0)
     mu = 5.0
-    rhs = [mode * float(t) for t in times]
+    rhs = _stack([mode * float(t) for t in times])
     out = mp.duhamel_integral(mp.laplace_operator(grid2d), rhs, times, 0.5)
     expect = 0.5 / mu - (1 - np.exp(-0.5 * mu)) / mu ** 2
     assert np.max(np.abs(out.coeffs - expect * mode.coeffs)) <= 1e-12
@@ -96,7 +108,7 @@ def test_duhamel_linear_data_exact(grid2d):
 
 def test_duhamel_rejects_off_grid(grid2d):
     times = np.linspace(0, 1, 9)
-    z = [mp.SpectralField.zero(grid2d, 1) for _ in times]
+    z = _stack([mp.SpectralField.zero(grid2d, 1) for _ in times])
     with pytest.raises(ConfigurationError):
         mp.duhamel_integral(mp.laplace_operator(grid2d), z, times, 0.3)
 
@@ -106,7 +118,7 @@ def test_duhamel_gamma_vector_subspaces(grid3d):
     times = np.linspace(0, 0.4, 41)
     g_op = mp.gamma_operator(grid3d)
     mode = mp.SpectralField.single_mode(grid3d, (1, 0, 0), [0.5, 0.5, 0.0])
-    out = mp.duhamel_integral(g_op, [mode] * len(times), times, 0.4)
+    out = mp.duhamel_integral(g_op, _stack([mode] * len(times)), times, 0.4)
     idx = (1, 0, 0)
     got_para = out.coeffs[0][idx]
     got_perp = out.coeffs[1][idx]
@@ -129,8 +141,8 @@ def test_initial_trajectory_zero_data(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 9)
-    traj = mp.initial_trajectory(z2, z1, z1, times, params, ZERO, ZERO)
-    assert all(f.l2() == 0.0 for f in traj.u + traj.om + traj.th)
+    traj = mp.initial_trajectory(z2, z1, z1, times, params)
+    assert all(np.all(c == 0.0) for c in traj.coeffs.values())
 
 
 def test_initial_trajectory_single_mode_decay(grid2d, params):
@@ -138,10 +150,11 @@ def test_initial_trajectory_single_mode_decay(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 11)
-    traj = mp.initial_trajectory(z2, z1, th0, times, params, ZERO, ZERO)
+    traj = mp.initial_trajectory(z2, z1, th0, times, params)
     for j, t in enumerate(times):
-        assert traj.th[j].l2() == pytest.approx(np.exp(-4 * t) * th0.l2(), rel=1e-12)
-    assert (traj.th[0] - th0).l2() == 0.0
+        assert traj.state_at(j)[2].l2() == pytest.approx(np.exp(-4 * t) * th0.l2(),
+                                                         rel=1e-12)
+    assert (traj.state_at(0)[2] - th0).l2() == 0.0
 
 
 def test_initial_trajectory_rejects_bad_data(grid2d, params, rng):
@@ -149,11 +162,11 @@ def test_initial_trajectory_rejects_bad_data(grid2d, params, rng):
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 5)
     with pytest.raises(PreconditionError):
-        mp.initial_trajectory(u_bad, z1, z1, times, params, ZERO, ZERO)
+        mp.initial_trajectory(u_bad, z1, z1, times, params)
     th_mean = mp.to_spectral(grid2d, np.ones((1,) + grid2d.shape))
     u0 = mp.leray_project(u_bad)
     with pytest.raises(PreconditionError):
-        mp.initial_trajectory(u0, z1, th_mean, times, params, ZERO, ZERO)
+        mp.initial_trajectory(u0, z1, th_mean, times, params)
 
 
 def test_picard_zero_data_fixed_point(grid2d, params, cfg2):
@@ -168,13 +181,13 @@ def test_picard_zero_data_fixed_point(grid2d, params, cfg2):
 def test_picard_step_matches_manual_duhamel(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng)
     times = np.linspace(0, 0.25, 17)
-    traj = mp.initial_trajectory(u0, om0, th0, times, params, ZERO, ZERO)
+    traj = mp.initial_trajectory(u0, om0, th0, times, params)
     stepped = picard_step(traj, params, ZERO, ZERO)
     j = 10
-    manual = traj.free_th[j] + mp.duhamel_integral(
+    manual = _field(grid2d, traj.free["th"][j]) + mp.duhamel_integral(
         mp.laplace_operator(grid2d, coeff=params.heat_coeff),
-        traj.rhs_th, times, float(times[j]))
-    assert (stepped.th[j] - manual).l2() <= 1e-13
+        node_rhs(traj, params, ZERO, ZERO)["th"], times, float(times[j]))
+    assert (stepped.state_at(j)[2] - manual).l2() <= 1e-13
 
 
 def test_picard_contraction_and_divergence_reporting(grid2d, params, cfg2, rng):
@@ -216,8 +229,9 @@ def test_linear_regime_matches_matrix_exponential(grid2d, params, cfg2):
     dt = float(traj.times[1] - traj.times[0])
     for j in (32, 64, 128):
         exact = expm(mat * float(traj.times[j])) @ state0
-        got = np.array([traj.u[j].coeffs[0][k], traj.u[j].coeffs[1][k],
-                        traj.om[j].coeffs[0][k], traj.th[j].coeffs[0][k]])
+        u, om, th = traj.state_at(j)
+        got = np.array([u.coeffs[0][k], u.coeffs[1][k],
+                        om.coeffs[0][k], th.coeffs[0][k]])
         assert np.max(np.abs(got - exact)) <= 10 * dt ** 2
 
 
@@ -270,8 +284,8 @@ def test_weighted_norm_weights(grid2d, params, cfg2, rng):
     norms = WeightedNorms(cfg2, grid2d, params)
     u0, om0, th0 = _initial_data(grid2d, rng)
     times = np.linspace(0, 0.25, 9)
-    traj = mp.initial_trajectory(u0, om0, th0, times, params, ZERO, ZERO)
-    curve = norms.weighted_curve("u", traj.u, times, cfg2.alpha1)
+    traj = mp.initial_trajectory(u0, om0, th0, times, params)
+    curve = norms.weighted_curve("u", traj.coeffs["u"], times, cfg2.alpha1)
     assert curve[0] == 0.0  # vanishing weight at t = 0 for alpha1 > alpha0
     assert np.all(np.isfinite(curve))
 
@@ -284,6 +298,12 @@ def _random_nodes(grid, rng, count):
     return u, om, th
 
 
+def _state(grid, times, nodes):
+    """A trajectory whose three fields are the given per-node field lists."""
+    coeffs = {tag: _stack(fields) for tag, fields in zip(TAGS, nodes)}
+    return TrajectoryState(times, grid, coeffs, coeffs)
+
+
 @pytest.mark.parametrize("s", [2.0, 3.0])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batched_norms_match_per_node(grid2d, grid3d, params, cfg2, s, dim):
@@ -294,23 +314,24 @@ def test_batched_norms_match_per_node(grid2d, grid3d, params, cfg2, s, dim):
     norms = WeightedNorms(cfg, grid, params)
     rng = np.random.default_rng(17)
     times = np.linspace(0.0, 0.25, 6)
-    a = TrajectoryState(times, *_random_nodes(grid, rng, 6), [], [], [], [], [], [])
-    b = TrajectoryState(times, *_random_nodes(grid, rng, 6), [], [], [], [], [], [])
-    diffs = norms.difference(a, b)
-    for tag in ("u", "om", "th"):
+    nodes_a = dict(zip(TAGS, _random_nodes(grid, rng, 6)))
+    nodes_b = dict(zip(TAGS, _random_nodes(grid, rng, 6)))
+    a = _state(grid, times, nodes_a.values())
+    diffs = norms.difference(a, _state(grid, times, nodes_b.values()))
+    for tag in TAGS:
         exps = tuple(norms.exps[tag]) + (0.0, norms.base[tag], 1.0)
-        curves = norms.weighted_curve(tag, getattr(a, tag), times, exps)
+        curves = norms.weighted_curve(tag, a.coeffs[tag], times, exps)
         for exp, got in zip(exps, curves):
             w = time_weight(times, exp - norms.base[tag])
             ref = w * np.array([norms.fractional_norm(tag, f, exp)
-                                for f in getattr(a, tag)])
-            single = norms.weighted_curve(tag, getattr(a, tag), times, exp)
+                                for f in nodes_a[tag]])
+            single = norms.weighted_curve(tag, a.coeffs[tag], times, exp)
             for curve in (got, single):
                 assert np.max(np.abs(curve - ref)) <= 1e-13 * np.max(np.abs(ref))
         for exp in norms.exps[tag]:
             w = time_weight(times, exp - norms.base[tag])
             ref = max(w[j] * norms.fractional_norm(tag, fa - fb, exp)
-                      for j, (fa, fb) in enumerate(zip(getattr(a, tag), getattr(b, tag))))
+                      for j, (fa, fb) in enumerate(zip(nodes_a[tag], nodes_b[tag])))
             assert diffs[(tag, exp)] == pytest.approx(ref, rel=1e-13)
 
 
@@ -353,21 +374,19 @@ def test_first_picard_step_against_fine_grid_quadrature(grid2d, params, cfg2, rn
     u0, om0, th0 = _initial_data(grid2d, rng, amp=0.3)
     coarse = np.linspace(0, 0.25, 17)
     fine = np.linspace(0, 0.25, 65)
-    traj0 = mp.initial_trajectory(u0, om0, th0, coarse, params, ZERO, ZERO)
-    traj0_fine = mp.initial_trajectory(u0, om0, th0, fine, params, ZERO, ZERO)
+    traj0 = mp.initial_trajectory(u0, om0, th0, coarse, params)
+    traj0_fine = mp.initial_trajectory(u0, om0, th0, fine, params)
     stepped = picard_step(traj0, params, ZERO, ZERO)
+    rhs_fine = node_rhs(traj0_fine, params, ZERO, ZERO)
     from micropolar.nonlinear import generators
-    a_op, g_op, b_op = generators(grid2d, params)
     dt = float(coarse[1] - coarse[0])
-    for op, rhs_fine, free, new_nodes in (
-            (a_op, traj0_fine.rhs_u, traj0.free_u, stepped.u),
-            (g_op, traj0_fine.rhs_om, traj0.free_om, stepped.om),
-            (b_op, traj0_fine.rhs_th, traj0.free_th, stepped.th)):
+    for i, (tag, op) in enumerate(zip(TAGS, generators(grid2d, params))):
         for j in (8, 16):
-            refined = free[j] + mp.duhamel_integral(op, rhs_fine, fine,
-                                                    float(coarse[j]))
-            err = new_nodes[j] - refined
-            scale = max(new_nodes[j].l2(), 1e-12)
+            refined = _field(grid2d, traj0.free[tag][j]) + mp.duhamel_integral(
+                op, rhs_fine[tag], fine, float(coarse[j]))
+            new = stepped.state_at(j)[i]
+            err = new - refined
+            scale = max(new.l2(), 1e-12)
             assert err.l2() / scale <= 10 * dt ** 2
 
 
@@ -415,3 +434,59 @@ def test_window_horizons_follow_the_march_from_zero():
     pic = mp.PicardConfig(horizon=0.25)
     got = window_horizons(pic, 1.0, 0.3)
     assert got[1:] == [0.25, 0.25] and got[0] == pytest.approx(0.2, abs=1e-15)
+
+
+def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
+                                                           rng, monkeypatch):
+    """Each sweep evaluates the RHS of its input iterate once per node; the
+    converged iterate's own RHS is never evaluated."""
+    import micropolar.solver as solver
+
+    calls = []
+    original = solver.assemble_rhs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_rhs", counting)
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
+    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    assert rep.converged and len(rep.iterations) >= 3
+    assert len(calls) == traj.node_count * len(rep.iterations)
+
+
+def test_state_at_is_full_spectrum_of_stored_arrays(grid2d, grid3d, params, cfg2):
+    for grid in (grid2d, grid3d):
+        u0, om0, th0 = _initial_data(grid, np.random.default_rng(3))
+        traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+        traj = picard_step(traj, params, ZERO, ZERO)
+        for j in range(traj.node_count):
+            for tag, fld in zip(TAGS, traj.state_at(j)):
+                half = traj.coeffs[tag][j]
+                assert fld.coeffs.tobytes() == full_spectrum(grid, half).tobytes()
+                assert half_spectrum(fld.coeffs).tobytes() == half.tobytes()
+        assert [f.coeffs.tobytes() for f in traj.u] \
+            == [traj.state_at(j)[0].coeffs.tobytes() for j in range(traj.node_count)]
+
+
+def test_global_trajectory_joins_windows_at_shared_end_nodes(grid2d, params, cfg2, rng):
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    pic = mp.PicardConfig(horizon=0.125, nodes_per_unit=64, tol=1e-10, m_max=30)
+    windows = []
+    res = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.375,
+                          checkpoint_hook=lambda w, traj: windows.append(traj))
+    assert res.completed and len(windows) == 3
+    for a, b in zip(windows, windows[1:]):
+        assert b.times[0] == a.times[-1]
+    full = res.traj
+    assert np.array_equal(full.times, np.concatenate(
+        [windows[0].times] + [w.times[1:] for w in windows[1:]]))
+    for tag in TAGS:
+        for arrays in ((full.coeffs, [w.coeffs for w in windows]),
+                       (full.free, [w.free for w in windows])):
+            joined = np.concatenate([arrays[1][0][tag]]
+                                    + [c[tag][1:] for c in arrays[1][1:]])
+            assert np.array_equal(arrays[0][tag], joined)
+    assert full.m == windows[-1].m
