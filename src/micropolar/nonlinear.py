@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError
 from .fields import (
     GridSpec,
     SpectralField,
@@ -26,18 +26,16 @@ from .fields import (
     rfft_half,
     to_physical,
     to_spectral,
+    _zero_index,
 )
 from .operators import (
     curl,
-    divergence_defect,
     gamma_operator,
     laplace_operator,
     parallel_part,
     projector_symbols,
     stokes_operator,
 )
-
-SOLENOIDAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -243,12 +241,6 @@ def _check_grids(*fs: SpectralField):
             raise ConfigurationError("fields live on different grids")
 
 
-def require_solenoidal(u: SpectralField, tol: float = SOLENOIDAL_TOL):
-    defect = divergence_defect(u)
-    if defect > tol:
-        raise PreconditionError(f"velocity is not solenoidal (relative div {defect:.2e})")
-
-
 def advect_coeffs(grid: GridSpec, uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
     """(u . grad) w on half spectra with a leading batch axis, dealiased:
     uh (B, dim, *half) and wh (B, C, *half), either B may be 1, give
@@ -309,31 +301,27 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
     return SpectralField(u.grid, full_spectrum(u.grid, out[0]))
 
 
-def assemble_rhs(u: SpectralField, om: SpectralField, th: SpectralField,
+def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarray,
                  params: CouplingParams, f: ForcingSpec, g: ForcingSpec,
-                 *, linear_only: bool = False,
-                 check_solenoidal: bool = True) -> tuple:
-    """Right-hand sides of the projected system.
+                 *, linear_only: bool = False) -> np.ndarray:
+    """Right-hand sides of the projected system at one node.
 
     Velocity:       F = -P(u.grad)u + (2 mu_r / rho) P rot om + P f(theta)
     Microrotation:  G = -(u.grad)om - (4 mu_r / rho) om + (2 mu_r / rho) rot u + g(theta)
     Temperature:    H = -(u.grad)th + Phi(u; om) / (rho cv)
 
+    uh, omh and thh are the half spectra (comp, *half) of u, om and th; the
+    result stacks F, G and H on the component axis, (dim + C + 1, *half).
     linear_only drops transport and the dissipation function (linear-regime
-    diagnostics).  All outputs are dealiased; F is solenoidal.
+    diagnostics).  All outputs are dealiased; F is solenoidal and mean-zero.
 
     One inverse real transform takes u, om and the gradients of u, om and
     th (plus th when there is forcing) to the grid; transport, Phi and the
     forcing are formed there and one forward transform returns them.  The
     linear terms, the 2/3 rule and the projection act on the half spectrum.
     """
-    _check_grids(u, om, th)
-    if check_solenoidal:
-        require_solenoidal(u)
-    grid = u.grid
-    dim, ncomp = grid.dim, om.components
+    dim, ncomp = grid.dim, omh.shape[0]
     dk, ik, kap, ksq, mask = _half_symbols(grid)
-    uh, omh, thh = (half_spectrum(x.coeffs) for x in (u, om, th))
     forced = f.kind != "zero" or g.kind != "zero"
 
     nout = dim + ncomp + 1
@@ -364,9 +352,5 @@ def assemble_rhs(u: SpectralField, om: SpectralField, th: SpectralField,
         out[dim: dim + ncomp] += (-2.0 * two_mur) * omh + two_mur * curl(uh, dk)
     out[:dim] -= parallel_part(out[:dim], kap, ksq)
     out *= mask
-    full = full_spectrum(grid, out)
-    g_mean_zero = linear_only and g.kind == "zero" and params.mu_r > 0 and om.mean_zero
-    # copies, so that no output keeps the others' planes alive
-    return (SpectralField(grid, full[:dim], mean_zero=True),
-            SpectralField(grid, full[dim: dim + ncomp].copy(), mean_zero=g_mean_zero),
-            SpectralField(grid, full[dim + ncomp:].copy()))
+    out[(slice(None, dim),) + _zero_index(grid)] = 0.0
+    return out

@@ -181,7 +181,6 @@ class PicardConfig:
     nodes_per_unit: int = 256
     m_max: int = 30
     tol: float = 1e-9
-    weighted_exponents: tuple | None = None   # ((a,b,g),)*3; default from ExponentConfig
     grading: float = 1.0                      # t_j = T (j/J)^grading
     linear_only: bool = False
 
@@ -277,13 +276,14 @@ def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField
 
 def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
              g: ForcingSpec, linear_only: bool = False) -> dict:
-    """Right-hand sides of the iterate, one assemble_rhs call per node, as
-    node-stacked half spectra keyed by the tag of the equation they drive."""
-    rhs = [assemble_rhs(*traj.state_at(j), params, f, g, linear_only=linear_only,
-                        check_solenoidal=False)
-           for j in range(traj.node_count)]
-    return {tag: np.stack([half_spectrum(r.coeffs) for r in col])
-            for tag, col in zip(TAGS, zip(*rhs))}
+    """Right-hand sides of the iterate, one assemble_rhs call per node on its
+    half spectra, as node-stacked half spectra keyed by the tag of the
+    equation they drive."""
+    rhs = np.stack([assemble_rhs(traj.grid, *(traj.coeffs[tag][j] for tag in TAGS),
+                                 params, f, g, linear_only=linear_only)
+                    for j in range(traj.node_count)])
+    dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
+    return dict(zip(TAGS, np.split(rhs, [dim, dim + ncomp], axis=1)))
 
 
 def picard_step(traj: TrajectoryState, params: CouplingParams,
@@ -534,14 +534,17 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
     Recomputes the Duhamel integral of the trajectory's RHS with cubic (rather
     than linear) interpolation of the integrand; the L2 mismatch per node
     measures the distance from a refined quadrature and shrinks at second
-    order in the node spacing.
+    order in the node spacing.  Both the integral and the free evolution start
+    at the first node: by the semigroup property, a trajectory joined from
+    windows or resumed at t0 > 0 is one mild solution from that node.
     """
     from scipy.interpolate import CubicSpline
 
     times = traj.times
     rhs = node_rhs(traj, params, f, g, linear_only)
     out = {}
-    for (tag, half), op in zip(traj.coeffs.items(), generators(traj.grid, params)):
+    for (tag, half), op, start in zip(traj.coeffs.items(), generators(traj.grid, params),
+                                      traj.state_at(0)):
         acc = 0.0
         for eig, part in _half_subspaces(op, rhs[tag]):
             cs = CubicSpline(times, part.reshape(len(times), -1), axis=0).c  # (4, nodes-1, flat)
@@ -556,7 +559,7 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
                 run = np.exp(-h * eig_flat) * run + seg
                 vals.append(run)
             acc = acc + np.stack(vals)
-        refined = traj.free[tag] + acc.reshape(half.shape)
+        refined = _free_evolution(op, start, times - times[0]) + acc.reshape(half.shape)
         out[tag] = node_l2(traj.grid, full_spectrum(traj.grid, half - refined))
     return out
 

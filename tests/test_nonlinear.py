@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import micropolar as mp
-from micropolar.errors import ConfigurationError, PreconditionError
-from micropolar.fields import grid_points, to_physical
-from micropolar.nonlinear import evaluate_forcing, require_solenoidal
+from micropolar.errors import ConfigurationError
+from micropolar.fields import full_spectrum, grid_points, half_spectrum, to_physical
+from micropolar.nonlinear import evaluate_forcing
 from micropolar.operators import divergence_defect, gradient
 
 
@@ -159,12 +159,21 @@ def test_forcing_serialization_roundtrip():
     assert mp.ForcingSpec.from_dict(spec.to_dict()) == spec
 
 
+def _halves(*fields):
+    return [half_spectrum(x.coeffs) for x in fields]
+
+
+def _field(grid, half):
+    return mp.SpectralField(grid, full_spectrum(grid, half))
+
+
 def test_assemble_rhs_zero_state(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     zero = mp.ForcingSpec.zero()
-    F, G, H = mp.assemble_rhs(z2, z1, z1, params, zero, zero)
-    assert F.l2() == 0.0 and G.l2() == 0.0 and H.l2() == 0.0
+    out = mp.assemble_rhs(grid2d, *_halves(z2, z1, z1), params, zero, zero)
+    assert out.shape == (4,) + half_spectrum(z1.coeffs).shape[1:]
+    assert not np.any(out)
 
 
 def test_assemble_rhs_linear_term_isolation(grid2d, params):
@@ -173,19 +182,19 @@ def test_assemble_rhs_linear_term_isolation(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     zero = mp.ForcingSpec.zero()
-    _, G, _ = mp.assemble_rhs(z2, om, z1, params, zero, zero)
-    expect = (-4 * params.mu_r) * om
-    assert np.max(np.abs(G.coeffs - expect.coeffs)) <= 1e-14
+    out = mp.assemble_rhs(grid2d, *_halves(z2, om, z1), params, zero, zero)
+    expect = half_spectrum(((-4 * params.mu_r) * om).coeffs)
+    assert np.max(np.abs(out[2:3] - expect)) <= 1e-14
 
 
 def test_assemble_rhs_output_structure(grid2d, params, rng):
     u, om, th = _random_state(grid2d, rng)
     zero = mp.ForcingSpec.zero()
-    F, G, H = mp.assemble_rhs(u, om, th, params, zero, zero)
-    assert divergence_defect(F) <= 1e-12
+    out = mp.assemble_rhs(grid2d, *_halves(u, om, th), params, zero, zero)
+    assert divergence_defect(_field(grid2d, out[:2])) <= 1e-12
     # mean of H equals mean of Phi/(rho cv): transport integrates to zero
     phi = mp.dissipation_phi(u, u, om, om, params)
-    lhs = H.mean_values()[0]
+    lhs = out[3, 0, 0].real
     rhs = phi.mean_values()[0] / (params.rho * params.cv)
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
@@ -232,23 +241,15 @@ def test_fused_rhs_matches_composition(grid2d, grid3d, dim, forcing, mu_r,
     u, om, th = _random_state(grid, np.random.default_rng(dim), scale=0.7)
     f = _forcings(forcing, dim)
     g = _forcings(forcing, om.components)
-    got = mp.assemble_rhs(u, om, th, params, f, g, linear_only=linear_only)
+    got = mp.assemble_rhs(grid, *_halves(u, om, th), params, f, g,
+                          linear_only=linear_only)
     ref = _reference_rhs(u, om, th, params, f, g, linear_only=linear_only)
     scale = max(r.l2() for r in ref)
-    for a, b in zip(got, ref):
-        assert a.coeffs.shape == b.coeffs.shape
-        assert a.mean_zero == b.mean_zero
-        assert (a - b).l2() <= 1e-13 * scale
-    assert divergence_defect(got[0]) <= 1e-12
-
-
-def test_assemble_rhs_rejects_nonsolenoidal(grid2d, params, rng):
-    u = mp.random_field(grid2d, 2, rng)  # not projected
-    z1 = mp.SpectralField.zero(grid2d, 1)
-    zero = mp.ForcingSpec.zero()
-    with pytest.raises(PreconditionError):
-        mp.assemble_rhs(u, z1, z1, params, zero, zero)
-    require_solenoidal(mp.leray_project(u))
+    for a, b in zip(np.split(got, [dim, dim + om.components]), ref):
+        assert a.shape == half_spectrum(b.coeffs).shape
+        assert _field(grid, a - half_spectrum(b.coeffs)).l2() <= 1e-13 * scale
+    assert np.all(got[(slice(None, dim),) + (0,) * dim] == 0)  # F's mean mode
+    assert divergence_defect(_field(grid, got[:dim])) <= 1e-12
 
 
 def test_forcing_evaluation_component_check(grid2d, rng):

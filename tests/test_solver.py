@@ -271,6 +271,31 @@ def test_restart_consistency(grid2d, params, cfg2, rng):
         assert (a - b).l2() <= 10 * max(quad_err, 1e-12)
 
 
+def test_duhamel_residual_of_joined_and_resumed_windows(grid2d, params, cfg2):
+    """By the semigroup property a trajectory joined from windows, or resumed
+    at t0 > 0, is one mild solution from its first node: its residual is that
+    of a single window over the same span, not the size of a restart."""
+    rng = np.random.default_rng(6)
+    u0 = mp.leray_project(mp.random_field(grid2d, 2, rng, amplitude=0.2, sigma=3.0))
+    om0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
+    th0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
+
+    def worst(traj):
+        return max(float(np.max(v)) for v in duhamel_residual(traj, params).values())
+
+    pics = [mp.PicardConfig(horizon=h, nodes_per_unit=96, tol=1e-11, m_max=40)
+            for h in (0.5, 0.25)]
+    one, two = (mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.5)
+                for pic in pics)
+    assert len(one.reports) == 1 and len(two.reports) == 2
+    assert worst(two.traj) <= 2 * worst(one.traj)
+    j = int(np.argmin(np.abs(two.traj.times - 0.25)))
+    resumed = mp.global_solve(*two.traj.state_at(j), cfg2, params, ZERO, ZERO,
+                              pics[1], 0.5, t0=0.25)
+    assert resumed.traj.times[0] == 0.25
+    assert worst(resumed.traj) <= 2 * worst(one.traj)
+
+
 def test_global_solve_elog_zero_data(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
@@ -455,6 +480,39 @@ def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
     traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
     assert rep.converged and len(rep.iterations) >= 3
     assert len(calls) == traj.node_count * len(rep.iterations)
+
+
+def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
+    """A sweep works on the trajectory's half spectra: it builds no
+    SpectralField and fills no full spectrum (state_at, which does both,
+    shows that the counting sees them)."""
+    import sys
+
+    from micropolar import fields
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+    fill = fields.full_spectrum
+    monkeypatch.setattr(fields.SpectralField, "__post_init__",
+                        counting("field", fields.SpectralField.__post_init__))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("micropolar") and getattr(mod, "full_spectrum", None) is fill:
+            monkeypatch.setattr(mod, "full_spectrum", counting("fill", fill))
+    f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
+    g = mp.ForcingSpec("linear", (0.3,))
+    traj = picard_step(traj, params, f, g)
+    picard_step(traj, params, ZERO, ZERO, linear_only=True)
+    assert calls == []
+    traj.state_at(0)
+    assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
 
 
 def test_state_at_is_full_spectrum_of_stored_arrays(grid2d, grid3d, params, cfg2):
