@@ -309,10 +309,8 @@ def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     # at the base exponents the time weight is 1: these are the plain norms
     base = np.stack([norms.weighted_curve(tag, half, traj.times, norms.base[tag])
                      for tag, half in traj.coeffs.items()])
-    rows = []
-    for j in range(traj.node_count):
-        u, om, th = traj.state_at(j)
-        rows.append([float(traj.times[j]), u.l2(), om.l2(), th.l2(), *base[:, j]])
+    l2 = np.stack(list(traj.l2_norms().values()))
+    rows = [[float(t), *l2[:, j], *base[:, j]] for j, t in enumerate(traj.times)]
     return cols, rows
 
 

@@ -304,53 +304,59 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
 def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarray,
                  params: CouplingParams, f: ForcingSpec, g: ForcingSpec,
                  *, linear_only: bool = False) -> np.ndarray:
-    """Right-hand sides of the projected system at one node.
+    """Right-hand sides of the projected system at a block of nodes.
 
     Velocity:       F = -P(u.grad)u + (2 mu_r / rho) P rot om + P f(theta)
     Microrotation:  G = -(u.grad)om - (4 mu_r / rho) om + (2 mu_r / rho) rot u + g(theta)
     Temperature:    H = -(u.grad)th + Phi(u; om) / (rho cv)
 
-    uh, omh and thh are the half spectra (comp, *half) of u, om and th; the
-    result stacks F, G and H on the component axis, (dim + C + 1, *half).
-    linear_only drops transport and the dissipation function (linear-regime
-    diagnostics).  All outputs are dealiased; F is solenoidal and mean-zero.
+    uh, omh and thh are the node-stacked half spectra (B, comp, *half) of u,
+    om and th; the result stacks F, G and H on the component axis,
+    (B, dim + C + 1, *half).  Each node's result is the one a block of that
+    node alone gives, bit for bit.  linear_only drops transport and the
+    dissipation function (linear-regime diagnostics).  All outputs are
+    dealiased; F is solenoidal and mean-zero.
 
     One inverse real transform takes u, om and the gradients of u, om and
-    th (plus th when there is forcing) to the grid; transport, Phi and the
-    forcing are formed there and one forward transform returns them.  The
-    linear terms, the 2/3 rule and the projection act on the half spectrum.
+    th (plus th when there is forcing) at every node to the grid; transport,
+    Phi and the forcing are formed there, with the node axis after the
+    component axes, and one forward transform returns them.  The linear
+    terms, the 2/3 rule and the projection act on the half spectrum.
     """
-    dim, ncomp = grid.dim, omh.shape[0]
+    dim, ncomp = grid.dim, omh.shape[1]
     dk, ik, kap, ksq, mask = _half_symbols(grid)
     forced = f.kind != "zero" or g.kind != "zero"
 
     nout = dim + ncomp + 1
-    vals = np.zeros((nout,) + grid.shape)  # F, G, H at the grid points
+    vals = np.zeros((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
     if not linear_only:
-        planes = [uh, omh, _gradient_planes(np.concatenate([uh, omh, thh]), ik), thh]
-        phys = irfft_half(grid, np.concatenate(planes if forced else planes[:-1]))
-        u_vals, om_vals = phys[:dim], phys[dim: dim + ncomp]
-        grads = phys[dim + ncomp: dim + ncomp + nout * dim].reshape((nout, dim) + grid.shape)
+        planes = [uh, omh, _gradient_planes(np.concatenate([uh, omh, thh], axis=1), ik)]
+        u_vals, om_vals, grads, *th_vals = _grid_values(
+            grid, *planes, *([thh] if forced else []))
+        grads = grads.reshape((nout, dim) + grads.shape[1:])
         vals -= np.sum(u_vals * grads, axis=1)
         du, dom = grads[:dim], grads[dim: dim + ncomp]
         vals[-1] += _phi_values(du, du, om_vals, om_vals, dom, dom, params) \
             / (params.rho * params.cv)
     elif forced:
-        phys = irfft_half(grid, thh)
+        th_vals = _grid_values(grid, thh)
+    # th_vals[0][0] is theta at the grid points of every node, (B, *grid)
     if f.kind != "zero":
-        vals[:dim] += _forcing_values(f, phys[-1], dim)
+        vals[:dim] += _forcing_values(f, th_vals[0][0], dim)
     if g.kind != "zero":
-        vals[dim: dim + ncomp] += _forcing_values(g, phys[-1], ncomp)
+        vals[dim: dim + ncomp] += _forcing_values(g, th_vals[0][0], ncomp)
     if forced or not linear_only:
         out = rfft_half(grid, vals)
     else:
-        out = np.zeros((nout,) + uh.shape[1:], dtype=np.complex128)
+        out = np.zeros((nout, uh.shape[0]) + uh.shape[2:], dtype=np.complex128)
 
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
-        out[:dim] += two_mur * curl(omh, dk)
-        out[dim: dim + ncomp] += (-2.0 * two_mur) * omh + two_mur * curl(uh, dk)
-    out[:dim] -= parallel_part(out[:dim], kap, ksq)
+        u_c, om_c = np.swapaxes(uh, 0, 1), np.swapaxes(omh, 0, 1)
+        out[:dim] += two_mur * curl(om_c, dk)
+        out[dim: dim + ncomp] += (-2.0 * two_mur) * om_c + two_mur * curl(u_c, dk)
+    out = np.swapaxes(out, 0, 1)
+    out[:, :dim] -= parallel_part(out[:, :dim], kap, ksq)
     out *= mask
-    out[(slice(None, dim),) + _zero_index(grid)] = 0.0
+    out[(slice(None), slice(None, dim)) + _zero_index(grid)] = 0.0
     return out

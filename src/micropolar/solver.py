@@ -42,6 +42,11 @@ from .operators import (
 
 MEAN_TOL = 1e-10
 
+# grid values one assemble_rhs call may take to the grid: blocks of nodes
+# amortise the per-call overhead of the small transforms, while blocks past
+# the cache-sized working set run slower and raise the peak memory
+RHS_BLOCK_BYTES = 3 << 18
+
 
 def beta_function(x: float, y: float) -> float:
     """Euler beta via log-gamma."""
@@ -232,6 +237,12 @@ class TrajectoryState:
     def node_count(self) -> int:
         return len(self.times)
 
+    def node_blocks(self) -> list:
+        """Consecutive slices of rhs_block_size nodes covering every node;
+        the last may be shorter."""
+        n, size = self.node_count, rhs_block_size(self.grid, self.coeffs["om"].shape[1])
+        return [slice(j, min(j + size, n)) for j in range(0, n, size)]
+
     def _field(self, tag: str, half: np.ndarray) -> SpectralField:
         # the Stokes semigroup and the projected RHS keep the velocity mean-zero
         return SpectralField(self.grid, full_spectrum(self.grid, half),
@@ -241,11 +252,39 @@ class TrajectoryState:
         """(u, om, th) at node j as full-spectrum fields."""
         return tuple(self._field(tag, c[j]) for tag, c in self.coeffs.items())
 
+    def l2_norms(self) -> dict:
+        """The L2 norm of each field at every node, keyed by tag: the values
+        of state_at(j)[i].l2(), bit for bit, without building the fields."""
+        out = {tag: [] for tag in TAGS}
+        for b in self.node_blocks():
+            for tag, half in self.coeffs.items():
+                full = full_spectrum(self.grid, half[b])
+                # np.sum rounds by memory layout, so each node is laid out as
+                # its state_at field: the velocity as the C-order mean-zero
+                # copy, the others components innermost as full_spectrum
+                # leaves a single node
+                if tag == "u":
+                    full = np.ascontiguousarray(full)
+                    full[(Ellipsis,) + _zero_index(self.grid)] = 0.0
+                else:
+                    full = np.moveaxis(np.ascontiguousarray(np.moveaxis(full, 1, -1)), -1, 1)
+                out[tag].append(node_l2(self.grid, full))
+        return {tag: np.concatenate(v) for tag, v in out.items()}
+
     @property
     def u(self) -> tuple:
         """The velocity at every node as full-spectrum fields: a view for
         readers of checkpoints and reports; the solver uses the arrays."""
         return tuple(self._field("u", c) for c in self.coeffs["u"])
+
+
+def rhs_block_size(grid: GridSpec, ncomp: int) -> int:
+    """Nodes per assemble_rhs call: as many as keep the float64 grid values of
+    its inverse transform (u, om and the gradients of u, om and th, that is
+    dim + C + (dim + C + 1) dim planes a node) within RHS_BLOCK_BYTES, and at
+    least one."""
+    planes = (grid.dim + ncomp) * (grid.dim + 1) + grid.dim
+    return max(1, RHS_BLOCK_BYTES // (planes * grid.num_modes * 8))
 
 
 def _free_evolution(op: OperatorSymbol, f0: SpectralField, times: np.ndarray) -> np.ndarray:
@@ -276,13 +315,17 @@ def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField
 
 def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
              g: ForcingSpec, linear_only: bool = False) -> dict:
-    """Right-hand sides of the iterate, one assemble_rhs call per node on its
-    half spectra, as node-stacked half spectra keyed by the tag of the
-    equation they drive."""
-    rhs = np.stack([assemble_rhs(traj.grid, *(traj.coeffs[tag][j] for tag in TAGS),
-                                 params, f, g, linear_only=linear_only)
-                    for j in range(traj.node_count)])
+    """Right-hand sides of the iterate, one assemble_rhs call per block of
+    nodes on its half spectra, as node-stacked half spectra keyed by the tag
+    of the equation they drive."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
+    half = traj.coeffs["u"].shape[2:]
+    # filled block by block: the blocks' results and a joined copy of them
+    # are never held at once
+    rhs = np.empty((traj.node_count, dim + ncomp + 1) + half, dtype=np.complex128)
+    for b in traj.node_blocks():
+        rhs[b] = assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
+                              params, f, g, linear_only=linear_only)
     return dict(zip(TAGS, np.split(rhs, [dim, dim + ncomp], axis=1)))
 
 
@@ -520,7 +563,10 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
 
 def node_l2(grid: GridSpec, full: np.ndarray) -> np.ndarray:
     """L2 norm at every node of node-stacked full-spectrum coefficients
-    (nodes, comp, *grid), each summed as SpectralField.l2 sums it."""
+    (nodes, comp, *grid).  np.sum rounds by memory layout, so a node's value
+    equals SpectralField.l2 of a field only where the node's slice has the
+    field's layout, e.g. both C-contiguous; full_spectrum returns neither
+    (its components are innermost, interleaved across nodes)."""
     # one sum per node: a batched sum over an axis rounds differently
     return np.array([np.sqrt(grid.volume * np.sum(np.abs(c) ** 2)) for c in full])
 

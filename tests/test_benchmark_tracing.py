@@ -1,5 +1,7 @@
 """The benchmark's per-layer tracer (perfbench/tracing.py) still finds every
-layer it wraps by name, and counts one RHS evaluation per node and sweep.
+layer it wraps by name, and counts one RHS evaluation per node and sweep:
+each assemble_rhs call takes a block of nodes, so the node rows of its
+calls, not the calls, add up to nodes times sweeps.
 
 The tracer rebinds names across the package and numpy.fft, so it runs in a
 subprocess that the other tests never see."""
@@ -19,7 +21,17 @@ from perfbench.tracing import Tracer
 tracer = Tracer()
 tracer.install()
 import micropolar as mp
+import micropolar.solver as solver
 from micropolar.cli import lambda_chain_cap
+
+rows = []
+traced = solver.assemble_rhs
+
+def counting(grid, uh, *args, **kwargs):
+    rows.append(uh.shape[0])
+    return traced(grid, uh, *args, **kwargs)
+
+solver.assemble_rhs = counting
 
 grid, params = mp.GridSpec(dim=2, n=16), mp.CouplingParams()
 base = mp.ExponentConfig(p=2, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
@@ -35,7 +47,7 @@ tracer.active = False
 counts, _ = tracer.snapshot()
 json.dump({"missing": tracer.missing, "nodes": traj.node_count,
            "sweeps": len(rep.iterations), "converged": rep.converged,
-           "counts": counts}, sys.stdout)
+           "rows": rows, "counts": counts}, sys.stdout)
 """
 
 
@@ -52,5 +64,6 @@ def test_tracer_wraps_every_layer_and_counts_node_evaluations():
     counts = out["counts"]
     assert counts["solver.picard_solve.calls"] == 1
     assert counts["solver.picard_step.calls"] == out["sweeps"]
-    assert counts["nonlinear.assemble_rhs.calls"] == out["nodes"] * out["sweeps"]
+    assert counts["nonlinear.assemble_rhs.calls"] == len(out["rows"])
+    assert sum(out["rows"]) == out["nodes"] * out["sweeps"]
     assert counts["fields.fft_calls"] > 0

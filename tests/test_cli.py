@@ -1,8 +1,10 @@
+import csv
 import json
 import os
 import struct
 import time
 
+import numpy as np
 import pytest
 
 import micropolar as mp
@@ -501,3 +503,75 @@ def test_exponents_bad_config_is_usage_error(tmp_path, capsys, text, action):
     err = capsys.readouterr().err
     assert rc == 2
     assert sum("error:" in ln for ln in err.splitlines()) == 1
+
+
+EXAMPLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs", "example_run.json")
+
+
+def _verdicts(outdir) -> dict:
+    with open(os.path.join(outdir, "reports.csv")) as fh:
+        return {row["lemma_id"]: row["verdict"] for row in csv.DictReader(fh)}
+
+
+def test_verify_2_2_holds_within_holder_constant(tmp_path):
+    # the ensemble max of every row lies below holder_constant(a): a pass even
+    # where it sits far under the bound (stokes a=0.5 at 0.85 of it)
+    out = tmp_path / "v"
+    assert dispatch(["verify", "2.2", "--config", EXAMPLE, "--seed", "2",
+                     "--out", str(out)]) == 0
+    assert set(_verdicts(out).values()) == {"pass"}
+
+
+def test_verify_2_2_fails_past_holder_constant(tmp_path, monkeypatch):
+    # the a=1.0 rows reach above 0.99 of the bound, the others stay below 0.95
+    from micropolar import analysis
+
+    curve = analysis.holder_ratio_curve
+    monkeypatch.setattr(analysis, "holder_ratio_curve",
+                        lambda *args: 1.01 * curve(*args))
+    out = tmp_path / "v"
+    assert dispatch(["verify", "2.2", "--config", EXAMPLE, "--seed", "2",
+                     "--ensemble", "20", "--out", str(out)]) == 1
+    failed = {lemma for lemma, v in _verdicts(out).items() if v == "fail"}
+    assert failed == {f"2.2 {name} holder-difference a=1.0"
+                      for name in ("stokes", "gamma", "laplace")}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, dim, n):
+    """The l2 columns of nodes.csv and the energy ledger, read from the
+    trajectory's arrays in node blocks, write the bytes of the per-node
+    field computation: state_at(j), SpectralField.l2 and the mean mode of
+    dissipation_phi."""
+    from micropolar import solver
+    from micropolar.cli import _norm_table_rows
+
+    # blocks of 5 nodes, so that the ledger spans several blocks and a short one
+    monkeypatch.setattr(solver, "RHS_BLOCK_BYTES",
+                        5 * mp.GridSpec(dim=dim, n=n).num_modes * 8 * (11 if dim == 2 else 27))
+    cfg_dict = _config_dict(str(tmp_path / "out"), n=n, t_total=0.5)
+    cfg_dict["grid"]["dim"] = dim
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg_dict))
+    cfg = load_config(str(path))
+    result = mp.global_solve(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed),
+                             cfg.exponents, cfg.params, cfg.forcing_f, cfg.forcing_g,
+                             cfg.picard, cfg.t_total)
+    traj, p, vol = result.traj, cfg.params, cfg.grid.volume
+    assert len(result.reports) == 2 and len(traj.node_blocks()) >= 3
+    _, rows = _norm_table_rows(traj, cfg)
+    elog = mp.energy_report(traj, p, cfg.forcing_f, cfg.forcing_g)
+    got, want = [], []
+    for j, row in enumerate(rows):
+        u, om, th = traj.state_at(j)
+        kinetic = 0.5 * p.rho * (u.l2() ** 2 + om.l2() ** 2)
+        heat = p.rho * p.cv * vol * float(np.sum(th.mean_values()))
+        phi = mp.dissipation_phi(u, u, om, om, p)
+        dissipation = vol * float(np.sum(phi.mean_values()))
+        got.append(row[1:4] + [elog.kinetic[j], elog.heat[j], elog.dissipation[j],
+                               elog.total[j]])
+        want.append([u.l2(), om.l2(), th.l2(), kinetic, heat, dissipation,
+                     kinetic + heat])
+    assert [[repr(float(x)) for x in r] for r in got] \
+        == [[repr(float(x)) for x in r] for r in want]

@@ -160,7 +160,8 @@ def test_forcing_serialization_roundtrip():
 
 
 def _halves(*fields):
-    return [half_spectrum(x.coeffs) for x in fields]
+    """One node's half spectra, (1, comp, *half) each."""
+    return [half_spectrum(x.coeffs)[np.newaxis] for x in fields]
 
 
 def _field(grid, half):
@@ -172,7 +173,7 @@ def test_assemble_rhs_zero_state(grid2d, params):
     z1 = mp.SpectralField.zero(grid2d, 1)
     zero = mp.ForcingSpec.zero()
     out = mp.assemble_rhs(grid2d, *_halves(z2, z1, z1), params, zero, zero)
-    assert out.shape == (4,) + half_spectrum(z1.coeffs).shape[1:]
+    assert out.shape == (1, 4) + half_spectrum(z1.coeffs).shape[1:]
     assert not np.any(out)
 
 
@@ -182,7 +183,7 @@ def test_assemble_rhs_linear_term_isolation(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     zero = mp.ForcingSpec.zero()
-    out = mp.assemble_rhs(grid2d, *_halves(z2, om, z1), params, zero, zero)
+    (out,) = mp.assemble_rhs(grid2d, *_halves(z2, om, z1), params, zero, zero)
     expect = half_spectrum(((-4 * params.mu_r) * om).coeffs)
     assert np.max(np.abs(out[2:3] - expect)) <= 1e-14
 
@@ -190,7 +191,7 @@ def test_assemble_rhs_linear_term_isolation(grid2d, params):
 def test_assemble_rhs_output_structure(grid2d, params, rng):
     u, om, th = _random_state(grid2d, rng)
     zero = mp.ForcingSpec.zero()
-    out = mp.assemble_rhs(grid2d, *_halves(u, om, th), params, zero, zero)
+    (out,) = mp.assemble_rhs(grid2d, *_halves(u, om, th), params, zero, zero)
     assert divergence_defect(_field(grid2d, out[:2])) <= 1e-12
     # mean of H equals mean of Phi/(rho cv): transport integrates to zero
     phi = mp.dissipation_phi(u, u, om, om, params)
@@ -241,8 +242,8 @@ def test_fused_rhs_matches_composition(grid2d, grid3d, dim, forcing, mu_r,
     u, om, th = _random_state(grid, np.random.default_rng(dim), scale=0.7)
     f = _forcings(forcing, dim)
     g = _forcings(forcing, om.components)
-    got = mp.assemble_rhs(grid, *_halves(u, om, th), params, f, g,
-                          linear_only=linear_only)
+    (got,) = mp.assemble_rhs(grid, *_halves(u, om, th), params, f, g,
+                             linear_only=linear_only)
     ref = _reference_rhs(u, om, th, params, f, g, linear_only=linear_only)
     scale = max(r.l2() for r in ref)
     for a, b in zip(np.split(got, [dim, dim + om.components]), ref):
@@ -250,6 +251,36 @@ def test_fused_rhs_matches_composition(grid2d, grid3d, dim, forcing, mu_r,
         assert _field(grid, a - half_spectrum(b.coeffs)).l2() <= 1e-13 * scale
     assert np.all(got[(slice(None, dim),) + (0,) * dim] == 0)  # F's mean mode
     assert divergence_defect(_field(grid, got[:dim])) <= 1e-12
+
+
+def _bit_equal(a, b):
+    """Equal values and equal sign bits (np.array_equal takes -0.0 == 0.0)."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@pytest.mark.parametrize("dim,n,forcing", [(2, 32, "zero"), (2, 16, "tanh"),
+                                           (3, 8, "linear")])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_node_blocked_rhs_matches_single_nodes(dim, n, forcing, linear_only):
+    """A block of nodes gives each node the RHS of its own one-node call, bit
+    for bit; 65 nodes in blocks of 8 end with a shorter block."""
+    grid = mp.GridSpec(dim=dim, n=n)
+    params = mp.CouplingParams(mu=0.9, mu_r=0.1, cv=1.5, rho=1.2)
+    rng = np.random.default_rng(n)
+    states = [_halves(*_random_state(grid, rng, scale=0.7)) for _ in range(65)]
+    uh, omh, thh = (np.concatenate(x) for x in zip(*states))
+    f = _forcings(forcing, dim)
+    g = _forcings(forcing, omh.shape[1])
+    blocked = np.concatenate([
+        mp.assemble_rhs(grid, uh[j: j + 8], omh[j: j + 8], thh[j: j + 8], params,
+                        f, g, linear_only=linear_only)
+        for j in range(0, 65, 8)])
+    single = np.concatenate([mp.assemble_rhs(grid, *state, params, f, g,
+                                             linear_only=linear_only)
+                             for state in states])
+    assert _bit_equal(blocked, single)
 
 
 def test_forcing_evaluation_component_check(grid2d, rng):

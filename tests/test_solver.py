@@ -463,23 +463,42 @@ def test_window_horizons_follow_the_march_from_zero():
 
 def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
                                                            rng, monkeypatch):
-    """Each sweep evaluates the RHS of its input iterate once per node; the
-    converged iterate's own RHS is never evaluated."""
+    """Each sweep evaluates the RHS of its input iterate once per node, in
+    blocks of nodes; the converged iterate's own RHS is never evaluated."""
     import micropolar.solver as solver
 
-    calls = []
+    rows = []
     original = solver.assemble_rhs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(grid, uh, *args, **kwargs):
+        rows.append(uh.shape[0])
+        return original(grid, uh, *args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_rhs", counting)
+    monkeypatch.setattr(solver, "RHS_BLOCK_BYTES", 8 * 11 * grid2d.num_modes * 8)
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
     traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
     assert rep.converged and len(rep.iterations) >= 3
-    assert len(calls) == traj.node_count * len(rep.iterations)
+    assert sum(rows) == traj.node_count * len(rep.iterations)
+    # 9 nodes a window: one block of 8 and one of 1 per sweep
+    assert rows == [8, 1] * len(rep.iterations)
+
+
+def test_rhs_block_size_follows_byte_budget():
+    """Blocks hold about RHS_BLOCK_BYTES of inverse-transform grid values:
+    11 planes a node in 2D, 27 in 3D."""
+    from micropolar.solver import RHS_BLOCK_BYTES, rhs_block_size
+
+    grid2, grid3 = mp.GridSpec(dim=2, n=32), mp.GridSpec(dim=3, n=16)
+    assert rhs_block_size(grid2, 1) == RHS_BLOCK_BYTES // (11 * 32 ** 2 * 8) == 8
+    assert 27 * 16 ** 3 * 8 > RHS_BLOCK_BYTES
+    assert rhs_block_size(grid3, 3) == 1
+    u0, om0, th0 = _initial_data(grid2, np.random.default_rng(2))
+    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.25, 65), mp.CouplingParams())
+    blocks = traj.node_blocks()
+    assert [b.stop - b.start for b in blocks] == [8] * 8 + [1]
+    assert blocks[-1].stop == 65
 
 
 def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
