@@ -196,7 +196,8 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
                      ensemble: int = 100, seed: int = 0,
                      solenoidal: bool = False) -> EstimateReport:
     """Smoothing-estimate ratio sup_t t^a e^(lam t) ||L^a e^(-tL) u|| / ||u||
-    over a random ensemble, reported against the analytic per-mode bound.
+    over a random ensemble; the verdict compares the max with the analytic
+    per-mode bound semigroup_constant(alpha, lam, lam_min).
 
     Each member takes the max with the known extremal eigenmode ratio so the
     sup statistic concentrates."""
@@ -222,7 +223,7 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
     ratios = np.array([one(rng) for rng in ensemble_rngs(seed, ensemble)])
     bound = semigroup_constant(alpha, lam, lam_min)
     return make_report(f"smoothing a={alpha} lam={lam}", ratios,
-                       notes=f"analytic per-mode bound {bound:.6g}")
+                       notes=f"analytic per-mode bound {bound:.6g}", bound=bound)
 
 
 def holder_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
@@ -449,10 +450,27 @@ def _exact_sup_lemma(lemma_id: str, cfg: ExponentConfig) -> _ExactSupLemma:
     return table[lemma_id]
 
 
+def _exact_grid(grid: GridSpec) -> GridSpec:
+    """The smallest grid that holds the exact-sup products exactly.
+
+    A product of fields with modes |k|_inf <= _EXACT_KMAX has modes
+    |k|_inf <= 2 _EXACT_KMAX, which n = 4 _EXACT_KMAX + 2 points resolve
+    without aliasing (Orszag's rule).  Dimension and length are the given
+    grid's, and the dealias cutoff is min(n/2, the given grid's cutoff), so
+    a coarse grid's 2/3 rule masks the same product modes as before; a grid
+    of at most n points is returned as it is."""
+    n = 4 * _EXACT_KMAX + 2
+    if grid.n <= n:
+        return grid
+    cutoff = min(n / 2, grid.dealias_fraction * grid.n / 2)
+    return GridSpec(grid.dim, n, grid.length, cutoff / (n / 2))
+
+
 def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
                  params: CouplingParams) -> dict:
-    """The slot spaces of an exact-sup lemma by field tag: velocity slots
-    range over the Leray-projected basis."""
+    """The slot spaces of an exact-sup lemma by field tag, on _exact_grid(grid):
+    velocity slots range over the Leray-projected basis."""
+    grid = _exact_grid(grid)
     ops = dict(zip(TAGS, generators(grid, params)))
     comps = {"u": grid.dim, "om": 1 if grid.dim == 2 else 3, "th": 1}
     return {tag: _slot_space(_real_mode_basis(grid, comps[tag], _EXACT_KMAX),
@@ -464,7 +482,15 @@ def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
                     params: CouplingParams, spaces: dict, rng,
                     alternations: int = 3) -> float:
     """Alternating restricted maximization of a quadratic estimate ratio over
-    the slot spaces of _slot_spaces."""
+    the slot spaces of _slot_spaces.
+
+    The random start is drawn on the given grid, so a member's start does
+    not depend on where it is maximized; the maximization runs on
+    _exact_grid(grid).  With p = q = r = 2 every norm is Parseval's, so the
+    result is the given grid's up to rounding."""
+    start = leray_project(random_field(grid, grid.dim, rng, sigma=_SIGMA,
+                                       kmax=_EXACT_KMAX))
+    grid = _exact_grid(grid)
     norms = WeightedNorms(cfg, grid, params)
     dim, tag = grid.dim, lemma.tag
 
@@ -472,8 +498,11 @@ def _exact_pair_sup(lemma: _ExactSupLemma, cfg: ExponentConfig, grid: GridSpec,
         n = norms.fractional_norm(tag, fld, exp)
         return fld * (1.0 / n) if n > 0 else fld
 
-    u = unit("u", leray_project(random_field(grid, dim, rng, sigma=_SIGMA,
-                                             kmax=_EXACT_KMAX)), lemma.alpha)
+    # the start's modes |k_i| <= _EXACT_KMAX, in the exact grid's layout
+    low = (slice(None),) + np.ix_(*[np.arange(-_EXACT_KMAX, _EXACT_KMAX + 1)] * dim)
+    coeffs = np.zeros((dim,) + grid.shape, dtype=np.complex128)
+    coeffs[low] = start.coeffs[low]
+    u = unit("u", SpectralField(grid, coeffs, mean_zero=True), lemma.alpha)
     best = 0.0
     if lemma.delta is None:     # 2.8
         vel, mic = spaces["u"], spaces["om"]
@@ -921,13 +950,14 @@ class EnergyLog:
 
 
 def energy_report(traj: TrajectoryState, params: CouplingParams,
-                  f: ForcingSpec, g: ForcingSpec) -> EnergyLog:
+                  f: ForcingSpec, g: ForcingSpec, l2: dict | None = None) -> EnergyLog:
     """Track the exact invariant: with zero forcing the kinetic plus thermal
     content rho/2(||u||^2+||om||^2) + rho cv int theta is conserved, and the
-    kinetic part dissipates at rate int Phi."""
+    kinetic part dissipates at rate int Phi.  l2 is traj.l2_norms() where
+    the caller has it."""
     grid, vol = traj.grid, traj.grid.volume
     mean = (slice(None), 0) + _zero_index(grid)
-    l2 = traj.l2_norms()
+    l2 = l2 or traj.l2_norms()
     kinetic = np.array([0.5 * params.rho * (a ** 2 + b ** 2)
                         for a, b in zip(l2["u"].tolist(), l2["om"].tolist())])
     heat = params.rho * params.cv * vol * traj.coeffs["th"][mean].real

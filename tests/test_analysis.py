@@ -412,21 +412,34 @@ def _reference_pair_sup(lemma_id, cfg, grid, params, rng, kmax=2, alternations=3
     return best
 
 
-@pytest.mark.parametrize("lemma", ["2.5", "2.6", "2.7", "2.8"])
-@pytest.mark.parametrize("dim", [2, 3])
-def test_exact_pair_sup_matches_per_field_reference(lemma, dim, params, grid2d,
-                                                    grid3d):
+_LEMMAS = ["2.5", "2.6", "2.7", "2.8"]
+# configured grids: 2D n=16 and 3D n=8 (the conftest grids), 2D n=12, whose 2/3
+# cutoff of 4 the exact-sup grid keeps, 2D n=32, and 3D n=12 for 2.7 only
+# (the 3D reference of the other lemmas takes about 5 s each)
+_EXACT_SUP_CASES = (
+    [pytest.param(dim, n, lemma, id=f"{dim}-{lemma}")
+     for dim, n in ((2, 16), (3, 8)) for lemma in _LEMMAS]
+    + [pytest.param(2, n, lemma, id=f"2n{n}-{lemma}")
+       for n in (12, 32) for lemma in _LEMMAS]
+    + [pytest.param(3, 12, "2.7", id="3n12-2.7")])
+
+
+@pytest.mark.parametrize("dim, n, lemma", _EXACT_SUP_CASES)
+def test_exact_pair_sup_matches_per_field_reference(dim, n, lemma, params):
+    # the reference runs on the configured grid, the batched path on the
+    # alias-free grid of its mode basis
     from micropolar.analysis import (_exact_pair_sup, _exact_sup_lemma, _slot_spaces,
                                      ensemble_rngs)
     from micropolar.cli import lambda_chain_cap
 
-    grid = grid2d if dim == 2 else grid3d
+    grid = mp.GridSpec(dim=dim, n=n)
     base = mp.ExponentConfig(p=2, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
     cfg = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params)).config
     # the 3D basis has 372 velocity fields: one member, one alternation
     members, alternations = (2, 3) if dim == 2 else (1, 1)
     spec = _exact_sup_lemma(lemma, cfg)
     spaces = _slot_spaces(spec, grid, params)
+    assert all(s.grid.n == min(n, 10) for s in spaces.values())
     for rng_new, rng_ref in zip(ensemble_rngs(3, members), ensemble_rngs(3, members)):
         got = _exact_pair_sup(spec, cfg, grid, params, spaces, rng_new,
                               alternations=alternations)
@@ -434,6 +447,25 @@ def test_exact_pair_sup_matches_per_field_reference(lemma, dim, params, grid2d,
                                    alternations=alternations)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dim, n, want", [(2, 8, 8), (2, 10, 10), (2, 12, 10),
+                                          (2, 16, 10), (2, 32, 10), (3, 16, 10)])
+def test_exact_grid_holds_the_slot_products(dim, n, want):
+    # |k|_inf <= 2 fields have products at |k|_inf <= 4: ten points hold them,
+    # and the dealias cutoff stays the configured one where that is below 5
+    from micropolar.analysis import _exact_grid
+    from micropolar.fields import dealias_mask, integer_wavevectors
+
+    grid = mp.GridSpec(dim=dim, n=n)
+    small = _exact_grid(grid)
+    assert (small.dim, small.n, small.length) == (dim, want, grid.length)
+    cutoff = min(5.0, grid.dealias_fraction * n / 2)
+    kept = dealias_mask(small)
+    k = np.max(np.abs(np.stack(integer_wavevectors(small))), axis=0)
+    assert np.array_equal(kept, k <= cutoff)
+    if n <= 10:
+        assert small == grid
 
 
 def _reference_smoothing_curve(op, f, alpha, lam, t_grid):

@@ -538,6 +538,20 @@ def test_verify_2_2_fails_past_holder_constant(tmp_path, monkeypatch):
                       for name in ("stokes", "gamma", "laplace")}
 
 
+def test_verify_2_1_fails_past_semigroup_constant(tmp_path, monkeypatch):
+    # every row's max is its extremal probe's ratio, within 2e-4 of the bound
+    from micropolar import analysis
+
+    curve = analysis.smoothing_ratio_curve
+    monkeypatch.setattr(analysis, "smoothing_ratio_curve",
+                        lambda *args: 1.01 * curve(*args))
+    out = tmp_path / "v"
+    assert dispatch(["verify", "2.1", "--config", EXAMPLE, "--ensemble", "20",
+                     "--out", str(out)]) == 1
+    verdicts = _verdicts(out)
+    assert len(verdicts) == 12 and set(verdicts.values()) == {"fail"}
+
+
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, dim, n):
     """The l2 columns of nodes.csv and the energy ledger, read from the
