@@ -514,7 +514,8 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
                                      tau=float(traj.times[-1]) / 4)
         bundle.add_table("hoelder", ["h", "quotient"],
                          [[h, q] for h, q in sorted(res["quotients"].items())])
-        bundle.verdicts["hoelder finite"] = bool(np.isfinite(res["sup"]))
+        bundle.verdicts["hoelder no growth as h halves"] = bool(
+            np.isfinite(res["sup"]) and not res["small_h_blowup"])
     elif target == "energy":
         traj, _ = _default_run(cfg)
         elog = energy_report(traj, params, cfg.forcing_f, cfg.forcing_g)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,22 @@ def test_fit_decay_pure_semigroup_single_mode(grid2d, params, cfg2):
     assert rate.value == pytest.approx(4.0, rel=1e-6)
 
 
+def test_fit_decay_fits_each_distinct_exponent_once(grid2d, params):
+    from micropolar.cli import load_config
+
+    example = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "example_run.json")
+    cfg = load_config(example).exponents
+    assert cfg.gammas() == (0.03125, 0.03125, 0.03125)
+    _, traj = _solve(grid2d, params, cfg, horizon=0.1, npu=320)
+    fits = mp.fit_decay(traj, cfg, params, window_small=(traj.times[2], 0.05))
+    want = [f"{tag}^{x}" for tag, exps in (("u", cfg.alphas()), ("om", cfg.betas()),
+                                           ("th", cfg.gammas()))
+            for x in dict.fromkeys(exps)]
+    assert [fit.tag for fit in fits] == want
+    assert [fit.tag for fit in fits].count("th^0.03125") == 1
+
+
 def test_fit_decay_zero_data_skipped(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
@@ -234,6 +252,7 @@ def test_time_hoelder_quotients(grid2d, params, cfg2):
     res = time_hoelder_quotients(traj, cfg2, params, alpha_hat=0.5,
                                  tau=float(traj.times[-1]) / 4)
     assert np.isfinite(res["sup"]) and res["sup"] > 0
+    assert not res["small_h_blowup"]   # smooth away from t = 0: the quotient falls
     with pytest.raises(ValueError):
         time_hoelder_quotients(traj, cfg2, params, 0.5, tau=0.0)
 
@@ -286,12 +305,103 @@ def test_fitted_constants_seed_stable(grid2d, params, cfg2):
 
 def test_ensemble_members_independent_of_size(grid2d, params, cfg2):
     # each member owns a spawned stream: the first k members of an ensemble
-    # of n are an ensemble of k (2.6 runs the shared-slot exact maximization)
-    for lemma, n, k in (("2.10", 6, 3), ("2.6", 2, 1)):
+    # of n are an ensemble of k (2.6 runs the shared-slot exact maximization,
+    # 2.10 its cross-check of at most CROSS_CHECK_MEMBERS)
+    for lemma, n, k in (("2.10", 4, 2), ("2.6", 2, 1)):
         full = mp.verify_bilinear(lemma, cfg2, grid2d, params, ensemble=n, seed=5)
         head = mp.verify_bilinear(lemma, cfg2, grid2d, params, ensemble=k, seed=5)
         assert full.ratios.size == n
         assert np.array_equal(full.ratios[:k], head.ratios)
+
+
+# -- zero-order estimates as L2 Fourier multipliers ------------------------
+
+# generic material constants, so that no symbol sup is 1 by accident
+_SYMBOL_PARAMS = mp.CouplingParams(mu=0.7, mu_r=0.2, c0=0.4, ca=0.3, cd=0.6,
+                                   kappa=0.8, rho=1.3)
+
+
+def _selected(grid, params, p=2.0):
+    from micropolar.cli import lambda_chain_cap
+
+    base = mp.ExponentConfig(p=p, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
+    sel = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params))
+    assert sel.feasible
+    return sel.config
+
+
+def _forcings(dim, kind):
+    if kind == "zero":
+        return ZERO, ZERO
+    # linear, off the e1 axis
+    return (mp.ForcingSpec("linear", (0.6, 0.8, 0.3)[:dim]),
+            mp.ForcingSpec("linear", (0.5,) if dim == 2 else (0.5, -0.2, 0.7)))
+
+
+@pytest.mark.parametrize("forcing", ["zero", "linear"])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 32), (3, 8)])
+def test_zero_order_symbol_sup_is_its_single_mode_ratio(dim, n, forcing):
+    from micropolar.analysis import _symbol_extremal, _zero_order_ratio
+    from micropolar.solver import WeightedNorms
+
+    grid, params = mp.GridSpec(dim=dim, n=n), _SYMBOL_PARAMS
+    cfg = _selected(grid, params)
+    f, g = _forcings(dim, forcing)
+    norms = WeightedNorms(cfg, grid, params)
+    for lemma in ("2.9", "2.10", "2.11", "2.12", "2.13"):
+        sup, x = _symbol_extremal(lemma, cfg, f, g, norms)
+        ratio = _zero_order_ratio(lemma, cfg, f, g, norms, x)
+        assert ratio == pytest.approx(sup, rel=1e-12), lemma
+    # 2.10 in closed form: the lowest transverse mode, (c_perp lambda1)^-beta2
+    sup, _ = _symbol_extremal("2.10", cfg, f, g, norms)
+    want = (params.gamma_perp_coeff * mp.lambda1(grid)) ** (-cfg.beta2)
+    assert sup == pytest.approx(want, rel=1e-12)
+    if forcing == "linear":
+        # off e1 the Leray factor |P(k)c|/|c| peaks off the lowest modes: the
+        # symbol's mode beats the transverse mode of the unit e1 probe
+        k_perp = (0,) * (dim - 1) + (1,)
+        low = _zero_order_ratio("2.12", cfg, f, g, norms,
+                                mp.SpectralField.single_mode(grid, k_perp, 1.0))
+        assert _symbol_extremal("2.12", cfg, f, g, norms)[0] > 1.001 * low
+
+
+def test_zero_order_constant_is_symbol_mode_with_cross_check(grid2d, params, cfg2):
+    from micropolar.analysis import CROSS_CHECK_MEMBERS
+
+    for lemma in ("2.9", "2.10", "2.11", "2.12", "2.13"):
+        rep = mp.verify_bilinear(lemma, cfg2, grid2d, params, ensemble=20, seed=4)
+        assert rep.verdict and rep.ensemble_size == CROSS_CHECK_MEMBERS
+        assert np.all(rep.ratios <= rep.fitted_constant * (1 + 1e-6))
+        assert rep.ratio_max == rep.fitted_constant
+    # 2.9-2.11 read no forcing: tanh leaves them L2 multipliers
+    tanh_f = mp.ForcingSpec("tanh", (0.6, 0.8), scale=0.5)
+    tanh_g = mp.ForcingSpec("tanh", (0.5,), scale=0.5)
+    for lemma in ("2.9", "2.10", "2.11"):
+        rep = mp.verify_bilinear(lemma, cfg2, grid2d, params, tanh_f, tanh_g,
+                                 ensemble=20, seed=4)
+        assert rep.verdict and rep.ensemble_size == CROSS_CHECK_MEMBERS
+
+
+@pytest.mark.parametrize("lemma, forcing, p", [
+    ("2.12", "tanh", 2.0), ("2.13", "tanh", 2.0), ("2.9", "zero", 3.0),
+    ("2.12", "zero", 3.0)])
+def test_nonhilbert_zero_order_keeps_full_ensemble(grid2d, params, lemma, forcing, p):
+    from micropolar.analysis import _symbol_extremal, _zero_order_ratio
+    from micropolar.solver import WeightedNorms
+
+    cfg = _selected(grid2d, params, p=p)
+    f = g = ZERO
+    if forcing == "tanh":
+        f = mp.ForcingSpec("tanh", (0.6, 0.8), scale=0.5)
+        g = mp.ForcingSpec("tanh", (0.5,), scale=0.5)
+    rep = mp.verify_bilinear(lemma, cfg, grid2d, params, f, g, ensemble=6, seed=2)
+    assert rep.ensemble_size == 6 and rep.ratios.size == 6
+    assert rep.fitted_constant == rep.ratio_max == float(np.max(rep.ratios))
+    if forcing == "zero":
+        # every member folds in the ratio at the L2 symbol's extremal mode
+        norms = WeightedNorms(cfg, grid2d, params)
+        x = _symbol_extremal(lemma, cfg, f, g, norms)[1]
+        assert np.all(rep.ratios >= _zero_order_ratio(lemma, cfg, f, g, norms, x))
 
 
 # -- exact restricted maximization against the per-field reference --------
@@ -501,10 +611,14 @@ def test_smoothing_ratios_match_per_member_formula(grid2d, params, kind, alpha):
     t_grid = default_t_grid()
     probe = float(np.max(_reference_smoothing_curve(
         op, extremal_smoothing_probe(op, comp), alpha, lam, t_grid)))
-    want = [max(float(np.max(_reference_smoothing_curve(
-        op, mp.random_field(grid2d, comp, rng), alpha, lam, t_grid))), probe)
-        for rng in ensemble_rngs(3, 6)]
+    # the random members cross-check the probe: min(6, CROSS_CHECK_MEMBERS)
+    # of them, each its own curve's max
+    want = [float(np.max(_reference_smoothing_curve(
+        op, mp.random_field(grid2d, comp, rng), alpha, lam, t_grid)))
+        for rng in ensemble_rngs(3, 4)]
     assert rep.ratios.tolist() == want
+    assert rep.fitted_constant == probe
+    assert rep.ratio_max == max(want + [probe])
 
 
 def test_singular_derivative_fit(grid2d, params, cfg2):

@@ -552,6 +552,82 @@ def test_verify_2_1_fails_past_semigroup_constant(tmp_path, monkeypatch):
     assert len(verdicts) == 12 and set(verdicts.values()) == {"fail"}
 
 
+def test_verify_2_1_fails_below_the_bound(tmp_path, monkeypatch):
+    # with lam = mu1 / 2, a probe on the mode k = (2, 0), eigenvalue 4 mu1,
+    # reaches the bound over (2 / (4 / 3.5))^a = 1.75^a, 1.15 or more below it
+    from micropolar import analysis
+
+    monkeypatch.setattr(analysis, "extremal_smoothing_probe", lambda op, comp:
+                        mp.SpectralField.single_mode(op.grid, (2, 0), [0.0, 1.0][-comp:]))
+    out = tmp_path / "v"
+    assert dispatch(["verify", "2.1", "--config", EXAMPLE, "--out", str(out)]) == 1
+    verdicts = _verdicts(out)
+    assert len(verdicts) == 12 and set(verdicts.values()) == {"fail"}
+
+
+@pytest.mark.parametrize("scale", [1.01, 1 / 1.01])
+def test_verify_zero_order_fails_off_its_symbol(tmp_path, monkeypatch, scale):
+    # the single-mode ratio must agree with the symbol's sup within 1e-6
+    from micropolar import analysis
+
+    symbol = analysis._zero_order_symbol
+
+    def scaled(*args):
+        modes, sups, amps = symbol(*args)
+        return modes, scale * sups, amps
+
+    for target in ("2.9", "2.10", "2.11", "2.12", "2.13"):
+        out = tmp_path / target
+        assert dispatch(["verify", target, "--config", EXAMPLE, "--out", str(out)]) == 0
+        monkeypatch.setattr(analysis, "_zero_order_symbol", scaled)
+        assert dispatch(["verify", target, "--config", EXAMPLE, "--out", str(out)]) == 1
+        monkeypatch.undo()
+        assert _verdicts(out) == {target: "fail"}
+
+
+@pytest.mark.parametrize("target", ["2.12", "2.13"])
+def test_verify_forcing_of_wrong_length_is_usage_error(tmp_path, capsys, target):
+    cfg = _config_dict(str(tmp_path / "out"))
+    cfg["forcing_f" if target == "2.12" else "forcing_g"] = {
+        "kind": "linear", "c": [0.5, 0.5, 0.5]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["verify", target, "--config", str(path),
+                     "--out", str(tmp_path / "v")]) == 2
+    assert "forcing has 3 components, expected" in capsys.readouterr().err
+
+
+def test_verify_hoelder_fails_on_rough_increments(tmp_path, monkeypatch):
+    # u = |t - t*|^0.25 cos(y) e_x at the node t* = 0.15625: the quotient for
+    # alpha_hat 1/2 grows like h^-0.25, by 4^0.25 over two halvings of h,
+    # where the example's falls from 0.111 at h = 1/8 to 0.036 at h = 1/256
+    from micropolar import cli
+    from micropolar.analysis import time_hoelder_quotients
+    from micropolar.fields import half_spectrum
+
+    grid = mp.GridSpec(dim=2, n=32)
+    times = np.linspace(0.0, 0.25, 65)
+    mode = half_spectrum(mp.SpectralField.single_mode(grid, (0, 1), [1.0, 0.0]).coeffs)
+    zeros = np.zeros((times.size, 1) + mode.shape[1:], dtype=np.complex128)
+    rough = np.abs(times - 0.15625) ** 0.25
+    coeffs = {"u": rough[:, None, None, None] * mode[None], "om": zeros,
+              "th": zeros.copy()}
+    traj = mp.TrajectoryState(times, grid, coeffs,
+                              {tag: np.zeros_like(c) for tag, c in coeffs.items()})
+    cfg = load_config(EXAMPLE)
+    res = time_hoelder_quotients(traj, cfg.exponents, cfg.params, 0.5, tau=0.0625)
+    hs = sorted(res["quotients"])
+    assert res["quotients"][hs[0]] / res["quotients"][hs[2]] == pytest.approx(
+        4 ** 0.25, rel=1e-9)
+    assert res["small_h_blowup"]
+    out = tmp_path / "v"
+    assert dispatch(["verify", "hoelder", "--config", EXAMPLE, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "_default_run", lambda cfg: (traj, None))
+    assert dispatch(["verify", "hoelder", "--config", EXAMPLE, "--out", str(out)]) == 1
+    with open(out / "verdicts.json") as fh:
+        assert json.load(fh) == {"hoelder no growth as h halves": False}
+
+
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, dim, n):
     """The l2 columns of nodes.csv and the energy ledger, read from the
