@@ -512,6 +512,12 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         traj, _ = _default_run(cfg)
         res = time_hoelder_quotients(traj, exps, params, alpha_hat=0.5,
                                      tau=float(traj.times[-1]) / 4)
+        if len(res["quotients"]) < 3:
+            raise ConfigurationError(
+                f"verify hoelder compares the quotients of the three smallest "
+                f"dyadic h in [T/4, T] and gets {len(res['quotients'])}: raise "
+                f"picard.nodes_per_unit (now {cfg.picard.nodes_per_unit:g}) for "
+                f"the horizon {cfg.picard.horizon:g}")
         bundle.add_table("hoelder", ["h", "quotient"],
                          [[h, q] for h, q in sorted(res["quotients"].items())])
         bundle.verdicts["hoelder no growth as h halves"] = bool(

@@ -305,9 +305,10 @@ def test_fitted_constants_seed_stable(grid2d, params, cfg2):
 
 def test_ensemble_members_independent_of_size(grid2d, params, cfg2):
     # each member owns a spawned stream: the first k members of an ensemble
-    # of n are an ensemble of k (2.6 runs the shared-slot exact maximization,
-    # 2.10 its cross-check of at most CROSS_CHECK_MEMBERS)
-    for lemma, n, k in (("2.10", 4, 2), ("2.6", 2, 1)):
+    # of n are an ensemble of k, bit for bit (2.5-2.8 maximize their members
+    # in one lockstep block, whose size must not change a member; 2.10 runs
+    # its cross-check of at most CROSS_CHECK_MEMBERS)
+    for lemma, n, k in (("2.10", 4, 2), ("2.6", 2, 1), ("2.5", 3, 1), ("2.8", 3, 1)):
         full = mp.verify_bilinear(lemma, cfg2, grid2d, params, ensemble=n, seed=5)
         head = mp.verify_bilinear(lemma, cfg2, grid2d, params, ensemble=k, seed=5)
         assert full.ratios.size == n
@@ -538,7 +539,7 @@ _EXACT_SUP_CASES = (
 def test_exact_pair_sup_matches_per_field_reference(dim, n, lemma, params):
     # the reference runs on the configured grid, the batched path on the
     # alias-free grid of its mode basis
-    from micropolar.analysis import (_exact_pair_sup, _exact_sup_lemma, _slot_spaces,
+    from micropolar.analysis import (_exact_sup_lemma, _exact_sups, _slot_spaces,
                                      ensemble_rngs)
     from micropolar.cli import lambda_chain_cap
 
@@ -550,9 +551,10 @@ def test_exact_pair_sup_matches_per_field_reference(dim, n, lemma, params):
     spec = _exact_sup_lemma(lemma, cfg)
     spaces = _slot_spaces(spec, grid, params)
     assert all(s.grid.n == min(n, 10) for s in spaces.values())
-    for rng_new, rng_ref in zip(ensemble_rngs(3, members), ensemble_rngs(3, members)):
-        got = _exact_pair_sup(spec, cfg, grid, params, spaces, rng_new,
-                              alternations=alternations)
+    sups = _exact_sups(spec, grid, params, spaces, ensemble_rngs(3, members),
+                       alternations=alternations)
+    assert sups.shape == (members,)
+    for got, rng_ref in zip(sups, ensemble_rngs(3, members)):
         want = _reference_pair_sup(lemma, cfg, grid, params, rng_ref,
                                    alternations=alternations)
         assert want > 0
@@ -576,6 +578,69 @@ def test_exact_grid_holds_the_slot_products(dim, n, want):
     assert np.array_equal(kept, k <= cutoff)
     if n <= 10:
         assert small == grid
+
+
+def test_exact_sup_blocks_follow_byte_budget(params, monkeypatch):
+    # a block keeps one grid array per field plane of its largest slot within
+    # RHS_BLOCK_BYTES: the 24 x 2 velocity planes of the 2D n = 10 grid allow
+    # 20 members, so 2D n = 32 runs its 16 in one block; the 248 x 3 planes
+    # of 3D (5.9 MB) allow one
+    from micropolar import analysis
+    from micropolar.analysis import _exact_sup_lemma, _member_block_size, _slot_spaces
+    from micropolar.solver import RHS_BLOCK_BYTES
+
+    grid2, grid3 = mp.GridSpec(dim=2, n=32), mp.GridSpec(dim=3, n=16)
+    cfg = _selected(grid2, params)
+    for lemma in _LEMMAS:
+        spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid2, params)
+        assert spaces["u"].values.shape == (2, 24, 10, 10)
+        assert _member_block_size(spaces) == RHS_BLOCK_BYTES // (24 * 2 * 100 * 8) == 20
+    spaces = _slot_spaces(_exact_sup_lemma("2.5", _selected(grid3, params)), grid3, params)
+    assert spaces["u"].values.shape == (3, 248, 10, 10, 10)
+    assert 248 * 3 * 1000 * 8 > RHS_BLOCK_BYTES
+    assert _member_block_size(spaces) == 1
+
+    blocks, sups = [], analysis._exact_sups
+
+    def counted(lemma, grid, params, spaces, rngs, **kw):
+        blocks.append(len(rngs))
+        return sups(lemma, grid, params, spaces, rngs, **kw)
+
+    monkeypatch.setattr(analysis, "_exact_sups", counted)
+    rep = mp.verify_bilinear("2.7", cfg, grid2, params, ensemble=40, seed=1)
+    assert blocks == [16] and rep.ratios.size == 16
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slot_spaces_are_weight_orthonormal(dim, params):
+    # the fields have an identity weight Gram matrix and span the projected
+    # mode basis, whose rank in 2D is 24 in every slot (the velocity basis
+    # has 48 fields); the kept grid values are theirs
+    from micropolar.analysis import (_exact_sup_lemma, _half_power, _parseval_rows,
+                                     _slot_spaces)
+    from micropolar.fields import half_spectrum, irfft_half
+
+    grid = mp.GridSpec(dim=dim, n=32 if dim == 2 else 8)
+    cfg = _selected(grid, params)
+    comps = {"u": dim, "om": 1 if dim == 2 else 3, "th": 1}
+    for lemma in ("2.6", "2.7"):
+        spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid, params)
+        for tag, space in spaces.items():
+            small = space.grid
+            rows = _parseval_rows(small, _half_power(space.weight, space.fields))
+            assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+            basis = _reference_mode_basis(small, comps[tag], 2)
+            if tag == "u":
+                basis = [mp.leray_project(b) for b in basis]
+            old = np.stack([half_spectrum(b.coeffs) for b in basis])
+            rank = np.linalg.matrix_rank(_parseval_rows(small, old), tol=1e-10)
+            both = np.concatenate([old, space.fields])
+            assert len(space.fields) == rank
+            assert np.linalg.matrix_rank(_parseval_rows(small, both), tol=1e-10) == rank
+            if dim == 2:
+                assert rank == 24 and (tag != "u" or len(basis) == 48)
+            values = irfft_half(small, space.fields)
+            assert np.allclose(np.swapaxes(values, 0, 1), space.values, rtol=0, atol=1e-13)
 
 
 def _reference_smoothing_curve(op, f, alpha, lam, t_grid):
