@@ -33,7 +33,7 @@ from .fields import (
     rfft_half,
     _zero_index,
 )
-from .kmbounds import LemmaConstants, semigroup_constant
+from .kmbounds import LemmaConstants, holder_constant, semigroup_constant
 from .nonlinear import (
     CouplingParams,
     ForcingSpec,
@@ -61,8 +61,8 @@ from .operators import (
     rot,
     sobolev_norm,
 )
-from . import solver
 from .solver import (
+    RHS_BLOCK_BYTES,
     TAGS,
     TrajectoryState,
     WeightedNorms,
@@ -231,6 +231,12 @@ def extremal_smoothing_probe(op: OperatorSymbol, components: int) -> SpectralFie
     return SpectralField.single_mode(grid, k_low, amp)
 
 
+def _probe_t_grid(op: OperatorSymbol) -> np.ndarray:
+    """default_t_grid() in units of 1/op.min_positive_eigenvalue(): the probe's
+    ratio is a function of mu1 t alone, and peaks at mu1 t of order one."""
+    return default_t_grid() / op.min_positive_eigenvalue()
+
+
 def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
                      ensemble: int = 100, seed: int = 0,
                      solenoidal: bool = False) -> EstimateReport:
@@ -246,7 +252,7 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     components = _field_components(op)
-    t_grid = default_t_grid()
+    t_grid = _probe_t_grid(op)
     decay = _decay_matrices(op, components, t_grid)
     probe = extremal_smoothing_probe(op, components)
     probe_ratio = float(np.max(smoothing_ratio_curve(op, probe, alpha, lam,
@@ -294,10 +300,8 @@ def verify_holder_difference(op: OperatorSymbol, alpha: float,
     or below it too."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    from .kmbounds import holder_constant
-
     components = _field_components(op)
-    t_grid = default_t_grid()
+    t_grid = _probe_t_grid(op)
     probe = extremal_smoothing_probe(op, components)
     probe_ratio = float(np.max(holder_ratio_curve(op, probe, alpha, t_grid)))
 
@@ -547,11 +551,11 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
 def _member_block_size(spaces: dict) -> int:
     """Members per lockstep block of _exact_sups: as many as keep one float64
     grid array per field plane of the largest slot space (about the products
-    a member forms in a half-step) within solver.RHS_BLOCK_BYTES, and at
+    a member forms in a half-step) within RHS_BLOCK_BYTES, and at
     least one."""
     values = max(len(s.fields) * s.fields.shape[1] * s.grid.num_modes
                  for s in spaces.values())
-    return max(1, solver.RHS_BLOCK_BYTES // (8 * values))
+    return max(1, RHS_BLOCK_BYTES // (8 * values))
 
 
 def _slot_maximizers(space: _SlotSpace, images: np.ndarray) -> tuple:

@@ -509,15 +509,10 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
                          [[k, o] for k, o in enumerate(orders)])
         bundle.verdicts["theorem-2.3 order>=1.8"] = all(o >= 1.8 for o in orders)
     elif target == "hoelder":
+        _require_hoelder_steps(cfg)
         traj, _ = _default_run(cfg)
         res = time_hoelder_quotients(traj, exps, params, alpha_hat=0.5,
                                      tau=float(traj.times[-1]) / 4)
-        if len(res["quotients"]) < 3:
-            raise ConfigurationError(
-                f"verify hoelder compares the quotients of the three smallest "
-                f"dyadic h in [T/4, T] and gets {len(res['quotients'])}: raise "
-                f"picard.nodes_per_unit (now {cfg.picard.nodes_per_unit:g}) for "
-                f"the horizon {cfg.picard.horizon:g}")
         bundle.add_table("hoelder", ["h", "quotient"],
                          [[h, q] for h, q in sorted(res["quotients"].items())])
         bundle.verdicts["hoelder no growth as h halves"] = bool(
@@ -569,6 +564,21 @@ def _require_large_time_window(cfg: RunConfig) -> None:
             f"theorem-2.2 fits decay rates on t in [1, t_total] and needs at "
             f"least 4 nodes there; t_total = {cfg.t_total:g} gives {count}; "
             f"use t_total >= {1.0 + cfg.picard.horizon:g}")
+
+
+def _require_hoelder_steps(cfg: RunConfig) -> None:
+    """verify hoelder compares the quotients of the three smallest dyadic h
+    in [T/4, T] of the picard horizon T; refuse before solving when the node
+    grid holds fewer."""
+    nodes = cfg.picard.node_grid()
+    count = int(np.count_nonzero(nodes >= nodes[-1] / 4 - 1e-12))
+    steps = (count - 1).bit_length()  # the h = 2^k node steps with 2^k < count
+    if steps < 3:
+        raise ConfigurationError(
+            f"verify hoelder compares the quotients of the three smallest "
+            f"dyadic h in [T/4, T] and gets {steps}: raise "
+            f"picard.nodes_per_unit (now {cfg.picard.nodes_per_unit:g}) for "
+            f"the horizon {cfg.picard.horizon:g}")
 
 
 def _cmd_verify(args) -> int:

@@ -523,6 +523,23 @@ def test_verify_2_2_holds_within_holder_constant(tmp_path):
     assert set(_verdicts(out).values()) == {"pass"}
 
 
+@pytest.mark.parametrize("target,rows", [("2.1", 12), ("2.2", 9)])
+def test_verify_probe_rows_hold_for_slow_generators(tmp_path, target, rows):
+    # rho = 10 puts the smallest eigenvalue mu1 of every generator at 0.1, so
+    # the probes peak at t = 2a/mu1 (2.1, up to 20) and x*/mu1 (2.2, about 23
+    # at a = 0.25): past t = 10, where the grid would end in absolute time
+    with open(EXAMPLE) as fh:
+        cfg = json.load(fh)
+    cfg["params"]["rho"] = 10.0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "v"
+    assert dispatch(["verify", target, "--config", str(path), "--ensemble", "4",
+                     "--out", str(out)]) == 0
+    verdicts = _verdicts(out)
+    assert len(verdicts) == rows and set(verdicts.values()) == {"pass"}
+
+
 def _verify_2_2_scaled(tmp_path, monkeypatch, scale) -> dict:
     from micropolar import analysis
 
@@ -638,18 +655,20 @@ def test_verify_hoelder_fails_on_rough_increments(tmp_path, monkeypatch):
         assert json.load(fh) == {"hoelder no growth as h halves": False}
 
 
-def test_verify_hoelder_refuses_a_short_run(tmp_path, capsys):
+def test_verify_hoelder_refuses_a_short_run(tmp_path, capsys, monkeypatch):
     # 16 nodes per unit put 4 nodes in [T/4, T] of the 0.25 horizon: two
-    # dyadic h, too few to see the quotient grow, so a usage error
+    # dyadic h, too few to see the quotient grow, so a usage error before solving
+    from micropolar import cli
+
     with open(EXAMPLE) as fh:
         cfg = json.load(fh)
     cfg["picard"]["nodes_per_unit"] = 16
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(cli, "_default_run", lambda cfg: pytest.fail("solved"))
     out = tmp_path / "v"
     assert dispatch(["verify", "hoelder", "--config", str(path), "--out", str(out)]) == 2
     assert "nodes_per_unit" in capsys.readouterr().err
-    assert dispatch(["verify", "hoelder", "--config", EXAMPLE, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
