@@ -403,7 +403,8 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
 
 def _real_mode_basis(grid: GridSpec, components: int, kmax: int) -> np.ndarray:
     """Real cosine/sine basis fields of the modes 0 < |k|_inf <= kmax as
-    stacked half-spectrum coefficients (basis, components, *half)."""
+    stacked half-spectrum coefficients (basis, components, *half), the
+    2 components fields of one +-k pair next to each other."""
     ks = integer_wavevectors(grid)
     reps = []
     for idx in np.ndindex(*grid.shape):
@@ -477,13 +478,24 @@ class _SlotSpace:
 
 def _orthonormal_fields(basis: np.ndarray, weight: OperatorSymbol) -> np.ndarray:
     """Weight-orthonormal fields spanning the basis fields (fields, comp,
-    *half): with weight rows QR = W and R = U S V^T, the fields V S^-1 over
-    the singular values above 1e-10 of the largest (pinv's rcond cut)."""
+    *half) of _real_mode_basis, a (Leray-projected) group of 2 comp fields
+    per +-k pair.  The weight acts mode by mode, so the groups are
+    weight-orthogonal and each is orthonormalized on its own: with the
+    group's weight rows W = U S V^T, the fields V S^-1 over the singular
+    values above 1e-10 of the largest of all groups (pinv's rcond cut).
+
+    One small SVD per group, not one over the whole basis: LAPACK's
+    divide-and-conquer SVD of a matrix wider than 25 columns hands work to
+    OpenBLAS's threads, and waking them took 0.4 to 50 ms a call, as the
+    host's other core allowed."""
+    group = 2 * basis.shape[1]
     rows = _parseval_rows(weight.grid, _half_power(weight, basis))
-    _, sing, vt = np.linalg.svd(np.linalg.qr(rows.T, mode="r"))
-    keep = sing > 1e-10 * sing[0]
-    coef = vt[keep] / sing[keep, np.newaxis]
-    return (coef @ basis.reshape(len(basis), -1)).reshape((-1,) + basis.shape[1:])
+    rows = rows.reshape((-1, group, rows.shape[-1]))
+    _, sing, vt = np.linalg.svd(np.swapaxes(rows, 1, 2), full_matrices=False)
+    keep = sing > 1e-10 * np.max(sing)
+    coef = vt / np.where(keep, sing, 1.0)[..., np.newaxis]
+    fields = coef @ basis.reshape((len(rows), group, -1))
+    return fields[keep].reshape((-1,) + basis.shape[1:])
 
 
 # kmax of the mode basis of the exact-sup slots and of their random start
