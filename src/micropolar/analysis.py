@@ -486,8 +486,8 @@ def _orthonormal_fields(basis: np.ndarray, weight: OperatorSymbol) -> np.ndarray
 
     One small SVD per group, not one over the whole basis: LAPACK's
     divide-and-conquer SVD of a matrix wider than 25 columns hands work to
-    OpenBLAS's threads, and waking them took 0.4 to 50 ms a call, as the
-    host's other core allowed."""
+    OpenBLAS's worker thread, and on a shared 2-core host waking it made a
+    48-column call take anywhere from 0.4 to 50 ms."""
     group = 2 * basis.shape[1]
     rows = _parseval_rows(weight.grid, _half_power(weight, basis))
     rows = rows.reshape((-1, group, rows.shape[-1]))

@@ -612,19 +612,30 @@ def test_exact_sup_blocks_follow_byte_budget(params, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_slot_spaces_are_weight_orthonormal(dim, params):
+def test_slot_spaces_are_weight_orthonormal(dim, params, monkeypatch):
     # the fields have an identity weight Gram matrix and span the projected
     # mode basis, whose rank in 2D is 24 in every slot (the velocity basis
-    # has 48 fields); the kept grid values are theirs
+    # has 48 fields); the kept grid values are theirs.  Every SVD has at
+    # most 25 columns, below LAPACK's divide-and-conquer crossover, whose
+    # calls wake OpenBLAS's threads
     from micropolar.analysis import (_exact_sup_lemma, _half_power, _parseval_rows,
                                      _slot_spaces)
     from micropolar.fields import half_spectrum, irfft_half
+
+    columns, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kw):
+        columns.append(np.shape(a)[-1])
+        return svd(a, *args, **kw)
 
     grid = mp.GridSpec(dim=dim, n=32 if dim == 2 else 8)
     cfg = _selected(grid, params)
     comps = {"u": dim, "om": 1 if dim == 2 else 3, "th": 1}
     for lemma in ("2.6", "2.7"):
-        spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid, params)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", recorded)
+            spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid, params)
+        assert columns and max(columns) <= 25
         for tag, space in spaces.items():
             small = space.grid
             rows = _parseval_rows(small, _half_power(space.weight, space.fields))
