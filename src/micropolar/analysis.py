@@ -471,7 +471,7 @@ class _SlotSpace:
     @cached_property
     def grads(self) -> np.ndarray:
         """Grid values of the fields' gradients, (comp, dim, rank, *grid)."""
-        ik = _half_symbols(self.grid)[1]
+        ik = _half_symbols(self.grid)[0]
         vals = _grid_values(self.grid, _gradient_planes(self.fields, ik))[0]
         return vals.reshape(self.fields.shape[1:2] + (self.grid.dim,) + vals.shape[1:])
 
@@ -549,7 +549,7 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
     grid = _exact_grid(grid)
     ops = dict(zip(TAGS, generators(grid, params)))
     comps = {"u": grid.dim, "om": 1 if grid.dim == 2 else 3, "th": 1}
-    _, _, kap, ksq, _ = _half_symbols(grid)
+    _, kap, ksq, _ = _half_symbols(grid)
     spaces = {}
     for tag, exp in dict((("u", lemma.alpha), (lemma.tag, lemma.exp))).items():
         basis = _real_mode_basis(grid, comps[tag], _EXACT_KMAX)
@@ -609,7 +609,7 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
     u[low] = starts[low]
     rows = _parseval_rows(small, _half_power(vel.weight, u))
     u = u * (1.0 / np.sqrt(np.sum(rows ** 2, axis=1))).reshape((-1,) + (1,) * (dim + 1))
-    _, ik, kap, ksq, mask = _half_symbols(small)
+    ik, kap, ksq, mask = _half_symbols(small)
     best = np.zeros(members)
 
     def forward(prod):
@@ -1183,9 +1183,10 @@ def energy_report(traj: TrajectoryState, params: CouplingParams,
                         for a, b in zip(l2["u"].tolist(), l2["om"].tolist())])
     heat = params.rho * params.cv * vol * traj.coeffs["th"][mean].real
     u, om = traj.coeffs["u"], traj.coeffs["om"]
+    # one view per block and field: dissipation_coeffs transforms each plane once
+    blocks = [(u[b], om[b]) for b in traj.node_blocks()]
     dissipation = vol * np.concatenate([
-        dissipation_coeffs(grid, u[b], u[b], om[b], om[b], params)[mean].real
-        for b in traj.node_blocks()])
+        dissipation_coeffs(grid, ub, ub, omb, omb, params)[mean].real for ub, omb in blocks])
     work = np.zeros(traj.node_count)
     conservative = f.kind == "zero" and g.kind == "zero"
     if not conservative:

@@ -29,7 +29,6 @@ from .fields import (
     _zero_index,
 )
 from .operators import (
-    curl,
     gamma_operator,
     laplace_operator,
     parallel_part,
@@ -167,14 +166,12 @@ def evaluate_forcing(spec: ForcingSpec, theta: SpectralField, components: int) -
 
 @lru_cache(maxsize=64)
 def _half_symbols(grid: GridSpec) -> tuple:
-    """Half-spectrum symbols: derivative wavevectors (Nyquist zeroed) as a
-    tuple and stacked times i, the projector symbols and the dealias mask."""
-    dk = tuple(half_spectrum(k) for k in deriv_wavevectors(grid))
-    ik = 1j * np.stack(dk)
+    """Half-spectrum symbols: the derivative wavevectors (Nyquist zeroed),
+    stacked and times i, the projector symbols and the dealias mask."""
+    ik = 1j * np.stack([half_spectrum(k) for k in deriv_wavevectors(grid)])
     ik.setflags(write=False)
     kap, ksq = projector_symbols(grid)
-    return (dk, ik, half_spectrum(kap), half_spectrum(ksq),
-            half_spectrum(dealias_mask(grid)))
+    return ik, half_spectrum(kap), half_spectrum(ksq), half_spectrum(dealias_mask(grid))
 
 
 def _gradient_planes(ch: np.ndarray, ik: np.ndarray) -> np.ndarray:
@@ -183,6 +180,27 @@ def _gradient_planes(ch: np.ndarray, ik: np.ndarray) -> np.ndarray:
     nd = ik.ndim - 1
     grads = ik * np.expand_dims(ch, -nd - 1)
     return grads.reshape(ch.shape[: ch.ndim - nd - 1] + (-1,) + ch.shape[-nd:])
+
+
+def _plane_buffer(ik: np.ndarray, values: tuple, grads: tuple) -> np.ndarray:
+    """One plane-major buffer (planes, B, *half) of half spectra (B, comp,
+    *half) that share B: the comp planes of each array of values, then the
+    comp * dim gradient planes of each array of grads, plane c * dim + a of
+    an array holding d_a f_c."""
+    nd = ik.ndim - 1
+    batch, half = grads[0].shape[0], grads[0].shape[2:]
+    count = sum(v.shape[1] for v in values) + nd * sum(h.shape[1] for h in grads)
+    buf = np.empty((count, batch) + half, dtype=np.complex128)
+    p = 0
+    for v in values:
+        buf[p: p + v.shape[1]] = np.swapaxes(v, 0, 1)
+        p += v.shape[1]
+    for h in grads:
+        c = h.shape[1]
+        np.multiply(ik[:, np.newaxis], np.swapaxes(h, 0, 1)[:, np.newaxis],
+                    out=buf[p: p + c * nd].reshape((c, nd, batch) + half))
+        p += c * nd
+    return buf
 
 
 def _grid_values(grid: GridSpec, *halves: np.ndarray) -> list:
@@ -200,10 +218,14 @@ def _grid_values(grid: GridSpec, *halves: np.ndarray) -> list:
 
 
 def _curl_values(du: np.ndarray) -> np.ndarray:
-    """Curl of a vector field from its grid gradient du[c, a] = d_a u_c."""
+    """Curl from the gradient du[c, a] = d_a u_c of a field, on the grid or
+    the half spectrum: 3D vector -> vector; 2D vector -> scalar vorticity;
+    2D scalar -> vector (d_y f, -d_x f)."""
     if du.shape[0] == 3:
         return np.stack([du[2, 1] - du[1, 2], du[0, 2] - du[2, 0],
                          du[1, 0] - du[0, 1]])
+    if du.shape[0] == 1:
+        return np.stack([du[0, 1], -du[0, 0]])
     return (du[1, 0] - du[0, 1])[np.newaxis]
 
 
@@ -245,7 +267,7 @@ def advect_coeffs(grid: GridSpec, uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
     """(u . grad) w on half spectra with a leading batch axis, dealiased:
     uh (B, dim, *half) and wh (B, C, *half), either B may be 1, give
     (B, C, *half).  One inverse transform takes u and grad w to the grid."""
-    _, ik, _, _, mask = _half_symbols(grid)
+    ik, _, _, mask = _half_symbols(grid)
     u_vals, dw = _grid_values(grid, uh, _gradient_planes(wh, ik))
     dw = dw.reshape((wh.shape[1], grid.dim) + dw.shape[1:])
     return np.swapaxes(rfft_half(grid, np.sum(u_vals * dw, axis=1)), 0, 1) * mask
@@ -267,15 +289,22 @@ def dissipation_coeffs(grid: GridSpec, uh: np.ndarray, vh: np.ndarray,
     """Bilinear dissipation function on half spectra with a leading batch
     axis: uh, vh (B, dim, *half) and omh, psih (B, C, *half), any B may be 1,
     give (B, 1, *half).  One inverse transform takes om, psi and the
-    gradients of all four to the grid."""
+    gradients of all four to the grid; the quadratic form (vh is uh and
+    psih is omh) transforms each distinct plane once."""
     dim = grid.dim
-    _, ik, _, _, mask = _half_symbols(grid)
-    om_v, psi_v, du, dv, dom, dpsi = _grid_values(
-        grid, omh, psih, *(_gradient_planes(x, ik) for x in (uh, vh, omh, psih)))
-    phi = _phi_values(du.reshape((dim, dim) + du.shape[1:]),
-                      dv.reshape((dim, dim) + dv.shape[1:]), om_v, psi_v,
-                      dom.reshape((omh.shape[1], dim) + dom.shape[1:]),
-                      dpsi.reshape((psih.shape[1], dim) + dpsi.shape[1:]), params)
+    ik, _, _, mask = _half_symbols(grid)
+    if vh is uh and psih is omh:
+        om_v, du, dom = _grid_values(grid, omh, *(_gradient_planes(x, ik) for x in (uh, omh)))
+        du = du.reshape((dim, dim) + du.shape[1:])
+        dom = dom.reshape((omh.shape[1], dim) + dom.shape[1:])
+        phi = _phi_values(du, du, om_v, om_v, dom, dom, params)
+    else:
+        om_v, psi_v, du, dv, dom, dpsi = _grid_values(
+            grid, omh, psih, *(_gradient_planes(x, ik) for x in (uh, vh, omh, psih)))
+        phi = _phi_values(du.reshape((dim, dim) + du.shape[1:]),
+                          dv.reshape((dim, dim) + dv.shape[1:]), om_v, psi_v,
+                          dom.reshape((omh.shape[1], dim) + dom.shape[1:]),
+                          dpsi.reshape((psih.shape[1], dim) + dpsi.shape[1:]), params)
     out = rfft_half(grid, phi)[:, np.newaxis]
     return out * mask if dealias else out
 
@@ -317,34 +346,38 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     dissipation function (linear-regime diagnostics).  All outputs are
     dealiased; F is solenoidal and mean-zero.
 
-    One inverse real transform takes u, om and the gradients of u, om and
-    th (plus th when there is forcing) at every node to the grid; transport,
-    Phi and the forcing are formed there, with the node axis after the
-    component axes, and one forward transform returns them.  The linear
-    terms, the 2/3 rule and the projection act on the half spectrum.
+    One plane-major buffer (planes, B, *half) holds u, om, th when there
+    is forcing, and the gradients i k (u, om, th), at every node of the
+    block.  One inverse real transform takes it to the grid, where
+    transport, Phi and the forcing are formed with the node axis after the
+    plane axis, and one forward transform returns them.  The linear terms
+    read the buffer's gradient planes; they, the 2/3 rule and the
+    projection act on the half spectrum.
     """
     dim, ncomp = grid.dim, omh.shape[1]
-    dk, ik, kap, ksq, mask = _half_symbols(grid)
+    ik, kap, ksq, mask = _half_symbols(grid)
     forced = f.kind != "zero" or g.kind != "zero"
 
     nout = dim + ncomp + 1
+    # planes u, om, th when forced, then the gradients from plane nval on
+    nval = dim + ncomp + forced
+    buf = _plane_buffer(ik, (uh, omh, thh)[: 2 + forced], (uh, omh, thh))
     vals = np.zeros((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
     if not linear_only:
-        planes = [uh, omh, _gradient_planes(np.concatenate([uh, omh, thh], axis=1), ik)]
-        u_vals, om_vals, grads, *th_vals = _grid_values(
-            grid, *planes, *([thh] if forced else []))
-        grads = grads.reshape((nout, dim) + grads.shape[1:])
-        vals -= np.sum(u_vals * grads, axis=1)
+        planes = irfft_half(grid, buf)
+        grads = planes[nval:].reshape((nout, dim) + vals.shape[1:])
+        vals -= np.sum(planes[:dim] * grads, axis=1)
         du, dom = grads[:dim], grads[dim: dim + ncomp]
+        om_vals = planes[dim: dim + ncomp]
         vals[-1] += _phi_values(du, du, om_vals, om_vals, dom, dom, params) \
             / (params.rho * params.cv)
-    elif forced:
-        th_vals = _grid_values(grid, thh)
-    # th_vals[0][0] is theta at the grid points of every node, (B, *grid)
-    if f.kind != "zero":
-        vals[:dim] += _forcing_values(f, th_vals[0][0], dim)
-    if g.kind != "zero":
-        vals[dim: dim + ncomp] += _forcing_values(g, th_vals[0][0], ncomp)
+    if forced:
+        # theta at the grid points of every node, (B, *grid)
+        th_vals = irfft_half(grid, buf[nval - 1]) if linear_only else planes[nval - 1]
+        if f.kind != "zero":
+            vals[:dim] += _forcing_values(f, th_vals, dim)
+        if g.kind != "zero":
+            vals[dim: dim + ncomp] += _forcing_values(g, th_vals, ncomp)
     if forced or not linear_only:
         out = rfft_half(grid, vals)
     else:
@@ -352,9 +385,10 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
 
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
-        u_c, om_c = np.swapaxes(uh, 0, 1), np.swapaxes(omh, 0, 1)
-        out[:dim] += two_mur * curl(om_c, dk)
-        out[dim: dim + ncomp] += (-2.0 * two_mur) * om_c + two_mur * curl(u_c, dk)
+        grad_h = buf[nval:].reshape((nout, dim) + out.shape[1:])
+        out[:dim] += two_mur * _curl_values(grad_h[dim: dim + ncomp])
+        out[dim: dim + ncomp] += (-2.0 * two_mur) * buf[dim: dim + ncomp] \
+            + two_mur * _curl_values(grad_h[:dim])
     out = np.swapaxes(out, 0, 1)
     out[:, :dim] -= parallel_part(out[:, :dim], kap, ksq)
     out *= mask

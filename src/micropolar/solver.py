@@ -34,6 +34,7 @@ from .operators import (
     apply_operator,
     curl,
     lebesgue_norm,
+    leray_coeffs,
     parallel_part,
     power_weight,
     projector_symbols,
@@ -129,12 +130,17 @@ def _half_subspaces(op: OperatorSymbol, half: np.ndarray) -> list:
 
 class DuhamelPropagator:
     """Exact per-mode propagation of int_0^t exp(-(t-s) L) N(s) ds along a
-    node grid, one subspace recursion per invariant eigenvalue family."""
+    node grid, one subspace recursion per invariant eigenvalue family.
+
+    start_rhs is the RHS at node 0 once picard_step has assembled it there:
+    node 0 is the window's start state in every sweep."""
 
     def __init__(self, op: OperatorSymbol, times: np.ndarray):
         self.op = op.with_power(1.0)
         self.times = np.asarray(times, dtype=np.float64)
         self._weights = {}
+        self._steps = {}
+        self.start_rhs = None
 
     def _interval(self, h: float, eigs: list) -> list:
         key = (round(h, 15), len(eigs))
@@ -142,17 +148,36 @@ class DuhamelPropagator:
             self._weights[key] = [interval_weights(eig, h) for eig in eigs]
         return self._weights[key]
 
+    def _intervals(self, eigs: list) -> list:
+        """_interval of every interval in node order; intervals of one
+        length share their weights."""
+        if len(eigs) not in self._steps:
+            self._steps[len(eigs)] = [self._interval(float(self.times[j + 1] - self.times[j]),
+                                                     eigs)
+                                      for j in range(len(self.times) - 1)]
+        return self._steps[len(eigs)]
+
     def integrate_nodes(self, rhs: np.ndarray) -> np.ndarray:
         """Duhamel integrals at every node of RHS samples at the nodes, both
-        node-stacked half spectra (nodes, comp, *half)."""
+        node-stacked half spectra (nodes, comp, *half).
+
+        Each interval writes decay * I_j, then adds w0 N_j and w1 N_{j+1},
+        in that order, in place through one scratch node.  A one-family
+        field runs the recurrence on the output rows themselves; the two
+        families of a vector under the elliptic generator run in their own
+        node buffers, summed into each row."""
         eigs, parts = zip(*_half_subspaces(self.op, rhs))
-        acc = [np.zeros_like(p[0]) for p in parts]
         out = np.zeros_like(rhs)
-        for j in range(len(self.times) - 1):
-            h = float(self.times[j + 1] - self.times[j])
-            for i, (decay, w0, w1) in enumerate(self._interval(h, eigs)):
-                acc[i] = decay * acc[i] + w0 * parts[i][j] + w1 * parts[i][j + 1]
-            out[j + 1] = sum(acc[1:], acc[0])
+        scratch = np.empty_like(rhs[0])
+        accs = [np.zeros_like(scratch) for _ in parts] if len(parts) > 1 else None
+        for j, weights in enumerate(self._intervals(eigs)):
+            for i, (decay, w0, w1) in enumerate(weights):
+                prev, acc = (out[j], out[j + 1]) if accs is None else (accs[i], accs[i])
+                np.multiply(decay, prev, out=acc)
+                acc += np.multiply(w0, parts[i][j], out=scratch)
+                acc += np.multiply(w1, parts[i][j + 1], out=scratch)
+            if accs is not None:
+                np.add(accs[0], accs[1], out=out[j + 1])
         return out
 
 
@@ -240,8 +265,7 @@ class TrajectoryState:
     def node_blocks(self) -> list:
         """Consecutive slices of rhs_block_size nodes covering every node;
         the last may be shorter."""
-        n, size = self.node_count, rhs_block_size(self.grid, self.coeffs["om"].shape[1])
-        return [slice(j, min(j + size, n)) for j in range(0, n, size)]
+        return _node_slices(self, 0)
 
     def _field(self, tag: str, half: np.ndarray) -> SpectralField:
         # the Stokes semigroup and the projected RHS keep the velocity mean-zero
@@ -280,18 +304,33 @@ class TrajectoryState:
 
 def rhs_block_size(grid: GridSpec, ncomp: int) -> int:
     """Nodes per assemble_rhs call: as many as keep the float64 grid values of
-    its inverse transform (u, om and the gradients of u, om and th, that is
-    dim + C + (dim + C + 1) dim planes a node) within RHS_BLOCK_BYTES, and at
-    least one."""
+    its plane buffer (u, om and the gradients of u, om and th, that is
+    dim + C + (dim + C + 1) dim planes a node, and th itself when forced)
+    within about RHS_BLOCK_BYTES, and at least one.  A window's first sweep
+    blocks nodes 0..J and each later sweep nodes 1..J, so 65 nodes of the
+    2D n = 32 grid take 8 blocks of 8 and one of 1, then 8 blocks of 8."""
     planes = (grid.dim + ncomp) * (grid.dim + 1) + grid.dim
     return max(1, RHS_BLOCK_BYTES // (planes * grid.num_modes * 8))
 
 
+def _node_slices(traj: TrajectoryState, first: int) -> list:
+    """Consecutive slices of rhs_block_size nodes from node first to the
+    last; the last may be shorter."""
+    n, size = traj.node_count, rhs_block_size(traj.grid, traj.coeffs["om"].shape[1])
+    return [slice(j, min(j + size, n)) for j in range(first, n, size)]
+
+
 def _free_evolution(op: OperatorSymbol, f0: SpectralField, times: np.ndarray) -> np.ndarray:
-    """exp(-t op) f0 at every node as stacked half spectra."""
-    return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
-                                                   f0.coeffs))
-                     for t in times.tolist()])
+    """exp(-t op) f0 at every node as stacked half spectra: for a
+    one-family generator one broadcast exp(-t eig) * half(P f0) over the
+    nodes, P the Leray projection under Stokes and the identity otherwise."""
+    if len(eig_families(op, f0.components)) > 1:
+        return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
+                                                       f0.coeffs))
+                         for t in times.tolist()])
+    c = leray_coeffs(op.grid, f0.coeffs) if op.kind is OperatorKind.STOKES else f0.coeffs
+    t = times.reshape((-1,) + (1,) * (op.grid.dim + 1))
+    return np.exp(-t * half_spectrum(op.eigenvalues()[0])) * half_spectrum(c)
 
 
 def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField,
@@ -313,20 +352,27 @@ def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField
     return TrajectoryState(times=times, grid=u0.grid, coeffs=free, free=free, m=0)
 
 
-def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
-             g: ForcingSpec, linear_only: bool = False) -> dict:
-    """Right-hand sides of the iterate, one assemble_rhs call per block of
-    nodes on its half spectra, as node-stacked half spectra keyed by the tag
-    of the equation they drive."""
+def _rhs_from(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+              g: ForcingSpec, linear_only: bool, first: int) -> dict:
+    """node_rhs of the nodes from first on, in blocks of rhs_block_size
+    nodes; the rows before first are left for the caller to fill."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
     half = traj.coeffs["u"].shape[2:]
     # filled block by block: the blocks' results and a joined copy of them
     # are never held at once
     rhs = np.empty((traj.node_count, dim + ncomp + 1) + half, dtype=np.complex128)
-    for b in traj.node_blocks():
+    for b in _node_slices(traj, first):
         rhs[b] = assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
                               params, f, g, linear_only=linear_only)
     return dict(zip(TAGS, np.split(rhs, [dim, dim + ncomp], axis=1)))
+
+
+def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+             g: ForcingSpec, linear_only: bool = False) -> dict:
+    """Right-hand sides of the iterate at every node, one assemble_rhs call
+    per block of node_blocks() on its half spectra, as node-stacked half
+    spectra keyed by the tag of the equation they drive."""
+    return _rhs_from(traj, params, f, g, linear_only, 0)
 
 
 def picard_step(traj: TrajectoryState, params: CouplingParams,
@@ -334,13 +380,25 @@ def picard_step(traj: TrajectoryState, params: CouplingParams,
                 linear_only: bool = False,
                 propagators: tuple | None = None) -> TrajectoryState:
     """One successive-approximation sweep: the RHS of the input iterate at
-    every node, then free evolution plus its Duhamel integral."""
+    every node, then free evolution plus its Duhamel integral.
+
+    Node 0 of every iterate of a window is the window's start state, so its
+    RHS is the same in every sweep.  The first sweep through propagators
+    keeps it in their start_rhs; a later sweep through the same
+    propagators, which must then serve the same window and forcing,
+    assembles nodes 1.. only."""
     if propagators is None:
         propagators = tuple(DuhamelPropagator(op, traj.times)
                             for op in generators(traj.grid, params))
-    rhs = node_rhs(traj, params, f, g, linear_only)
-    new = {tag: traj.free[tag] + prop.integrate_nodes(rhs[tag])
-           for tag, prop in zip(TAGS, propagators)}
+    kept = propagators[0].start_rhs is not None
+    rhs = _rhs_from(traj, params, f, g, linear_only, 1 if kept else 0)
+    new = {}
+    for tag, prop in zip(TAGS, propagators):
+        if kept:
+            rhs[tag][0] = prop.start_rhs
+        else:
+            prop.start_rhs = rhs[tag][0].copy()
+        new[tag] = traj.free[tag] + prop.integrate_nodes(rhs[tag])
     new["u"][(Ellipsis,) + _zero_index(traj.grid)] = 0.0
     return replace(traj, coeffs=new, m=traj.m + 1)
 
@@ -416,14 +474,17 @@ class WeightedNorms:
         kap, ksq = (half_spectrum(x) for x in projector_symbols(grid))
         if s == 2.0:
             if split:
-                # |perp|^2 = |k x c|^2 / |k|^2 and |para|^2 = |k . c|^2 / |k|^2;
-                # at k = 0 the whole coefficient belongs to the first family
+                # |perp|^2 = |k x c|^2 / |k|^2 and, for the second family of
+                # the elliptic generator, |para|^2 = |k . c|^2 / |k|^2; at
+                # k = 0 the whole coefficient belongs to the first family
                 comps = np.moveaxis(half, 1, 0)
                 zero = (Ellipsis,) + _zero_index(grid)
                 perp = np.sum(np.abs(curl(comps, tuple(kap))) ** 2, axis=0) / ksq
                 perp[zero] = np.sum(np.abs(half[zero]) ** 2, axis=1)
-                para = np.abs(sum(kap[a] * comps[a] for a in range(grid.dim))) ** 2 / ksq
-                parts = [perp, para]
+                parts = [perp]
+                if len(eigs) == 2:
+                    parts.append(np.abs(sum(kap[a] * comps[a] for a in range(grid.dim))) ** 2
+                                 / ksq)
             else:
                 parts = [np.sum(np.abs(half) ** 2, axis=1)]
             total = sum(e.reshape(len(e), -1) @ w for e, w in

@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer (perfbench/tracing.py) still finds every
-layer it wraps by name, and counts one RHS evaluation per node and sweep:
-each assemble_rhs call takes a block of nodes, so the node rows of its
-calls, not the calls, add up to nodes times sweeps.
+layer it wraps by name, and counts the RHS evaluations of a window: each
+assemble_rhs call takes a block of nodes, so the node rows of its calls,
+not the calls, add up to every node in the first sweep and to the nodes
+after node 0, the window's start state, in each later sweep.
 
 The tracer rebinds names across the package and numpy.fft, so it runs in a
 subprocess that the other tests never see."""
@@ -65,5 +66,5 @@ def test_tracer_wraps_every_layer_and_counts_node_evaluations():
     assert counts["solver.picard_solve.calls"] == 1
     assert counts["solver.picard_step.calls"] == out["sweeps"]
     assert counts["nonlinear.assemble_rhs.calls"] == len(out["rows"])
-    assert sum(out["rows"]) == out["nodes"] * out["sweeps"]
+    assert sum(out["rows"]) == out["nodes"] + (out["nodes"] - 1) * (out["sweeps"] - 1)
     assert counts["fields.fft_calls"] > 0

@@ -10,8 +10,10 @@ from scipy.linalg import expm
 import micropolar as mp
 from micropolar.errors import ConfigurationError, PreconditionError
 from micropolar.fields import full_spectrum, half_spectrum
+from micropolar.operators import spectral_coeffs
 from micropolar.solver import (
     TAGS,
+    DuhamelPropagator,
     WeightedNorms,
     duhamel_residual,
     interval_weights,
@@ -19,6 +21,7 @@ from micropolar.solver import (
     TrajectoryState,
     picard_step,
     time_weight,
+    _half_subspaces,
 )
 
 ZERO = mp.ForcingSpec.zero()
@@ -463,8 +466,11 @@ def test_window_horizons_follow_the_march_from_zero():
 
 def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
                                                            rng, monkeypatch):
-    """Each sweep evaluates the RHS of its input iterate once per node, in
-    blocks of nodes; the converged iterate's own RHS is never evaluated."""
+    """The first sweep of a window evaluates the RHS of its input iterate
+    at every node and later sweeps at nodes 1.. only, in blocks of nodes:
+    node 0 of every iterate is the window's start state, whose RHS the
+    first sweep keeps.  The converged iterate's own RHS is never
+    evaluated."""
     import micropolar.solver as solver
 
     rows = []
@@ -480,14 +486,18 @@ def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
     traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
     assert rep.converged and len(rep.iterations) >= 3
-    assert sum(rows) == traj.node_count * len(rep.iterations)
-    # 9 nodes a window: one block of 8 and one of 1 per sweep
-    assert rows == [8, 1] * len(rep.iterations)
+    sweeps = len(rep.iterations)
+    assert sum(rows) == traj.node_count + (traj.node_count - 1) * (sweeps - 1)
+    # 9 nodes a window: blocks of 8 and 1 in the first sweep, one of 8 after
+    assert rows == [8, 1] + [8] * (sweeps - 1)
 
 
-def test_rhs_block_size_follows_byte_budget():
+def test_rhs_block_size_follows_byte_budget(monkeypatch):
     """Blocks hold about RHS_BLOCK_BYTES of inverse-transform grid values:
-    11 planes a node in 2D, 27 in 3D."""
+    11 planes a node in 2D, 27 in 3D.  The first sweep of a window blocks
+    nodes 0..J, later sweeps nodes 1..J: 65 nodes take 8 blocks of 8 and one
+    of 1, then 8 blocks of exactly 8."""
+    import micropolar.solver as solver
     from micropolar.solver import RHS_BLOCK_BYTES, rhs_block_size
 
     grid2, grid3 = mp.GridSpec(dim=2, n=32), mp.GridSpec(dim=3, n=16)
@@ -499,6 +509,107 @@ def test_rhs_block_size_follows_byte_budget():
     blocks = traj.node_blocks()
     assert [b.stop - b.start for b in blocks] == [8] * 8 + [1]
     assert blocks[-1].stop == 65
+
+    rows = []
+    original = solver.assemble_rhs
+
+    def counting(grid, uh, *args, **kwargs):
+        rows.append(uh.shape[0])
+        return original(grid, uh, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_rhs", counting)
+    params = mp.CouplingParams()
+    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid2, params))
+    traj = picard_step(traj, params, ZERO, ZERO, propagators=props)
+    picard_step(traj, params, ZERO, ZERO, propagators=props)
+    assert rows == [8] * 8 + [1] + [8] * 8
+
+
+# -- one sweep against its per-interval and per-node references -------------
+
+def _integrate_nodes_reference(prop, rhs):
+    """The Duhamel recurrence with one accumulator per family, rebound each
+    interval and summed into every node."""
+    eigs, parts = zip(*_half_subspaces(prop.op, rhs))
+    acc = [np.zeros_like(p[0]) for p in parts]
+    out = np.zeros_like(rhs)
+    for j in range(len(prop.times) - 1):
+        h = float(prop.times[j + 1] - prop.times[j])
+        for i, (decay, w0, w1) in enumerate(prop._interval(h, eigs)):
+            acc[i] = decay * acc[i] + w0 * parts[i][j] + w1 * parts[i][j + 1]
+        out[j + 1] = sum(acc[1:], acc[0])
+    return out
+
+
+def _free_evolution_reference(op, f0, times):
+    """exp(-t op) f0 one node at a time on the full spectrum."""
+    return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
+                                                   f0.coeffs))
+                     for t in times.tolist()])
+
+
+def _reference_sweep(traj, params, f, g):
+    """A sweep that assembles the RHS at every node and integrates it by the
+    reference recurrence."""
+    rhs = node_rhs(traj, params, f, g)
+    new = {tag: traj.free[tag] + _integrate_nodes_reference(DuhamelPropagator(op, traj.times),
+                                                            rhs[tag])
+           for tag, op in zip(TAGS, mp.generators(traj.grid, params))}
+    new["u"][(Ellipsis,) + (0,) * traj.grid.dim] = 0.0
+    return new
+
+
+SWEEP_CASES = {
+    "2d": (2, 16, 1.0, False),
+    "3d": (3, 8, 1.0, False),          # the elliptic generator: two families
+    "graded": (2, 16, 2.0, False),
+    "forced": (2, 16, 1.0, True),      # th through the plane buffer
+}
+
+
+def _sweep_case(name):
+    dim, n, grading, forced = SWEEP_CASES[name]
+    grid, params = mp.GridSpec(dim=dim, n=n), mp.CouplingParams()
+    u0, om0, th0 = _initial_data(grid, np.random.default_rng(7))
+    f, g = ZERO, ZERO
+    if forced:
+        f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
+        g = mp.ForcingSpec("linear", (0.3,))
+        # a later window's start: the microrotation and temperature keep means
+        om0, th0 = (x + mp.SpectralField.single_mode(grid, (0, 0), 0.05) for x in (om0, th0))
+    times = mp.PicardConfig(horizon=0.25, nodes_per_unit=64, grading=grading).node_grid()
+    traj = mp.initial_trajectory(u0, om0, th0, times, params, strict=not forced)
+    return grid, params, f, g, (u0, om0, th0), traj
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_references_bit_for_bit(case):
+    """The closed-form free evolution, the in-place Duhamel recurrence and
+    the kept node-0 RHS give the bytes of the per-node free evolution and of
+    a sweep that assembles every node and integrates by the reference."""
+    grid, params, f, g, start, traj = _sweep_case(case)
+    for tag, op, f0 in zip(TAGS, mp.generators(grid, params), start):
+        assert traj.free[tag].tobytes() == _free_evolution_reference(op, f0, traj.times).tobytes()
+    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid, params))
+    for _ in range(3):
+        new = picard_step(traj, params, f, g, propagators=props)
+        ref = _reference_sweep(traj, params, f, g)
+        for tag in TAGS:
+            assert new.coeffs[tag].tobytes() == ref[tag].tobytes()
+        traj = new
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_kept_start_rhs_matches_fresh_assembly(case):
+    """The node-0 RHS a window's first sweep keeps is, bit for bit, the one
+    a fresh assemble_rhs gives at node 0 of a later iterate."""
+    grid, params, f, g, _, traj = _sweep_case(case)
+    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid, params))
+    for _ in range(2):
+        traj = picard_step(traj, params, f, g, propagators=props)
+    fresh = mp.assemble_rhs(grid, *(traj.coeffs[tag][:1] for tag in TAGS), params, f, g)[0]
+    kept = np.concatenate([prop.start_rhs for prop in props])
+    assert kept.tobytes() == fresh.tobytes()
 
 
 def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
