@@ -16,7 +16,7 @@ half-ensembles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,15 +179,18 @@ def _mode_energies(op: OperatorSymbol, f: SpectralField) -> list:
     return out
 
 
-def _decay_matrices(op: OperatorSymbol, components: int, t_grid: np.ndarray) -> list:
-    """exp(-2 t mu) over the t grid and the positive eigenvalues mu, one
-    matrix per eigenvalue family of a field with the given component count."""
+def _decay_matrices(op: OperatorSymbol, components: int, t_grid: np.ndarray,
+                    holder: bool = False) -> list:
+    """exp(-2 t mu), or with holder (1 - exp(-t mu))^2, over the t grid and
+    the positive eigenvalues mu, one matrix per eigenvalue family of a field
+    with the given component count."""
     from .solver import eig_families
 
     mats = []
     for eig in eig_families(op, components):
         eig = eig.reshape(-1)
-        mats.append(np.exp(-2.0 * np.outer(t_grid, eig[eig > 0])))
+        x = np.outer(t_grid, eig[eig > 0])
+        mats.append(np.expm1(-x) ** 2 if holder else np.exp(-2.0 * x))
     return mats
 
 
@@ -237,6 +240,26 @@ def _probe_t_grid(op: OperatorSymbol) -> np.ndarray:
     return default_t_grid() / op.min_positive_eigenvalue()
 
 
+@lru_cache(maxsize=1)
+def _probe_work(op: OperatorSymbol, components: int, solenoidal: bool, seed: int,
+                members: int, holder: bool) -> tuple:
+    """What every alpha row of one generator's smoothing (or, with holder,
+    semigroup-difference) check shares: the probe t grid, its
+    _decay_matrices and the seeded random member fields (Leray-projected
+    when solenoidal), all read-only.  The cache holds one generator's arrays
+    at a time."""
+    _probe_work.cache_clear()   # frees the last generator's arrays first
+    t_grid = _probe_t_grid(op)
+    mats = tuple(_decay_matrices(op, components, t_grid, holder))
+    for a in (t_grid, *mats):
+        a.setflags(write=False)
+    fields = []
+    for rng in ensemble_rngs(seed, members):
+        f = random_field(op.grid, components, rng, sigma=_SIGMA)
+        fields.append(leray_project(f) if solenoidal else f)
+    return t_grid, mats, tuple(fields)
+
+
 def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
                      ensemble: int = 100, seed: int = 0,
                      solenoidal: bool = False) -> EstimateReport:
@@ -252,20 +275,12 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     components = _field_components(op)
-    t_grid = _probe_t_grid(op)
-    decay = _decay_matrices(op, components, t_grid)
+    t_grid, decay, fields = _probe_work(op, components, solenoidal, seed,
+                                        min(ensemble, CROSS_CHECK_MEMBERS), holder=False)
     probe = extremal_smoothing_probe(op, components)
-    probe_ratio = float(np.max(smoothing_ratio_curve(op, probe, alpha, lam,
-                                                     t_grid, decay)))
-
-    def one(rng):
-        f = random_field(op.grid, components, rng, sigma=_SIGMA)
-        if solenoidal:
-            f = leray_project(f)
-        return float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid, decay)))
-
-    members = min(ensemble, CROSS_CHECK_MEMBERS)
-    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, members)])
+    ratios = [float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid, decay)))
+              for f in [probe, *fields]]
+    probe_ratio, ratios = ratios[0], np.array(ratios[1:])
     bound = semigroup_constant(alpha, lam, lam_min)
     return cross_check_report(f"smoothing a={alpha} lam={lam}", probe_ratio, ratios,
                               bound, floor=bound / 1.05,
@@ -273,17 +288,21 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
 
 
 def holder_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
-                       t_grid: np.ndarray) -> np.ndarray:
-    """||(e^(-t op) - I) f||_2 / (t^alpha ||op^alpha f||_2)."""
+                       t_grid: np.ndarray, diff: list | None = None) -> np.ndarray:
+    """||(e^(-t op) - I) f||_2 / (t^alpha ||op^alpha f||_2).
+
+    diff is _decay_matrices(op, f.components, t_grid, holder=True), which
+    callers that evaluate many fields on one grid compute once."""
     fams = _mode_energies(op, f)
     denom_sq = sum(np.sum(np.where(e > 0, e ** (2 * alpha), 0.0) * en)
                    for e, en in fams)
     if denom_sq == 0:
         return np.zeros_like(t_grid)
+    if diff is None:
+        diff = _decay_matrices(op, f.components, t_grid, holder=True)
     vals = np.zeros_like(t_grid, dtype=np.float64)
-    for eig, energy in fams:
-        pos = eig > 0
-        vals += (np.expm1(-np.outer(t_grid, eig[pos])) ** 2) @ energy[pos]
+    for (eig, energy), mat in zip(fams, diff):
+        vals += mat @ energy[eig > 0]
     tpos = np.where(t_grid > 0, t_grid, 1.0)
     curve = np.sqrt(vals) / (tpos ** alpha * np.sqrt(denom_sq))
     return np.where(t_grid > 0, curve, 0.0)
@@ -301,16 +320,12 @@ def verify_holder_difference(op: OperatorSymbol, alpha: float,
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     components = _field_components(op)
-    t_grid = _probe_t_grid(op)
+    t_grid, diff, fields = _probe_work(op, components, False, seed,
+                                       min(ensemble, CROSS_CHECK_MEMBERS), holder=True)
     probe = extremal_smoothing_probe(op, components)
-    probe_ratio = float(np.max(holder_ratio_curve(op, probe, alpha, t_grid)))
-
-    def one(rng):
-        f = random_field(op.grid, components, rng, sigma=_SIGMA)
-        return float(np.max(holder_ratio_curve(op, f, alpha, t_grid)))
-
-    members = min(ensemble, CROSS_CHECK_MEMBERS)
-    ratios = np.array([one(rng) for rng in ensemble_rngs(seed, members)])
+    ratios = [float(np.max(holder_ratio_curve(op, f, alpha, t_grid, diff)))
+              for f in [probe, *fields]]
+    probe_ratio, ratios = ratios[0], np.array(ratios[1:])
     bound = holder_constant(alpha)
     return cross_check_report(f"holder-difference a={alpha}", probe_ratio, ratios,
                               bound, floor=bound / 1.05,
@@ -852,6 +867,21 @@ def _symbol_extremal(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     return top, SpectralField.single_mode(norms.grid, tuple(modes[j]), amp)
 
 
+def _symbol_probe(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
+                  params: CouplingParams, f: ForcingSpec,
+                  g: ForcingSpec) -> tuple | None:
+    """(symbol sup, ratio at the single mode attaining it) of a zero-order
+    estimate whose forcing is zero or linear; None for the other estimates.
+    With every Lebesgue exponent 2 that ratio is the estimate's constant."""
+    # tanh forcing makes 2.12 and 2.13 nonlinear: they have no symbol
+    if lemma_id not in _ZERO_ORDER or \
+            {"2.12": f, "2.13": g}.get(lemma_id, ForcingSpec.zero()).kind == "tanh":
+        return None
+    norms = WeightedNorms(cfg, grid, params)
+    sup, x = _symbol_extremal(lemma_id, cfg, f, g, norms)
+    return sup, _zero_order_ratio(lemma_id, cfg, f, g, norms, x)
+
+
 def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                     params: CouplingParams, f: ForcingSpec | None = None,
                     g: ForcingSpec | None = None, ensemble: int = 100,
@@ -901,19 +931,15 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                   for _ in range(5))
         return max(full, low)
 
-    probes = []
-    # tanh forcing makes 2.12 and 2.13 nonlinear: they have no symbol
-    if lemma_id in _ZERO_ORDER and \
-            {"2.12": f, "2.13": g}.get(lemma_id, ForcingSpec.zero()).kind != "tanh":
-        norms = WeightedNorms(cfg, grid, params)
-        sup, x = _symbol_extremal(lemma_id, cfg, f, g, norms)
-        probes = [_zero_order_ratio(lemma_id, cfg, f, g, norms, x)]
-        if hilbert:
-            members = min(ensemble, CROSS_CHECK_MEMBERS)
-            ratios = [draws(rng) for rng in ensemble_rngs(seed, members)]
-            return cross_check_report(
-                lemma_id, probes[0], ratios, sup, floor=sup * (1 - BOUND_RTOL),
-                notes=f"L2 symbol sup {sup:.6g}, attained at a single mode")
+    symbol = _symbol_probe(lemma_id, cfg, grid, params, f, g)
+    if symbol is not None and hilbert:
+        sup, probe = symbol
+        members = min(ensemble, CROSS_CHECK_MEMBERS)
+        ratios = [draws(rng) for rng in ensemble_rngs(seed, members)]
+        return cross_check_report(
+            lemma_id, probe, ratios, sup, floor=sup * (1 - BOUND_RTOL),
+            notes=f"L2 symbol sup {sup:.6g}, attained at a single mode")
+    probes = [] if symbol is None else [symbol[1]]
     ratios = [max([draws(rng)] + probes) for rng in ensemble_rngs(seed, ensemble)]
     return make_report(lemma_id, np.array(ratios), notes="torus-fitted constant")
 
@@ -922,12 +948,21 @@ def fit_lemma_constants(cfg: ExponentConfig, grid: GridSpec,
                         params: CouplingParams, f: ForcingSpec | None = None,
                         g: ForcingSpec | None = None, ensemble: int = 40,
                         seed: int = 0) -> LemmaConstants:
+    """The constants c1-c9 of estimates 2.5-2.13 for the bound recursion:
+    the i-th is verify_bilinear's fitted constant at seed + 101 * i.  Where
+    that is the ratio at the symbol's extremal mode (zero-order estimate,
+    every Lebesgue exponent 2, zero or linear forcing), the fit takes it
+    from the symbol alone and draws none of verify's cross-check members."""
+    f = f or ForcingSpec.zero()
+    g = g or ForcingSpec.zero()
     values = {}
     for i, lemma_id in enumerate(
             ["2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13"]):
-        rep = verify_bilinear(lemma_id, cfg, grid, params, f, g,
-                              ensemble=ensemble, seed=seed + 101 * i)
-        values[f"c{i + 1}"] = rep.fitted_constant
+        symbol = _hilbert_exponents(lemma_id, cfg) and \
+            _symbol_probe(lemma_id, cfg, grid, params, f, g)
+        values[f"c{i + 1}"] = symbol[1] if symbol else verify_bilinear(
+            lemma_id, cfg, grid, params, f, g, ensemble=ensemble,
+            seed=seed + 101 * i).fitted_constant
     return LemmaConstants(**values)
 
 

@@ -234,19 +234,23 @@ def divergence(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, out[np.newaxis], mean_zero=True)
 
 
+def cross(c: np.ndarray, ks: tuple) -> np.ndarray:
+    """k x c of a vector coefficient array (components first): 3D -> vector,
+    2D -> scalar."""
+    if len(ks) == 3:
+        return np.stack([ks[1] * c[2] - ks[2] * c[1],
+                         ks[2] * c[0] - ks[0] * c[2],
+                         ks[0] * c[1] - ks[1] * c[0]])
+    return (ks[0] * c[1] - ks[1] * c[0])[np.newaxis]
+
+
 def curl(c: np.ndarray, ks: tuple) -> np.ndarray:
     """Curl of a coefficient array (components first) with derivative
     wavevectors ks: 3D vector -> vector; 2D vector -> scalar vorticity;
     2D scalar -> vector (d_y f, -d_x f)."""
-    if len(ks) == 3:
-        return np.stack([
-            1j * (ks[1] * c[2] - ks[2] * c[1]),
-            1j * (ks[2] * c[0] - ks[0] * c[2]),
-            1j * (ks[0] * c[1] - ks[1] * c[0]),
-        ])
-    if c.shape[0] == 1:
+    if len(ks) == 2 and c.shape[0] == 1:
         return np.stack([1j * ks[1] * c[0], -1j * ks[0] * c[0]])
-    return (1j * (ks[0] * c[1] - ks[1] * c[0]))[np.newaxis]
+    return 1j * cross(c, ks)
 
 
 def rot(f: SpectralField) -> SpectralField:

@@ -32,7 +32,7 @@ from .operators import (
     OperatorKind,
     OperatorSymbol,
     apply_operator,
-    curl,
+    cross,
     lebesgue_norm,
     leray_coeffs,
     parallel_part,
@@ -479,7 +479,7 @@ class WeightedNorms:
                 # k = 0 the whole coefficient belongs to the first family
                 comps = np.moveaxis(half, 1, 0)
                 zero = (Ellipsis,) + _zero_index(grid)
-                perp = np.sum(np.abs(curl(comps, tuple(kap))) ** 2, axis=0) / ksq
+                perp = np.sum(np.abs(cross(comps, tuple(kap))) ** 2, axis=0) / ksq
                 perp[zero] = np.sum(np.abs(half[zero]) ** 2, axis=1)
                 parts = [perp]
                 if len(eigs) == 2:

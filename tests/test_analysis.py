@@ -697,6 +697,119 @@ def test_smoothing_ratios_match_per_member_formula(grid2d, params, kind, alpha):
     assert rep.ratio_max == max(want + [probe])
 
 
+def _reference_holder_curve(op, f, alpha, t_grid):
+    """The per-member formula: every call builds its own difference matrices."""
+    from micropolar.analysis import _mode_energies
+
+    fams = _mode_energies(op, f)
+    denom_sq = sum(np.sum(np.where(e > 0, e ** (2 * alpha), 0.0) * en)
+                   for e, en in fams)
+    vals = np.zeros_like(t_grid, dtype=np.float64)
+    for eig, energy in fams:
+        pos = eig > 0
+        vals += (np.expm1(-np.outer(t_grid, eig[pos])) ** 2) @ energy[pos]
+    tpos = np.where(t_grid > 0, t_grid, 1.0)
+    return np.where(t_grid > 0, np.sqrt(vals) / (tpos ** alpha * np.sqrt(denom_sq)),
+                    0.0)
+
+
+@pytest.mark.parametrize("target, solenoidal", [("2.1", False), ("2.1", True),
+                                                ("2.2", False)])
+def test_generator_rows_share_work_bit_for_bit(grid2d, params, target, solenoidal):
+    """The alpha rows of one generator share its t grid, matrices and member
+    fields: in alpha order and in reverse, each row equals the row computed
+    alone and the per-member formula."""
+    from micropolar.analysis import (
+        _probe_t_grid,
+        _probe_work,
+        ensemble_rngs,
+        extremal_smoothing_probe,
+    )
+
+    def row(op, alpha):
+        if target == "2.1":
+            return mp.verify_smoothing(op, alpha, 0.5 * op.min_positive_eigenvalue(),
+                                       ensemble=6, seed=3, solenoidal=solenoidal)
+        return verify_holder_difference(op, alpha, ensemble=6, seed=3)
+
+    def reference(op, f, alpha):
+        t_grid = _probe_t_grid(op)
+        if target == "2.1":
+            lam = 0.5 * op.min_positive_eigenvalue()
+            return float(np.max(_reference_smoothing_curve(op, f, alpha, lam, t_grid)))
+        return float(np.max(_reference_holder_curve(op, f, alpha, t_grid)))
+
+    alphas = (0.25, 0.5, 0.75, 1.0) if target == "2.1" else (0.25, 0.5, 1.0)
+    ops = mp.generators(grid2d, params)[:2 if solenoidal else 3]
+    for op in ops:
+        comp = 1 if op.kind.value == "laplace" else 2
+        fields = [mp.random_field(grid2d, comp, rng) for rng in ensemble_rngs(3, 4)]
+        if solenoidal:
+            fields = [mp.leray_project(f) for f in fields]
+        alone = {}
+        for alpha in alphas:
+            _probe_work.cache_clear()
+            alone[alpha] = row(op, alpha)
+        for order in (alphas, alphas[::-1]):
+            for alpha in order:
+                rep = row(op, alpha)
+                assert rep.ratios.tolist() == alone[alpha].ratios.tolist()
+                assert rep.ratios.tolist() == [reference(op, f, alpha) for f in fields]
+                assert rep.fitted_constant == alone[alpha].fitted_constant \
+                    == reference(op, extremal_smoothing_probe(op, comp), alpha)
+    # one generator's arrays at a time
+    for op in ops:
+        row(op, alphas[0])
+    assert _probe_work.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("case", ["zero", "linear", "tanh-g", "p3"])
+def test_fitted_constants_equal_verify_bilinear(grid2d, params, case):
+    """fit_lemma_constants takes a zero-order Hilbert constant from the
+    symbol probe alone: every c_i still equals verify_bilinear's fitted
+    constant at the same seed offset."""
+    cfg = _selected(grid2d, params, p=3.0 if case == "p3" else 2.0)
+    f, g = _forcings(2, "linear" if case == "linear" else "zero")
+    if case == "tanh-g":
+        f, g = _forcings(2, "linear")[0], mp.ForcingSpec("tanh", (0.5,), scale=0.5)
+    consts = mp.fit_lemma_constants(cfg, grid2d, params, f, g, ensemble=2, seed=9)
+    for i, lemma in enumerate(("2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11",
+                               "2.12", "2.13")):
+        rep = mp.verify_bilinear(lemma, cfg, grid2d, params, f, g, ensemble=2,
+                                 seed=9 + 101 * i)
+        assert getattr(consts, f"c{i + 1}") == rep.fitted_constant, lemma
+
+
+@pytest.mark.parametrize("case", ["linear", "tanh-g", "p3"])
+def test_fit_draws_no_dead_ensemble(grid2d, params, cfg2, monkeypatch, case):
+    """In the Hilbert zero/linear case only 2.5-2.8 spawn member streams, 16
+    each; a tanh g leaves 2.13 without a symbol, so it spawns its ensemble,
+    and with p = 3 every estimate that reads p spawns its ensemble."""
+    from micropolar import analysis
+
+    spawned = []
+    rngs = analysis.ensemble_rngs
+
+    def counting(seed, n):
+        spawned.append((seed, n))
+        return rngs(seed, n)
+
+    monkeypatch.setattr(analysis, "ensemble_rngs", counting)
+    f = mp.ForcingSpec("linear", (0.6, 0.8))
+    g = mp.ForcingSpec("tanh" if case == "tanh-g" else "linear", (0.5,), scale=0.5)
+    if case == "p3":
+        # 2.5-2.9, 2.11 and 2.12 read p; 2.10 and 2.13 stay L2 multipliers
+        cfg = _selected(grid2d, params, p=3.0)
+        analysis.fit_lemma_constants(cfg, grid2d, params, f, g, ensemble=2, seed=5)
+        assert spawned == [(5 + 101 * i, 2) for i in (0, 1, 2, 3, 4, 6, 7)]
+        return
+    analysis.fit_lemma_constants(cfg2, grid2d, params, f, g, ensemble=20, seed=5)
+    want = [(5 + 101 * i, 16) for i in range(4)]
+    if case == "tanh-g":
+        want.append((5 + 101 * 8, 20))
+    assert spawned == want
+
+
 def test_singular_derivative_fit(grid2d, params, cfg2):
     from micropolar.analysis import singular_derivative_fit
     rng = np.random.default_rng(13)

@@ -225,3 +225,17 @@ def test_batched_negative_power_checks_every_member(grid2d, rng):
         power_coeffs(op, stacked)
     out = power_coeffs(op, stacked[:2])
     assert np.all(out[:, :, 0, 0] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cross_magnitude_equals_curl_bit_for_bit(dim):
+    # |1j z| is |z| exactly, so the weighted norms may drop curl's 1j;
+    # signed zeros included
+    from micropolar.fields import deriv_wavevectors
+    from micropolar.operators import cross, curl
+
+    grid = mp.GridSpec(dim=dim, n=8)
+    c = mp.random_field(grid, dim, np.random.default_rng(dim)).coeffs.copy()
+    c.real[..., 0] = -0.0
+    ks = deriv_wavevectors(grid)
+    assert np.abs(cross(c, ks)).tobytes() == np.abs(curl(c, ks)).tobytes()
