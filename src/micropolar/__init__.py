@@ -4,7 +4,6 @@ estimates."""
 
 from .fields import GridSpec, SpectralField, random_field, to_physical, to_spectral
 from .operators import (
-    NormRequest,
     OperatorKind,
     OperatorSymbol,
     apply_operator,
@@ -12,7 +11,6 @@ from .operators import (
     lambda1,
     laplace_operator,
     leray_project,
-    norm,
     rot,
     semigroup_apply,
     stokes_operator,
@@ -30,7 +28,6 @@ from .solver import (
     PicardConfig,
     TrajectoryState,
     beta_function,
-    duhamel_integral,
     global_solve,
     initial_trajectory,
     picard_solve,

@@ -69,6 +69,7 @@ from .solver import (
     _half_subspaces,
     node_l2,
     node_rhs,
+    tag_components,
     time_weight,
 )
 
@@ -563,7 +564,7 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
     velocity slots range over the Leray-projected basis."""
     grid = _exact_grid(grid)
     ops = dict(zip(TAGS, generators(grid, params)))
-    comps = {"u": grid.dim, "om": 1 if grid.dim == 2 else 3, "th": 1}
+    comps = tag_components(grid.dim)
     _, kap, ksq, _ = _half_symbols(grid)
     spaces = {}
     for tag, exp in dict((("u", lemma.alpha), (lemma.tag, lemma.exp))).items():
@@ -699,7 +700,7 @@ def _bilinear_ratio(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     a_op, g_op, b_op = generators(grid, params)
     norms = WeightedNorms(cfg, grid, params)
     dim = grid.dim
-    om_comp = 1 if dim == 2 else 3
+    om_comp = tag_components(dim)["om"]
 
     def vec():
         return leray_project(random_field(grid, dim, rng, sigma=_SIGMA, kmax=kmax))
@@ -755,7 +756,7 @@ def _zero_order_ratio(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     """Left over right side of the zero-order estimate lemma_id at the field x
     of the kind _ZERO_ORDER names (0 when the right side vanishes)."""
     dim = x.grid.dim
-    om_comp = 1 if dim == 2 else 3
+    om_comp = tag_components(dim)["om"]
     if lemma_id == "2.9":
         lhs = lebesgue_norm(apply_operator(norms.ops["u"].with_power(-cfg.delta1),
                                            leray_project(rot(x))), cfg.p)
@@ -784,7 +785,7 @@ def _lemma_forcing(lemma_id: str, f: ForcingSpec, g: ForcingSpec,
     its place when it vanishes, since the estimate divides by its Lipschitz
     constant."""
     force = f if lemma_id == "2.12" else g
-    components = dim if lemma_id == "2.12" else 1 if dim == 2 else 3
+    components = tag_components(dim)["u" if lemma_id == "2.12" else "om"]
     if force.lipschitz == 0:
         force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
     if len(force.c) != components:
@@ -809,7 +810,7 @@ def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     grid, ops = norms.grid, norms.ops
     dim = grid.dim
     tag = _ZERO_ORDER[lemma_id]
-    comp = {"u": dim, "om": 1 if dim == 2 else 3, "th": 1}[tag]
+    comp = tag_components(dim)[tag]
     # member j is the amplitude e_j at every mode but k = 0
     eye = np.zeros((comp, comp) + grid.shape, dtype=np.complex128)
     eye[...] = np.eye(comp).reshape((comp, comp) + (1,) * dim)

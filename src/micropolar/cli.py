@@ -44,7 +44,7 @@ from .fields import GridSpec, SpectralField, random_field
 from .gronwall import gronwall_bound, gronwall_oracle
 from .nonlinear import CouplingParams, ForcingSpec, generators
 from .operators import leray_project
-from .solver import PicardConfig, global_solve, picard_solve, window_horizons
+from .solver import PicardConfig, global_solve, picard_solve, tag_components, window_horizons
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -71,7 +71,7 @@ class InitialDataSpec:
 
 
 def build_initial_data(grid: GridSpec, spec: InitialDataSpec, seed: int) -> tuple:
-    om_comp = 1 if grid.dim == 2 else 3
+    om_comp = tag_components(grid.dim)["om"]
     if spec.kind == "zero":
         return (SpectralField.zero(grid, grid.dim), SpectralField.zero(grid, om_comp),
                 SpectralField.zero(grid, 1))

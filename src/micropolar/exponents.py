@@ -18,6 +18,9 @@ from .errors import ConfigurationError
 
 EQ_TOL = 1e-12
 
+# lattice resolutions 1/res of the exponent group searches, coarsest first
+LATTICES = (32, 64, 128, 256)
+
 BASE = "base"
 REGULARITY = "regularity"
 CLASSICAL = "classical"
@@ -473,16 +476,16 @@ def _binding_constraints(grids: list, constraints: list) -> list:
 
 
 def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
-                    res: int) -> dict | None:
+                    res: int) -> tuple:
     """Search each nearly-independent exponent group on a 1/res lattice.
 
-    Returns the nine intermediates, or None with binding info stashed on the
-    function attribute (kept simple: caller re-runs _binding_constraints)."""
+    Returns (intermediates, None) with the nine intermediates, or
+    (None, (group, grids, constraints)) for the first group with no feasible
+    lattice point."""
     p, q, r = cfg.p, cfg.q, cfg.r
     a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
     eq49, eq50, eq51 = equality_branches(cfg)
     out = {}
-    diagnostics = {}
 
     # alpha1
     cons_a1 = [
@@ -494,9 +497,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
     grid_a1 = [_lattice(a0, 1 - d1, res)]
     hit = _first_feasible(grid_a1, lambda a: _conjoin(f(a) for _, f in cons_a1))
     if hit is None:
-        diagnostics["alpha1"] = (grid_a1, cons_a1)
-        _group_searches.last_failure = ("alpha1", grid_a1, cons_a1)
-        return None
+        return None, ("alpha1", grid_a1, cons_a1)
     out["alpha1"] = hit[0]
 
     # beta1 (pinned in the equality branch of the curl-coupling rule)
@@ -510,8 +511,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
         b1 = 1 - a0 + b0 - d1
         ok = (lo_b1 < b1 < 1 - d2) and all(f(np.asarray(b1)) for _, f in cons_b1)
         if not ok:
-            _group_searches.last_failure = ("beta1 (equality branch)", [np.asarray([b1])], cons_b1)
-            return None
+            return None, ("beta1 (equality branch)", [np.asarray([b1])], cons_b1)
         out["beta1"] = b1
     else:
         cons_b1 = cons_b1 + [
@@ -519,8 +519,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
         grid_b1 = [_lattice(lo_b1, 1 - d2, res)]
         hit = _first_feasible(grid_b1, lambda b: _conjoin(f(b) for _, f in cons_b1))
         if hit is None:
-            _group_searches.last_failure = ("beta1", grid_b1, cons_b1)
-            return None
+            return None, ("beta1", grid_b1, cons_b1)
         out["beta1"] = hit[0]
 
     # (alpha2, beta2)
@@ -541,8 +540,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
     hit = _first_feasible(grids_ab2, lambda a, b: _conjoin(
         f(a, b) for _, f in cons_ab2))
     if hit is None:
-        _group_searches.last_failure = ("alpha2/beta2", grids_ab2, cons_ab2)
-        return None
+        return None, ("alpha2/beta2", grids_ab2, cons_ab2)
     out["alpha2"], out["beta2"] = hit
 
     # (alpha3, beta3, gamma3)
@@ -571,8 +569,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
     hit = _first_feasible(grids_3, lambda a, b, g: _conjoin(
         f(a, b, g) for _, f in cons_3))
     if hit is None:
-        _group_searches.last_failure = ("alpha3/beta3/gamma3", grids_3, cons_3)
-        return None
+        return None, ("alpha3/beta3/gamma3", grids_3, cons_3)
     out["alpha3"], out["beta3"], out["gamma3"] = hit
 
     # gamma1, gamma2 (pinned in their equality branches)
@@ -587,9 +584,7 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
             val = 1 - base_that_side + g0
             ok = (g0 < val < 1 - d3) and all(f(np.asarray(val)) for _, f in cons_g)
             if not ok:
-                _group_searches.last_failure = (f"{name} (equality branch)",
-                                                [np.asarray([val])], cons_g)
-                return None
+                return None, (f"{name} (equality branch)", [np.asarray([val])], cons_g)
             out[name] = val
         else:
             cons_g = cons_g + [(f"{name} < 1-.._0+gamma0 (strict branch)",
@@ -598,14 +593,10 @@ def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
             hit = _first_feasible(grid_g, lambda g: _conjoin(
                 f(g) for _, f in cons_g))
             if hit is None:
-                _group_searches.last_failure = (name, grid_g, cons_g)
-                return None
+                return None, (name, grid_g, cons_g)
             out[name] = hit[0]
 
-    return out
-
-
-_group_searches.last_failure = None
+    return out, None
 
 
 def _default_lambdas(lambda_cap: float) -> tuple:
@@ -615,9 +606,7 @@ def _default_lambdas(lambda_cap: float) -> tuple:
     return lam, lam1, lam2
 
 
-def select_intermediate(cfg: ExponentConfig, lattice_start: int = 32,
-                        lattice_max: int = 256,
-                        lambda_cap: float = 1.0) -> SelectionResult:
+def select_intermediate(cfg: ExponentConfig, lambda_cap: float = 1.0) -> SelectionResult:
     """Choose deltas and the nine intermediate exponents.
 
     Deltas are zero when the matching base exponent is positive; otherwise the
@@ -674,15 +663,12 @@ def select_intermediate(cfg: ExponentConfig, lattice_start: int = 32,
     for d1, d2, d3 in itertools.islice(
             itertools.product(delta_candidates(0), delta_candidates(1),
                               delta_candidates(2)), 125):
-        found = None
-        for res in (lattice_start, 2 * lattice_start, 4 * lattice_start, lattice_max):
-            if res > lattice_max:
-                break
-            found = _group_searches(cfg, d1, d2, d3, res)
+        for res in LATTICES:
+            found, failure = _group_searches(cfg, d1, d2, d3, res)
             if found is not None:
                 break
         if found is None:
-            name, grids, cons = _group_searches.last_failure
+            name, grids, cons = failure
             last_binding = [f"group {name}"] + _binding_constraints(grids, cons)
             continue
         lam, lam1, lam2 = (cfg.lam, cfg.lam1, cfg.lam2)
@@ -695,4 +681,4 @@ def select_intermediate(cfg: ExponentConfig, lattice_start: int = 32,
             return SelectionResult(True, full)
         last_binding = [str(v) for v in verify.violations]
     return SelectionResult(False, None, last_binding,
-                           notes=f"no lattice point up to 1/{lattice_max}")
+                           notes=f"no lattice point up to 1/{LATTICES[-1]}")

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-HERMITIAN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GridSpec:

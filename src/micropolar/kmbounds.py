@@ -89,9 +89,6 @@ class KmTracker:
     def final(self) -> dict:
         return self.history[-1]
 
-    def curve(self, m: int, tag: str, exp: float) -> np.ndarray:
-        return self.history[m][(tag, exp)]
-
 
 def k0_curves(u0: SpectralField, om0: SpectralField, th0: SpectralField,
               cfg: ExponentConfig, params: CouplingParams,

@@ -165,12 +165,6 @@ def spectral_coeffs(op: OperatorSymbol, fn, c: np.ndarray) -> np.ndarray:
     return fn(op.eigenvalues()[0]) * c
 
 
-def spectral_function(op: OperatorSymbol, fn, f: SpectralField) -> SpectralField:
-    """Apply fn(generator) per mode to one field (see spectral_coeffs)."""
-    _component_check(op, f)
-    return SpectralField(op.grid, spectral_coeffs(op, fn, f.coeffs), f.mean_zero)
-
-
 def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
     """eig**power per mode; zero eigenvalues map to 0 for power != 0 and to 1
     for power = 0."""
@@ -213,7 +207,9 @@ def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralF
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     if op.power != 1.0:
         raise ConfigurationError("semigroup_apply expects the generator (power=1)")
-    return spectral_function(op, lambda eig: np.exp(-t * eig), f)
+    _component_check(op, f)
+    return SpectralField(op.grid, spectral_coeffs(op, lambda eig: np.exp(-t * eig), f.coeffs),
+                         f.mean_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -266,47 +262,6 @@ def rot(f: SpectralField) -> SpectralField:
 # Norms
 
 
-@dataclass(frozen=True)
-class NormRequest:
-    """A norm specification: Lebesgue L^s, Sobolev W^{k,s}, or a fractional
-    power norm ||op^exp . ||_s for one of the three generators."""
-
-    space: str                  # "lp" | "wks" | "xalpha" | "ybeta" | "zgamma"
-    s: float
-    k: int = 0
-    exp: float = 0.0
-
-    def __post_init__(self):
-        if self.space not in ("lp", "wks", "xalpha", "ybeta", "zgamma"):
-            raise ValueError(f"unknown norm space {self.space!r}")
-        if not (1 < self.s < np.inf):
-            raise ValueError(f"Lebesgue exponent must satisfy 1 < s < inf, got {self.s}")
-        if self.space == "wks" and self.k < 0:
-            raise ValueError("derivative order k must be nonnegative")
-        if self.space in ("xalpha", "ybeta", "zgamma") and not (0 <= self.exp <= 1):
-            raise ValueError(f"fractional exponent must lie in [0, 1], got {self.exp}")
-
-    @staticmethod
-    def lp(s: float) -> "NormRequest":
-        return NormRequest("lp", s)
-
-    @staticmethod
-    def wks(k: int, s: float) -> "NormRequest":
-        return NormRequest("wks", s, k=k)
-
-    @staticmethod
-    def xalpha(alpha: float, p: float) -> "NormRequest":
-        return NormRequest("xalpha", p, exp=alpha)
-
-    @staticmethod
-    def ybeta(beta: float, q: float) -> "NormRequest":
-        return NormRequest("ybeta", q, exp=beta)
-
-    @staticmethod
-    def zgamma(gamma: float, r: float) -> "NormRequest":
-        return NormRequest("zgamma", r, exp=gamma)
-
-
 def lebesgue_norm(f: SpectralField, s: float) -> float:
     """L^s norm by grid quadrature of the pointwise Euclidean magnitude."""
     phys = to_physical(f)
@@ -326,25 +281,6 @@ def sobolev_norm(f: SpectralField, k: int, s: float) -> float:
         current = SpectralField(f.grid, stacked, mean_zero=True)
         total += lebesgue_norm(current, s)
     return total
-
-
-def norm(f: SpectralField, req: NormRequest, op: OperatorSymbol | None = None) -> float:
-    """Evaluate a NormRequest; fractional norms use unit-coefficient generators
-    unless an explicit operator symbol is supplied."""
-    if req.space == "lp":
-        return lebesgue_norm(f, req.s)
-    if req.space == "wks":
-        return sobolev_norm(f, req.k, req.s)
-    if req.space == "xalpha" and f.is_scalar:
-        raise TypeError("X^alpha norms are defined for vector fields")
-    if op is None:
-        if req.space == "xalpha":
-            op = stokes_operator(f.grid)  # projects inside apply_operator
-        elif req.space == "ybeta":
-            op = gamma_operator(f.grid)
-        else:
-            op = laplace_operator(f.grid)
-    return lebesgue_norm(apply_operator(op.with_power(req.exp), f), req.s)
 
 
 def divergence_defect(v: SpectralField) -> float:

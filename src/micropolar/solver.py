@@ -181,28 +181,18 @@ class DuhamelPropagator:
         return out
 
 
-def duhamel_integral(op: OperatorSymbol, rhs: np.ndarray, times: np.ndarray,
-                     t: float) -> SpectralField:
-    """Duhamel integral at grid node t (t must match a node) of RHS samples
-    given as node-stacked half spectra (nodes, comp, *half)."""
-    times = np.asarray(times, dtype=np.float64)
-    tol = 1e-12 * max(1.0, float(times[-1]))
-    matches = np.nonzero(np.abs(times - t) <= tol)[0]
-    if matches.size == 0:
-        raise ConfigurationError(
-            f"t={t} is not a trajectory node; off-grid evaluation is unsupported")
-    j = int(matches[0])
-    prop = DuhamelPropagator(op, times[: j + 1])
-    half = prop.integrate_nodes(rhs[: j + 1])[j]
-    return SpectralField(op.grid, full_spectrum(op.grid, half))
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 
 # the field tags in the order of generators(): velocity, microrotation,
 # temperature
 TAGS = ("u", "om", "th")
+
+
+def tag_components(dim: int) -> dict:
+    """Component count of each field tag on a dim-dimensional grid; the
+    planar microrotation is a scalar."""
+    return {"u": dim, "om": 1 if dim == 2 else 3, "th": 1}
 
 
 @dataclass(frozen=True)

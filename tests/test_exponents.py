@@ -89,6 +89,16 @@ def test_selection_infeasible_reports_not_raises():
     assert sel.binding  # names the violated base inequalities
 
 
+def test_selection_reports_failed_group_search():
+    # passes the base check, but no (alpha2, beta2) lattice point fits
+    cfg = mp.ExponentConfig(p=2, q=3, r=2, alpha0=0.5, beta0=0.75, gamma0=0.0)
+    assert mp.check_config(cfg, BASE).passed
+    sel = select_intermediate(cfg)
+    assert not sel.feasible
+    assert sel.binding[:2] == ["group alpha2/beta2",
+                               "alpha2+beta2+delta2 <= 1+alpha0 (excludes 75%)"]
+
+
 def test_selection_pinched_corner_reported():
     # p = 2r with zero base exponents pins the dissipation exponent where a
     # recursion weight would vanish

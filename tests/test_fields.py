@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 import micropolar as mp
 from micropolar.errors import ConfigurationError
 from micropolar.fields import dealias_mask, grid_points
+from micropolar.operators import lebesgue_norm
 
 
 def test_grid_validation():
@@ -54,7 +55,7 @@ def test_size_mismatch_rejected(grid2d):
 
 def test_parseval(grid2d, rng):
     f = mp.random_field(grid2d, 2, rng)
-    quad = mp.norm(f, mp.NormRequest.lp(2))
+    quad = lebesgue_norm(f, 2)
     parseval = f.l2()
     assert quad == pytest.approx(parseval, rel=1e-12)
 

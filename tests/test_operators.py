@@ -106,29 +106,22 @@ def test_semigroup_rejects_negative_time(grid2d, rng):
 
 def test_zero_field_norms(grid2d):
     z = mp.SpectralField.zero(grid2d, 1)
-    for req in (mp.NormRequest.lp(2), mp.NormRequest.wks(1, 3.0),
-                mp.NormRequest.zgamma(0.5, 2)):
-        assert mp.norm(z, req) == 0.0
+    assert lebesgue_norm(z, 2) == 0.0
+    assert sobolev_norm(z, 1, 3.0) == 0.0
+    assert lebesgue_norm(mp.apply_operator(mp.laplace_operator(grid2d, power=0.5), z), 2) == 0.0
 
 
 def test_sine_l2_norm(grid2d):
     x, _ = grid_points(grid2d)
     f = mp.to_spectral(grid2d, np.sin(2 * np.pi * x / grid2d.length)[None])
     expect = np.sqrt(2 * np.pi) * np.sqrt(np.pi)  # sqrt(volume/2) in 2D
-    assert mp.norm(f, mp.NormRequest.lp(2)) == pytest.approx(expect, rel=1e-12)
+    assert lebesgue_norm(f, 2) == pytest.approx(expect, rel=1e-12)
 
 
 def test_fractional_norm_diagonal_action(grid2d):
     u = mp.SpectralField.single_mode(grid2d, (0, 2), [1.0, 0.0])  # eigenvalue 4
-    got = mp.norm(u, mp.NormRequest.xalpha(0.5, 2))
+    got = mp.apply_operator(mp.stokes_operator(grid2d).with_power(0.5), u).l2()
     assert got == pytest.approx(4 ** 0.5 * u.l2(), rel=1e-12)
-
-
-def test_norm_request_validation():
-    with pytest.raises(ValueError):
-        mp.NormRequest.lp(1.0)
-    with pytest.raises(ValueError):
-        mp.NormRequest.xalpha(1.5, 2)
 
 
 def test_lambda1_values():
@@ -177,15 +170,14 @@ def test_l4_norm_analytic(grid2d):
     f = mp.to_spectral(grid2d, np.sin(x)[None])
     # mean of sin^4 is 3/8, so the integral over the 2D torus is 3 pi^2 / 2
     expect = (3 * np.pi ** 2 / 2) ** 0.25
-    assert mp.norm(f, mp.NormRequest.lp(4)) == pytest.approx(expect, rel=1e-12)
+    assert lebesgue_norm(f, 4) == pytest.approx(expect, rel=1e-12)
 
 
 def test_w1_norm_analytic(grid2d):
     x, _ = grid_points(grid2d)
     f = mp.to_spectral(grid2d, np.sin(x)[None])
     mode_l2 = np.sqrt(2 * np.pi ** 2)
-    assert mp.norm(f, mp.NormRequest.wks(1, 2)) == pytest.approx(2 * mode_l2,
-                                                                 rel=1e-12)
+    assert sobolev_norm(f, 1, 2) == pytest.approx(2 * mode_l2, rel=1e-12)
 
 
 def test_gamma_general_coefficients(grid3d):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import micropolar as mp
-from micropolar.errors import ConfigurationError, PreconditionError
+from micropolar.errors import PreconditionError
 from micropolar.fields import full_spectrum, half_spectrum
 from micropolar.operators import spectral_coeffs
 from micropolar.solver import (
@@ -34,6 +34,11 @@ def _stack(fields):
 
 def _field(grid, half):
     return mp.SpectralField(grid, full_spectrum(grid, half))
+
+
+def _duhamel(op, rhs, times, j):
+    """Duhamel integral at node j of node-stacked half-spectrum RHS samples."""
+    return _field(op.grid, DuhamelPropagator(op, times).integrate_nodes(rhs)[j])
 
 
 # -- beta function ----------------------------------------------------------
@@ -85,7 +90,7 @@ def test_interval_weights_match_quadrature():
 def test_duhamel_zero_forcing(grid2d):
     times = np.linspace(0, 1, 17)
     z = _stack([mp.SpectralField.zero(grid2d, 1) for _ in times])
-    out = mp.duhamel_integral(mp.laplace_operator(grid2d), z, times, 1.0)
+    out = _duhamel(mp.laplace_operator(grid2d), z, times, 16)
     assert out.l2() == 0.0
 
 
@@ -93,8 +98,7 @@ def test_duhamel_constant_mode_exact(grid2d):
     times = np.linspace(0, 0.5, 33)
     mode = mp.SpectralField.single_mode(grid2d, (2, 1), 0.3)
     mu = 5.0
-    out = mp.duhamel_integral(mp.laplace_operator(grid2d),
-                              _stack([mode] * len(times)), times, 0.5)
+    out = _duhamel(mp.laplace_operator(grid2d), _stack([mode] * len(times)), times, 32)
     expect = (1 - np.exp(-0.5 * mu)) / mu
     assert np.max(np.abs(out.coeffs - expect * mode.coeffs)) <= 1e-14
 
@@ -104,16 +108,9 @@ def test_duhamel_linear_data_exact(grid2d):
     mode = mp.SpectralField.single_mode(grid2d, (2, 1), 1.0)
     mu = 5.0
     rhs = _stack([mode * float(t) for t in times])
-    out = mp.duhamel_integral(mp.laplace_operator(grid2d), rhs, times, 0.5)
+    out = _duhamel(mp.laplace_operator(grid2d), rhs, times, 20)
     expect = 0.5 / mu - (1 - np.exp(-0.5 * mu)) / mu ** 2
     assert np.max(np.abs(out.coeffs - expect * mode.coeffs)) <= 1e-12
-
-
-def test_duhamel_rejects_off_grid(grid2d):
-    times = np.linspace(0, 1, 9)
-    z = _stack([mp.SpectralField.zero(grid2d, 1) for _ in times])
-    with pytest.raises(ConfigurationError):
-        mp.duhamel_integral(mp.laplace_operator(grid2d), z, times, 0.3)
 
 
 def test_duhamel_gamma_vector_subspaces(grid3d):
@@ -121,7 +118,7 @@ def test_duhamel_gamma_vector_subspaces(grid3d):
     times = np.linspace(0, 0.4, 41)
     g_op = mp.gamma_operator(grid3d)
     mode = mp.SpectralField.single_mode(grid3d, (1, 0, 0), [0.5, 0.5, 0.0])
-    out = mp.duhamel_integral(g_op, _stack([mode] * len(times)), times, 0.4)
+    out = _duhamel(g_op, _stack([mode] * len(times)), times, 40)
     idx = (1, 0, 0)
     got_para = out.coeffs[0][idx]
     got_perp = out.coeffs[1][idx]
@@ -187,9 +184,9 @@ def test_picard_step_matches_manual_duhamel(grid2d, params, cfg2, rng):
     traj = mp.initial_trajectory(u0, om0, th0, times, params)
     stepped = picard_step(traj, params, ZERO, ZERO)
     j = 10
-    manual = _field(grid2d, traj.free["th"][j]) + mp.duhamel_integral(
+    manual = _field(grid2d, traj.free["th"][j]) + _duhamel(
         mp.laplace_operator(grid2d, coeff=params.heat_coeff),
-        node_rhs(traj, params, ZERO, ZERO)["th"], times, float(times[j]))
+        node_rhs(traj, params, ZERO, ZERO)["th"], times, j)
     assert (stepped.state_at(j)[2] - manual).l2() <= 1e-13
 
 
@@ -410,8 +407,8 @@ def test_first_picard_step_against_fine_grid_quadrature(grid2d, params, cfg2, rn
     dt = float(coarse[1] - coarse[0])
     for i, (tag, op) in enumerate(zip(TAGS, generators(grid2d, params))):
         for j in (8, 16):
-            refined = _field(grid2d, traj0.free[tag][j]) + mp.duhamel_integral(
-                op, rhs_fine[tag], fine, float(coarse[j]))
+            refined = _field(grid2d, traj0.free[tag][j]) + _duhamel(
+                op, rhs_fine[tag], fine, 4 * j)
             new = stepped.state_at(j)[i]
             err = new - refined
             scale = max(new.l2(), 1e-12)
