@@ -387,6 +387,8 @@ def _cmd_picard(args) -> int:
     traj, rep = picard_solve(u0, om0, th0, cfg.exponents, cfg.params,
                              cfg.forcing_f, cfg.forcing_g, cfg.picard,
                              constants=constants)
+    for note in rep.notes:
+        print(f"note: {note}", file=sys.stderr)
     bundle.add_table("iterations", *_iteration_table([rep], 0))
     cols, rows = _norm_table_rows(traj, cfg)
     bundle.add_table("nodes", cols, rows)

@@ -3,14 +3,18 @@
 The machinery needs integrability exponents (p, q, r), base regularity
 exponents (alpha0, beta0, gamma0), auxiliary negative-power exponents
 (delta1..3), nine intermediate exponents, and the decay-rate chain
-(lambda, lambda1, lambda2).  check_config evaluates every inequality
-literally and reports each violation with its left/right values.
+(lambda, lambda1, lambda2).  Each inequality is stated once, as a row of
+RULES: check_config evaluates the rows literally at a point and reports each
+violation with its left/right values, and the selection evaluates the same
+rows over lattices of the intermediate exponents.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -138,274 +142,261 @@ class CheckResult:
         return self.passed
 
 
-class _Checker:
+_RELATIONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": lambda lhs, rhs: abs(lhs - rhs) <= EQ_TOL,
+}
+
+
+class _Reads:
+    """Stands in for a config and records the variables a function reads."""
+
     def __init__(self):
-        self.violations = []
-        self.count = 0
+        self.names = set()
 
-    def require(self, label: str, lhs: float, relation: str, rhs: float):
-        self.count += 1
-        ok = {
-            "<": lhs < rhs,
-            "<=": lhs <= rhs,
-            ">": lhs > rhs,
-            ">=": lhs >= rhs,
-            "==": abs(lhs - rhs) <= EQ_TOL,
-        }[relation]
-        if not ok:
-            self.violations.append(Violation(label, lhs, relation, rhs))
+    def __getattr__(self, name):
+        self.names.add(name)
+        return 1.0
 
 
-def _base_integrability(cfg: ExponentConfig, ch: _Checker):
-    p, q, r = cfg.p, cfg.q, cfg.r
-    ch.require("|1/p-1/q| < 1/3", abs(1 / p - 1 / q), "<", 1 / 3)
-    ch.require("1/p-1/(2r) < 1/3", 1 / p - 1 / (2 * r), "<", 1 / 3)
-    ch.require("1/r-1/p < 2/3", 1 / r - 1 / p, "<", 2 / 3)
-    ch.require("1/q-1/(2r) < 1/3", 1 / q - 1 / (2 * r), "<", 1 / 3)
-    ch.require("1/r-1/q < 2/3", 1 / r - 1 / q, "<", 2 / 3)
+class Rule:
+    """One exponent condition `lhs(v) relation rhs(v)`.
+
+    v is an ExponentConfig, or a namespace with its fields and `lambda_cap`;
+    the searched exponents may be lattice arrays.  A side is a function of v,
+    a variable name or a constant.  The rule applies at the check levels in
+    `levels`, and only where `when(v)` holds if `when` is given (the delta
+    rule and the three coupling branches).  `reads` is the set of variables
+    either side reads."""
+
+    def __init__(self, label, lhs, relation, rhs, levels=(BASE, REGULARITY), when=None):
+        self.label, self.relation, self.levels, self.when = label, relation, levels, when
+        self.lhs, self.rhs = (operator.attrgetter(s) if isinstance(s, str) else s
+                              if callable(s) else (lambda v, c=s: c) for s in (lhs, rhs))
+        rec = _Reads()
+        self.lhs(rec), self.rhs(rec)
+        self.reads = frozenset(rec.names)
+
+    def picked(self, v) -> bool:
+        return self.when is None or self.when(v)
+
+    def test(self, v) -> tuple:
+        """(lhs, rhs, holds) at a point (floats) or over a lattice (arrays)."""
+        lhs, rhs = self.lhs(v), self.rhs(v)
+        return lhs, rhs, _RELATIONS[self.relation](lhs, rhs)
 
 
-def _base_exponents(cfg: ExponentConfig, ch: _Checker):
-    p, q, r = cfg.p, cfg.q, cfg.r
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    ch.require("alpha0 >= max{0, 3/(2p)-1/2}", a0, ">=", max(0.0, 1.5 / p - 0.5))
-    ch.require("alpha0-beta0-(3/2)(1/p-1/q) <= 1/2",
-               a0 - b0 - 1.5 * (1 / p - 1 / q), "<=", 0.5)
-    ch.require("alpha0-gamma0/2-(3/2)(1/p-1/(2r)) >= 0",
-               a0 - g0 / 2 - 1.5 * (1 / p - 1 / (2 * r)), ">=", 0.0)
-    ch.require("alpha0-gamma0-(3/2)(1/p-1/r) > -1",
-               a0 - g0 - 1.5 * (1 / p - 1 / r), ">", -1.0)
-    ch.require("alpha0-gamma0-(3/2)(1/p-1/r) <= 1",
-               a0 - g0 - 1.5 * (1 / p - 1 / r), "<=", 1.0)
-    ch.require("beta0-gamma0/2-(3/2)(1/q-1/(2r)) >= 0",
-               b0 - g0 / 2 - 1.5 * (1 / q - 1 / (2 * r)), ">=", 0.0)
-    ch.require("beta0-gamma0-(3/2)(1/q-1/r) > -1",
-               b0 - g0 - 1.5 * (1 / q - 1 / r), ">", -1.0)
-    ch.require("beta0-gamma0-(3/2)(1/q-1/r) <= 1",
-               b0 - g0 - 1.5 * (1 / q - 1 / r), "<=", 1.0)
+def _window(text: str, fn, levels=(BASE, REGULARITY)) -> tuple:
+    """-1 < fn <= 1."""
+    return (Rule(f"{text} > -1", fn, ">", -1.0, levels),
+            Rule(f"{text} <= 1", fn, "<=", 1.0, levels))
 
 
-def _regularity_conditions(cfg: ExponentConfig, ch: _Checker):
-    p, q, r = cfg.p, cfg.q, cfg.r
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    ch.require("alpha0 >= 3(1/p-1/(2r))", a0, ">=", 3 * (1 / p - 1 / (2 * r)))
-    ch.require("beta0 >= max{3/(2p)-1/2, 3(1/q-1/(2r))}", b0, ">=",
-               max(1.5 / p - 0.5, 3 * (1 / q - 1 / (2 * r))))
-    ch.require("gamma0 >= 3/(2p)-1/2", g0, ">=", 1.5 / p - 0.5)
+def _weight(text: str, fn) -> Rule:
+    """A time-weight exponent of the bound recursion stays positive."""
+    return Rule(f"recursion weight {text} > 0", fn, ">", 0.0)
+
+
+# the box of each searched family: family0 < x < 1 - delta
+_BOXES = {"alpha": "delta1", "beta": "delta2", "gamma": "delta3"}
+_CLS, _REG = (CLASSICAL,), (REGULARITY,)
+
+# Every condition, in the order check_config reports them.  A coupling rule
+# takes its equality branch exactly when the matching base bound
+# (_BRANCH_BOUNDS) holds with equality.
+RULES = (
+    Rule("3 < p", 3.0, "<", "p", _CLS),
+    Rule("3 < r", 3.0, "<", "r", _CLS),
+    Rule("q == p", "q", "==", "p", _CLS),
+    Rule("1/p-1/(2r) <= 0", lambda v: 1 / v.p - 1 / (2 * v.r), "<=", 0.0, _CLS),
+    # base integrability
+    Rule("|1/p-1/q| < 1/3", lambda v: abs(1 / v.p - 1 / v.q), "<", 1 / 3),
+    Rule("1/p-1/(2r) < 1/3", lambda v: 1 / v.p - 1 / (2 * v.r), "<", 1 / 3),
+    Rule("1/r-1/p < 2/3", lambda v: 1 / v.r - 1 / v.p, "<", 2 / 3, (BASE, REGULARITY, CLASSICAL)),
+    Rule("1/q-1/(2r) < 1/3", lambda v: 1 / v.q - 1 / (2 * v.r), "<", 1 / 3),
+    Rule("1/r-1/q < 2/3", lambda v: 1 / v.r - 1 / v.q, "<", 2 / 3),
+    # base exponents
+    Rule("alpha0 >= max{0, 3/(2p)-1/2}", "alpha0", ">=", lambda v: max(0.0, 1.5 / v.p - 0.5)),
+    (_D49 := Rule("alpha0-beta0-(3/2)(1/p-1/q) <= 1/2",
+                  lambda v: v.alpha0 - v.beta0 - 1.5 * (1 / v.p - 1 / v.q), "<=", 0.5)),
+    Rule("alpha0-gamma0/2-(3/2)(1/p-1/(2r)) >= 0",
+         lambda v: v.alpha0 - v.gamma0 / 2 - 1.5 * (1 / v.p - 1 / (2 * v.r)), ">=", 0.0),
+    *(_W50 := _window("alpha0-gamma0-(3/2)(1/p-1/r)",
+                      lambda v: v.alpha0 - v.gamma0 - 1.5 * (1 / v.p - 1 / v.r))),
+    Rule("beta0-gamma0/2-(3/2)(1/q-1/(2r)) >= 0",
+         lambda v: v.beta0 - v.gamma0 / 2 - 1.5 * (1 / v.q - 1 / (2 * v.r)), ">=", 0.0),
+    *(_W51 := _window("beta0-gamma0-(3/2)(1/q-1/r)",
+                      lambda v: v.beta0 - v.gamma0 - 1.5 * (1 / v.q - 1 / v.r))),
+    # delta rule
+    *(rule for base, delta in (("alpha0", "delta1"), ("beta0", "delta2"), ("gamma0", "delta3"))
+      for rule in (Rule(f"{delta} == 0 (base exponent positive)", delta, "==", 0.0,
+                        when=lambda v, b=base: getattr(v, b) > 0),
+                   Rule(f"{delta} > 0 (base exponent zero)", delta, ">", 0.0,
+                        when=lambda v, b=base: not getattr(v, b) > 0))),
+    # advective velocity estimate
+    Rule("alpha1 > 0", "alpha1", ">", 0.0),
+    Rule("delta1 >= 0", "delta1", ">=", 0.0),
+    (_CAP1 := Rule("delta1 < 1/2+(3/2)(1-1/p)", "delta1", "<",
+                   lambda v: 0.5 + 1.5 * (1 - 1 / v.p))),
+    Rule("alpha1+delta1 > 1/2", lambda v: v.alpha1 + v.delta1, ">", 0.5),
+    Rule("2alpha1+delta1 >= 3/(2p)+1/2", lambda v: 2 * v.alpha1 + v.delta1, ">=",
+         lambda v: 1.5 / v.p + 0.5),
+    # microrotation transport estimate
+    Rule("alpha2 >= 0", "alpha2", ">=", 0.0),
+    Rule("beta2 >= 0", "beta2", ">=", 0.0),
+    Rule("alpha2 > (3/2)(1/p-1/q)", "alpha2", ">", lambda v: 1.5 * (1 / v.p - 1 / v.q)),
+    Rule("delta2 >= 0", "delta2", ">=", 0.0),
+    (_CAP2 := Rule("delta2 < 1/2+(3/2)(1-1/q)", "delta2", "<",
+                   lambda v: 0.5 + 1.5 * (1 - 1 / v.q))),
+    Rule("beta2+delta2 > 1/2", lambda v: v.beta2 + v.delta2, ">", 0.5),
+    Rule("alpha2+beta2+delta2 >= 3/(2p)+1/2", lambda v: v.alpha2 + v.beta2 + v.delta2, ">=",
+         lambda v: 1.5 / v.p + 0.5),
+    # temperature transport estimate
+    Rule("alpha3 >= 0", "alpha3", ">=", 0.0),
+    Rule("gamma3 >= 0", "gamma3", ">=", 0.0),
+    Rule("alpha3 > (3/2)(1/p-1/r)", "alpha3", ">", lambda v: 1.5 * (1 / v.p - 1 / v.r)),
+    Rule("delta3 >= 0", "delta3", ">=", 0.0),
+    (_CAP3 := Rule("delta3 < 1/2+(3/2)(1-1/r)", "delta3", "<",
+                   lambda v: 0.5 + 1.5 * (1 - 1 / v.r))),
+    Rule("gamma3+delta3 > 1/2", lambda v: v.gamma3 + v.delta3, ">", 0.5),
+    Rule("alpha3+gamma3+delta3 >= 3/(2p)+1/2", lambda v: v.alpha3 + v.gamma3 + v.delta3, ">=",
+         lambda v: 1.5 / v.p + 0.5),
+    # dissipation-function estimate
+    Rule("alpha3 >= max{0, 1/2+(3/2)(1/p-1/(2r))}", "alpha3", ">=",
+         lambda v: max(0.0, 0.5 + 1.5 * (1 / v.p - 1 / (2 * v.r)))),
+    Rule("alpha3 <= 1", "alpha3", "<=", 1.0),
+    Rule("beta3 >= max{0, 1/2+(3/2)(1/q-1/(2r))}", "beta3", ">=",
+         lambda v: max(0.0, 0.5 + 1.5 * (1 / v.q - 1 / (2 * v.r)))),
+    Rule("beta3 <= 1", "beta3", "<=", 1.0),
+    # curl coupling estimates
+    Rule("beta1 >= 0", "beta1", ">=", 0.0),
+    Rule("beta1 > (3/2)(1/q-1/p)", "beta1", ">", lambda v: 1.5 * (1 / v.q - 1 / v.p)),
+    Rule("beta1+delta1 >= (3/2)(1/q-1/p)+1/2", lambda v: v.beta1 + v.delta1, ">=",
+         lambda v: 1.5 * (1 / v.q - 1 / v.p) + 0.5),
+    Rule("0 <= beta2 <= 1 (zero-order bound)", "beta2", "<=", 1.0),
+    Rule("alpha2+delta2 >= (3/2)(1/p-1/q)+1/2", lambda v: v.alpha2 + v.delta2, ">=",
+         lambda v: 1.5 * (1 / v.p - 1 / v.q) + 0.5),
+    # forcing estimates
+    Rule("gamma1 >= max{0, (3/2)(1/r-1/p)}", "gamma1", ">=",
+         lambda v: max(0.0, 1.5 * (1 / v.r - 1 / v.p))),
+    Rule("gamma1 <= 1", "gamma1", "<=", 1.0),
+    Rule("gamma2 >= max{0, (3/2)(1/r-1/q)}", "gamma2", ">=",
+         lambda v: max(0.0, 1.5 * (1 / v.r - 1 / v.q))),
+    Rule("gamma2 <= 1", "gamma2", "<=", 1.0),
+    # boxes
+    *(rule for fam, delta in _BOXES.items() for i in (1, 2, 3) for rule in (
+        Rule(f"{fam}0 < {fam}{i}", f"{fam}0", "<", f"{fam}{i}"),
+        Rule(f"{fam}{i} < 1-{delta}", f"{fam}{i}", "<", lambda v, d=delta: 1 - getattr(v, d)))),
+    # joint selection constraints
+    Rule("2alpha1+delta1 <= 1+alpha0", lambda v: 2 * v.alpha1 + v.delta1, "<=",
+         lambda v: 1 + v.alpha0),
+    Rule("alpha2+beta2+delta2 <= 1+alpha0", lambda v: v.alpha2 + v.beta2 + v.delta2, "<=",
+         lambda v: 1 + v.alpha0),
+    Rule("alpha2+delta2 < 1+alpha0-beta0", lambda v: v.alpha2 + v.delta2, "<",
+         lambda v: 1 + v.alpha0 - v.beta0),
+    Rule("alpha3+gamma3+delta3 <= 1+alpha0", lambda v: v.alpha3 + v.gamma3 + v.delta3, "<=",
+         lambda v: 1 + v.alpha0),
+    Rule("alpha3 <= alpha0+(1-gamma0)/2", "alpha3", "<=", lambda v: v.alpha0 + (1 - v.gamma0) / 2),
+    Rule("beta3 <= beta0+(1-gamma0)/2", "beta3", "<=", lambda v: v.beta0 + (1 - v.gamma0) / 2),
+    # branch conditions for the three linear coupling exponents
+    *(rule for k, lhs_text, lhs, rhs_text, rhs in (
+        (0, "beta1+delta1", lambda v: v.beta1 + v.delta1,
+         "1-alpha0+beta0", lambda v: 1 - v.alpha0 + v.beta0),
+        (1, "gamma1", "gamma1", "1-alpha0+gamma0", lambda v: 1 - v.alpha0 + v.gamma0),
+        (2, "gamma2", "gamma2", "1-beta0+gamma0", lambda v: 1 - v.beta0 + v.gamma0))
+      for rule in (Rule(f"{lhs_text} == {rhs_text} (equality branch)", lhs, "==", rhs,
+                        when=lambda v, k=k: equality_branches(v)[k]),
+                   Rule(f"{lhs_text} < {rhs_text} (strict branch)", lhs, "<", rhs,
+                        when=lambda v, k=k: not equality_branches(v)[k]))),
+    # positivity of every time-weight exponent in the bound recursion
+    _weight("1+2(alpha0-alpha1)", lambda v: 1 + 2 * (v.alpha0 - v.alpha1)),
+    _weight("1+beta0-beta1", lambda v: 1 + v.beta0 - v.beta1),
+    _weight("1+gamma0-gamma1", lambda v: 1 + v.gamma0 - v.gamma1),
+    _weight("1+alpha0+beta0-alpha2-beta2", lambda v: 1 + v.alpha0 + v.beta0 - v.alpha2 - v.beta2),
+    _weight("1+beta0-beta2", lambda v: 1 + v.beta0 - v.beta2),
+    _weight("1+alpha0-alpha2", lambda v: 1 + v.alpha0 - v.alpha2),
+    _weight("1+gamma0-gamma2", lambda v: 1 + v.gamma0 - v.gamma2),
+    _weight("1+alpha0+gamma0-alpha3-gamma3",
+            lambda v: 1 + v.alpha0 + v.gamma0 - v.alpha3 - v.gamma3),
+    _weight("1+2(alpha0-alpha3)", lambda v: 1 + 2 * (v.alpha0 - v.alpha3)),
+    _weight("1+alpha0+beta0-alpha3-beta3", lambda v: 1 + v.alpha0 + v.beta0 - v.alpha3 - v.beta3),
+    _weight("1+2(beta0-beta3)", lambda v: 1 + 2 * (v.beta0 - v.beta3)),
+    # decay-rate chain
+    Rule("lambda > 0", "lam", ">", 0.0),
+    Rule("lambda < lambda1", "lam", "<", "lam1"),
+    Rule("lambda1 < Lambda_1", "lam1", "<", "lambda_cap"),
+    Rule("lambda < lambda2", "lam", "<", "lam2"),
+    Rule("lambda2 < min{2 lambda, lambda1}", "lam2", "<", lambda v: min(2 * v.lam, v.lam1)),
+    # regularity conditions
+    Rule("alpha0 >= 3(1/p-1/(2r))", "alpha0", ">=", lambda v: 3 * (1 / v.p - 1 / (2 * v.r)), _REG),
+    Rule("beta0 >= max{3/(2p)-1/2, 3(1/q-1/(2r))}", "beta0", ">=",
+         lambda v: max(1.5 / v.p - 0.5, 3 * (1 / v.q - 1 / (2 * v.r))), _REG),
+    Rule("gamma0 >= 3/(2p)-1/2", "gamma0", ">=", lambda v: 1.5 / v.p - 0.5, _REG),
     # time-derivative conditions
-    ch.require("alpha0 >= (3/2)(1/p+1/q-1/r)", a0, ">=", 1.5 * (1 / p + 1 / q - 1 / r))
-    ch.require("beta0 >= (3/2)(1/p+1/q-1/r)", b0, ">=", 1.5 * (1 / p + 1 / q - 1 / r))
-    ch.require("alpha0-gamma0 >= (3/2)(1/p-1/q)-1/2", a0 - g0, ">=",
-               1.5 * (1 / p - 1 / q) - 0.5)
-    ch.require("beta0-gamma0 >= (3/2)(1/q-1/p)-1/2", b0 - g0, ">=",
-               1.5 * (1 / q - 1 / p) - 0.5)
-    ch.require("beta0-alpha0 > -1/2", b0 - a0, ">", -0.5)
-    ch.require("beta0-gamma0 > -1/2", b0 - g0, ">", -0.5)
-    ch.require("2alpha0-beta0 >= max{3/(2p)-1/2, 3(1/p-1/(2r))}", 2 * a0 - b0, ">=",
-               max(1.5 / p - 0.5, 3 * (1 / p - 1 / (2 * r))))
-    ch.require("2alpha0-gamma0 >= 3/(2p)-1/2", 2 * a0 - g0, ">=", 1.5 / p - 0.5)
-    ch.require("2beta0-alpha0 >= 3(1/q-1/(2r))", 2 * b0 - a0, ">=",
-               3 * (1 / q - 1 / (2 * r)))
-    ch.require("alpha0+beta0-gamma0 >= 3/(2p)-1/2", a0 + b0 - g0, ">=", 1.5 / p - 0.5)
-    ch.require("alpha0-beta0+gamma0 >= 3/(2p)-1/2", a0 - b0 + g0, ">=", 1.5 / p - 0.5)
-    ch.require("alpha0-gamma0-(3/2)(1/q-1/r) > -1",
-               a0 - g0 - 1.5 * (1 / q - 1 / r), ">", -1.0)
-    ch.require("alpha0-gamma0-(3/2)(1/q-1/r) <= 1",
-               a0 - g0 - 1.5 * (1 / q - 1 / r), "<=", 1.0)
-    ch.require("beta0-gamma0-(3/2)(1/p-1/r) > -1",
-               b0 - g0 - 1.5 * (1 / p - 1 / r), ">", -1.0)
-    ch.require("beta0-gamma0-(3/2)(1/p-1/r) <= 1",
-               b0 - g0 - 1.5 * (1 / p - 1 / r), "<=", 1.0)
+    Rule("alpha0 >= (3/2)(1/p+1/q-1/r)", "alpha0", ">=",
+         lambda v: 1.5 * (1 / v.p + 1 / v.q - 1 / v.r), _REG),
+    Rule("beta0 >= (3/2)(1/p+1/q-1/r)", "beta0", ">=",
+         lambda v: 1.5 * (1 / v.p + 1 / v.q - 1 / v.r), _REG),
+    Rule("alpha0-gamma0 >= (3/2)(1/p-1/q)-1/2", lambda v: v.alpha0 - v.gamma0, ">=",
+         lambda v: 1.5 * (1 / v.p - 1 / v.q) - 0.5, _REG),
+    Rule("beta0-gamma0 >= (3/2)(1/q-1/p)-1/2", lambda v: v.beta0 - v.gamma0, ">=",
+         lambda v: 1.5 * (1 / v.q - 1 / v.p) - 0.5, _REG),
+    Rule("beta0-alpha0 > -1/2", lambda v: v.beta0 - v.alpha0, ">", -0.5, _REG),
+    Rule("beta0-gamma0 > -1/2", lambda v: v.beta0 - v.gamma0, ">", -0.5, _REG),
+    Rule("2alpha0-beta0 >= max{3/(2p)-1/2, 3(1/p-1/(2r))}", lambda v: 2 * v.alpha0 - v.beta0,
+         ">=", lambda v: max(1.5 / v.p - 0.5, 3 * (1 / v.p - 1 / (2 * v.r))), _REG),
+    Rule("2alpha0-gamma0 >= 3/(2p)-1/2", lambda v: 2 * v.alpha0 - v.gamma0, ">=",
+         lambda v: 1.5 / v.p - 0.5, _REG),
+    Rule("2beta0-alpha0 >= 3(1/q-1/(2r))", lambda v: 2 * v.beta0 - v.alpha0, ">=",
+         lambda v: 3 * (1 / v.q - 1 / (2 * v.r)), _REG),
+    Rule("alpha0+beta0-gamma0 >= 3/(2p)-1/2", lambda v: v.alpha0 + v.beta0 - v.gamma0, ">=",
+         lambda v: 1.5 / v.p - 0.5, _REG),
+    Rule("alpha0-beta0+gamma0 >= 3/(2p)-1/2", lambda v: v.alpha0 - v.beta0 + v.gamma0, ">=",
+         lambda v: 1.5 / v.p - 0.5, _REG),
+    *_window("alpha0-gamma0-(3/2)(1/q-1/r)",
+             lambda v: v.alpha0 - v.gamma0 - 1.5 * (1 / v.q - 1 / v.r), _REG),
+    *_window("beta0-gamma0-(3/2)(1/p-1/r)",
+             lambda v: v.beta0 - v.gamma0 - 1.5 * (1 / v.p - 1 / v.r), _REG),
+)
 
-
-def _classical_conditions(cfg: ExponentConfig, ch: _Checker):
-    p, q, r = cfg.p, cfg.q, cfg.r
-    ch.require("3 < p", 3.0, "<", p)
-    ch.require("3 < r", 3.0, "<", r)
-    ch.require("q == p", q, "==", p)
-    ch.require("1/p-1/(2r) <= 0", 1 / p - 1 / (2 * r), "<=", 0.0)
-    ch.require("1/r-1/p < 2/3", 1 / r - 1 / p, "<", 2 / 3)
-
-
-def _delta_rule(cfg: ExponentConfig, ch: _Checker):
-    for base, delta, name in ((cfg.alpha0, cfg.delta1, "delta1"),
-                              (cfg.beta0, cfg.delta2, "delta2"),
-                              (cfg.gamma0, cfg.delta3, "delta3")):
-        if base > 0:
-            ch.require(f"{name} == 0 (base exponent positive)", delta, "==", 0.0)
-        else:
-            ch.require(f"{name} > 0 (base exponent zero)", delta, ">", 0.0)
-
-
-def delta_upper_bounds(cfg: ExponentConfig) -> tuple:
-    """Open upper bounds on delta1..3 from the estimate hypotheses."""
-    return (0.5 + 1.5 * (1 - 1 / cfg.p),
-            0.5 + 1.5 * (1 - 1 / cfg.q),
-            0.5 + 1.5 * (1 - 1 / cfg.r))
+# the base bounds whose equality case puts a coupling rule in its equality
+# branch, and the open upper bounds on delta1..3
+_BRANCH_BOUNDS = (_D49, _W50[1], _W51[1])
+_DELTA_CAPS = (_CAP1, _CAP2, _CAP3)
+_DELTAS = frozenset(("delta1", "delta2", "delta3"))
+_SEARCHED = frozenset(ExponentConfig._INTERMEDIATES)
+_LAMBDAS = frozenset(("lam", "lam1", "lam2"))
 
 
 def branch_values(cfg: ExponentConfig) -> tuple:
     """Defining expressions of the three strict/equality branch conditions."""
-    d49 = cfg.alpha0 - cfg.beta0 - 1.5 * (1 / cfg.p - 1 / cfg.q)
-    d50 = cfg.alpha0 - cfg.gamma0 - 1.5 * (1 / cfg.p - 1 / cfg.r)
-    d51 = cfg.beta0 - cfg.gamma0 - 1.5 * (1 / cfg.q - 1 / cfg.r)
-    return d49, d50, d51
+    return tuple(rule.lhs(cfg) for rule in _BRANCH_BOUNDS)
 
 
 def equality_branches(cfg: ExponentConfig) -> tuple:
     """Booleans: is each of the three selection rules in its equality case."""
-    d49, d50, d51 = branch_values(cfg)
-    return (abs(d49 - 0.5) <= EQ_TOL, abs(d50 - 1.0) <= EQ_TOL, abs(d51 - 1.0) <= EQ_TOL)
-
-
-def _lemma_hypotheses(cfg: ExponentConfig, ch: _Checker):
-    p, q, r = cfg.p, cfg.q, cfg.r
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    d1, d2, d3 = cfg.delta1, cfg.delta2, cfg.delta3
-    a1, a2, a3 = cfg.alphas()
-    b1, b2, b3 = cfg.betas()
-    g1, g2, g3 = cfg.gammas()
-    up1, up2, up3 = delta_upper_bounds(cfg)
-
-    # advective velocity estimate
-    ch.require("alpha1 > 0", a1, ">", 0.0)
-    ch.require("delta1 >= 0", d1, ">=", 0.0)
-    ch.require("delta1 < 1/2+(3/2)(1-1/p)", d1, "<", up1)
-    ch.require("alpha1+delta1 > 1/2", a1 + d1, ">", 0.5)
-    ch.require("2alpha1+delta1 >= 3/(2p)+1/2", 2 * a1 + d1, ">=", 1.5 / p + 0.5)
-    # microrotation transport estimate
-    ch.require("alpha2 >= 0", a2, ">=", 0.0)
-    ch.require("beta2 >= 0", b2, ">=", 0.0)
-    ch.require("alpha2 > (3/2)(1/p-1/q)", a2, ">", 1.5 * (1 / p - 1 / q))
-    ch.require("delta2 >= 0", d2, ">=", 0.0)
-    ch.require("delta2 < 1/2+(3/2)(1-1/q)", d2, "<", up2)
-    ch.require("beta2+delta2 > 1/2", b2 + d2, ">", 0.5)
-    ch.require("alpha2+beta2+delta2 >= 3/(2p)+1/2", a2 + b2 + d2, ">=", 1.5 / p + 0.5)
-    # temperature transport estimate
-    ch.require("alpha3 >= 0", a3, ">=", 0.0)
-    ch.require("gamma3 >= 0", g3, ">=", 0.0)
-    ch.require("alpha3 > (3/2)(1/p-1/r)", a3, ">", 1.5 * (1 / p - 1 / r))
-    ch.require("delta3 >= 0", d3, ">=", 0.0)
-    ch.require("delta3 < 1/2+(3/2)(1-1/r)", d3, "<", up3)
-    ch.require("gamma3+delta3 > 1/2", g3 + d3, ">", 0.5)
-    ch.require("alpha3+gamma3+delta3 >= 3/(2p)+1/2", a3 + g3 + d3, ">=", 1.5 / p + 0.5)
-    # dissipation-function estimate
-    ch.require("alpha3 >= max{0, 1/2+(3/2)(1/p-1/(2r))}", a3, ">=",
-               max(0.0, 0.5 + 1.5 * (1 / p - 1 / (2 * r))))
-    ch.require("alpha3 <= 1", a3, "<=", 1.0)
-    ch.require("beta3 >= max{0, 1/2+(3/2)(1/q-1/(2r))}", b3, ">=",
-               max(0.0, 0.5 + 1.5 * (1 / q - 1 / (2 * r))))
-    ch.require("beta3 <= 1", b3, "<=", 1.0)
-    # curl coupling estimates
-    ch.require("beta1 >= 0", b1, ">=", 0.0)
-    ch.require("beta1 > (3/2)(1/q-1/p)", b1, ">", 1.5 * (1 / q - 1 / p))
-    ch.require("beta1+delta1 >= (3/2)(1/q-1/p)+1/2", b1 + d1, ">=",
-               1.5 * (1 / q - 1 / p) + 0.5)
-    ch.require("0 <= beta2 <= 1 (zero-order bound)", b2, "<=", 1.0)
-    ch.require("alpha2+delta2 >= (3/2)(1/p-1/q)+1/2", a2 + d2, ">=",
-               1.5 * (1 / p - 1 / q) + 0.5)
-    # forcing estimates
-    ch.require("gamma1 >= max{0, (3/2)(1/r-1/p)}", g1, ">=",
-               max(0.0, 1.5 * (1 / r - 1 / p)))
-    ch.require("gamma1 <= 1", g1, "<=", 1.0)
-    ch.require("gamma2 >= max{0, (3/2)(1/r-1/q)}", g2, ">=",
-               max(0.0, 1.5 * (1 / r - 1 / q)))
-    ch.require("gamma2 <= 1", g2, "<=", 1.0)
-
-
-def _boxes_and_selection(cfg: ExponentConfig, ch: _Checker):
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    d1, d2, d3 = cfg.delta1, cfg.delta2, cfg.delta3
-    for i, a in enumerate(cfg.alphas(), start=1):
-        ch.require(f"alpha0 < alpha{i}", a0, "<", a)
-        ch.require(f"alpha{i} < 1-delta1", a, "<", 1 - d1)
-    for i, b in enumerate(cfg.betas(), start=1):
-        ch.require(f"beta0 < beta{i}", b0, "<", b)
-        ch.require(f"beta{i} < 1-delta2", b, "<", 1 - d2)
-    for i, g in enumerate(cfg.gammas(), start=1):
-        ch.require(f"gamma0 < gamma{i}", g0, "<", g)
-        ch.require(f"gamma{i} < 1-delta3", g, "<", 1 - d3)
-    # joint selection constraints
-    ch.require("2alpha1+delta1 <= 1+alpha0", 2 * cfg.alpha1 + d1, "<=", 1 + a0)
-    ch.require("alpha2+beta2+delta2 <= 1+alpha0", cfg.alpha2 + cfg.beta2 + d2, "<=", 1 + a0)
-    ch.require("alpha2+delta2 < 1+alpha0-beta0", cfg.alpha2 + d2, "<", 1 + a0 - b0)
-    ch.require("alpha3+gamma3+delta3 <= 1+alpha0", cfg.alpha3 + cfg.gamma3 + d3, "<=", 1 + a0)
-    ch.require("alpha3 <= alpha0+(1-gamma0)/2", cfg.alpha3, "<=", a0 + (1 - g0) / 2)
-    ch.require("beta3 <= beta0+(1-gamma0)/2", cfg.beta3, "<=", b0 + (1 - g0) / 2)
-    # branch conditions for the three linear coupling exponents
-    d49, d50, d51 = branch_values(cfg)
-    eq49, eq50, eq51 = equality_branches(cfg)
-    if eq49:
-        ch.require("beta1+delta1 == 1-alpha0+beta0 (equality branch)",
-                   cfg.beta1 + d1, "==", 1 - a0 + b0)
-    else:
-        ch.require("beta1+delta1 < 1-alpha0+beta0 (strict branch)",
-                   cfg.beta1 + d1, "<", 1 - a0 + b0)
-    if eq50:
-        ch.require("gamma1 == 1-alpha0+gamma0 (equality branch)",
-                   cfg.gamma1, "==", 1 - a0 + g0)
-    else:
-        ch.require("gamma1 < 1-alpha0+gamma0 (strict branch)",
-                   cfg.gamma1, "<", 1 - a0 + g0)
-    if eq51:
-        ch.require("gamma2 == 1-beta0+gamma0 (equality branch)",
-                   cfg.gamma2, "==", 1 - b0 + g0)
-    else:
-        ch.require("gamma2 < 1-beta0+gamma0 (strict branch)",
-                   cfg.gamma2, "<", 1 - b0 + g0)
-    # positivity of every time-weight exponent in the bound recursion
-    for label, value in _recursion_weights(cfg).items():
-        ch.require(f"recursion weight {label} > 0", value, ">", 0.0)
-
-
-def _recursion_weights(cfg: ExponentConfig) -> dict:
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    return {
-        "1+2(alpha0-alpha1)": 1 + 2 * (a0 - cfg.alpha1),
-        "1+beta0-beta1": 1 + b0 - cfg.beta1,
-        "1+gamma0-gamma1": 1 + g0 - cfg.gamma1,
-        "1+alpha0+beta0-alpha2-beta2": 1 + a0 + b0 - cfg.alpha2 - cfg.beta2,
-        "1+beta0-beta2": 1 + b0 - cfg.beta2,
-        "1+alpha0-alpha2": 1 + a0 - cfg.alpha2,
-        "1+gamma0-gamma2": 1 + g0 - cfg.gamma2,
-        "1+alpha0+gamma0-alpha3-gamma3": 1 + a0 + g0 - cfg.alpha3 - cfg.gamma3,
-        "1+2(alpha0-alpha3)": 1 + 2 * (a0 - cfg.alpha3),
-        "1+alpha0+beta0-alpha3-beta3": 1 + a0 + b0 - cfg.alpha3 - cfg.beta3,
-        "1+2(beta0-beta3)": 1 + 2 * (b0 - cfg.beta3),
-    }
-
-
-def _lambda_chain(cfg: ExponentConfig, ch: _Checker, lambda_cap: float):
-    ch.require("lambda > 0", cfg.lam, ">", 0.0)
-    ch.require("lambda < lambda1", cfg.lam, "<", cfg.lam1)
-    ch.require("lambda1 < Lambda_1", cfg.lam1, "<", lambda_cap)
-    ch.require("lambda < lambda2", cfg.lam, "<", cfg.lam2)
-    ch.require("lambda2 < min{2 lambda, lambda1}", cfg.lam2, "<",
-               min(2 * cfg.lam, cfg.lam1))
+    return tuple(_RELATIONS["=="](rule.lhs(cfg), rule.rhs(cfg)) for rule in _BRANCH_BOUNDS)
 
 
 def check_config(cfg: ExponentConfig, level: str = BASE,
                  lambda_cap: float = 1.0) -> CheckResult:
-    """Evaluate every inequality of the requested level; the result lists each
-    violated inequality with its two sides."""
+    """Evaluate every rule of the requested level; the result lists each
+    violated inequality with its two sides.  Rules that read the deltas and
+    intermediates, or the decay rates, apply only when all of those are set."""
     if level not in (BASE, REGULARITY, CLASSICAL):
         raise ConfigurationError(f"unknown check level {level!r}")
     cfg.validate_ranges()
-    ch = _Checker()
-    if level == CLASSICAL:
-        _classical_conditions(cfg, ch)
-        return CheckResult(level, not ch.violations, ch.violations, ch.count)
-    _base_integrability(cfg, ch)
-    _base_exponents(cfg, ch)
-    if cfg.has_intermediates:
-        _delta_rule(cfg, ch)
-        _lemma_hypotheses(cfg, ch)
-        _boxes_and_selection(cfg, ch)
-    if cfg.has_lambdas:
-        _lambda_chain(cfg, ch, lambda_cap)
-    if level == REGULARITY:
-        _regularity_conditions(cfg, ch)
-    return CheckResult(level, not ch.violations, ch.violations, ch.count)
+    v = SimpleNamespace(**vars(cfg), lambda_cap=lambda_cap)
+    unset = ((_DELTAS | _SEARCHED) if not cfg.has_intermediates else frozenset()) \
+        | (_LAMBDAS if not cfg.has_lambdas else frozenset())
+    rules = [rule for rule in RULES
+             if level in rule.levels and not rule.reads & unset and rule.picked(v)]
+    violations = [Violation(rule.label, lhs, rule.relation, rhs)
+                  for rule in rules for lhs, rhs, ok in [rule.test(v)] if not ok]
+    return CheckResult(level, not violations, violations, len(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -420,183 +411,82 @@ class SelectionResult:
     notes: str = ""
 
 
+# the exponent groups, searched in this order; every rule that reads a
+# searched exponent reads exponents of one group only
+_GROUPS = (("alpha1",), ("beta1",), ("alpha2", "beta2"),
+           ("alpha3", "beta3", "gamma3"), ("gamma1",), ("gamma2",))
+_GROUP_RULES = {names: tuple(rule for rule in RULES if BASE in rule.levels
+                             and set() < rule.reads & _SEARCHED <= set(names))
+                for names in _GROUPS}
+
+
 def _lattice(lo: float, hi: float, res: int) -> np.ndarray:
-    """Multiples of 1/res strictly inside (lo, hi), ascending."""
-    j_lo = int(np.floor(lo * res)) + 1
-    j_hi = int(np.ceil(hi * res)) - 1
-    vals = np.arange(j_lo, j_hi + 1, dtype=float) / res
-    return vals[(vals > lo + EQ_TOL) & (vals < hi - EQ_TOL)]
+    """Multiples of 1/res strictly inside (lo, hi), ascending; res is a power
+    of two, so lo * res and hi * res are exact."""
+    return np.arange(int(np.floor(lo * res)) + 1, int(np.ceil(hi * res)), dtype=float) / res
 
 
-def _conjoin(terms) -> np.ndarray:
-    """Broadcast-safe conjunction of scalar/array boolean terms."""
-    out = np.asarray(True)
-    for t in terms:
-        out = out & np.asarray(t)
-    return out
+def _pin(rule: Rule, env: ExponentConfig, name: str) -> float:
+    """The value of `name` at which a rule linear in it holds with equality."""
+    at0, at1 = (rule.lhs(replace(env, **{name: x})) for x in (0.0, 1.0))
+    return (rule.rhs(env) - at0) / (at1 - at0)
 
 
-def _first_feasible(grids: list, predicate) -> tuple | None:
-    """Lexicographically first lattice point satisfying a vectorized predicate.
+def _search(names: tuple, rules: list, env: ExponentConfig, res: int) -> tuple:
+    """Lexicographically first point of the group's box lattice that satisfies
+    every rule, with an equality rule pinning its exponent.
 
-    grids: list of 1-D arrays; predicate maps broadcast meshes to a bool array.
-    The outermost axis is scanned in order so the first hit is lexicographic.
-    """
-    if any(g.size == 0 for g in grids):
-        return None
-    if len(grids) == 1:
-        ok = np.broadcast_to(predicate(grids[0]), grids[0].shape)
-        idx = np.argmax(ok)
-        return (float(grids[0][idx]),) if ok[idx] else None
-    head, rest = grids[0], grids[1:]
-    meshes = np.meshgrid(*rest, indexing="ij")
-    for x in head:
-        ok = np.broadcast_to(predicate(x, *meshes), meshes[0].shape)
-        if ok.any():
-            flat = np.argmax(ok.reshape(-1))
-            idx = np.unravel_index(flat, ok.shape)
-            return (float(x),) + tuple(float(m[idx]) for m in meshes)
-    return None
-
-
-def _binding_constraints(grids: list, constraints: list) -> list:
-    """For an infeasible group, rank constraints by the fraction of lattice
-    points they exclude."""
-    meshes = np.meshgrid(*grids, indexing="ij") if len(grids) > 1 else [grids[0]]
-    scores = []
-    total = meshes[0].size if meshes else 0
-    for label, fn in constraints:
-        if total == 0:
-            scores.append((label, 1.0))
-            continue
-        ok = fn(*meshes)
-        scores.append((label, 1.0 - float(np.count_nonzero(ok)) / total))
-    scores.sort(key=lambda t: -t[1])
-    return [f"{label} (excludes {frac:.0%})" for label, frac in scores if frac > 0]
+    Returns (point, None), or (None, (group, shape, masks)) where masks holds
+    each rule's label and its truth over the lattice."""
+    grids = [_lattice(getattr(env, n[:-1] + "0"), 1 - getattr(env, _BOXES[n[:-1]]), res)
+             for n in names]
+    pins = [rule for rule in rules if rule.relation == "=="]
+    for rule in pins:
+        (name,) = rule.reads & set(names)
+        grids[names.index(name)] = np.array([_pin(rule, env, name)])
+    shape = tuple(g.size for g in grids)
+    point = replace(env, **{n: g.reshape([-1 if j == k else 1 for j in range(len(names))])
+                            for k, (n, g) in enumerate(zip(names, grids))})
+    masks = [(rule.label, rule.test(point)[2]) for rule in rules]
+    # conjoin the rules reading the same exponents first: few full-size passes
+    by_shape = {}
+    for _, mask in masks:
+        by_shape[mask.shape] = by_shape.get(mask.shape, True) & mask
+    ok = np.ones(shape, dtype=bool)
+    for mask in by_shape.values():
+        ok &= mask
+    if ok.any():
+        idx = np.unravel_index(np.argmax(ok), shape)
+        return tuple(float(g[i]) for g, i in zip(grids, idx)), None
+    group = "/".join(names) + (" (equality branch)" if pins else "")
+    return None, (group, shape, masks)
 
 
-def _group_searches(cfg: ExponentConfig, d1: float, d2: float, d3: float,
-                    res: int) -> tuple:
-    """Search each nearly-independent exponent group on a 1/res lattice.
+def _group_searches(env: ExponentConfig, res: int) -> tuple:
+    """Search each exponent group on a 1/res lattice, with the base exponents
+    and the deltas of env substituted into its rules.
 
     Returns (intermediates, None) with the nine intermediates, or
-    (None, (group, grids, constraints)) for the first group with no feasible
-    lattice point."""
-    p, q, r = cfg.p, cfg.q, cfg.r
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    eq49, eq50, eq51 = equality_branches(cfg)
+    (None, failure) for the first group with no feasible lattice point."""
     out = {}
-
-    # alpha1
-    cons_a1 = [
-        ("alpha1+delta1 > 1/2", lambda a: a + d1 > 0.5),
-        ("2alpha1+delta1 >= 3/(2p)+1/2", lambda a: 2 * a + d1 >= 1.5 / p + 0.5 - EQ_TOL),
-        ("2alpha1+delta1 <= 1+alpha0", lambda a: 2 * a + d1 <= 1 + a0 + EQ_TOL),
-        ("1+2(alpha0-alpha1) > 0", lambda a: 1 + 2 * (a0 - a) > EQ_TOL),
-    ]
-    grid_a1 = [_lattice(a0, 1 - d1, res)]
-    hit = _first_feasible(grid_a1, lambda a: _conjoin(f(a) for _, f in cons_a1))
-    if hit is None:
-        return None, ("alpha1", grid_a1, cons_a1)
-    out["alpha1"] = hit[0]
-
-    # beta1 (pinned in the equality branch of the curl-coupling rule)
-    lo_b1 = max(b0, 1.5 * (1 / q - 1 / p))
-    cons_b1 = [
-        ("beta1+delta1 >= (3/2)(1/q-1/p)+1/2",
-         lambda b: b + d1 >= 1.5 * (1 / q - 1 / p) + 0.5 - EQ_TOL),
-        ("1+beta0-beta1 > 0", lambda b: 1 + b0 - b > EQ_TOL),
-    ]
-    if eq49:
-        b1 = 1 - a0 + b0 - d1
-        ok = (lo_b1 < b1 < 1 - d2) and all(f(np.asarray(b1)) for _, f in cons_b1)
-        if not ok:
-            return None, ("beta1 (equality branch)", [np.asarray([b1])], cons_b1)
-        out["beta1"] = b1
-    else:
-        cons_b1 = cons_b1 + [
-            ("beta1+delta1 < 1-alpha0+beta0", lambda b: b + d1 < 1 - a0 + b0 - EQ_TOL)]
-        grid_b1 = [_lattice(lo_b1, 1 - d2, res)]
-        hit = _first_feasible(grid_b1, lambda b: _conjoin(f(b) for _, f in cons_b1))
-        if hit is None:
-            return None, ("beta1", grid_b1, cons_b1)
-        out["beta1"] = hit[0]
-
-    # (alpha2, beta2)
-    cons_ab2 = [
-        ("alpha2 > (3/2)(1/p-1/q)", lambda a, b: a > 1.5 * (1 / p - 1 / q) + EQ_TOL),
-        ("beta2+delta2 > 1/2", lambda a, b: b + d2 > 0.5),
-        ("alpha2+beta2+delta2 >= 3/(2p)+1/2",
-         lambda a, b: a + b + d2 >= 1.5 / p + 0.5 - EQ_TOL),
-        ("alpha2+delta2 >= (3/2)(1/p-1/q)+1/2",
-         lambda a, b: a + d2 >= 1.5 * (1 / p - 1 / q) + 0.5 - EQ_TOL),
-        ("alpha2+beta2+delta2 <= 1+alpha0", lambda a, b: a + b + d2 <= 1 + a0 + EQ_TOL),
-        ("alpha2+delta2 < 1+alpha0-beta0", lambda a, b: a + d2 < 1 + a0 - b0 - EQ_TOL),
-        ("1+alpha0+beta0-alpha2-beta2 > 0", lambda a, b: 1 + a0 + b0 - a - b > EQ_TOL),
-        ("1+beta0-beta2 > 0", lambda a, b: 1 + b0 - b > EQ_TOL),
-        ("1+alpha0-alpha2 > 0", lambda a, b: 1 + a0 - a > EQ_TOL),
-    ]
-    grids_ab2 = [_lattice(a0, 1 - d1, res), _lattice(b0, 1 - d2, res)]
-    hit = _first_feasible(grids_ab2, lambda a, b: _conjoin(
-        f(a, b) for _, f in cons_ab2))
-    if hit is None:
-        return None, ("alpha2/beta2", grids_ab2, cons_ab2)
-    out["alpha2"], out["beta2"] = hit
-
-    # (alpha3, beta3, gamma3)
-    cons_3 = [
-        ("alpha3 > (3/2)(1/p-1/r)", lambda a, b, g: a > 1.5 * (1 / p - 1 / r) + EQ_TOL),
-        ("gamma3+delta3 > 1/2", lambda a, b, g: g + d3 > 0.5),
-        ("alpha3+gamma3+delta3 >= 3/(2p)+1/2",
-         lambda a, b, g: a + g + d3 >= 1.5 / p + 0.5 - EQ_TOL),
-        ("alpha3 >= max{0,1/2+(3/2)(1/p-1/(2r))}",
-         lambda a, b, g: a >= max(0.0, 0.5 + 1.5 * (1 / p - 1 / (2 * r))) - EQ_TOL),
-        ("alpha3 <= 1", lambda a, b, g: a <= 1.0 + EQ_TOL),
-        ("beta3 >= max{0,1/2+(3/2)(1/q-1/(2r))}",
-         lambda a, b, g: b >= max(0.0, 0.5 + 1.5 * (1 / q - 1 / (2 * r))) - EQ_TOL),
-        ("beta3 <= 1", lambda a, b, g: b <= 1.0 + EQ_TOL),
-        ("alpha3+gamma3+delta3 <= 1+alpha0", lambda a, b, g: a + g + d3 <= 1 + a0 + EQ_TOL),
-        ("alpha3 <= alpha0+(1-gamma0)/2", lambda a, b, g: a <= a0 + (1 - g0) / 2 + EQ_TOL),
-        ("beta3 <= beta0+(1-gamma0)/2", lambda a, b, g: b <= b0 + (1 - g0) / 2 + EQ_TOL),
-        ("1+alpha0+gamma0-alpha3-gamma3 > 0",
-         lambda a, b, g: 1 + a0 + g0 - a - g > EQ_TOL),
-        ("1+2(alpha0-alpha3) > 0", lambda a, b, g: 1 + 2 * (a0 - a) > EQ_TOL),
-        ("1+alpha0+beta0-alpha3-beta3 > 0", lambda a, b, g: 1 + a0 + b0 - a - b > EQ_TOL),
-        ("1+2(beta0-beta3) > 0", lambda a, b, g: 1 + 2 * (b0 - b) > EQ_TOL),
-    ]
-    grids_3 = [_lattice(a0, 1 - d1, res), _lattice(b0, 1 - d2, res),
-               _lattice(g0, 1 - d3, res)]
-    hit = _first_feasible(grids_3, lambda a, b, g: _conjoin(
-        f(a, b, g) for _, f in cons_3))
-    if hit is None:
-        return None, ("alpha3/beta3/gamma3", grids_3, cons_3)
-    out["alpha3"], out["beta3"], out["gamma3"] = hit
-
-    # gamma1, gamma2 (pinned in their equality branches)
-    for name, eq, base_that_side, lo_extra in (
-            ("gamma1", eq50, a0, 1.5 * (1 / r - 1 / p)),
-            ("gamma2", eq51, b0, 1.5 * (1 / r - 1 / q))):
-        lo = max(g0, lo_extra)
-        cons_g = [(f"{name} >= max(...)", lambda g: g >= lo - EQ_TOL),
-                  (f"{name} <= 1", lambda g: g <= 1.0 + EQ_TOL),
-                  (f"1+gamma0-{name} > 0", lambda g: 1 + g0 - g > EQ_TOL)]
-        if eq:
-            val = 1 - base_that_side + g0
-            ok = (g0 < val < 1 - d3) and all(f(np.asarray(val)) for _, f in cons_g)
-            if not ok:
-                return None, (f"{name} (equality branch)", [np.asarray([val])], cons_g)
-            out[name] = val
-        else:
-            cons_g = cons_g + [(f"{name} < 1-.._0+gamma0 (strict branch)",
-                                lambda g: g < 1 - base_that_side + g0 - EQ_TOL)]
-            grid_g = [_lattice(lo, 1 - d3, res)]
-            hit = _first_feasible(grid_g, lambda g: _conjoin(
-                f(g) for _, f in cons_g))
-            if hit is None:
-                return None, (name, grid_g, cons_g)
-            out[name] = hit[0]
-
+    for names in _GROUPS:
+        rules = [rule for rule in _GROUP_RULES[names] if rule.picked(env)]
+        point, failure = _search(names, rules, env, res)
+        if point is None:
+            return None, failure
+        out.update(zip(names, point))
     return out, None
+
+
+def _binding_constraints(failure: tuple) -> list:
+    """A failed group and its rules, ranked by the fraction of lattice points
+    each excludes (all of them on an empty lattice)."""
+    group, shape, masks = failure
+    total = int(np.prod(shape))
+    scores = sorted(((label, 1.0 - np.count_nonzero(mask) * (total // mask.size) / total
+                      if total else 1.0) for label, mask in masks), key=lambda t: -t[1])
+    return [f"group {group}"] + [f"{label} (excludes {frac:.0%})"
+                                 for label, frac in scores if frac > 0]
 
 
 def _default_lambdas(lambda_cap: float) -> tuple:
@@ -624,61 +514,51 @@ def select_intermediate(cfg: ExponentConfig, lambda_cap: float = 1.0) -> Selecti
         return SelectionResult(False, None,
                                [str(v) for v in base_check.violations],
                                notes="base conditions fail")
+    # A dissipation exponent whose own rules no point of the finest lattice
+    # satisfies at delta = 0 has none at any delta: a larger delta only
+    # shrinks the box, and the coarser lattices are subsets of the finest.
+    env = replace(cfg, delta1=0.0, delta2=0.0, delta3=0.0)
+    dissipation = _GROUP_RULES[("alpha3", "beta3", "gamma3")]
+    for name in ("alpha3", "beta3"):
+        rules = [rule for rule in dissipation if rule.reads & _SEARCHED == {name}]
+        point, failure = _search((name,), rules, env, LATTICES[-1])
+        if point is None:
+            return SelectionResult(False, None, _binding_constraints(failure),
+                                   notes="pinched dissipation exponent window")
 
-    # delta-independent pinch check for the dissipation-estimate exponents:
-    # the lower bound must not meet the strict caps (box < 1 at delta = 0 and
-    # the positive-recursion-weight bound base + 1/2) nor exceed the closed
-    # selection cap base + (1 - gamma0)/2.
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    a3_lo = max(a0, 0.5 + 1.5 * (1 / cfg.p - 1 / (2 * cfg.r)))
-    b3_lo = max(b0, 0.5 + 1.5 * (1 / cfg.q - 1 / (2 * cfg.r)))
-
-    def pinched(lo, base):
-        hi_closed = base + (1 - g0) / 2
-        hi_strict = min(1.0, base + 0.5)
-        return lo > hi_closed + EQ_TOL or lo >= hi_strict - EQ_TOL
-
-    if pinched(a3_lo, a0) or pinched(b3_lo, b0):
-        name = "alpha3" if pinched(a3_lo, a0) else "beta3"
-        lo = a3_lo if name == "alpha3" else b3_lo
-        return SelectionResult(False, None, [
-            f"{name} window at lower bound {lo:.6g} is empty",
-            "dissipation-estimate lower bound meets the selection cap; "
-            "the quadratic bound-recursion weight would degenerate"],
-            notes="pinched dissipation exponent window")
-
-    up = delta_upper_bounds(cfg)
-    primary = tuple(0.0 if b > 0 else min(u, 1.0) / 2
-                    for b, u in zip((cfg.alpha0, cfg.beta0, cfg.gamma0), up))
+    bases = (cfg.alpha0, cfg.beta0, cfg.gamma0)
+    up = tuple(rule.rhs(cfg) for rule in _DELTA_CAPS)
+    primary = tuple(0.0 if b > 0 else min(u, 1.0) / 2 for b, u in zip(bases, up))
 
     def delta_candidates(i: int):
-        if (cfg.alpha0, cfg.beta0, cfg.gamma0)[i] > 0:
+        if bases[i] > 0:
             return [0.0]
         cap = min(up[i], 1.0)
         fallback = [f * cap for f in (0.25, 0.75, 0.1, 0.9)
                     if abs(f * cap - primary[i]) > 1e-9]
         return [primary[i]] + fallback
 
-    last_binding = []
+    binding = []
     for d1, d2, d3 in itertools.islice(
             itertools.product(delta_candidates(0), delta_candidates(1),
                               delta_candidates(2)), 125):
+        env = replace(cfg, delta1=d1, delta2=d2, delta3=d3)
         for res in LATTICES:
-            found, failure = _group_searches(cfg, d1, d2, d3, res)
+            found, failure = _group_searches(env, res)
             if found is not None:
                 break
         if found is None:
-            name, grids, cons = failure
-            last_binding = [f"group {name}"] + _binding_constraints(grids, cons)
             continue
         lam, lam1, lam2 = (cfg.lam, cfg.lam1, cfg.lam2)
         if None in (lam, lam1, lam2):
             lam, lam1, lam2 = _default_lambdas(lambda_cap)
-        full = replace(cfg, delta1=d1, delta2=d2, delta3=d3,
-                       lam=lam, lam1=lam1, lam2=lam2, **found)
+        full = replace(env, lam=lam, lam1=lam1, lam2=lam2, **found)
         verify = check_config(full, BASE, lambda_cap=lambda_cap)
         if verify.passed:
             return SelectionResult(True, full)
-        last_binding = [str(v) for v in verify.violations]
-    return SelectionResult(False, None, last_binding,
+        binding = [str(v) for v in verify.violations]
+    if failure is not None:
+        # the last candidate failed a group search: rank only that failure
+        binding = _binding_constraints(failure)
+    return SelectionResult(False, None, binding,
                            notes=f"no lattice point up to 1/{LATTICES[-1]}")

@@ -12,7 +12,6 @@ spacing); the linear part is therefore treated exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -570,15 +569,11 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
         hres = local_horizon(u0, om0, th0, cfg, params, constants, times)
         report.tstar = hres.tstar
         if hres.tstar is None:
-            msg = ("no admissible contraction horizon at the smallest sample "
-                   "(degenerate horizon); proceeding")
-            warnings.warn(msg)
-            report.notes.append(msg)
+            report.notes.append("no admissible contraction horizon at the smallest "
+                                "sample (degenerate horizon); proceeding")
         elif float(times[-1]) > hres.tstar + 1e-12:
-            msg = (f"horizon {float(times[-1]):.4g} exceeds estimated "
-                   f"contraction horizon T*={hres.tstar:.4g}; proceeding")
-            warnings.warn(msg)
-            report.notes.append(msg)
+            report.notes.append(f"horizon {float(times[-1]):.4g} exceeds estimated "
+                                f"contraction horizon T*={hres.tstar:.4g}; proceeding")
 
     props = tuple(DuhamelPropagator(op, times) for op in generators(u0.grid, params))
     traj = initial_trajectory(u0, om0, th0, times, params, strict=strict)

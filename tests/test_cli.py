@@ -514,6 +514,16 @@ def _verdicts(outdir) -> dict:
         return {row["lemma_id"]: row["verdict"] for row in csv.DictReader(fh)}
 
 
+def test_picard_prints_horizon_note_without_source_line(tmp_path, capsys):
+    # the example's horizon 0.25 lies past its fitted T*; the note is one
+    # plain stderr line, not a warning that names a source file
+    assert dispatch(["picard", "--config", EXAMPLE, "--fit-constants",
+                     "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "note: horizon 0.25 exceeds estimated contraction horizon T*=" in err
+    assert ".py:" not in err
+
+
 def test_verify_2_2_holds_within_holder_constant(tmp_path):
     # every row's constant is its extremal eigenmode's ratio, 0.99995 to 1.0
     # of holder_constant(a), and the random cross-check stays below the bound

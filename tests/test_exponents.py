@@ -1,5 +1,8 @@
+import re
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import micropolar as mp
 from micropolar.errors import ConfigurationError
@@ -7,6 +10,9 @@ from micropolar.exponents import (
     BASE,
     CLASSICAL,
     REGULARITY,
+    RULES,
+    _binding_constraints,
+    _group_searches,
     equality_branches,
     select_intermediate,
 )
@@ -100,11 +106,74 @@ def test_selection_reports_failed_group_search():
 
 
 def test_selection_pinched_corner_reported():
-    # p = 2r with zero base exponents pins the dissipation exponent where a
-    # recursion weight would vanish
-    sel = select_intermediate(CLASSICAL_OK)
+    # p = 2r with zero base exponents pins alpha3 where a recursion weight
+    # would vanish; q = 2r with beta0 = 0 does the same to beta3
+    beta3_pinch = mp.ExponentConfig(p=1.5, q=2.5, r=1.25, alpha0=0.5, beta0=0.0, gamma0=0.0)
+    for cfg, group in ((CLASSICAL_OK, "group alpha3"), (beta3_pinch, "group beta3")):
+        sel = select_intermediate(cfg)
+        assert not sel.feasible
+        assert "pinched" in sel.notes
+        assert sel.binding[0] == group
+
+
+ROW_LABELS = {rule.label for rule in RULES}
+
+
+def _labels(binding):
+    return [re.sub(r" \(excludes \d+%\)$", "", entry) for entry in binding]
+
+
+@pytest.mark.parametrize("base, group, label", [
+    ((1.5, 1.5, 1.25, 0.5, 0.5, 0.0), "group alpha3/beta3/gamma3",
+     "alpha3 >= max{0, 1/2+(3/2)(1/p-1/(2r))}"),
+    ((8.180080897919053, 6.7681652581565785, 1.5114247890380823, 0.75, 0.75, 0.5625),
+     "group gamma1", "gamma1 < 1-alpha0+gamma0 (strict branch)"),
+], ids=["dissipation", "gamma1-strict-branch"])
+def test_failed_group_reports_checker_labels(base, group, label):
+    sel = select_intermediate(mp.ExponentConfig(*base))
     assert not sel.feasible
-    assert "pinched" in sel.notes
+    assert sel.binding[0] == group
+    assert label in _labels(sel.binding[1:])
+    assert set(_labels(sel.binding[1:])) <= ROW_LABELS
+
+
+def test_check_counts_and_violation_order():
+    # what `exponents check` prints: rows counted and violations in table order
+    selected = select_intermediate(BASE_OK).config
+    assert [mp.check_config(selected, level).checked
+            for level in (BASE, REGULARITY, CLASSICAL)] == [91, 109, 5]
+    base = mp.check_config(BASE_BAD, BASE)
+    regularity = mp.check_config(BASE_BAD, REGULARITY)
+    assert (base.checked, regularity.checked) == (13, 31)
+    first = ["alpha0-gamma0/2-(3/2)(1/p-1/(2r)) >= 0",
+             "beta0-gamma0/2-(3/2)(1/q-1/(2r)) >= 0"]
+    assert [v.label for v in base.violations] == first
+    assert [v.label for v in regularity.violations] == first + [
+        "alpha0 >= 3(1/p-1/(2r))", "beta0 >= max{3/(2p)-1/2, 3(1/q-1/(2r))}",
+        "alpha0 >= (3/2)(1/p+1/q-1/r)", "beta0 >= (3/2)(1/p+1/q-1/r)",
+        "2alpha0-beta0 >= max{3/(2p)-1/2, 3(1/p-1/(2r))}",
+        "2beta0-alpha0 >= 3(1/q-1/(2r))"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.tuples(*[st.floats(1.2, 9.0)] * 3),
+       st.tuples(*[st.sampled_from([k / 16 for k in range(16)])] * 3),
+       st.tuples(*[st.floats(0.05, 0.5)] * 3))
+def test_search_accepts_only_checked_points(pqr, bases, zero_deltas):
+    """A point the group search accepts passes check_config; a failed search
+    names the checker's rows."""
+    cfg = mp.ExponentConfig(*pqr, *bases)
+    assume(mp.check_config(cfg, BASE).passed)
+    deltas = [0.0 if b > 0 else d for b, d in zip(bases, zero_deltas)]
+    env = replace(cfg, delta1=deltas[0], delta2=deltas[1], delta3=deltas[2])
+    found, failure = _group_searches(env, 32)
+    if found is not None:
+        assert mp.check_config(replace(env, **found), BASE).passed
+    else:
+        binding = _binding_constraints(failure)
+        assert binding[0].startswith("group ")
+        assert set(_labels(binding[1:])) <= ROW_LABELS
 
 
 def test_selection_feasible_zero_exponents():

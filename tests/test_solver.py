@@ -415,7 +415,6 @@ def test_first_picard_step_against_fine_grid_quadrature(grid2d, params, cfg2, rn
             assert err.l2() / scale <= 10 * dt ** 2
 
 
-@pytest.mark.filterwarnings("ignore:horizon")  # deliberate T > T* override
 def test_global_decay_bound_stable_under_data_halving(grid2d, params, cfg2, rng):
     """The decay-weighted sup over initial-data size is a stable fitted
     constant: halving the data changes it only mildly, and the small-data
