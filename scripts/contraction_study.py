@@ -16,7 +16,6 @@ from micropolar.kmbounds import (
     km_recursion,
     local_horizon,
 )
-from micropolar.nonlinear import generators
 
 ZERO = mp.ForcingSpec.zero()
 
@@ -36,8 +35,6 @@ def main():
         lambda_cap=lambda_chain_cap(grid, params)).config
     constants = fit_lemma_constants(cfg, grid, params, ensemble=8,
                                     seed=args.seed)
-    eig_mins = tuple(op.min_positive_eigenvalue()
-                     for op in generators(grid, params))
 
     print(f"{'amp':>6s} {'T*':>8s} {'sweeps':>7s} {'ratio_1':>8s} "
           f"{'dominated':>10s}")
@@ -59,7 +56,7 @@ def main():
                                     record_norms=True)
         k0 = k0_curves(u0, om0, th0, cfg, params, traj.times)
         tracker = km_recursion(k0, cfg, params, constants.inflated(1.1),
-                               traj.times, eig_mins=eig_mins,
+                               traj.times, grid,
                                m_max=len(rep.iterate_norms) + 2)
         excess = check_domination(tracker, rep.iterate_norms)
         dominated = max(excess.values()) <= 0.0

@@ -48,17 +48,16 @@ def main():
     print(f"completed={result.completed} windows={len(result.reports)} "
           f"nodes={result.traj.node_count}")
 
+    # the base-exponent norms at every node, from the trajectory's arrays
+    traj = result.traj
+    base = [norms.weighted_curve(tag, half, traj.times, norms.base[tag])
+            for tag, half in traj.coeffs.items()]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "norms.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x_alpha0_u", "y_beta0_om", "z_gamma0_th", "provenance"])
-        for j, t in enumerate(result.traj.times):
-            u, om, th = result.traj.state_at(j)
-            w.writerow([float(t),
-                        norms.fractional_norm("u", u, cfg.alpha0),
-                        norms.fractional_norm("om", om, cfg.beta0),
-                        norms.fractional_norm("th", th, cfg.gamma0),
-                        "measured"])
+        for j, t in enumerate(traj.times):
+            w.writerow([float(t), *(float(curve[j]) for curve in base), "measured"])
 
     fits = fit_decay(result.traj, cfg, params,
                      exponents={"u": [cfg.alpha0], "om": [cfg.beta0],

@@ -27,8 +27,12 @@ from .fields import (
     SpectralField,
     dealias_mask,
     deriv_wavevectors,
-    full_spectrum,
+    half_spectrum,
     integer_wavevectors,
+    irfft_half,
+    parseval_columns,
+    parseval_inner,
+    parseval_l2,
     random_field,
     rfft_half,
     _zero_index,
@@ -42,6 +46,7 @@ from .nonlinear import (
     dissipation_phi,
     evaluate_forcing,
     generators,
+    _forcing_values,
     _gradient_planes,
     _grid_values,
     _half_symbols,
@@ -67,7 +72,6 @@ from .solver import (
     TrajectoryState,
     WeightedNorms,
     _half_subspaces,
-    node_l2,
     node_rhs,
     tag_components,
     time_weight,
@@ -454,8 +458,7 @@ def _parseval_rows(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     (..., 2 comp modes) whose Euclidean norm is the fields' L2 norm: real and
     imaginary parts times sqrt(volume), and times sqrt(2) on the interior
     last-axis modes, which stand for their conjugates too."""
-    scale = np.full(grid.n // 2 + 1, np.sqrt(2.0 * grid.volume))
-    scale[[0, -1]] = np.sqrt(grid.volume)
+    scale = np.sqrt(grid.volume * parseval_columns(grid))
     flat = (half * scale).reshape(half.shape[: half.ndim - grid.dim - 1] + (-1,))
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
@@ -1072,10 +1075,9 @@ def pde_residual(traj: TrajectoryState, params: CouplingParams,
     rhs = node_rhs(traj, params, f, g, linear_only)
     out = {"times": traj.times[1:-1]}
     for (tag, half), op in zip(traj.coeffs.items(), generators(grid, params)):
-        nodes = full_spectrum(grid, half)
-        resid = (_node_derivative(traj.times, nodes) + power_coeffs(op, nodes[1:-1])
-                 - full_spectrum(grid, rhs[tag][1:-1]))
-        out[tag] = node_l2(grid, resid)
+        resid = (_node_derivative(traj.times, half) + _half_power(op, half[1:-1])
+                 - rhs[tag][1:-1])
+        out[tag] = parseval_l2(grid, resid)
     return out
 
 
@@ -1207,14 +1209,15 @@ class EnergyLog:
 
 
 def energy_report(traj: TrajectoryState, params: CouplingParams,
-                  f: ForcingSpec, g: ForcingSpec, l2: dict | None = None) -> EnergyLog:
+                  f: ForcingSpec, g: ForcingSpec) -> EnergyLog:
     """Track the exact invariant: with zero forcing the kinetic plus thermal
     content rho/2(||u||^2+||om||^2) + rho cv int theta is conserved, and the
-    kinetic part dissipates at rate int Phi.  l2 is traj.l2_norms() where
-    the caller has it."""
+    kinetic part dissipates at rate int Phi.  The forcing work is
+    rho (<f(theta), u> + <g(theta), om>) with f(theta) and g(theta)
+    dealiased, as the RHS has them."""
     grid, vol = traj.grid, traj.grid.volume
     mean = (slice(None), 0) + _zero_index(grid)
-    l2 = l2 or traj.l2_norms()
+    l2 = traj.l2_norms()
     kinetic = np.array([0.5 * params.rho * (a ** 2 + b ** 2)
                         for a, b in zip(l2["u"].tolist(), l2["om"].tolist())])
     heat = params.rho * params.cv * vol * traj.coeffs["th"][mean].real
@@ -1223,20 +1226,19 @@ def energy_report(traj: TrajectoryState, params: CouplingParams,
     blocks = [(u[b], om[b]) for b in traj.node_blocks()]
     dissipation = vol * np.concatenate([
         dissipation_coeffs(grid, ub, ub, omb, omb, params)[mean].real for ub, omb in blocks])
+    # the work of each forcing on the field it drives, per node block: one
+    # inverse transform of theta, the forcing at the grid points, a forward
+    # transform and the 2/3 rule, as in the RHS
+    forced = [(spec, traj.coeffs[tag]) for spec, tag in ((f, "u"), (g, "om"))
+              if spec.kind != "zero"]
+    mask = half_spectrum(dealias_mask(grid))
     work = np.zeros(traj.node_count)
-    conservative = f.kind == "zero" and g.kind == "zero"
-    if not conservative:
-        for j in range(traj.node_count):
-            u_j, om_j, th_j = traj.state_at(j)
-            if f.kind != "zero":
-                fu = evaluate_forcing(f, th_j, grid.dim)
-                work[j] += params.rho * vol * float(
-                    np.sum(np.real(np.conj(fu.coeffs) * u_j.coeffs)))
-            if g.kind != "zero":
-                gw = evaluate_forcing(g, th_j, om_j.components)
-                work[j] += params.rho * vol * float(
-                    np.sum(np.real(np.conj(gw.coeffs) * om_j.coeffs)))
+    for b in traj.node_blocks() if forced else []:
+        th_vals = irfft_half(grid, traj.coeffs["th"][b, 0])
+        for spec, half in forced:
+            force = rfft_half(grid, _forcing_values(spec, th_vals, half.shape[1])) * mask
+            work[b] += params.rho * parseval_inner(grid, np.swapaxes(force, 0, 1), half[b])
     total = kinetic + heat
     return EnergyLog(times=traj.times, kinetic=kinetic, heat=heat,
                      dissipation=dissipation, forcing_work=work, total=total,
-                     conservative=conservative)
+                     conservative=not forced)

@@ -157,7 +157,13 @@ def load_config(path: str) -> RunConfig:
         params = CouplingParams.from_dict(raw.get("params", {})) \
             if raw.get("params") else CouplingParams()
         cap = lambda_chain_cap(grid, params)
-        if want_select or not exps.has_intermediates:
+        searched = ("delta1", "delta2", "delta3") + ExponentConfig._INTERMEDIATES
+        missing = [name for name in searched if getattr(exps, name) is None]
+        if not want_select and 0 < len(missing) < len(searched):
+            raise ConfigurationError(
+                "exponents: a partial set of deltas and intermediates needs "
+                "\"select\": true; missing " + ", ".join(missing))
+        if want_select or missing:
             sel = select_intermediate(exps, lambda_cap=cap)
             if not sel.feasible:
                 raise ConfigurationError(
@@ -300,8 +306,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _norm_table_rows(traj, cfg: RunConfig, l2: dict | None = None) -> tuple:
-    """The nodes table; l2 is traj.l2_norms() where the caller has it."""
+def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
+    """The nodes table."""
     from .solver import WeightedNorms
 
     norms = WeightedNorms(cfg.exponents, cfg.grid, cfg.params)
@@ -310,7 +316,7 @@ def _norm_table_rows(traj, cfg: RunConfig, l2: dict | None = None) -> tuple:
     # at the base exponents the time weight is 1: these are the plain norms
     base = np.stack([norms.weighted_curve(tag, half, traj.times, norms.base[tag])
                      for tag, half in traj.coeffs.items()])
-    l2 = np.stack(list((l2 or traj.l2_norms()).values()))
+    l2 = np.stack(list(traj.l2_norms().values()))
     rows = [[float(t), *l2[:, j], *base[:, j]] for j, t in enumerate(traj.times)]
     return cols, rows
 
@@ -343,16 +349,14 @@ def _march(cfg: RunConfig, bundle: ReportBundle, state: tuple, t0: float,
     result = global_solve(*state, cfg.exponents, cfg.params,
                           cfg.forcing_f, cfg.forcing_g, cfg.picard,
                           cfg.t_total, checkpoint_hook=hook, t0=t0)
-    # the node table and the energy ledger read the same L2 norms
-    l2 = result.traj.l2_norms()
-    cols, rows = _norm_table_rows(result.traj, cfg, l2)
+    cols, rows = _norm_table_rows(result.traj, cfg)
     bundle.add_table("nodes", cols, rows)
     bundle.add_table("iterations", *_iteration_table(result.reports, first_window))
     keys = sorted(result.e_sup)
     bundle.add_table("efunctions", ["t"] + [f"E_{tag}_{exp:.6g}" for tag, exp in keys],
                      [[float(t)] + [float(result.e_sup[k][j]) for k in keys]
                       for j, t in enumerate(result.traj.times)])
-    elog = energy_report(result.traj, cfg.params, cfg.forcing_f, cfg.forcing_g, l2)
+    elog = energy_report(result.traj, cfg.params, cfg.forcing_f, cfg.forcing_g)
     bundle.add_table("energy", ["t", "kinetic", "heat", "dissipation", "total"],
                      [[float(elog.times[j]), elog.kinetic[j], elog.heat[j],
                        elog.dissipation[j], elog.total[j]]

@@ -366,9 +366,7 @@ RULES = (
 # branch, and the open upper bounds on delta1..3
 _BRANCH_BOUNDS = (_D49, _W50[1], _W51[1])
 _DELTA_CAPS = (_CAP1, _CAP2, _CAP3)
-_DELTAS = frozenset(("delta1", "delta2", "delta3"))
 _SEARCHED = frozenset(ExponentConfig._INTERMEDIATES)
-_LAMBDAS = frozenset(("lam", "lam1", "lam2"))
 
 
 def branch_values(cfg: ExponentConfig) -> tuple:
@@ -384,14 +382,13 @@ def equality_branches(cfg: ExponentConfig) -> tuple:
 def check_config(cfg: ExponentConfig, level: str = BASE,
                  lambda_cap: float = 1.0) -> CheckResult:
     """Evaluate every rule of the requested level; the result lists each
-    violated inequality with its two sides.  Rules that read the deltas and
-    intermediates, or the decay rates, apply only when all of those are set."""
+    violated inequality with its two sides.  A rule applies when every
+    variable it reads is set."""
     if level not in (BASE, REGULARITY, CLASSICAL):
         raise ConfigurationError(f"unknown check level {level!r}")
     cfg.validate_ranges()
     v = SimpleNamespace(**vars(cfg), lambda_cap=lambda_cap)
-    unset = ((_DELTAS | _SEARCHED) if not cfg.has_intermediates else frozenset()) \
-        | (_LAMBDAS if not cfg.has_lambdas else frozenset())
+    unset = frozenset(name for name, value in vars(cfg).items() if value is None)
     rules = [rule for rule in RULES
              if level in rule.levels and not rule.reads & unset and rule.picked(v)]
     violations = [Violation(rule.label, lhs, rule.relation, rhs)

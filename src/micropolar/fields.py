@@ -4,7 +4,10 @@ Coefficients follow the convention f(x) = sum_k c_k exp(i 2pi k.x / L), so the
 k=0 coefficient of a real field is its mean value.  Arrays use numpy's fftn
 layout along the spatial axes, with a leading component axis (1 for scalars,
 dim for vectors).  Transforms run on the half spectrum of the last axis
-(real-data FFTs); the other half follows from conjugate symmetry.
+(real-data FFTs); the other half follows from conjugate symmetry.  L2 norms
+and inner products are Parseval sums over the half spectrum alone
+(`parseval_inner`), which counts each interior last-axis column twice for
+the conjugate column it stands for.
 """
 
 from __future__ import annotations
@@ -236,8 +239,9 @@ class SpectralField:
         return float(np.max(np.abs(self.coeffs[(slice(None),) + _zero_index(self.grid)])))
 
     def l2(self) -> float:
-        """Parseval L2 norm, sqrt(volume) * ||coeffs||_2 (exact for trig polynomials)."""
-        return float(np.sqrt(self.grid.volume * np.sum(np.abs(self.coeffs) ** 2)))
+        """Parseval L2 norm of the real field, sqrt(volume) * ||coeffs||_2
+        summed on the half spectrum (exact for trig polynomials)."""
+        return float(parseval_l2(self.grid, half_spectrum(self.coeffs)[np.newaxis])[0])
 
     def hermitian_defect(self) -> float:
         """Max |c(-k) - conj(c(k))|; zero for a real field."""
@@ -255,6 +259,29 @@ def _reflect(c: np.ndarray, dim: int) -> np.ndarray:
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """The modes with last-axis index 0..n/2 that a real transform keeps (a view)."""
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+@lru_cache(maxsize=64)
+def parseval_columns(grid: GridSpec) -> np.ndarray:
+    """Last-axis weights (1, 2, ..., 2, 1) of the half spectrum: each
+    interior column also stands for its conjugate column."""
+    cols = np.full(grid.n // 2 + 1, 2.0)
+    cols[[0, -1]] = 1.0
+    cols.setflags(write=False)
+    return cols
+
+
+def parseval_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 inner product of each pair of real fields from their stacked half
+    spectra (fields, comp, *half): one sum per field over its C-ordered row,
+    so that a field's value does not depend on the others in the stack."""
+    terms = (a.real * b.real + a.imag * b.imag) * parseval_columns(grid)
+    return grid.volume * np.sum(terms.reshape(len(terms), -1), axis=1)
+
+
+def parseval_l2(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """L2 norm of each real field of stacked half spectra (fields, comp, *half)."""
+    return np.sqrt(parseval_inner(grid, half, half))
 
 
 @lru_cache(maxsize=64)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .exponents import ExponentConfig, equality_branches
-from .fields import SpectralField
-from .nonlinear import CouplingParams, generators
+from .fields import GridSpec, SpectralField
+from .nonlinear import CouplingParams, ForcingSpec, generators
 from .solver import WeightedNorms, beta_function, initial_trajectory, time_weight
 
 
@@ -102,12 +102,15 @@ def k0_curves(u0: SpectralField, om0: SpectralField, th0: SpectralField,
 
 
 def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
-                            constants: LemmaConstants, lf: float, lg: float,
-                            eig_mins: tuple) -> dict:
+                            constants: LemmaConstants, grid: GridSpec,
+                            f: ForcingSpec, g: ForcingSpec) -> dict:
     """Beta-function coefficient of every recursion term, for each tracked
-    exponent.  Keys: (tag, exp) -> list of (coefficient, power, sources)."""
+    exponent, with the generators' spectral gaps on grid and the Lipschitz
+    constants of the forcings f and g.  Keys: (tag, exp) -> list of
+    (coefficient, power, sources)."""
     lam = cfg.lam if cfg.lam is not None else 0.0
-    a_min, g_min, b_min = eig_mins
+    a_min, g_min, b_min = (op.min_positive_eigenvalue() for op in generators(grid, params))
+    lf, lg = f.lipschitz, g.lipschitz
     sc = constants.semigroup_scale
     a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
     d1, d2, d3 = cfg.delta1, cfg.delta2, cfg.delta3
@@ -170,11 +173,11 @@ def _recursion_weight(times: np.ndarray, power: float) -> np.ndarray:
 
 
 def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
-                 constants: LemmaConstants, times: np.ndarray,
-                 lf: float = 0.0, lg: float = 0.0,
-                 eig_mins: tuple | None = None,
+                 constants: LemmaConstants, times: np.ndarray, grid: GridSpec,
+                 f: ForcingSpec = ForcingSpec(), g: ForcingSpec = ForcingSpec(),
                  m_max: int = 200, tol: float = 1e-10) -> KmTracker:
-    """Iterate the quadratic bound recursion on the node grid.
+    """Iterate the quadratic bound recursion on the node grid, for the
+    system on grid with forcing f, g (zero by default).
 
     k0 maps the nine (tag, exponent) keys to the free-evolution sup curves;
     the recursion is monotone in m and converges on a contraction horizon."""
@@ -182,10 +185,8 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
         raise ConfigurationError("km_recursion needs fitted estimate constants")
     if not cfg.has_intermediates:
         raise ConfigurationError("km_recursion needs a completed exponent config")
-    if eig_mins is None:
-        raise ConfigurationError("km_recursion needs the generator spectral gaps")
     times = np.asarray(times, dtype=np.float64)
-    coeffs = _recursion_coefficients(cfg, params, constants, lf, lg, eig_mins)
+    coeffs = _recursion_coefficients(cfg, params, constants, grid, f, g)
     tracker = KmTracker(times=times, history=[dict(k0)])
     tpow = {power: _recursion_weight(times, power)
             for terms in coeffs.values() for _, power, _ in terms}
@@ -226,26 +227,17 @@ def check_domination(tracker: KmTracker, iterate_norms: list,
     return out
 
 
-def generic_constant(cfg: ExponentConfig, params: CouplingParams,
-                     constants: LemmaConstants, lf: float = 0.0, lg: float = 0.0,
-                     eig_mins: tuple = (1.0, 1.0, 1.0)) -> float:
-    """Lumped generic constant: the largest coefficient
-    product appearing in the bound recursion."""
-    cq, cl = contraction_coefficients(cfg, params, constants, lf, lg, eig_mins)
-    return max(cq, cl)
-
-
 def contraction_coefficients(cfg: ExponentConfig, params: CouplingParams,
-                             constants: LemmaConstants, lf: float = 0.0,
-                             lg: float = 0.0,
-                             eig_mins: tuple = (1.0, 1.0, 1.0)) -> tuple:
-    """(quadratic, linear) coefficient maxima of the bound recursion.
+                             constants: LemmaConstants, grid: GridSpec,
+                             f: ForcingSpec, g: ForcingSpec) -> tuple:
+    """(quadratic, linear) coefficient maxima of the bound recursion of the
+    system on grid with forcing f, g; the larger is the generic constant.
 
     Terms with two norm sources multiply the data size K^0 in the
     difference-contraction factor; single-source terms carry the coupling
     constants and multiply pure powers of t.  Keeping them separate gives a
     sharper (still sufficient) horizon factor cq K0(t) + cl t^a."""
-    coeffs = _recursion_coefficients(cfg, params, constants, lf, lg, eig_mins)
+    coeffs = _recursion_coefficients(cfg, params, constants, grid, f, g)
     cq = cl = 0.0
     for terms in coeffs.values():
         for coefficient, _, sources in terms:
@@ -296,19 +288,18 @@ def _matrix_spectral_radius_curve(k0max: np.ndarray, cfg: ExponentConfig,
 def local_horizon(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                   cfg: ExponentConfig, params: CouplingParams,
                   constants: LemmaConstants, times: np.ndarray,
-                  lf: float = 0.0, lg: float = 0.0) -> HorizonResult:
-    """Largest sampled horizon on which the contraction criteria hold.
+                  f: ForcingSpec = ForcingSpec(),
+                  g: ForcingSpec = ForcingSpec()) -> HorizonResult:
+    """Largest sampled horizon on which the contraction criteria hold for
+    the system with forcing f, g (zero by default).
 
     Strict branches: the scalar factors C (K0(t) + t^a), C (K0(t) + t^b) and
     C K0(t) must stay below one.  If any coupling rule sits in its equality
     branch, the spectral radius of the comparison matrix is used instead."""
     times = np.asarray(times, dtype=np.float64)
-    a_op, g_op, b_op = generators(u0.grid, params)
-    eig_mins = (a_op.min_positive_eigenvalue(), g_op.min_positive_eigenvalue(),
-                b_op.min_positive_eigenvalue())
     k0 = k0_curves(u0, om0, th0, cfg, params, times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
-    cq, cl = contraction_coefficients(cfg, params, constants, lf, lg, eig_mins)
+    cq, cl = contraction_coefficients(cfg, params, constants, u0.grid, f, g)
     cg = max(cq, cl)
     if float(np.max(k0max)) == 0.0:
         # zero data: the iteration is stationary at the fixed point

@@ -24,6 +24,8 @@ from .fields import (
     full_spectrum,
     half_spectrum,
     irfft_half,
+    parseval_columns,
+    parseval_l2,
     _zero_index,
 )
 from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators
@@ -37,7 +39,6 @@ from .operators import (
     parallel_part,
     power_weight,
     projector_symbols,
-    spectral_coeffs,
 )
 
 MEAN_TOL = 1e-10
@@ -268,21 +269,7 @@ class TrajectoryState:
     def l2_norms(self) -> dict:
         """The L2 norm of each field at every node, keyed by tag: the values
         of state_at(j)[i].l2(), bit for bit, without building the fields."""
-        out = {tag: [] for tag in TAGS}
-        for b in self.node_blocks():
-            for tag, half in self.coeffs.items():
-                full = full_spectrum(self.grid, half[b])
-                # np.sum rounds by memory layout, so each node is laid out as
-                # its state_at field: the velocity as the C-order mean-zero
-                # copy, the others components innermost as full_spectrum
-                # leaves a single node
-                if tag == "u":
-                    full = np.ascontiguousarray(full)
-                    full[(Ellipsis,) + _zero_index(self.grid)] = 0.0
-                else:
-                    full = np.moveaxis(np.ascontiguousarray(np.moveaxis(full, 1, -1)), -1, 1)
-                out[tag].append(node_l2(self.grid, full))
-        return {tag: np.concatenate(v) for tag, v in out.items()}
+        return {tag: parseval_l2(self.grid, half) for tag, half in self.coeffs.items()}
 
     @property
     def u(self) -> tuple:
@@ -309,17 +296,14 @@ def _node_slices(traj: TrajectoryState, first: int) -> list:
     return [slice(j, min(j + size, n)) for j in range(first, n, size)]
 
 
-def _free_evolution(op: OperatorSymbol, f0: SpectralField, times: np.ndarray) -> np.ndarray:
-    """exp(-t op) f0 at every node as stacked half spectra: for a
-    one-family generator one broadcast exp(-t eig) * half(P f0) over the
-    nodes, P the Leray projection under Stokes and the identity otherwise."""
-    if len(eig_families(op, f0.components)) > 1:
-        return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
-                                                       f0.coeffs))
-                         for t in times.tolist()])
-    c = leray_coeffs(op.grid, f0.coeffs) if op.kind is OperatorKind.STOKES else f0.coeffs
+def _free_evolution(op: OperatorSymbol, start: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-t op) start at every node as stacked half spectra, from the half
+    spectrum (comp, *half) of a real field, solenoidal under Stokes: one
+    broadcast exp(-t eig) * part over the nodes per invariant subspace."""
     t = times.reshape((-1,) + (1,) * (op.grid.dim + 1))
-    return np.exp(-t * half_spectrum(op.eigenvalues()[0])) * half_spectrum(c)
+    terms = [np.exp(-t * eig) * part for eig, part in _half_subspaces(op, start[np.newaxis])]
+    # summed from the first term: 0.0 + x would turn a -0.0 into +0.0
+    return sum(terms[1:], terms[0])
 
 
 def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField,
@@ -336,8 +320,10 @@ def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField
             if f0.max_mean_magnitude() > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
     times = np.asarray(times, dtype=np.float64)
-    free = {tag: _free_evolution(op, f0, times) for tag, op, f0
-            in zip(TAGS, generators(u0.grid, params), (u0, om0, th0))}
+    # the Stokes semigroup acts on the Leray projection of the velocity
+    starts = (leray_coeffs(u0.grid, u0.coeffs), om0.coeffs, th0.coeffs)
+    free = {tag: _free_evolution(op, half_spectrum(c), times) for tag, op, c
+            in zip(TAGS, generators(u0.grid, params), starts)}
     return TrajectoryState(times=times, grid=u0.grid, coeffs=free, free=free, m=0)
 
 
@@ -439,9 +425,7 @@ class WeightedNorms:
         for the conjugate modes they stand for."""
         key = (tag, len(eigs), tuple(exps))
         if key not in self._parseval:
-            n = self.grid.n
-            cols = np.ones(n // 2 + 1)
-            cols[1: n // 2] = 2.0
+            cols = parseval_columns(self.grid)
             self._parseval[key] = [
                 np.stack([(self._weight(tag, eig, x) ** 2 * cols).reshape(-1)
                           for x in exps], axis=1)
@@ -566,7 +550,7 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     report = ConvergenceReport(horizon=float(times[-1]))
     if constants is not None:
         from .kmbounds import local_horizon
-        hres = local_horizon(u0, om0, th0, cfg, params, constants, times)
+        hres = local_horizon(u0, om0, th0, cfg, params, constants, times, f, g)
         report.tstar = hres.tstar
         if hres.tstar is None:
             report.notes.append("no admissible contraction horizon at the smallest "
@@ -607,16 +591,6 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     return traj, report
 
 
-def node_l2(grid: GridSpec, full: np.ndarray) -> np.ndarray:
-    """L2 norm at every node of node-stacked full-spectrum coefficients
-    (nodes, comp, *grid).  np.sum rounds by memory layout, so a node's value
-    equals SpectralField.l2 of a field only where the node's slice has the
-    field's layout, e.g. both C-contiguous; full_spectrum returns neither
-    (its components are innermost, interleaved across nodes)."""
-    # one sum per node: a batched sum over an axis rounds differently
-    return np.array([np.sqrt(grid.volume * np.sum(np.abs(c) ** 2)) for c in full])
-
-
 def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
                      f: ForcingSpec = ForcingSpec(), g: ForcingSpec = ForcingSpec(),
                      linear_only: bool = False) -> dict:
@@ -635,8 +609,7 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
     times = traj.times
     rhs = node_rhs(traj, params, f, g, linear_only)
     out = {}
-    for (tag, half), op, start in zip(traj.coeffs.items(), generators(traj.grid, params),
-                                      traj.state_at(0)):
+    for (tag, half), op in zip(traj.coeffs.items(), generators(traj.grid, params)):
         acc = 0.0
         for eig, part in _half_subspaces(op, rhs[tag]):
             cs = CubicSpline(times, part.reshape(len(times), -1), axis=0).c  # (4, nodes-1, flat)
@@ -651,8 +624,8 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
                 run = np.exp(-h * eig_flat) * run + seg
                 vals.append(run)
             acc = acc + np.stack(vals)
-        refined = _free_evolution(op, start, times - times[0]) + acc.reshape(half.shape)
-        out[tag] = node_l2(traj.grid, full_spectrum(traj.grid, half - refined))
+        refined = _free_evolution(op, half[0], times - times[0]) + acc.reshape(half.shape)
+        out[tag] = parseval_l2(traj.grid, half - refined)
     return out
 
 
@@ -744,8 +717,8 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
     result = GlobalResult(traj=full, reports=reports, e_sup=e_sup,
                           completed=all(rep.converged for rep in reports))
     if constants is not None:
-        from .kmbounds import generic_constant
-        cg = generic_constant(cfg, params, constants)
+        from .kmbounds import contraction_coefficients
+        cg = max(contraction_coefficients(cfg, params, constants, u0.grid, f, g))
         d0 = (norms.fractional_norm("u", u0, cfg.alpha0)
               + norms.fractional_norm("om", om0, cfg.beta0)
               + norms.fractional_norm("th", th0, cfg.gamma0))

@@ -293,6 +293,39 @@ def test_energy_with_forcing_logs_work(grid2d, params, cfg2):
     assert np.any(elog.forcing_work != 0.0)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_forced_ledger_work_matches_per_node_inner_products(dim, n, params, monkeypatch):
+    """The ledger's work term, read per node block from the half spectra,
+    is the per-node inner product of the dealiased forcings of state_at's
+    temperature with its velocity and microrotation."""
+    from micropolar import solver
+    from micropolar.nonlinear import evaluate_forcing
+
+    # blocks of 4 nodes: two full blocks and a short one
+    monkeypatch.setattr(solver, "rhs_block_size", lambda grid, ncomp: 4)
+    grid = mp.GridSpec(dim=dim, n=n)
+    om_comp = 1 if dim == 2 else 3
+    rng = np.random.default_rng(11)
+    u0 = mp.leray_project(mp.random_field(grid, dim, rng, amplitude=0.3, sigma=3.0))
+    om0 = mp.random_field(grid, om_comp, rng, amplitude=0.3, sigma=3.0)
+    th0 = mp.random_field(grid, 1, rng, amplitude=0.5, sigma=1.0, mean_zero=False)
+    f = mp.ForcingSpec("tanh", (0.7, -0.4, 0.2)[:dim], scale=0.3)
+    g = mp.ForcingSpec("linear", (0.5, -0.3, 0.2)[:om_comp])
+    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 10), params,
+                                 strict=False)
+    traj = mp.picard_step(traj, params, f, g)
+    elog = mp.energy_report(traj, params, f, g)
+    want = []
+    for j in range(traj.node_count):
+        u, om, th = traj.state_at(j)
+        fu, gw = evaluate_forcing(f, th, dim), evaluate_forcing(g, th, om_comp)
+        want.append(params.rho * grid.volume * (
+            np.sum(np.real(np.conj(fu.coeffs) * u.coeffs))
+            + np.sum(np.real(np.conj(gw.coeffs) * om.coeffs))))
+    assert not elog.conservative and np.min(np.abs(want)) > 0
+    np.testing.assert_allclose(elog.forcing_work, want, rtol=1e-13, atol=0)
+
+
 def test_fitted_constants_seed_stable(grid2d, params, cfg2):
     """Fitted estimate constants reproduce across seeds within 10%."""
     for lemma in ("2.5", "2.9"):

@@ -426,6 +426,46 @@ def test_load_config_with_explicit_exponents(tmp_path):
     assert cfg.exponents == sel.config
 
 
+def _partial_exponents_config(tmp_path, config_path, select: bool) -> str:
+    """The selected exponents with delta3 removed and alpha1 = 5, which
+    breaks alpha1 < 1-delta1 and the rows beside it."""
+    exps = load_config(config_path).exponents.to_dict()
+    del exps["delta3"]
+    exps["alpha1"] = 5.0
+    raw = _config_dict(str(tmp_path / "partial_out"))
+    raw["exponents"] = dict(exps, select=True) if select else exps
+    path = tmp_path / f"partial_{select}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_exponents_check_applies_rows_of_set_variables(config_path, tmp_path, capsys):
+    """With one delta missing, every row that reads only set variables is
+    still checked, so the broken alpha1 rows fail the check."""
+    path = _partial_exponents_config(tmp_path, config_path, select=False)
+    assert dispatch(["exponents", "check", "--config", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    labels = {v["label"] for v in out["violations"]}
+    assert out["passed"] is False
+    assert {"alpha1 < 1-delta1", "2alpha1+delta1 <= 1+alpha0"} <= labels
+    assert not any("delta3" in label for label in labels)
+    cfg = mp.ExponentConfig.from_dict(json.loads(open(path).read())["exponents"])
+    full = mp.check_config(load_config(config_path).exponents)
+    assert 18 < mp.check_config(cfg).checked < full.checked
+
+
+def test_load_config_refuses_partial_intermediates(config_path, tmp_path, capsys):
+    """A partial set of deltas and intermediates is a usage error naming the
+    missing keys, unless "select" asks for a fresh selection."""
+    path = _partial_exponents_config(tmp_path, config_path, select=False)
+    assert dispatch(["picard", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "missing delta3" in err
+    assert not os.path.exists(tmp_path / "partial_out")
+    selected = load_config(_partial_exponents_config(tmp_path, config_path, select=True))
+    assert selected.exponents == load_config(config_path).exponents
+
+
 def test_dt_and_refine_overrides(config_path):
     import argparse
     from micropolar.cli import _apply_overrides

@@ -3,9 +3,10 @@ import pytest
 
 import micropolar as mp
 from micropolar.analysis import fit_lemma_constants
+from micropolar.cli import lambda_chain_cap
 from micropolar.kmbounds import (
     check_domination,
-    generic_constant,
+    contraction_coefficients,
     holder_constant,
     k0_curves,
     km_recursion,
@@ -13,7 +14,6 @@ from micropolar.kmbounds import (
     semigroup_constant,
     _matrix_spectral_radius_curve,
 )
-from micropolar.nonlinear import generators
 
 ZERO = mp.ForcingSpec.zero()
 
@@ -22,10 +22,6 @@ ZERO = mp.ForcingSpec.zero()
 def constants(cfg2, params):
     grid = mp.GridSpec(dim=2, n=16)
     return fit_lemma_constants(cfg2, grid, params, ensemble=8, seed=11)
-
-
-def _eig_mins(grid, params):
-    return tuple(op.min_positive_eigenvalue() for op in generators(grid, params))
 
 
 def _small_data(grid, seed=7, amp=0.05):
@@ -65,8 +61,7 @@ def test_km_zero_data(grid2d, params, cfg2, constants):
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 17)
     k0 = k0_curves(z2, z1, z1, cfg2, params, times)
-    tracker = km_recursion(k0, cfg2, params, constants, times,
-                           eig_mins=_eig_mins(grid2d, params))
+    tracker = km_recursion(k0, cfg2, params, constants, times, grid2d)
     assert all(np.all(c == 0) for c in tracker.final.values())
 
 
@@ -74,8 +69,7 @@ def test_km_monotone_and_convergent(grid2d, params, cfg2, constants):
     u0, om0, th0 = _small_data(grid2d)
     times = np.linspace(0, 0.4, 33)
     k0 = k0_curves(u0, om0, th0, cfg2, params, times)
-    tracker = km_recursion(k0, cfg2, params, constants, times,
-                           eig_mins=_eig_mins(grid2d, params))
+    tracker = km_recursion(k0, cfg2, params, constants, times, grid2d)
     assert tracker.converged
     for m in range(len(tracker.history) - 1):
         for key in tracker.history[0]:
@@ -90,8 +84,7 @@ def test_km_domination_with_inflated_constants(grid2d, params, cfg2, constants):
     assert rep.converged
     k0 = k0_curves(u0, om0, th0, cfg2, params, traj.times)
     tracker = km_recursion(k0, cfg2, params, constants.inflated(1.1), traj.times,
-                           eig_mins=_eig_mins(grid2d, params),
-                           m_max=len(rep.iterate_norms) + 2)
+                           grid2d, m_max=len(rep.iterate_norms) + 2)
     excess = check_domination(tracker, rep.iterate_norms)
     assert max(excess.values()) <= 0.0
 
@@ -150,9 +143,47 @@ def test_equality_branch_uses_matrix(params, constants):
 
 
 def test_generic_constant_positive(grid2d, params, cfg2, constants):
-    cg = generic_constant(cfg2, params, constants,
-                          eig_mins=_eig_mins(grid2d, params))
+    cg = max(contraction_coefficients(cfg2, params, constants, grid2d, ZERO, ZERO))
     assert cg > 0 and np.isfinite(cg)
+
+
+def test_contraction_horizon_counts_the_forcing(grid2d, params, cfg2):
+    """picard_solve's T* comes from the recursion of the forced system: the
+    Lipschitz constants of f and g enter its linear coefficients."""
+    consts = fit_lemma_constants(cfg2, grid2d, params, ensemble=4, seed=1)
+    u0, om0, th0 = _small_data(grid2d)
+    times = np.linspace(0, 0.5, 129)
+    pic = mp.PicardConfig(horizon=0.5, m_max=1)
+    f, g = mp.ForcingSpec("linear", (2.0, 0.0)), mp.ForcingSpec("linear", (2.0,))
+    tstar = {}
+    for name, forcing in (("zero", (ZERO, ZERO)), ("forced", (f, g))):
+        _, rep = mp.picard_solve(u0, om0, th0, cfg2, params, *forcing, pic,
+                                 constants=consts, times=times)
+        tstar[name] = rep.tstar
+    assert tstar == {"zero": 0.03125, "forced": None}
+    assert local_horizon(u0, om0, th0, cfg2, params, consts, times, f, g).tstar is None
+    zero_cl = contraction_coefficients(cfg2, params, consts, grid2d, ZERO, ZERO)[1]
+    assert contraction_coefficients(cfg2, params, consts, grid2d, f, g)[1] > zero_cl
+
+
+def test_small_data_bound_uses_the_grid_spectral_gaps():
+    """global_solve's small-data threshold takes the generators' smallest
+    eigenvalues on the run's grid: on a torus of length 3 they exceed 1, and
+    so does the decay rate lambda that the semigroup constants need below
+    them."""
+    grid = mp.GridSpec(dim=2, n=16, length=3.0)
+    params = mp.CouplingParams(mu=1.8, mu_r=0.2)
+    base = mp.ExponentConfig(p=2, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
+    cfg = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params)).config
+    assert cfg.lam > 1.0
+    consts = mp.LemmaConstants(*[0.5] * 9)
+    u0, om0, th0 = _small_data(grid, amp=1e-3)
+    pic = mp.PicardConfig(horizon=0.05, nodes_per_unit=128, tol=1e-10)
+    res = mp.global_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic, 0.1,
+                          constants=consts)
+    assert res.completed and res.e_bound is not None
+    cg = max(contraction_coefficients(cfg, params, consts, grid, ZERO, ZERO))
+    assert res.e_bound > 0 and 2.0 * cg * res.e_bound < 1.0
 
 
 def test_local_horizon_degenerate_report(grid2d, params, cfg2, constants):

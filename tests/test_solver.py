@@ -20,6 +20,7 @@ from micropolar.solver import (
     node_rhs,
     TrajectoryState,
     picard_step,
+    tag_components,
     time_weight,
     _half_subspaces,
 )
@@ -608,10 +609,9 @@ def test_kept_start_rhs_matches_fresh_assembly(case):
     assert kept.tobytes() == fresh.tobytes()
 
 
-def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
-    """A sweep works on the trajectory's half spectra: it builds no
-    SpectralField and fills no full spectrum (state_at, which does both,
-    shows that the counting sees them)."""
+def _count_field_builds(monkeypatch) -> list:
+    """From here on, one "field" per SpectralField built and one "fill" per
+    full spectrum filled, in the list returned."""
     import sys
 
     from micropolar import fields
@@ -624,14 +624,22 @@ def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    u0, om0, th0 = _initial_data(grid2d, rng)
-    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
     fill = fields.full_spectrum
     monkeypatch.setattr(fields.SpectralField, "__post_init__",
                         counting("field", fields.SpectralField.__post_init__))
     for name, mod in list(sys.modules.items()):
         if name.startswith("micropolar") and getattr(mod, "full_spectrum", None) is fill:
             monkeypatch.setattr(mod, "full_spectrum", counting("fill", fill))
+    return calls
+
+
+def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
+    """A sweep works on the trajectory's half spectra: it builds no
+    SpectralField and fills no full spectrum (state_at, which does both,
+    shows that the counting sees them)."""
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+    calls = _count_field_builds(monkeypatch)
     f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
     g = mp.ForcingSpec("linear", (0.3,))
     traj = picard_step(traj, params, f, g)
@@ -639,6 +647,56 @@ def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
     assert calls == []
     traj.state_at(0)
     assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
+
+
+def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
+    """The node table, the energy ledger and both residual checks read the
+    trajectory's half spectra: they build no SpectralField and fill no full
+    spectrum (state_at shows that the counting sees them)."""
+    from types import SimpleNamespace
+
+    from micropolar.analysis import energy_report, pde_residual
+    from micropolar.cli import _norm_table_rows
+
+    f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
+    g = mp.ForcingSpec("linear", (0.3,))
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+    traj = picard_step(traj, params, f, g)
+    calls = _count_field_builds(monkeypatch)
+    _norm_table_rows(traj, SimpleNamespace(exponents=cfg2, grid=grid2d, params=params))
+    energy_report(traj, params, f, g)
+    pde_residual(traj, params, f, g)
+    duhamel_residual(traj, params, f, g)
+    assert calls == []
+    traj.state_at(0)
+    assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["mean", "mean-zero"])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_l2_matches_full_spectrum_sum(dim, n, mean):
+    """SpectralField.l2 and TrajectoryState.l2_norms, Parseval sums on the
+    half spectrum, agree with the sum over every mode of the full spectrum
+    for fields with content in the Nyquist column."""
+    grid = mp.GridSpec(dim=dim, n=n)
+    rng = np.random.default_rng(5)
+    fields = {}
+    for tag, comp in tag_components(dim).items():
+        fs = [mp.to_spectral(grid, rng.standard_normal((comp,) + grid.shape))
+              for _ in range(4)]
+        fields[tag] = fs if mean else [x.drop_mean() for x in fs]
+    for fs in fields.values():
+        assert np.min(np.abs(fs[0].coeffs[..., n // 2])) > 0
+        assert (np.min(np.abs(fs[0].mean_values())) > 0) == mean
+    halves = {tag: _stack(fs) for tag, fs in fields.items()}
+    traj = TrajectoryState(times=np.linspace(0.0, 0.1, 4), grid=grid, coeffs=halves,
+                           free=halves)
+    norms = traj.l2_norms()
+    for tag, fs in fields.items():
+        want = [math.sqrt(grid.volume * float(np.sum(np.abs(x.coeffs) ** 2))) for x in fs]
+        np.testing.assert_allclose([x.l2() for x in fs], want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(norms[tag], want, rtol=1e-14, atol=0)
 
 
 def test_state_at_is_full_spectrum_of_stored_arrays(grid2d, grid3d, params, cfg2):
