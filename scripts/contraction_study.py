@@ -9,13 +9,13 @@ import numpy as np
 
 import micropolar as mp
 from micropolar.analysis import fit_lemma_constants
-from micropolar.cli import lambda_chain_cap
 from micropolar.kmbounds import (
     check_domination,
     k0_curves,
     km_recursion,
     local_horizon,
 )
+from micropolar.nonlinear import lambda_chain_cap
 
 ZERO = mp.ForcingSpec.zero()
 
@@ -44,17 +44,18 @@ def main():
                                               amplitude=amp))
         om0 = mp.random_field(grid, 1, rng, sigma=3.0, amplitude=amp)
         th0 = mp.random_field(grid, 1, rng, sigma=3.0, amplitude=amp)
+        start = mp.start_state(u0, om0, th0)
         scan = np.linspace(0, 0.6, 97)
-        hres = local_horizon(u0, om0, th0, cfg, params, constants, scan)
+        hres = local_horizon(start, cfg, params, constants, scan)
         if hres.tstar is None:
             print(f"{amp:6.2f} {'none':>8s}")
             continue
         horizon = min(hres.tstar, 0.5)
         pic = mp.PicardConfig(horizon=horizon, nodes_per_unit=192, tol=1e-9,
                               m_max=30)
-        traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic,
+        traj, rep = mp.picard_solve(start, cfg, params, ZERO, ZERO, pic,
                                     record_norms=True)
-        k0 = k0_curves(u0, om0, th0, cfg, params, traj.times)
+        k0 = k0_curves(start, cfg, params, traj.times)
         tracker = km_recursion(k0, cfg, params, constants.inflated(1.1),
                                traj.times, grid,
                                m_max=len(rep.iterate_norms) + 2)

@@ -10,7 +10,7 @@ import numpy as np
 
 import micropolar as mp
 from micropolar.analysis import fit_decay
-from micropolar.cli import lambda_chain_cap
+from micropolar.nonlinear import lambda_chain_cap
 from micropolar.solver import WeightedNorms
 
 ZERO = mp.ForcingSpec.zero()
@@ -40,11 +40,10 @@ def main():
           + norms.fractional_norm("om", om0, cfg.beta0)
           + norms.fractional_norm("th", th0, cfg.gamma0))
     scale = args.data_norm / d0
-    u0, om0, th0 = u0 * scale, om0 * scale, th0 * scale
+    start = mp.start_state(u0 * scale, om0 * scale, th0 * scale)
 
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=64, tol=1e-12, m_max=30)
-    result = mp.global_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic,
-                             args.t_total)
+    result = mp.global_solve(start, cfg, params, ZERO, ZERO, pic, args.t_total)
     print(f"completed={result.completed} windows={len(result.reports)} "
           f"nodes={result.traj.node_count}")
 

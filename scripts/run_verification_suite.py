@@ -19,8 +19,7 @@ from micropolar.analysis import (
     verify_smoothing,
     vanishing_weight_proxy,
 )
-from micropolar.cli import lambda_chain_cap
-from micropolar.nonlinear import generators
+from micropolar.nonlinear import generators, lambda_chain_cap
 
 
 def main():

@@ -32,6 +32,7 @@ from .solver import (
     initial_trajectory,
     picard_solve,
     picard_step,
+    start_state,
 )
 from .kmbounds import (
     KmTracker,

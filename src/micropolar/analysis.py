@@ -46,6 +46,7 @@ from .nonlinear import (
     dissipation_phi,
     evaluate_forcing,
     generators,
+    lambda_chain_cap,
     _forcing_values,
     _gradient_planes,
     _grid_values,
@@ -907,7 +908,7 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
         raise ConfigurationError("estimate checks need a completed exponent config")
     from .exponents import check_config
 
-    verdict = check_config(cfg)
+    verdict = check_config(cfg, lambda_cap=lambda_chain_cap(grid, params))
     if not verdict.passed:
         raise ValueError(
             "estimate hypotheses violated: "

@@ -1,9 +1,12 @@
-"""Window-end checkpoints: the state (u, om, th) at the end of one window,
-all a restart needs, since the mild solution continues uniquely from it.
+"""Window-end checkpoints: the solver state at the end of one window, all a
+restart needs, since the mild solution continues uniquely from it.
 
-Layout: 8-byte magic, 8-byte little-endian header length, UTF-8 JSON header,
-then the coefficients of u, om and th (interleaved re/im float64, row-major
-over components and modes).  Round trips are bit-exact.
+Layout (format version 3): 8-byte magic, 8-byte little-endian header length,
+UTF-8 JSON header, then the half spectra (last-axis modes 0..n/2) of u, om
+and th as the solver holds them, interleaved re/im little-endian float64,
+row-major over components and modes.  Round trips are bit-exact.  A payload
+that is not finite, or whose planes k_last = 0 and n/2 (their own conjugates)
+are not Hermitian within HERMITIAN_RTOL of its largest coefficient, is refused.
 """
 
 from __future__ import annotations
@@ -15,27 +18,27 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .fields import GridSpec, full_spectrum, half_spectrum
+from .fields import GridSpec, plane_defect
 from .solver import TAGS, TrajectoryState
 
 MAGIC = b"MPCKPT01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# the solver's arithmetic leaves relative defects near 1e-20 on the planes
+HERMITIAN_RTOL = 1e-12
 
 
 def checkpoint_write(traj: TrajectoryState, path: str,
                      config_hash: str = "", window: int = 0) -> None:
     """Write the last node of traj, the end of the given window."""
-    j = traj.node_count - 1
-    state = traj.state_at(j)
     header = {
         "version": FORMAT_VERSION,
         "grid": traj.grid.to_dict(),
-        "t_end": float(traj.times[j]),
+        "t_end": float(traj.times[-1]),
         "window": window,
         "iteration": traj.m,
         "config_hash": config_hash,
-        "fields": {name: {"components": f.components, "mean_zero": bool(f.mean_zero)}
-                   for name, f in zip(TAGS, state)},
+        "fields": {tag: {"components": traj.coeffs[tag].shape[1], "mean_zero": tag == "u"}
+                   for tag in TAGS},
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -43,8 +46,8 @@ def checkpoint_write(traj: TrajectoryState, path: str,
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
         # little-endian complex128 is the interleaved re/im float64 layout
-        for f in state:
-            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
+        for tag in TAGS:
+            fh.write(np.ascontiguousarray(traj.coeffs[tag][-1], dtype="<c16"))
 
 
 def _read_header(fh, path: str) -> dict:
@@ -75,7 +78,7 @@ def read_header(path: str) -> dict:
 
 def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectoryState:
     """The checkpoint as a one-node trajectory: times [t_end] and the end
-    state, which is also its own free evolution over a window of length 0."""
+    state, the solver state a resume starts from."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         if expected_hash is not None and header.get("config_hash") != expected_hash:
@@ -83,17 +86,17 @@ def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectorySt
                 f"{path}: checkpoint belongs to config {header.get('config_hash')!r}, "
                 f"refusing resume with {expected_hash!r}")
         grid = GridSpec.from_dict(header["grid"])
+        half_shape = grid.shape[:-1] + (grid.n // 2 + 1,)
         state = {}
         for name in TAGS:
-            meta = header["fields"][name]
-            comp = int(meta["components"])
-            nbytes = comp * grid.num_modes * 16
+            shape = (1, int(header["fields"][name]["components"])) + half_shape
+            nbytes = int(np.prod(shape)) * 16
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload in {name}")
-            c = np.frombuffer(raw, dtype="<c16").reshape((1, comp) + grid.shape)
-            state[name] = half_spectrum(c)
-            if not np.array_equal(full_spectrum(grid, state[name]), c, equal_nan=True):
+            half = state[name] = np.frombuffer(raw, dtype="<c16").reshape(shape)
+            if not (np.isfinite(half).all()
+                    and plane_defect(grid, half) <= HERMITIAN_RTOL * np.max(np.abs(half))):
                 raise CheckpointError(f"{path}: {name} is not the spectrum of a real field")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after payload")

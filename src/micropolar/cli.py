@@ -42,9 +42,10 @@ from .errors import (
 from .exponents import BASE, ExponentConfig, check_config, select_intermediate
 from .fields import GridSpec, SpectralField, random_field
 from .gronwall import gronwall_bound, gronwall_oracle
-from .nonlinear import CouplingParams, ForcingSpec, generators
+from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
-from .solver import PicardConfig, global_solve, picard_solve, tag_components, window_horizons
+from .solver import (PicardConfig, TrajectoryState, WeightedNorms, global_solve, picard_solve,
+                     start_state, tag_components, window_horizons)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -83,22 +84,20 @@ def build_initial_data(grid: GridSpec, spec: InitialDataSpec, seed: int) -> tupl
         if k[-1] != 0:
             amp_u[0] = spec.amplitude[0]
         u0 = leray_project(SpectralField.single_mode(grid, k, amp_u))
-        scale = u0.l2()
-        if scale > 0:
-            u0 = u0 * (spec.amplitude[0] / scale)
         om0 = SpectralField.single_mode(grid, k, [spec.amplitude[1]] * om_comp)
         th0 = SpectralField.single_mode(grid, k, spec.amplitude[2])
-        return u0, om0, th0
-    rngs = np.random.SeedSequence(seed).spawn(3)
-    u0 = leray_project(random_field(grid, grid.dim, np.random.default_rng(rngs[0]),
-                                    sigma=spec.sigma[0], amplitude=spec.amplitude[0]))
+    else:
+        rngs = np.random.SeedSequence(seed).spawn(3)
+        u0 = leray_project(random_field(grid, grid.dim, np.random.default_rng(rngs[0]),
+                                        sigma=spec.sigma[0], amplitude=spec.amplitude[0]))
+        om0 = random_field(grid, om_comp, np.random.default_rng(rngs[1]),
+                           sigma=spec.sigma[1], amplitude=spec.amplitude[1])
+        th0 = random_field(grid, 1, np.random.default_rng(rngs[2]),
+                           sigma=spec.sigma[2], amplitude=spec.amplitude[2])
+    # the projection changes the velocity's norm: rescale it to the amplitude
     scale = u0.l2()
     if scale > 0:
         u0 = u0 * (spec.amplitude[0] / scale)
-    om0 = random_field(grid, om_comp, np.random.default_rng(rngs[1]),
-                       sigma=spec.sigma[1], amplitude=spec.amplitude[1])
-    th0 = random_field(grid, 1, np.random.default_rng(rngs[2]),
-                       sigma=spec.sigma[2], amplitude=spec.amplitude[2])
     return u0, om0, th0
 
 
@@ -185,11 +184,6 @@ def load_config(path: str) -> RunConfig:
             seed=seed,
             t_total=float(raw.get("t_total", 1.0)),
             output_dir=str(raw.get("output_dir", "out")))
-
-
-def lambda_chain_cap(grid: GridSpec, params: CouplingParams) -> float:
-    ops = generators(grid, params)
-    return min(op.min_positive_eigenvalue() for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +302,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     """The nodes table."""
-    from .solver import WeightedNorms
-
     norms = WeightedNorms(cfg.exponents, cfg.grid, cfg.params)
     cols = ["t", "l2_u", "l2_om", "l2_th",
             "x_alpha0_u", "y_beta0_om", "z_gamma0_th"]
@@ -333,9 +325,8 @@ def _iteration_table(reports, first_window: int) -> tuple:
     return cols, rows
 
 
-def _march(cfg: RunConfig, bundle: ReportBundle, state: tuple, t0: float,
-           first_window: int) -> int:
-    """Solve from state at time t0 to t_total, checkpoint each window's end
+def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState, first_window: int) -> int:
+    """Solve from the start state to t_total, checkpoint each window's end
     (windows numbered from first_window) and write the report."""
     chash = config_hash(cfg)
     outdir = cfg.output_dir
@@ -346,9 +337,9 @@ def _march(cfg: RunConfig, bundle: ReportBundle, state: tuple, t0: float,
         checkpoint_write(traj, os.path.join(outdir, f"checkpoint_w{window}.mpk"),
                          chash, window)
 
-    result = global_solve(*state, cfg.exponents, cfg.params,
+    result = global_solve(start, cfg.exponents, cfg.params,
                           cfg.forcing_f, cfg.forcing_g, cfg.picard,
-                          cfg.t_total, checkpoint_hook=hook, t0=t0)
+                          cfg.t_total, checkpoint_hook=hook)
     cols, rows = _norm_table_rows(result.traj, cfg)
     bundle.add_table("nodes", cols, rows)
     bundle.add_table("iterations", *_iteration_table(result.reports, first_window))
@@ -375,20 +366,20 @@ def _march(cfg: RunConfig, bundle: ReportBundle, state: tuple, t0: float,
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    state = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
-    return _march(cfg, _new_bundle(cfg, "simulate"), state, 0.0, 0)
+    start = start_state(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed))
+    return _march(cfg, _new_bundle(cfg, "simulate"), start, 0)
 
 
 def _cmd_picard(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     bundle = _new_bundle(cfg, "picard")
-    u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
+    start = start_state(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed))
     constants = None
     if args.fit_constants:
         constants = fit_lemma_constants(cfg.exponents, cfg.grid, cfg.params,
                                         cfg.forcing_f, cfg.forcing_g,
                                         ensemble=20, seed=cfg.seed)
-    traj, rep = picard_solve(u0, om0, th0, cfg.exponents, cfg.params,
+    traj, rep = picard_solve(start, cfg.exponents, cfg.params,
                              cfg.forcing_f, cfg.forcing_g, cfg.picard,
                              constants=constants)
     for note in rep.notes:
@@ -408,11 +399,12 @@ def _cmd_picard(args) -> int:
     return 0 if rep.converged else CHECK_FAILED
 
 
-def _default_run(cfg: RunConfig, horizon: float | None = None):
-    u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
-    pic = cfg.picard if horizon is None else PicardConfig.from_dict(
-        {**cfg.picard.to_dict(), "horizon": horizon})
-    return picard_solve(u0, om0, th0, cfg.exponents, cfg.params,
+def _default_run(cfg: RunConfig, pic: PicardConfig, data: tuple | None = None):
+    """picard_solve of the run with the Picard settings pic from the fields
+    data, by default the configured initial data drawn with the run's seed."""
+    if data is None:
+        data = build_initial_data(cfg.grid, cfg.initial_data, cfg.seed)
+    return picard_solve(start_state(*data), cfg.exponents, cfg.params,
                         cfg.forcing_f, cfg.forcing_g, pic)
 
 
@@ -450,15 +442,13 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
                                        ensemble=ensemble, seed=seed))
     elif target in {"3.5", "dependence"}:
         u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, seed)
-        base, _ = picard_solve(u0, om0, th0, exps, params, cfg.forcing_f,
-                               cfg.forcing_g, cfg.picard)
+        base, _ = _default_run(cfg, cfg.picard, (u0, om0, th0))
         ratios = {}
         for delta in (1e-4, 5e-5):
             du = random_field(grid, grid.dim, np.random.default_rng(seed + 7),
                               amplitude=delta)
             up = leray_project(u0 + du)
-            pert, _ = picard_solve(up, om0, th0, exps, params, cfg.forcing_f,
-                                   cfg.forcing_g, cfg.picard)
+            pert, _ = _default_run(cfg, cfg.picard, (up, om0, th0))
             d0 = initial_distance(u0, up, om0, om0, th0, th0, exps, params)
             dep = dependence_ratio(base, pert, exps, params, d0)
             ratios[delta] = max(dep.values())
@@ -472,9 +462,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         pic = PicardConfig.from_dict({
             **cfg.picard.to_dict(), "grading": 2.0,
             "nodes_per_unit": max(cfg.picard.nodes_per_unit, min_npu)})
-        u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, seed)
-        traj, rep = picard_solve(u0, om0, th0, exps, params, cfg.forcing_f,
-                                 cfg.forcing_g, pic)
+        traj, rep = _default_run(cfg, pic)
         if not rep.converged:
             raise ConfigurationError("local-decay verification: run diverged")
         horizon = float(traj.times[-1])
@@ -486,8 +474,8 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
             f.passed is not False for f in fits)
     elif target in {"theorem-2.2", "global-decay"}:
         _require_large_time_window(cfg)
-        u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, seed)
-        result = global_solve(u0, om0, th0, exps, params, cfg.forcing_f,
+        start = start_state(*build_initial_data(cfg.grid, cfg.initial_data, seed))
+        result = global_solve(start, exps, params, cfg.forcing_f,
                               cfg.forcing_g, cfg.picard, cfg.t_total)
         fits = fit_decay(result.traj, exps, params,
                          window_large=(1.0, cfg.t_total),
@@ -497,14 +485,12 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         bundle.verdicts["theorem-2.2 rates"] = all(
             f.passed is not False for f in fits)
     elif target in {"theorem-2.3", "residual"}:
-        orders = []
+        data = build_initial_data(cfg.grid, cfg.initial_data, seed)
         residual_levels = []
         for k in range(1, 4):  # skip the configured base level; too coarse
             pic = PicardConfig.from_dict({**cfg.picard.to_dict(),
                                           "nodes_per_unit": cfg.picard.nodes_per_unit * 2 ** k})
-            u0, om0, th0 = build_initial_data(cfg.grid, cfg.initial_data, seed)
-            traj, rep = picard_solve(u0, om0, th0, exps, params, cfg.forcing_f,
-                                     cfg.forcing_g, pic)
+            traj, rep = _default_run(cfg, pic, data)
             if not rep.converged:
                 raise ConfigurationError(
                     "residual verification refused: the run did not converge")
@@ -516,7 +502,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         bundle.verdicts["theorem-2.3 order>=1.8"] = all(o >= 1.8 for o in orders)
     elif target == "hoelder":
         _require_hoelder_steps(cfg)
-        traj, _ = _default_run(cfg)
+        traj, _ = _default_run(cfg, cfg.picard)
         res = time_hoelder_quotients(traj, exps, params, alpha_hat=0.5,
                                      tau=float(traj.times[-1]) / 4)
         bundle.add_table("hoelder", ["h", "quotient"],
@@ -524,7 +510,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         bundle.verdicts["hoelder no growth as h halves"] = bool(
             np.isfinite(res["sup"]) and not res["small_h_blowup"])
     elif target == "energy":
-        traj, _ = _default_run(cfg)
+        traj, _ = _default_run(cfg, cfg.picard)
         elog = energy_report(traj, params, cfg.forcing_f, cfg.forcing_g)
         bundle.add_table("energy", ["t", "kinetic", "heat", "total"],
                          [[float(elog.times[j]), elog.kinetic[j], elog.heat[j],
@@ -639,15 +625,14 @@ def _cmd_checkpoint(args) -> int:
         raise ConfigurationError(
             f"resume would overwrite the report of the run in {ckpt_dir}; "
             f"choose another report directory with --out")
-    traj = checkpoint_read(args.path, expected_hash=config_hash(cfg))
-    t_end = float(traj.times[0])
+    start = checkpoint_read(args.path, expected_hash=config_hash(cfg))
+    t_end = float(start.times[0])
     if not window_horizons(cfg.picard, cfg.t_total, t_end):
         print("checkpoint already covers requested horizon")
         return 0
     bundle = _new_bundle(cfg, "checkpoint resume")
     bundle.verdicts["resumed_from"] = t_end
-    return _march(cfg, bundle, traj.state_at(0), t_end,
-                  read_header(args.path)["window"] + 1)
+    return _march(cfg, bundle, start, read_header(args.path)["window"] + 1)
 
 
 def _builtin_config() -> RunConfig:

@@ -235,9 +235,6 @@ class SpectralField:
         """Spatial mean of each component (the k=0 coefficients)."""
         return self.coeffs[(slice(None),) + _zero_index(self.grid)].real.copy()
 
-    def max_mean_magnitude(self) -> float:
-        return float(np.max(np.abs(self.coeffs[(slice(None),) + _zero_index(self.grid)])))
-
     def l2(self) -> float:
         """Parseval L2 norm of the real field, sqrt(volume) * ||coeffs||_2
         summed on the half spectrum (exact for trig polynomials)."""
@@ -254,6 +251,13 @@ def _reflect(c: np.ndarray, dim: int) -> np.ndarray:
     for ax in range(-dim, 0):
         c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
     return c
+
+
+def plane_defect(grid: GridSpec, half: np.ndarray) -> float:
+    """Max |c(-k) - conj(c(k))| on the last-axis planes 0 and n/2 of half
+    spectra (..., *half), the only modes whose conjugates they hold."""
+    planes = np.moveaxis(half[..., [0, -1]], -1, 0)
+    return float(np.max(np.abs(_reflect(planes, grid.dim - 1) - np.conj(planes))))
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:

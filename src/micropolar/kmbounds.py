@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .exponents import ExponentConfig, equality_branches
-from .fields import GridSpec, SpectralField
+from .fields import GridSpec
 from .nonlinear import CouplingParams, ForcingSpec, generators
-from .solver import WeightedNorms, beta_function, initial_trajectory, time_weight
+from .solver import (TrajectoryState, WeightedNorms, beta_function, initial_trajectory,
+                     time_weight)
 
 
 def semigroup_constant(a: float, lam: float, lam_min: float) -> float:
@@ -90,13 +91,13 @@ class KmTracker:
         return self.history[-1]
 
 
-def k0_curves(u0: SpectralField, om0: SpectralField, th0: SpectralField,
-              cfg: ExponentConfig, params: CouplingParams,
+def k0_curves(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
               times: np.ndarray) -> dict:
     """K^0 at the nine exponents: running sup over s <= t of
-    s^(x - x0) ||free evolution(s)||, zero at t = 0."""
-    traj = initial_trajectory(u0, om0, th0, times, params, strict=False)
-    norms = WeightedNorms(cfg, u0.grid, params)
+    s^(x - x0) ||free evolution(s)|| from the one-node start state, zero at
+    t = 0."""
+    traj = initial_trajectory(start, times, params, strict=False)
+    norms = WeightedNorms(cfg, start.grid, params)
     table = norms.iteration_table(traj)
     return {key: np.maximum.accumulate(curve) for key, curve in table.items()}
 
@@ -285,21 +286,20 @@ def _matrix_spectral_radius_curve(k0max: np.ndarray, cfg: ExponentConfig,
     return rho
 
 
-def local_horizon(u0: SpectralField, om0: SpectralField, th0: SpectralField,
-                  cfg: ExponentConfig, params: CouplingParams,
+def local_horizon(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
                   constants: LemmaConstants, times: np.ndarray,
                   f: ForcingSpec = ForcingSpec(),
                   g: ForcingSpec = ForcingSpec()) -> HorizonResult:
     """Largest sampled horizon on which the contraction criteria hold for
-    the system with forcing f, g (zero by default).
+    the system with forcing f, g (zero by default) from the start state.
 
     Strict branches: the scalar factors C (K0(t) + t^a), C (K0(t) + t^b) and
     C K0(t) must stay below one.  If any coupling rule sits in its equality
     branch, the spectral radius of the comparison matrix is used instead."""
     times = np.asarray(times, dtype=np.float64)
-    k0 = k0_curves(u0, om0, th0, cfg, params, times)
+    k0 = k0_curves(start, cfg, params, times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
-    cq, cl = contraction_coefficients(cfg, params, constants, u0.grid, f, g)
+    cq, cl = contraction_coefficients(cfg, params, constants, start.grid, f, g)
     cg = max(cq, cl)
     if float(np.max(k0max)) == 0.0:
         # zero data: the iteration is stationary at the fixed point

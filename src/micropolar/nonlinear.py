@@ -100,6 +100,11 @@ def generators(grid: GridSpec, params: CouplingParams) -> tuple:
     return a_op, g_op, b_op
 
 
+def lambda_chain_cap(grid: GridSpec, params: CouplingParams) -> float:
+    """The generators' smallest positive eigenvalue, the exponent rules' Lambda_1."""
+    return min(op.min_positive_eigenvalue() for op in generators(grid, params))
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     """Temperature-driven body force: zero, linear c*theta, or the bounded

@@ -28,17 +28,15 @@ from .fields import (
     parseval_l2,
     _zero_index,
 )
-from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators
+from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators, _half_symbols
 from .operators import (
     OperatorKind,
     OperatorSymbol,
     apply_operator,
     cross,
     lebesgue_norm,
-    leray_coeffs,
     parallel_part,
     power_weight,
-    projector_symbols,
 )
 
 MEAN_TOL = 1e-10
@@ -124,7 +122,7 @@ def _half_subspaces(op: OperatorSymbol, half: np.ndarray) -> list:
     """(eigenvalues, part) per invariant subspace of node-stacked half
     spectra (nodes, comp, *half), both on the half spectrum."""
     eigs = eig_families(op, half.shape[1])
-    kap, ksq = (half_spectrum(x) for x in projector_symbols(op.grid))
+    _, kap, ksq, _ = _half_symbols(op.grid)
     return list(zip((half_spectrum(e) for e in eigs), _decompose(op, half, kap, ksq)))
 
 
@@ -236,7 +234,9 @@ class PicardConfig:
 class TrajectoryState:
     """Node-sampled curves of the three fields.  coeffs and free map each tag
     of TAGS, in that order, to the read-only half spectra (nodes, comp, *half)
-    of the iterate and of the window's free evolution."""
+    of the iterate and of the window's free evolution.  A one-node trajectory
+    is a solver state (a solve's start, a window's end, a checkpoint), its
+    own free evolution over a window of length 0."""
 
     times: np.ndarray
     grid: GridSpec
@@ -252,10 +252,16 @@ class TrajectoryState:
     def node_count(self) -> int:
         return len(self.times)
 
-    def node_blocks(self) -> list:
-        """Consecutive slices of rhs_block_size nodes covering every node;
-        the last may be shorter."""
-        return _node_slices(self, 0)
+    def node_blocks(self, first: int = 0) -> list:
+        """Consecutive slices of rhs_block_size nodes from node first to the
+        last; the last may be shorter."""
+        n, size = self.node_count, rhs_block_size(self.grid, self.coeffs["om"].shape[1])
+        return [slice(j, min(j + size, n)) for j in range(first, n, size)]
+
+    def end_state(self) -> "TrajectoryState":
+        """The last node as a one-node trajectory, a view of its arrays."""
+        last = {tag: c[-1:] for tag, c in self.coeffs.items()}
+        return TrajectoryState(self.times[-1:], self.grid, last, last, m=self.m)
 
     def _field(self, tag: str, half: np.ndarray) -> SpectralField:
         # the Stokes semigroup and the projected RHS keep the velocity mean-zero
@@ -263,7 +269,8 @@ class TrajectoryState:
                              mean_zero=tag == "u")
 
     def state_at(self, j: int) -> tuple:
-        """(u, om, th) at node j as full-spectrum fields."""
+        """(u, om, th) at node j as full-spectrum fields: a view for readers
+        of checkpoints and reports; the solver uses the arrays."""
         return tuple(self._field(tag, c[j]) for tag, c in self.coeffs.items())
 
     def l2_norms(self) -> dict:
@@ -278,6 +285,12 @@ class TrajectoryState:
         return tuple(self._field("u", c) for c in self.coeffs["u"])
 
 
+def start_state(u0: SpectralField, om0: SpectralField, th0: SpectralField) -> TrajectoryState:
+    """The solver state of the initial data (u0, om0, th0) at t = 0."""
+    coeffs = {tag: half_spectrum(f.coeffs)[np.newaxis] for tag, f in zip(TAGS, (u0, om0, th0))}
+    return TrajectoryState(np.array([0.0]), u0.grid, coeffs, coeffs)
+
+
 def rhs_block_size(grid: GridSpec, ncomp: int) -> int:
     """Nodes per assemble_rhs call: as many as keep the float64 grid values of
     its plane buffer (u, om and the gradients of u, om and th, that is
@@ -287,13 +300,6 @@ def rhs_block_size(grid: GridSpec, ncomp: int) -> int:
     2D n = 32 grid take 8 blocks of 8 and one of 1, then 8 blocks of 8."""
     planes = (grid.dim + ncomp) * (grid.dim + 1) + grid.dim
     return max(1, RHS_BLOCK_BYTES // (planes * grid.num_modes * 8))
-
-
-def _node_slices(traj: TrajectoryState, first: int) -> list:
-    """Consecutive slices of rhs_block_size nodes from node first to the
-    last; the last may be shorter."""
-    n, size = traj.node_count, rhs_block_size(traj.grid, traj.coeffs["om"].shape[1])
-    return [slice(j, min(j + size, n)) for j in range(first, n, size)]
 
 
 def _free_evolution(op: OperatorSymbol, start: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -306,48 +312,45 @@ def _free_evolution(op: OperatorSymbol, start: np.ndarray, times: np.ndarray) ->
     return sum(terms[1:], terms[0])
 
 
-def initial_trajectory(u0: SpectralField, om0: SpectralField, th0: SpectralField,
-                       times: np.ndarray, params: CouplingParams,
+def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: CouplingParams,
                        strict: bool = True) -> TrajectoryState:
-    """Free-evolution trajectory (iteration zero)."""
-    from .operators import divergence_defect
-
+    """Free-evolution trajectory (iteration zero) from the one-node start
+    state, at the times elapsed since it.  strict checks the preconditions
+    on initial data: a solenoidal velocity (the L2 norm of its divergence
+    within 1e-8 of its own) and mean-zero fields."""
+    times, grid = np.asarray(times, dtype=np.float64), start.grid
+    u0, om0, th0 = (start.coeffs[tag][0] for tag in TAGS)
     if strict:
-        if divergence_defect(u0) > 1e-8:
+        div = np.sum(_half_symbols(grid)[0] * u0, axis=0)[np.newaxis, np.newaxis]
+        if parseval_l2(grid, div)[0] > 1e-8 * parseval_l2(grid, start.coeffs["u"])[0]:
             raise PreconditionError("initial velocity is not solenoidal")
-        for name, f0 in (("velocity", u0), ("microrotation", om0), ("temperature", th0)):
-            scale = max(1.0, float(np.max(np.abs(f0.coeffs))) if f0.coeffs.size else 1.0)
-            if f0.max_mean_magnitude() > MEAN_TOL * scale:
+        for name, c in zip(("velocity", "microrotation", "temperature"), (u0, om0, th0)):
+            scale = max(1.0, float(np.max(np.abs(c))))
+            if np.max(np.abs(c[(Ellipsis,) + _zero_index(grid)])) > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
-    times = np.asarray(times, dtype=np.float64)
     # the Stokes semigroup acts on the Leray projection of the velocity
-    starts = (leray_coeffs(u0.grid, u0.coeffs), om0.coeffs, th0.coeffs)
-    free = {tag: _free_evolution(op, half_spectrum(c), times) for tag, op, c
-            in zip(TAGS, generators(u0.grid, params), starts)}
-    return TrajectoryState(times=times, grid=u0.grid, coeffs=free, free=free, m=0)
+    u0 = u0 - parallel_part(u0, *_half_symbols(grid)[1:3])
+    u0[(Ellipsis,) + _zero_index(grid)] = 0.0
+    free = {tag: _free_evolution(op, c, times) for tag, op, c
+            in zip(TAGS, generators(grid, params), (u0, om0, th0))}
+    return TrajectoryState(times=times, grid=grid, coeffs=free, free=free, m=0)
 
 
-def _rhs_from(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
-              g: ForcingSpec, linear_only: bool, first: int) -> dict:
-    """node_rhs of the nodes from first on, in blocks of rhs_block_size
-    nodes; the rows before first are left for the caller to fill."""
+def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+             g: ForcingSpec, linear_only: bool = False, first: int = 0) -> dict:
+    """Right-hand sides of the iterate at the nodes from first on, one
+    assemble_rhs call per block of rhs_block_size nodes on its half spectra,
+    as node-stacked half spectra keyed by the tag of the equation they
+    drive; the rows before first are left for the caller to fill."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
     half = traj.coeffs["u"].shape[2:]
     # filled block by block: the blocks' results and a joined copy of them
     # are never held at once
     rhs = np.empty((traj.node_count, dim + ncomp + 1) + half, dtype=np.complex128)
-    for b in _node_slices(traj, first):
+    for b in traj.node_blocks(first):
         rhs[b] = assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
                               params, f, g, linear_only=linear_only)
     return dict(zip(TAGS, np.split(rhs, [dim, dim + ncomp], axis=1)))
-
-
-def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
-             g: ForcingSpec, linear_only: bool = False) -> dict:
-    """Right-hand sides of the iterate at every node, one assemble_rhs call
-    per block of node_blocks() on its half spectra, as node-stacked half
-    spectra keyed by the tag of the equation they drive."""
-    return _rhs_from(traj, params, f, g, linear_only, 0)
 
 
 def picard_step(traj: TrajectoryState, params: CouplingParams,
@@ -366,7 +369,7 @@ def picard_step(traj: TrajectoryState, params: CouplingParams,
         propagators = tuple(DuhamelPropagator(op, traj.times)
                             for op in generators(traj.grid, params))
     kept = propagators[0].start_rhs is not None
-    rhs = _rhs_from(traj, params, f, g, linear_only, 1 if kept else 0)
+    rhs = node_rhs(traj, params, f, g, linear_only, 1 if kept else 0)
     new = {}
     for tag, prop in zip(TAGS, propagators):
         if kept:
@@ -444,7 +447,7 @@ class WeightedNorms:
         op, s, grid = self.ops[tag], self.lebesgue[tag], self.grid
         eigs = [half_spectrum(e) for e in eig_families(op, half.shape[1])]
         split = op.kind is OperatorKind.STOKES or len(eigs) == 2
-        kap, ksq = (half_spectrum(x) for x in projector_symbols(grid))
+        _, kap, ksq, _ = _half_symbols(grid)
         if s == 2.0:
             if split:
                 # |perp|^2 = |k x c|^2 / |k|^2 and, for the second family of
@@ -532,13 +535,16 @@ class ConvergenceReport:
         return [rec.ratio for rec in self.iterations if rec.ratio is not None]
 
 
-def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
-                 cfg: ExponentConfig, params: CouplingParams,
+def picard_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
                  f: ForcingSpec, g: ForcingSpec, pic: PicardConfig,
                  constants=None, times: np.ndarray | None = None,
-                 strict: bool = True, record_norms: bool = False) -> tuple:
-    """Iterate the integral-equation map until the weighted-norm difference of
-    consecutive iterates drops below tol.
+                 record_norms: bool = False) -> tuple:
+    """Iterate the integral-equation map from the one-node start state until
+    the weighted-norm difference of consecutive iterates drops below tol.
+    times are elapsed since the start (pic.node_grid() by default); the
+    trajectory's times are absolute.  A start at t = 0 is initial data and
+    must meet its preconditions; a later state carries the mean modes the
+    dynamics generate.
 
     Returns (trajectory, ConvergenceReport).  Non-contraction (ratio >= 1 for
     three consecutive sweeps) stops early with the partial state flagged."""
@@ -546,11 +552,11 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
         raise ConfigurationError("picard_solve needs a completed exponent config")
     if times is None:
         times = pic.node_grid()
-    norms = WeightedNorms(cfg, u0.grid, params)
+    norms = WeightedNorms(cfg, start.grid, params)
     report = ConvergenceReport(horizon=float(times[-1]))
     if constants is not None:
         from .kmbounds import local_horizon
-        hres = local_horizon(u0, om0, th0, cfg, params, constants, times, f, g)
+        hres = local_horizon(start, cfg, params, constants, times, f, g)
         report.tstar = hres.tstar
         if hres.tstar is None:
             report.notes.append("no admissible contraction horizon at the smallest "
@@ -559,8 +565,8 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
             report.notes.append(f"horizon {float(times[-1]):.4g} exceeds estimated "
                                 f"contraction horizon T*={hres.tstar:.4g}; proceeding")
 
-    props = tuple(DuhamelPropagator(op, times) for op in generators(u0.grid, params))
-    traj = initial_trajectory(u0, om0, th0, times, params, strict=strict)
+    props = tuple(DuhamelPropagator(op, times) for op in generators(start.grid, params))
+    traj = initial_trajectory(start, times, params, strict=float(start.times[0]) == 0.0)
     if record_norms:
         report.iterate_norms.append(norms.iteration_table(traj))
     prev_total = None
@@ -588,7 +594,7 @@ def picard_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
         else:
             bad_streak = 0
         prev_total = total
-    return traj, report
+    return replace(traj, times=traj.times + start.times[0]), report
 
 
 def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
@@ -670,42 +676,37 @@ def window_horizons(pic: PicardConfig, t_total: float, t0: float = 0.0) -> list:
     return out if out and out[0] > 1e-9 * h else []
 
 
-def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
-                 cfg: ExponentConfig, params: CouplingParams,
+def global_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
                  f: ForcingSpec, g: ForcingSpec, pic: PicardConfig,
-                 t_total: float, constants=None,
-                 checkpoint_hook=None, t0: float = 0.0) -> GlobalResult:
-    """March windows of picard_solve from the state (u0, om0, th0) at time t0
-    to t_total, restarting each window from the previous endpoint, and log
-    the decay-weighted sup functions along the way.
+                 t_total: float, constants=None, checkpoint_hook=None) -> GlobalResult:
+    """March windows of picard_solve from the one-node start state to
+    t_total, each window from the last node of the one before, and log the
+    decay-weighted sup functions along the way.
 
-    Node times are absolute.  The initial-data preconditions hold at t0 = 0
-    only: a later state carries the mean modes the dynamics generate.
-    checkpoint_hook(w, traj) receives each converged window."""
+    Node times are absolute.  checkpoint_hook(w, traj) receives each
+    converged window."""
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
+    t0 = float(start.times[0])
     horizons = window_horizons(pic, t_total, t0)
     if not horizons:
         raise ConfigurationError(f"t_total {t_total:g} must exceed the start time {t0:g}")
     segments, reports = [], []
-    cur = (u0, om0, th0)
-    offset = t0
+    cur = start
     for w, horizon in enumerate(horizons):
-        times = pic.node_grid(horizon=horizon)
-        traj, rep = picard_solve(cur[0], cur[1], cur[2], cfg, params, f, g, pic,
+        traj, rep = picard_solve(cur, cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
-                                 times=times, strict=(w == 0 and t0 == 0))
-        segments.append(replace(traj, times=times + offset))
+                                 times=pic.node_grid(horizon=horizon))
+        segments.append(traj)
         reports.append(rep)
         if not rep.converged:
             break
-        cur = traj.state_at(traj.node_count - 1)
-        offset += float(times[-1])
+        cur = traj.end_state()
         if checkpoint_hook is not None:
-            checkpoint_hook(w, segments[-1])
+            checkpoint_hook(w, traj)
     full = _concat_trajectories(segments)
 
-    norms = WeightedNorms(cfg, u0.grid, params)
+    norms = WeightedNorms(cfg, start.grid, params)
     e_sup = {}
     t = full.times
     for tag, half in full.coeffs.items():
@@ -718,10 +719,9 @@ def global_solve(u0: SpectralField, om0: SpectralField, th0: SpectralField,
                           completed=all(rep.converged for rep in reports))
     if constants is not None:
         from .kmbounds import contraction_coefficients
-        cg = max(contraction_coefficients(cfg, params, constants, u0.grid, f, g))
-        d0 = (norms.fractional_norm("u", u0, cfg.alpha0)
-              + norms.fractional_norm("om", om0, cfg.beta0)
-              + norms.fractional_norm("th", th0, cfg.gamma0))
+        cg = max(contraction_coefficients(cfg, params, constants, start.grid, f, g))
+        d0 = sum(float(norms.node_norms(tag, half, [norms.base[tag]])[0, 0])
+                 for tag, half in start.coeffs.items())
         if 4.0 * cg * cg * d0 < 1.0:
             result.e_bound = 2.0 * cg * d0
             emax = max(float(np.max(s)) for s in e_sup.values())

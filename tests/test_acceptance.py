@@ -118,7 +118,7 @@ def test_criterion_03_duhamel_quadrature_order(setup2d):
     for npu in (64, 128, 256):
         pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=npu, tol=1e-11,
                               m_max=40)
-        traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+        traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
         assert rep.converged
         res = duhamel_residual(traj, params)
         worst.append(max(float(np.max(v)) for v in res.values()))
@@ -141,11 +141,11 @@ def test_criterion_04_picard_contraction():
     constants = fit_lemma_constants(cfg, grid, params, ensemble=8, seed=11)
     u0, om0, th0 = _smooth_data(grid, seed=7, amp=0.2, sigma=3.0)
     horizon_grid = np.linspace(0, 0.6, 97)
-    hres = local_horizon(u0, om0, th0, cfg, params, constants, horizon_grid)
+    hres = local_horizon(mp.start_state(u0, om0, th0), cfg, params, constants, horizon_grid)
     assert hres.tstar is not None
     horizon = min(hres.tstar, 0.5)
     pic = mp.PicardConfig(horizon=horizon, nodes_per_unit=192, tol=1e-9, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic,
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic,
                                 constants=constants)
     diffs = [rec.total for rec in rep.iterations]
     ok = (rep.converged and len(rep.iterations) >= 5
@@ -171,7 +171,7 @@ def test_criterion_05_local_smoothing_rates():
     th0 = mp.random_field(grid, 1, rng, sigma=1.0, amplitude=amp)
     pic = mp.PicardConfig(horizon=0.05, nodes_per_unit=4096, tol=1e-10,
                           m_max=30, grading=2.0)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
     assert rep.converged
     fits = fit_decay(traj, cfg, params,
                      exponents={"u": [0.625, 0.75], "om": [0.625, 0.75],
@@ -202,7 +202,7 @@ def test_criterion_06_global_decay():
     scale = 0.99e-3 / d0
     u0, om0, th0 = u0 * scale, om0 * scale, th0 * scale
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=64, tol=1e-12, m_max=30)
-    result = mp.global_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic, 5.0)
+    result = mp.global_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic, 5.0)
     assert result.completed
     fits = fit_decay(result.traj, cfg, params,
                      exponents={"u": [cfg.alpha0], "om": [cfg.beta0],
@@ -223,7 +223,7 @@ def test_criterion_07_strong_solution_residual(setup2d):
     for npu in (64, 128, 256):
         pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=npu, tol=1e-11,
                               m_max=40)
-        traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+        traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
         assert rep.converged
         levels.append(pde_residual(traj, params))
     orders = residual_refinement_order(levels)
@@ -237,14 +237,14 @@ def test_criterion_08_continuous_dependence(setup2d):
     grid, params, cfg = setup2d
     u0, om0, th0 = _smooth_data(grid, seed=3, amp=0.2, sigma=3.0)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-12, m_max=30)
-    base, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+    base, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
     assert rep.converged
     rng = np.random.default_rng(99)
     direction = mp.leray_project(mp.random_field(grid, 2, rng, amplitude=1.0))
     ratios = {}
     for delta in (1e-4, 5e-5):
         up = mp.leray_project(u0 + delta * direction)
-        pert, prep = mp.picard_solve(up, om0, th0, cfg, params, ZERO, ZERO, pic)
+        pert, prep = mp.picard_solve(mp.start_state(up, om0, th0), cfg, params, ZERO, ZERO, pic)
         assert prep.converged
         d0 = initial_distance(u0, up, om0, om0, th0, th0, cfg, params)
         ratios[delta] = max(dependence_ratio(base, pert, cfg, params, d0).values())
@@ -283,7 +283,7 @@ def test_criterion_10_conservation(setup2d):
     for dt in (1e-3, 5e-4):
         pic = mp.PicardConfig(horizon=0.2, nodes_per_unit=int(round(1 / dt)),
                               tol=1e-12, m_max=40)
-        traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+        traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
         assert rep.converged
         elog = mp.energy_report(traj, params, ZERO, ZERO)
         drifts[dt] = elog.relative_drift

@@ -37,7 +37,7 @@ def _small_data(grid, seed=7, amp=0.1, sigma=3.0):
 def _solve(grid, params, cfg, seed=7, amp=0.1, horizon=0.25, npu=96, **kw):
     u0, om0, th0 = _small_data(grid, seed=seed, amp=amp)
     pic = mp.PicardConfig(horizon=horizon, nodes_per_unit=npu, tol=1e-10, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic, **kw)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic, **kw)
     assert rep.converged
     return (u0, om0, th0), traj
 
@@ -142,7 +142,7 @@ def test_fit_decay_pure_semigroup_single_mode(grid2d, params, cfg2):
     z1 = mp.SpectralField.zero(grid2d, 1)
     # quadratically graded nodes resolve the small-t window
     times = 2.0 * np.linspace(0, 1, 257) ** 2
-    traj = mp.initial_trajectory(z2, z1, th0, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, th0), times, params)
     fits = mp.fit_decay(traj, cfg2, params,
                         exponents={"th": [cfg2.gamma0]},
                         window_small=(times[1], 3e-3),
@@ -173,7 +173,7 @@ def test_fit_decay_zero_data_skipped(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 33)
-    traj = mp.initial_trajectory(z2, z1, z1, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, z1), times, params)
     fits = mp.fit_decay(traj, cfg2, params, window_small=(times[1], 0.5))
     assert all(f.kind == "skipped" for f in fits)
 
@@ -184,7 +184,7 @@ def test_pde_residual_zero_data(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 17)
-    traj = mp.initial_trajectory(z2, z1, z1, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, z1), times, params)
     res = pde_residual(traj, params)
     assert all(np.all(res[tag] == 0.0) for tag in ("u", "om", "th"))
 
@@ -199,7 +199,7 @@ def test_pde_residual_linear_single_mode(grid2d, params, cfg2):
     z1 = mp.SpectralField.zero(grid2d, 1)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=512, tol=1e-13, m_max=10,
                           linear_only=True)
-    traj, _ = mp.picard_solve(z2, z1, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, _ = mp.picard_solve(mp.start_state(z2, z1, th0), cfg2, params, ZERO, ZERO, pic)
     b_op = mp.laplace_operator(grid2d, coeff=params.heat_coeff)
     rhs_th = node_rhs(traj, params, ZERO, ZERO, linear_only=True)["th"]
     for j in (5, 50, 100):
@@ -239,7 +239,7 @@ def test_dependence_linear_scaling(grid2d, params, cfg2):
     for delta in (1e-4, 5e-5):
         up = mp.leray_project(u0 + delta * direction)
         pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-12, m_max=30)
-        pert, rep = mp.picard_solve(up, om0, th0, cfg2, params, ZERO, ZERO, pic)
+        pert, rep = mp.picard_solve(mp.start_state(up, om0, th0), cfg2, params, ZERO, ZERO, pic)
         assert rep.converged
         d0 = initial_distance(u0, up, om0, om0, th0, th0, cfg2, params)
         ratios[delta] = max(dependence_ratio(base, pert, cfg2, params, d0).values())
@@ -263,7 +263,7 @@ def test_energy_zero_data(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 17)
-    traj = mp.initial_trajectory(z2, z1, z1, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, z1), times, params)
     elog = mp.energy_report(traj, params, ZERO, ZERO)
     assert np.all(elog.total == 0.0)
 
@@ -286,7 +286,7 @@ def test_energy_with_forcing_logs_work(grid2d, params, cfg2):
     th0 = mp.random_field(grid2d, 1, rng, amplitude=0.1, sigma=3.0)
     f = mp.ForcingSpec("linear", (0.05, 0.0))
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=64, tol=1e-9, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, f, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, f, ZERO, pic)
     assert rep.converged
     elog = mp.energy_report(traj, params, f, ZERO)
     assert not elog.conservative
@@ -311,7 +311,7 @@ def test_forced_ledger_work_matches_per_node_inner_products(dim, n, params, monk
     th0 = mp.random_field(grid, 1, rng, amplitude=0.5, sigma=1.0, mean_zero=False)
     f = mp.ForcingSpec("tanh", (0.7, -0.4, 0.2)[:dim], scale=0.3)
     g = mp.ForcingSpec("linear", (0.5, -0.3, 0.2)[:om_comp])
-    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 10), params,
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 10), params,
                                  strict=False)
     traj = mp.picard_step(traj, params, f, g)
     elog = mp.energy_report(traj, params, f, g)
@@ -851,7 +851,7 @@ def test_singular_derivative_fit(grid2d, params, cfg2):
     th0 = mp.random_field(grid2d, 1, rng, sigma=1.0, amplitude=0.05)
     pic = mp.PicardConfig(horizon=0.1, nodes_per_unit=2048, tol=1e-10, m_max=30,
                           grading=2.0)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged
     res = singular_derivative_fit(traj, cfg2, params, tag="u", exp=0.0)
     # weighted derivative norm t^(1 + exp - alpha0) ||d_t u|| stays bounded

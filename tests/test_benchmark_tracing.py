@@ -43,7 +43,7 @@ om0, th0 = (mp.random_field(grid, 1, rng, sigma=4.0, amplitude=0.3) for _ in ran
 pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
 zero = mp.ForcingSpec.zero()
 tracer.active = True
-traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, zero, zero, pic)
+traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, zero, zero, pic)
 tracer.active = False
 counts, _ = tracer.snapshot()
 json.dump({"missing": tracer.missing, "nodes": traj.node_count,

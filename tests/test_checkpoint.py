@@ -1,20 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 import micropolar as mp
 from micropolar.checkpoint import checkpoint_read, checkpoint_write, read_header
 from micropolar.errors import CheckpointError
+from micropolar.solver import picard_step, tag_components
 
 ZERO = mp.ForcingSpec.zero()
 
 
 def _trajectory(grid, params, seed=5):
     rng = np.random.default_rng(seed)
-    u0 = mp.leray_project(mp.random_field(grid, 2, rng, amplitude=0.2, sigma=3.0))
-    om0 = mp.random_field(grid, 1, rng, amplitude=0.2, sigma=3.0)
+    comps = tag_components(grid.dim)
+    u0 = mp.leray_project(mp.random_field(grid, grid.dim, rng, amplitude=0.2, sigma=3.0))
+    om0 = mp.random_field(grid, comps["om"], rng, amplitude=0.2, sigma=3.0)
     th0 = mp.random_field(grid, 1, rng, amplitude=0.2, sigma=3.0)
     times = np.linspace(0, 0.25, 9)
-    return mp.initial_trajectory(u0, om0, th0, times, params)
+    return mp.initial_trajectory(mp.start_state(u0, om0, th0), times, params)
 
 
 def test_roundtrip_bit_exact(grid2d, params, tmp_path):
@@ -32,15 +36,29 @@ def test_roundtrip_bit_exact(grid2d, params, tmp_path):
         assert np.array_equal(back.free[tag], half)
 
 
+def test_roundtrip_bit_exact_3d(grid3d, params, tmp_path):
+    """A 3D sweep's end state reads back with the bytes it was written with."""
+    traj = picard_step(_trajectory(grid3d, params), params, ZERO, ZERO)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="abc123", window=2)
+    back = checkpoint_read(str(path))
+    assert back.times.tobytes() == traj.times[-1:].tobytes() and back.m == 1
+    for tag, half in traj.coeffs.items():
+        assert back.coeffs[tag].tobytes() == half[-1:].tobytes()
+    assert path.stat().st_size == 16 + len(json.dumps(read_header(str(path)), sort_keys=True)) \
+        + sum(half[-1].nbytes for half in traj.coeffs.values())
+
+
 def test_payload_is_interleaved_float64(grid2d, params, tmp_path):
     traj = _trajectory(grid2d, params)
     path = tmp_path / "t.mpk"
     checkpoint_write(traj, str(path), config_hash="abc123")
     expected = []
-    for f in traj.state_at(traj.node_count - 1):
-        inter = np.empty(f.coeffs.size * 2, dtype="<f8")
-        inter[0::2] = f.coeffs.real.reshape(-1)
-        inter[1::2] = f.coeffs.imag.reshape(-1)
+    for half in traj.coeffs.values():
+        assert half.shape[2:] == (grid2d.n, grid2d.n // 2 + 1)
+        inter = np.empty(half[-1].size * 2, dtype="<f8")
+        inter[0::2] = half[-1].real.reshape(-1)
+        inter[1::2] = half[-1].imag.reshape(-1)
         expected.append(inter.tobytes())
     payload = b"".join(expected)
     data = path.read_bytes()
@@ -94,24 +112,18 @@ def test_resume_matches_uninterrupted(grid2d, params, cfg2, tmp_path):
     om0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
     th0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-11, m_max=40)
-    full = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.5)
+    full = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic, 0.5)
 
-    half = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.25)
+    half = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic, 0.25)
     path = tmp_path / "w.mpk"
     checkpoint_write(half.traj, str(path), config_hash="h")
     loaded = checkpoint_read(str(path), expected_hash="h")
-    state = loaded.state_at(loaded.node_count - 1)
-    resumed = mp.global_solve(state[0], state[1], state[2], cfg2, params,
-                              ZERO, ZERO, pic, 0.5, t0=0.25)
-    assert resumed.traj.times[0] == 0.25
-    assert resumed.traj.times[-1] == full.traj.times[-1]
-    end_full = full.traj.state_at(full.traj.node_count - 1)
-    end_res = resumed.traj.state_at(resumed.traj.node_count - 1)
-    from micropolar.solver import duhamel_residual
-    quad = duhamel_residual(full.traj, params)
-    tol = 10 * max(float(np.max(v)) for v in quad.values())
-    for a, b in zip(end_full, end_res):
-        assert (a - b).l2() <= max(tol, 1e-12)
+    resumed = mp.global_solve(loaded, cfg2, params, ZERO, ZERO, pic, 0.5)
+    # every node after t0 = 0.25 repeats the uninterrupted march bit for bit
+    j0 = half.traj.node_count - 1
+    assert resumed.traj.times.tobytes() == full.traj.times[j0:].tobytes()
+    for tag in resumed.traj.coeffs:
+        assert resumed.traj.coeffs[tag][1:].tobytes() == full.traj.coeffs[tag][j0 + 1:].tobytes()
 
 
 def test_version_mismatch_refused(grid2d, params, tmp_path):
@@ -156,6 +168,43 @@ def test_non_real_payload_rejected(grid2d, params, tmp_path):
     data = bytearray(path.read_bytes())
     # the last coefficient of th is the conjugate of a stored mode
     data[-16:] = np.array([1.0 + 2.0j], dtype="<c16").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="real field"):
+        checkpoint_read(str(path))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_non_hermitian_zero_plane_rejected(params, tmp_path, dim, n):
+    """A coefficient of the k_last = 0 plane whose conjugate mode does not
+    match it is refused, even by a small relative defect."""
+    traj = _trajectory(mp.GridSpec(dim=dim, n=n), params)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="x")
+    data = bytearray(path.read_bytes())
+    half = traj.coeffs["th"][-1]
+    # mode (1, 0[, 0]) of th, the last of the three fields
+    offset = len(data) - half.nbytes + 16 * int(np.prod(half.shape[2:]))
+    value = np.frombuffer(bytes(data[offset:offset + 16]), dtype="<c16")[0]
+    assert abs(value) > 0
+    bad = value + 1e-9j * float(np.max(np.abs(half)))
+    data[offset:offset + 16] = np.array([bad], dtype="<c16").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="real field"):
+        checkpoint_read(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_non_finite_payload_rejected(params, tmp_path, dim, n, bad):
+    """A NaN or infinite coefficient off the self-conjugate planes, which
+    the Hermitian check does not read, is refused too."""
+    traj = _trajectory(mp.GridSpec(dim=dim, n=n), params)
+    path = tmp_path / "t.mpk"
+    checkpoint_write(traj, str(path), config_hash="x")
+    data = bytearray(path.read_bytes())
+    # mode (0, 1[, ...]) of th: last-axis index 1, an interior column
+    offset = len(data) - traj.coeffs["th"][-1].nbytes + 16
+    data[offset:offset + 16] = np.array([complex(bad, 0.0)], dtype="<c16").tobytes()
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="real field"):
         checkpoint_read(str(path))

@@ -52,7 +52,7 @@ def test_build_initial_data_kinds(grid2d):
     u0, om0, th0 = build_initial_data(grid2d, spec, seed=4)
     assert u0.l2() == pytest.approx(0.2)
     assert divergence_defect(u0) <= 1e-12
-    assert th0.max_mean_magnitude() == 0.0
+    assert np.max(np.abs(th0.coeffs[:, 0, 0])) == 0.0
     z = build_initial_data(grid2d, InitialDataSpec(kind="zero"), seed=0)
     assert all(f.l2() == 0.0 for f in z)
     s = build_initial_data(grid2d, InitialDataSpec(kind="single_mode",
@@ -145,6 +145,46 @@ def test_checkpoint_resume_hash_guard(config_path, tmp_path):
     other_path = tmp_path / "other.json"
     other_path.write_text(json.dumps(other))
     assert dispatch(["checkpoint", "resume", ck, "--config", str(other_path)]) == 2
+
+
+def test_resume_refuses_format_version_2(config_path, tmp_path, capsys):
+    """A checkpoint of format version 2, whose payload is the full spectrum,
+    is refused with exit 2 and one error line."""
+    from micropolar.checkpoint import MAGIC, checkpoint_read, read_header
+
+    assert dispatch(["simulate", "--config", config_path]) == 0
+    ck = os.path.join(load_config(config_path).output_dir, "checkpoint_w0.mpk")
+    header = {**read_header(ck), "version": 2}
+    head = json.dumps(header, sort_keys=True).encode()
+    payload = b"".join(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
+                       for f in checkpoint_read(ck).state_at(0))
+    v2 = tmp_path / "v2.mpk"
+    v2.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head + payload)
+    capsys.readouterr()
+    rc = dispatch(["checkpoint", "resume", str(v2), "--config", config_path,
+                   "--out", str(tmp_path / "resumed")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "format version 2 != 3" in err
+
+
+@pytest.mark.parametrize("argv", [["picard", "--fit-constants"],
+                                  ["verify", "2.5", "--ensemble", "4"]])
+def test_estimates_use_the_grids_decay_rate_cap(tmp_path, capsys, argv):
+    """On a short torus the selected decay rates exceed 1 but stay below the
+    generators' smallest eigenvalue; the estimate checks accept them and the
+    commands end in a verdict."""
+    cfg = _config_dict(str(tmp_path / "out"))
+    cfg["grid"]["length"] = 3.0
+    cfg["params"] = {"mu": 1.8, "mu_r": 0.2}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path)).exponents.lam1 > 1.0
+    rc = dispatch(argv + ["--config", str(path), "--out", str(tmp_path / "v")])
+    assert rc in (0, 1)
+    assert json.loads((tmp_path / "v" / "verdicts.json").read_text())
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _read_dir(path) -> dict:
@@ -699,7 +739,7 @@ def test_verify_hoelder_fails_on_rough_increments(tmp_path, monkeypatch):
     assert res["small_h_blowup"]
     out = tmp_path / "v"
     assert dispatch(["verify", "hoelder", "--config", EXAMPLE, "--out", str(out)]) == 0
-    monkeypatch.setattr(cli, "_default_run", lambda cfg: (traj, None))
+    monkeypatch.setattr(cli, "_default_run", lambda cfg, pic: (traj, None))
     assert dispatch(["verify", "hoelder", "--config", EXAMPLE, "--out", str(out)]) == 1
     with open(out / "verdicts.json") as fh:
         assert json.load(fh) == {"hoelder no growth as h halves": False}
@@ -738,8 +778,8 @@ def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, di
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg_dict))
     cfg = load_config(str(path))
-    result = mp.global_solve(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed),
-                             cfg.exponents, cfg.params, cfg.forcing_f, cfg.forcing_g,
+    start = mp.start_state(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed))
+    result = mp.global_solve(start, cfg.exponents, cfg.params, cfg.forcing_f, cfg.forcing_g,
                              cfg.picard, cfg.t_total)
     traj, p, vol = result.traj, cfg.params, cfg.grid.volume
     assert len(result.reports) == 2 and len(traj.node_blocks()) >= 3

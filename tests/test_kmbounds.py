@@ -50,7 +50,7 @@ def test_holder_constant_monotone():
 def test_k0_curves_start_at_zero(grid2d, params, cfg2):
     u0, om0, th0 = _small_data(grid2d)
     times = np.linspace(0, 0.5, 33)
-    k0 = k0_curves(u0, om0, th0, cfg2, params, times)
+    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg2, params, times)
     for curve in k0.values():
         assert curve[0] == 0.0
         assert np.all(np.diff(curve) >= -1e-15)  # running sup is monotone
@@ -60,7 +60,7 @@ def test_km_zero_data(grid2d, params, cfg2, constants):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 17)
-    k0 = k0_curves(z2, z1, z1, cfg2, params, times)
+    k0 = k0_curves(mp.start_state(z2, z1, z1), cfg2, params, times)
     tracker = km_recursion(k0, cfg2, params, constants, times, grid2d)
     assert all(np.all(c == 0) for c in tracker.final.values())
 
@@ -68,7 +68,7 @@ def test_km_zero_data(grid2d, params, cfg2, constants):
 def test_km_monotone_and_convergent(grid2d, params, cfg2, constants):
     u0, om0, th0 = _small_data(grid2d)
     times = np.linspace(0, 0.4, 33)
-    k0 = k0_curves(u0, om0, th0, cfg2, params, times)
+    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg2, params, times)
     tracker = km_recursion(k0, cfg2, params, constants, times, grid2d)
     assert tracker.converged
     for m in range(len(tracker.history) - 1):
@@ -79,10 +79,10 @@ def test_km_monotone_and_convergent(grid2d, params, cfg2, constants):
 def test_km_domination_with_inflated_constants(grid2d, params, cfg2, constants):
     u0, om0, th0 = _small_data(grid2d)
     pic = mp.PicardConfig(horizon=0.4, nodes_per_unit=64, tol=1e-10, m_max=20)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic,
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic,
                                 record_norms=True)
     assert rep.converged
-    k0 = k0_curves(u0, om0, th0, cfg2, params, traj.times)
+    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg2, params, traj.times)
     tracker = km_recursion(k0, cfg2, params, constants.inflated(1.1), traj.times,
                            grid2d, m_max=len(rep.iterate_norms) + 2)
     excess = check_domination(tracker, rep.iterate_norms)
@@ -93,18 +93,18 @@ def test_local_horizon_zero_data(grid2d, params, cfg2, constants):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.7, 29)
-    res = local_horizon(z2, z1, z1, cfg2, params, constants, times)
+    res = local_horizon(mp.start_state(z2, z1, z1), cfg2, params, constants, times)
     assert res.tstar == pytest.approx(0.7)
 
 
 def test_local_horizon_monotone_in_data(grid2d, params, cfg2, constants):
     u0, om0, th0 = _small_data(grid2d, amp=0.02)
     times = np.linspace(0, 0.5, 65)
-    base = local_horizon(u0, om0, th0, cfg2, params, constants, times)
+    base = local_horizon(mp.start_state(u0, om0, th0), cfg2, params, constants, times)
     assert base.tstar is not None
     previous = base.tstar
     for scale in (2.0, 4.0, 8.0):
-        res = local_horizon(scale * u0, scale * om0, scale * th0, cfg2, params,
+        res = local_horizon(mp.start_state(scale * u0, scale * om0, scale * th0), cfg2, params,
                             constants, times)
         assert (res.tstar or 0.0) <= previous + 1e-12
         previous = res.tstar if res.tstar is not None else 0.0
@@ -137,7 +137,7 @@ def test_equality_branch_uses_matrix(params, constants):
     u0, om0, th0 = _small_data(grid)
     times = np.linspace(0, 0.3, 25)
     consts = fit_lemma_constants(sel.config, grid, params, ensemble=4, seed=3)
-    res = local_horizon(u0, om0, th0, sel.config, params, consts, times)
+    res = local_horizon(mp.start_state(u0, om0, th0), sel.config, params, consts, times)
     assert res.branch == "equality"
     assert "spectral_radius" in res.factors
 
@@ -157,11 +157,12 @@ def test_contraction_horizon_counts_the_forcing(grid2d, params, cfg2):
     f, g = mp.ForcingSpec("linear", (2.0, 0.0)), mp.ForcingSpec("linear", (2.0,))
     tstar = {}
     for name, forcing in (("zero", (ZERO, ZERO)), ("forced", (f, g))):
-        _, rep = mp.picard_solve(u0, om0, th0, cfg2, params, *forcing, pic,
+        _, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, *forcing, pic,
                                  constants=consts, times=times)
         tstar[name] = rep.tstar
     assert tstar == {"zero": 0.03125, "forced": None}
-    assert local_horizon(u0, om0, th0, cfg2, params, consts, times, f, g).tstar is None
+    assert local_horizon(mp.start_state(u0, om0, th0), cfg2, params, consts, times,
+                         f, g).tstar is None
     zero_cl = contraction_coefficients(cfg2, params, consts, grid2d, ZERO, ZERO)[1]
     assert contraction_coefficients(cfg2, params, consts, grid2d, f, g)[1] > zero_cl
 
@@ -179,7 +180,7 @@ def test_small_data_bound_uses_the_grid_spectral_gaps():
     consts = mp.LemmaConstants(*[0.5] * 9)
     u0, om0, th0 = _small_data(grid, amp=1e-3)
     pic = mp.PicardConfig(horizon=0.05, nodes_per_unit=128, tol=1e-10)
-    res = mp.global_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic, 0.1,
+    res = mp.global_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic, 0.1,
                           constants=consts)
     assert res.completed and res.e_bound is not None
     cg = max(contraction_coefficients(cfg, params, consts, grid, ZERO, ZERO))
@@ -189,7 +190,7 @@ def test_small_data_bound_uses_the_grid_spectral_gaps():
 def test_local_horizon_degenerate_report(grid2d, params, cfg2, constants):
     u0, om0, th0 = _small_data(grid2d, amp=10.0)
     times = np.linspace(0, 0.5, 33)
-    res = local_horizon(u0, om0, th0, cfg2, params, constants, times)
+    res = local_horizon(mp.start_state(u0, om0, th0), cfg2, params, constants, times)
     assert res.tstar is None
     assert res.branch in ("strict", "equality")
 
@@ -200,11 +201,11 @@ def test_weighted_distance_from_free_evolution_dominated(grid2d, params, cfg2,
     multiple of the free-evolution sup curve K0."""
     u0, om0, th0 = _small_data(grid2d, amp=0.05)
     pic = mp.PicardConfig(horizon=0.4, nodes_per_unit=64, tol=1e-10, m_max=20)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged
     from micropolar.solver import WeightedNorms
     norms = WeightedNorms(cfg2, grid2d, params)
-    k0 = k0_curves(u0, om0, th0, cfg2, params, traj.times)
+    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg2, params, traj.times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
     for tag, half in traj.coeffs.items():
         for exp in norms.exps[tag]:

@@ -350,7 +350,7 @@ def test_energy_consistency_general_heat_capacity(grid2d):
     th0 = mp.random_field(grid2d, 1, rng, sigma=4.0, amplitude=0.3)
     zero = mp.ForcingSpec.zero()
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=128, tol=1e-11, m_max=40)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, zero, zero, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, zero, zero, pic)
     assert rep.converged
     from micropolar.analysis import energy_report
     elog = energy_report(traj, params, zero, zero)

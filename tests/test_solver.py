@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_initial_trajectory_zero_data(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 9)
-    traj = mp.initial_trajectory(z2, z1, z1, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, z1), times, params)
     assert all(np.all(c == 0.0) for c in traj.coeffs.values())
 
 
@@ -151,7 +152,7 @@ def test_initial_trajectory_single_mode_decay(grid2d, params):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 0.5, 11)
-    traj = mp.initial_trajectory(z2, z1, th0, times, params)
+    traj = mp.initial_trajectory(mp.start_state(z2, z1, th0), times, params)
     for j, t in enumerate(times):
         assert traj.state_at(j)[2].l2() == pytest.approx(np.exp(-4 * t) * th0.l2(),
                                                          rel=1e-12)
@@ -163,18 +164,18 @@ def test_initial_trajectory_rejects_bad_data(grid2d, params, rng):
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 5)
     with pytest.raises(PreconditionError):
-        mp.initial_trajectory(u_bad, z1, z1, times, params)
+        mp.initial_trajectory(mp.start_state(u_bad, z1, z1), times, params)
     th_mean = mp.to_spectral(grid2d, np.ones((1,) + grid2d.shape))
     u0 = mp.leray_project(u_bad)
     with pytest.raises(PreconditionError):
-        mp.initial_trajectory(u0, z1, th_mean, times, params)
+        mp.initial_trajectory(mp.start_state(u0, z1, th_mean), times, params)
 
 
 def test_picard_zero_data_fixed_point(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=32, tol=1e-12, m_max=5)
-    traj, rep = mp.picard_solve(z2, z1, z1, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(z2, z1, z1), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged
     assert len(rep.iterations) == 1 and rep.iterations[0].total == 0.0
 
@@ -182,7 +183,7 @@ def test_picard_zero_data_fixed_point(grid2d, params, cfg2):
 def test_picard_step_matches_manual_duhamel(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng)
     times = np.linspace(0, 0.25, 17)
-    traj = mp.initial_trajectory(u0, om0, th0, times, params)
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), times, params)
     stepped = picard_step(traj, params, ZERO, ZERO)
     j = 10
     manual = _field(grid2d, traj.free["th"][j]) + _duhamel(
@@ -194,13 +195,13 @@ def test_picard_step_matches_manual_duhamel(grid2d, params, cfg2, rng):
 def test_picard_contraction_and_divergence_reporting(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng, amp=0.3)
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=64, tol=1e-9, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged and not rep.diverged
     assert all(r < 1 for r in rep.ratios)
     # big data on a long horizon must be flagged, not loop forever
     ub, ob, tb = _initial_data(grid2d, rng, amp=60.0)
     picb = mp.PicardConfig(horizon=1.0, nodes_per_unit=64, tol=1e-9, m_max=12)
-    _, repb = mp.picard_solve(ub, ob, tb, cfg2, params, ZERO, ZERO, picb)
+    _, repb = mp.picard_solve(mp.start_state(ub, ob, tb), cfg2, params, ZERO, ZERO, picb)
     assert repb.diverged and not repb.converged
 
 
@@ -213,7 +214,7 @@ def test_linear_regime_matches_matrix_exponential(grid2d, params, cfg2):
     th0 = mp.SpectralField.single_mode(grid2d, k, 0.1)
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=256, tol=1e-12, m_max=40,
                           linear_only=True)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged
     kap = np.array(k, float)
     mur = params.mu_r
@@ -239,7 +240,7 @@ def test_linear_regime_matches_matrix_exponential(grid2d, params, cfg2):
 def test_final_trajectory_satisfies_integral_equations(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=128, tol=1e-10, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged
     res = duhamel_residual(traj, params)
     dt = 1.0 / 128
@@ -252,7 +253,7 @@ def test_quadrature_refinement_factor(grid2d, params, cfg2, rng):
     worst = []
     for npu in (64, 128):
         pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=npu, tol=1e-11, m_max=40)
-        traj, _ = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+        traj, _ = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
         res = duhamel_residual(traj, params)
         worst.append(max(float(np.max(v)) for v in res.values()))
     assert 3.5 <= worst[0] / worst[1] <= 4.5
@@ -262,8 +263,8 @@ def test_restart_consistency(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic1 = mp.PicardConfig(horizon=0.5, nodes_per_unit=96, tol=1e-11, m_max=40)
     pic2 = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-11, m_max=40)
-    g1 = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic1, 0.5)
-    g2 = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic2, 0.5)
+    g1 = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic1, 0.5)
+    g2 = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic2, 0.5)
     res = duhamel_residual(g1.traj, params)
     quad_err = max(float(np.max(v)) for v in res.values())
     end1 = g1.traj.state_at(g1.traj.node_count - 1)
@@ -286,13 +287,14 @@ def test_duhamel_residual_of_joined_and_resumed_windows(grid2d, params, cfg2):
 
     pics = [mp.PicardConfig(horizon=h, nodes_per_unit=96, tol=1e-11, m_max=40)
             for h in (0.5, 0.25)]
-    one, two = (mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.5)
-                for pic in pics)
+    ends = []
+    one = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pics[0], 0.5)
+    two = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pics[1], 0.5,
+                          checkpoint_hook=lambda w, traj: ends.append(traj.end_state()))
     assert len(one.reports) == 1 and len(two.reports) == 2
     assert worst(two.traj) <= 2 * worst(one.traj)
-    j = int(np.argmin(np.abs(two.traj.times - 0.25)))
-    resumed = mp.global_solve(*two.traj.state_at(j), cfg2, params, ZERO, ZERO,
-                              pics[1], 0.5, t0=0.25)
+    # resume from the end state of the first window, as checkpoint resume does
+    resumed = mp.global_solve(ends[0], cfg2, params, ZERO, ZERO, pics[1], 0.5)
     assert resumed.traj.times[0] == 0.25
     assert worst(resumed.traj) <= 2 * worst(one.traj)
 
@@ -301,7 +303,7 @@ def test_global_solve_elog_zero_data(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=16, tol=1e-12, m_max=4)
-    res = mp.global_solve(z2, z1, z1, cfg2, params, ZERO, ZERO, pic, 1.0)
+    res = mp.global_solve(mp.start_state(z2, z1, z1), cfg2, params, ZERO, ZERO, pic, 1.0)
     assert res.completed
     assert all(float(np.max(v)) == 0.0 for v in res.e_sup.values())
 
@@ -310,7 +312,7 @@ def test_weighted_norm_weights(grid2d, params, cfg2, rng):
     norms = WeightedNorms(cfg2, grid2d, params)
     u0, om0, th0 = _initial_data(grid2d, rng)
     times = np.linspace(0, 0.25, 9)
-    traj = mp.initial_trajectory(u0, om0, th0, times, params)
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), times, params)
     curve = norms.weighted_curve("u", traj.coeffs["u"], times, cfg2.alpha1)
     assert curve[0] == 0.0  # vanishing weight at t = 0 for alpha1 > alpha0
     assert np.all(np.isfinite(curve))
@@ -368,7 +370,7 @@ def test_contraction_ratio_nondecreasing_in_horizon(grid2d, params, cfg2, rng):
     for horizon in (0.125, 0.25, 0.5):
         pic = mp.PicardConfig(horizon=horizon, nodes_per_unit=128, tol=1e-13,
                               m_max=6)
-        _, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+        _, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
         first_ratios.append(rep.ratios[0])
     assert all(first_ratios[i + 1] >= first_ratios[i] * (1 - 1e-9)
                for i in range(len(first_ratios) - 1))
@@ -386,7 +388,7 @@ def test_solver_3d_small_run():
     om0 = mp.random_field(grid, 3, rng, sigma=4.0, amplitude=0.3)
     th0 = mp.random_field(grid, 1, rng, sigma=4.0, amplitude=0.3)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-10, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
     assert rep.converged
     from micropolar.analysis import energy_report
     elog = energy_report(traj, params, ZERO, ZERO)
@@ -400,8 +402,8 @@ def test_first_picard_step_against_fine_grid_quadrature(grid2d, params, cfg2, rn
     u0, om0, th0 = _initial_data(grid2d, rng, amp=0.3)
     coarse = np.linspace(0, 0.25, 17)
     fine = np.linspace(0, 0.25, 65)
-    traj0 = mp.initial_trajectory(u0, om0, th0, coarse, params)
-    traj0_fine = mp.initial_trajectory(u0, om0, th0, fine, params)
+    traj0 = mp.initial_trajectory(mp.start_state(u0, om0, th0), coarse, params)
+    traj0_fine = mp.initial_trajectory(mp.start_state(u0, om0, th0), fine, params)
     stepped = picard_step(traj0, params, ZERO, ZERO)
     rhs_fine = node_rhs(traj0_fine, params, ZERO, ZERO)
     from micropolar.nonlinear import generators
@@ -429,7 +431,7 @@ def test_global_decay_bound_stable_under_data_halving(grid2d, params, cfg2, rng)
     cs = []
     for scale in (1.0, 0.5):
         data = (scale * u0, scale * om0, scale * th0)
-        res = mp.global_solve(*data, cfg2, params, ZERO, ZERO, pic, 2.0,
+        res = mp.global_solve(mp.start_state(*data), cfg2, params, ZERO, ZERO, pic, 2.0,
                               constants=constants)
         assert res.completed
         d0 = (norms.fractional_norm("u", data[0], cfg2.alpha0)
@@ -481,7 +483,7 @@ def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
     monkeypatch.setattr(solver, "RHS_BLOCK_BYTES", 8 * 11 * grid2d.num_modes * 8)
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
-    traj, rep = mp.picard_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
     assert rep.converged and len(rep.iterations) >= 3
     sweeps = len(rep.iterations)
     assert sum(rows) == traj.node_count + (traj.node_count - 1) * (sweeps - 1)
@@ -502,7 +504,8 @@ def test_rhs_block_size_follows_byte_budget(monkeypatch):
     assert 27 * 16 ** 3 * 8 > RHS_BLOCK_BYTES
     assert rhs_block_size(grid3, 3) == 1
     u0, om0, th0 = _initial_data(grid2, np.random.default_rng(2))
-    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.25, 65), mp.CouplingParams())
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.25, 65),
+                                 mp.CouplingParams())
     blocks = traj.node_blocks()
     assert [b.stop - b.start for b in blocks] == [8] * 8 + [1]
     assert blocks[-1].stop == 65
@@ -575,7 +578,7 @@ def _sweep_case(name):
         # a later window's start: the microrotation and temperature keep means
         om0, th0 = (x + mp.SpectralField.single_mode(grid, (0, 0), 0.05) for x in (om0, th0))
     times = mp.PicardConfig(horizon=0.25, nodes_per_unit=64, grading=grading).node_grid()
-    traj = mp.initial_trajectory(u0, om0, th0, times, params, strict=not forced)
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), times, params, strict=not forced)
     return grid, params, f, g, (u0, om0, th0), traj
 
 
@@ -638,7 +641,7 @@ def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
     SpectralField and fills no full spectrum (state_at, which does both,
     shows that the counting sees them)."""
     u0, om0, th0 = _initial_data(grid2d, rng)
-    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 5), params)
     calls = _count_field_builds(monkeypatch)
     f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
     g = mp.ForcingSpec("linear", (0.3,))
@@ -661,7 +664,7 @@ def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
     f = mp.ForcingSpec("tanh", (0.2, -0.1), scale=0.5)
     g = mp.ForcingSpec("linear", (0.3,))
     u0, om0, th0 = _initial_data(grid2d, rng)
-    traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+    traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 5), params)
     traj = picard_step(traj, params, f, g)
     calls = _count_field_builds(monkeypatch)
     _norm_table_rows(traj, SimpleNamespace(exponents=cfg2, grid=grid2d, params=params))
@@ -670,6 +673,30 @@ def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
     duhamel_residual(traj, params, f, g)
     assert calls == []
     traj.state_at(0)
+    assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
+
+
+def test_solver_states_build_no_fields(grid2d, params, cfg2, rng, tmp_path, monkeypatch):
+    """Start states, window restarts, checkpoints and resume carry the half
+    spectra: global_solve over two windows, checkpoint_write, checkpoint_read
+    and _march from a checkpoint build no SpectralField and fill no full
+    spectrum (state_at shows that the counting sees them)."""
+    from micropolar.checkpoint import checkpoint_read, checkpoint_write
+    from micropolar.cli import InitialDataSpec, RunConfig, _march, _new_bundle
+
+    start = mp.start_state(*_initial_data(grid2d, rng))
+    pic = mp.PicardConfig(horizon=0.125, nodes_per_unit=32, tol=1e-10)
+    cfg = RunConfig(grid2d, cfg2, params, ZERO, ZERO, pic, InitialDataSpec(),
+                    t_total=0.5, output_dir=str(tmp_path / "out"))
+    path = str(tmp_path / "w.mpk")
+    calls = _count_field_builds(monkeypatch)
+    result = mp.global_solve(start, cfg2, params, ZERO, ZERO, pic, 0.25)
+    assert len(result.reports) == 2
+    checkpoint_write(result.traj, path, window=1)
+    assert _march(cfg, _new_bundle(cfg, "checkpoint resume"), checkpoint_read(path), 2) == 0
+    assert sorted(os.listdir(cfg.output_dir))[:2] == ["checkpoint_w2.mpk", "checkpoint_w3.mpk"]
+    assert calls == []
+    checkpoint_read(path).state_at(0)
     assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
 
 
@@ -702,7 +729,7 @@ def test_l2_matches_full_spectrum_sum(dim, n, mean):
 def test_state_at_is_full_spectrum_of_stored_arrays(grid2d, grid3d, params, cfg2):
     for grid in (grid2d, grid3d):
         u0, om0, th0 = _initial_data(grid, np.random.default_rng(3))
-        traj = mp.initial_trajectory(u0, om0, th0, np.linspace(0, 0.1, 5), params)
+        traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 5), params)
         traj = picard_step(traj, params, ZERO, ZERO)
         for j in range(traj.node_count):
             for tag, fld in zip(TAGS, traj.state_at(j)):
@@ -717,7 +744,7 @@ def test_global_trajectory_joins_windows_at_shared_end_nodes(grid2d, params, cfg
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.125, nodes_per_unit=64, tol=1e-10, m_max=30)
     windows = []
-    res = mp.global_solve(u0, om0, th0, cfg2, params, ZERO, ZERO, pic, 0.375,
+    res = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic, 0.375,
                           checkpoint_hook=lambda w, traj: windows.append(traj))
     assert res.completed and len(windows) == 3
     for a, b in zip(windows, windows[1:]):
