@@ -15,6 +15,7 @@ half-ensembles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -27,7 +28,6 @@ from .fields import (
     SpectralField,
     dealias_mask,
     deriv_wavevectors,
-    half_spectrum,
     integer_wavevectors,
     irfft_half,
     parseval_columns,
@@ -48,31 +48,29 @@ from .nonlinear import (
     generators,
     lambda_chain_cap,
     _forcing_values,
-    _gradient_planes,
     _grid_values,
-    _half_symbols,
     _phi_values,
 )
 from .operators import (
     OperatorSymbol,
     apply_operator,
     curl,
+    eig_families,
+    gradient_planes,
     lebesgue_norm,
     leray_coeffs,
     leray_project,
-    parallel_part,
     power_coeffs,
     power_weight,
-    projector_symbols,
     rot,
     sobolev_norm,
+    subspaces,
 )
 from .solver import (
     RHS_BLOCK_BYTES,
     TAGS,
     TrajectoryState,
     WeightedNorms,
-    _half_subspaces,
     node_rhs,
     tag_components,
     time_weight,
@@ -169,50 +167,41 @@ def _field_components(op: OperatorSymbol) -> int:
 
 
 def _mode_energies(op: OperatorSymbol, f: SpectralField) -> list:
-    """(eigenvalues, modal energy) pairs per invariant subspace; energies carry
-    the volume factor so sums are squared L2 norms."""
-    from .solver import _decompose, eig_families
-
+    """(eigenvalues, modal energy) pairs per invariant subspace on the half
+    spectrum, flattened; energies carry the volume factor and the Parseval
+    column weights, so sums are squared L2 norms."""
     if op.kind.value == "stokes" and not f.is_scalar:
         f = leray_project(f)
-    parts = _decompose(op.with_power(1.0), f.coeffs, *projector_symbols(f.grid))
-    eigs = eig_families(op, f.components)
-    vol = f.grid.volume
-    out = []
-    for eig, part in zip(eigs, parts):
-        energy = vol * np.sum(np.abs(part) ** 2, axis=0)
-        out.append((eig.reshape(-1), energy.reshape(-1)))
-    return out
+    weights = f.grid.volume * parseval_columns(f.grid)
+    return [(eig.reshape(-1), (weights * np.sum(np.abs(part) ** 2, axis=0)).reshape(-1))
+            for eig, part in subspaces(op.with_power(1.0), f.half)]
 
 
-def _decay_matrices(op: OperatorSymbol, components: int, t_grid: np.ndarray,
-                    holder: bool = False) -> list:
+def _decay_matrices(eigs: list, t_grid: np.ndarray, holder: bool = False) -> list:
     """exp(-2 t mu), or with holder (1 - exp(-t mu))^2, over the t grid and
-    the positive eigenvalues mu, one matrix per eigenvalue family of a field
-    with the given component count."""
-    from .solver import eig_families
-
+    the positive eigenvalues mu, one matrix per eigenvalue family in eigs."""
     mats = []
-    for eig in eig_families(op, components):
+    for eig in eigs:
         eig = eig.reshape(-1)
         x = np.outer(t_grid, eig[eig > 0])
         mats.append(np.expm1(-x) ** 2 if holder else np.exp(-2.0 * x))
     return mats
 
 
-def smoothing_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
+def smoothing_ratio_curve(op: OperatorSymbol, f, alpha: float,
                           lam: float, t_grid: np.ndarray,
                           decay: list | None = None) -> np.ndarray:
     """t^alpha e^(lam t) ||op^alpha e^(-t op) f||_2 / ||f||_2 over the grid.
 
-    decay is _decay_matrices(op, f.components, t_grid), which callers that
-    evaluate many fields on one grid compute once."""
-    fams = _mode_energies(op, f)
+    f is a field or its _mode_energies, and decay the _decay_matrices of
+    their eigenvalues on t_grid: callers that evaluate a field at many alpha
+    or many fields on one grid compute them once."""
+    fams = _mode_energies(op, f) if isinstance(f, SpectralField) else f
     total = sum(np.sum(e) for _, e in fams)
     if total == 0:
         return np.zeros_like(t_grid)
     if decay is None:
-        decay = _decay_matrices(op, f.components, t_grid)
+        decay = _decay_matrices([eig for eig, _ in fams], t_grid)
     vals = np.zeros_like(t_grid, dtype=np.float64)
     for (eig, energy), mat in zip(fams, decay):
         pos = eig > 0
@@ -251,19 +240,20 @@ def _probe_work(op: OperatorSymbol, components: int, solenoidal: bool, seed: int
                 members: int, holder: bool) -> tuple:
     """What every alpha row of one generator's smoothing (or, with holder,
     semigroup-difference) check shares: the probe t grid, its
-    _decay_matrices and the seeded random member fields (Leray-projected
-    when solenoidal), all read-only.  The cache holds one generator's arrays
-    at a time."""
+    _decay_matrices, and the _mode_energies of the extremal probe and then
+    of each seeded random member field (Leray-projected when solenoidal),
+    all read-only.  The cache holds one generator's arrays at a time."""
     _probe_work.cache_clear()   # frees the last generator's arrays first
     t_grid = _probe_t_grid(op)
-    mats = tuple(_decay_matrices(op, components, t_grid, holder))
-    for a in (t_grid, *mats):
-        a.setflags(write=False)
-    fields = []
+    mats = tuple(_decay_matrices(eig_families(op, components), t_grid, holder))
+    fields = [extremal_smoothing_probe(op, components)]
     for rng in ensemble_rngs(seed, members):
         f = random_field(op.grid, components, rng, sigma=_SIGMA)
         fields.append(leray_project(f) if solenoidal else f)
-    return t_grid, mats, tuple(fields)
+    energies = tuple(_mode_energies(op, f) for f in fields)
+    for a in (t_grid, *mats, *(x for fams in energies for pair in fams for x in pair)):
+        a.setflags(write=False)
+    return t_grid, mats, energies
 
 
 def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
@@ -280,12 +270,10 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
         raise ValueError(f"need 0 <= lam < {lam_min}, got {lam}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    components = _field_components(op)
-    t_grid, decay, fields = _probe_work(op, components, solenoidal, seed,
-                                        min(ensemble, CROSS_CHECK_MEMBERS), holder=False)
-    probe = extremal_smoothing_probe(op, components)
-    ratios = [float(np.max(smoothing_ratio_curve(op, f, alpha, lam, t_grid, decay)))
-              for f in [probe, *fields]]
+    t_grid, decay, energies = _probe_work(op, _field_components(op), solenoidal, seed,
+                                          min(ensemble, CROSS_CHECK_MEMBERS), holder=False)
+    ratios = [float(np.max(smoothing_ratio_curve(op, fams, alpha, lam, t_grid, decay)))
+              for fams in energies]
     probe_ratio, ratios = ratios[0], np.array(ratios[1:])
     bound = semigroup_constant(alpha, lam, lam_min)
     return cross_check_report(f"smoothing a={alpha} lam={lam}", probe_ratio, ratios,
@@ -293,19 +281,20 @@ def verify_smoothing(op: OperatorSymbol, alpha: float, lam: float,
                               notes=f"analytic per-mode bound {bound:.6g}")
 
 
-def holder_ratio_curve(op: OperatorSymbol, f: SpectralField, alpha: float,
+def holder_ratio_curve(op: OperatorSymbol, f, alpha: float,
                        t_grid: np.ndarray, diff: list | None = None) -> np.ndarray:
     """||(e^(-t op) - I) f||_2 / (t^alpha ||op^alpha f||_2).
 
-    diff is _decay_matrices(op, f.components, t_grid, holder=True), which
-    callers that evaluate many fields on one grid compute once."""
-    fams = _mode_energies(op, f)
+    f is a field or its _mode_energies, and diff the holder _decay_matrices
+    of their eigenvalues on t_grid: callers that evaluate a field at many
+    alpha or many fields on one grid compute them once."""
+    fams = _mode_energies(op, f) if isinstance(f, SpectralField) else f
     denom_sq = sum(np.sum(np.where(e > 0, e ** (2 * alpha), 0.0) * en)
                    for e, en in fams)
     if denom_sq == 0:
         return np.zeros_like(t_grid)
     if diff is None:
-        diff = _decay_matrices(op, f.components, t_grid, holder=True)
+        diff = _decay_matrices([eig for eig, _ in fams], t_grid, holder=True)
     vals = np.zeros_like(t_grid, dtype=np.float64)
     for (eig, energy), mat in zip(fams, diff):
         vals += mat @ energy[eig > 0]
@@ -325,12 +314,10 @@ def verify_holder_difference(op: OperatorSymbol, alpha: float,
     or below it too."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    components = _field_components(op)
-    t_grid, diff, fields = _probe_work(op, components, False, seed,
-                                       min(ensemble, CROSS_CHECK_MEMBERS), holder=True)
-    probe = extremal_smoothing_probe(op, components)
-    ratios = [float(np.max(holder_ratio_curve(op, f, alpha, t_grid, diff)))
-              for f in [probe, *fields]]
+    t_grid, diff, energies = _probe_work(op, _field_components(op), False, seed,
+                                         min(ensemble, CROSS_CHECK_MEMBERS), holder=True)
+    ratios = [float(np.max(holder_ratio_curve(op, fams, alpha, t_grid, diff)))
+              for fams in energies]
     probe_ratio, ratios = ratios[0], np.array(ratios[1:])
     bound = holder_constant(alpha)
     return cross_check_report(f"holder-difference a={alpha}", probe_ratio, ratios,
@@ -347,7 +334,7 @@ def vanishing_weight_proxy(op: OperatorSymbol, alpha: float, ensemble: int = 20,
     is a documented proxy."""
     components = _field_components(op)
     t_grid = np.sort(np.array([2.0 ** (-k) for k in range(16)]))
-    decay = _decay_matrices(op, components, t_grid)
+    decay = _decay_matrices(eig_families(op, components), t_grid)
 
     def one(rng):
         f = random_field(op.grid, components, rng, sigma=_SIGMA)
@@ -426,30 +413,18 @@ def _real_mode_basis(grid: GridSpec, components: int, kmax: int) -> np.ndarray:
     """Real cosine/sine basis fields of the modes 0 < |k|_inf <= kmax as
     stacked half-spectrum coefficients (basis, components, *half), the
     2 components fields of one +-k pair next to each other."""
-    ks = integer_wavevectors(grid)
-    reps = []
-    for idx in np.ndindex(*grid.shape):
-        kv = tuple(int(ks[a][idx]) for a in range(grid.dim))
-        if not all(abs(k) <= kmax for k in kv) or all(k == 0 for k in kv):
-            continue
-        first = next(k for k in kv if k != 0)
-        if first < 0:           # one representative per +-k pair
-            continue
-        reps.append(kv)
-    m = grid.n // 2 + 1
-    basis = np.zeros((2 * components * len(reps), components) + grid.shape[:-1] + (m,),
+    axis = [int(k) for k in np.fft.fftfreq(grid.n, 1.0 / grid.n) if abs(k) <= kmax]
+    # one representative per +-k pair: the one whose first nonzero component
+    # is positive, in the fftn order of the modes
+    reps = [kv for kv in itertools.product(axis, repeat=grid.dim)
+            if next((k for k in kv if k), 0) > 0]
+    basis = np.zeros((2 * components * len(reps), components) + grid.half_shape,
                      dtype=np.complex128)
     b = 0
     for kv in reps:
-        idx = tuple(k % grid.n for k in kv)
-        neg = tuple(-k % grid.n for k in kv)
         for c in range(components):
             for amp in (0.5, -0.5j):    # cosine, sine
-                # the half spectrum holds those of +-k with last index <= n/2
-                if idx[-1] < m:
-                    basis[(b, c) + idx] = amp
-                if neg[-1] < m:
-                    basis[(b, c) + neg] += np.conj(amp)
+                basis[b, c] = SpectralField.single_mode(grid, kv, amp).half[0]
                 b += 1
     return basis
 
@@ -467,8 +442,7 @@ def _parseval_rows(grid: GridSpec, half: np.ndarray) -> np.ndarray:
 def _half_power(op: OperatorSymbol, half: np.ndarray) -> np.ndarray:
     """op's power on stacked half spectra (fields, comp, *half), per
     invariant subspace; unlike power_coeffs, no Leray projection."""
-    return sum(power_weight(eig, op.power) * part
-               for eig, part in _half_subspaces(op, half))
+    return sum(power_weight(eig, op.power) * part for eig, part in subspaces(op, half))
 
 
 @dataclass(frozen=True)
@@ -491,8 +465,7 @@ class _SlotSpace:
     @cached_property
     def grads(self) -> np.ndarray:
         """Grid values of the fields' gradients, (comp, dim, rank, *grid)."""
-        ik = _half_symbols(self.grid)[0]
-        vals = _grid_values(self.grid, _gradient_planes(self.fields, ik))[0]
+        vals = _grid_values(self.grid, gradient_planes(self.grid, self.fields))[0]
         return vals.reshape(self.fields.shape[1:2] + (self.grid.dim,) + vals.shape[1:])
 
 
@@ -569,12 +542,11 @@ def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
     grid = _exact_grid(grid)
     ops = dict(zip(TAGS, generators(grid, params)))
     comps = tag_components(grid.dim)
-    _, kap, ksq, _ = _half_symbols(grid)
     spaces = {}
     for tag, exp in dict((("u", lemma.alpha), (lemma.tag, lemma.exp))).items():
         basis = _real_mode_basis(grid, comps[tag], _EXACT_KMAX)
         if tag == "u":
-            basis = basis - parallel_part(basis, kap, ksq)
+            basis = leray_coeffs(grid, basis)
         weight = ops[tag].with_power(exp)
         spaces[tag] = _SlotSpace(grid, weight, _orthonormal_fields(basis, weight))
     return spaces
@@ -620,7 +592,7 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
     dim, vel = grid.dim, spaces["u"]
     small, members = vel.grid, len(rngs)
     starts = np.stack([leray_project(random_field(grid, dim, rng, sigma=_SIGMA,
-                                                  kmax=_EXACT_KMAX)).coeffs
+                                                  kmax=_EXACT_KMAX)).half
                        for rng in rngs])
     # the starts' modes |k_i| <= _EXACT_KMAX, in the exact grid's half layout
     ks = [np.arange(-_EXACT_KMAX, _EXACT_KMAX + 1)] * (dim - 1) + [np.arange(_EXACT_KMAX + 1)]
@@ -629,7 +601,7 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
     u[low] = starts[low]
     rows = _parseval_rows(small, _half_power(vel.weight, u))
     u = u * (1.0 / np.sqrt(np.sum(rows ** 2, axis=1))).reshape((-1,) + (1,) * (dim + 1))
-    ik, kap, ksq, mask = _half_symbols(small)
+    mask = dealias_mask(small)
     best = np.zeros(members)
 
     def forward(prod):
@@ -646,8 +618,8 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
         left_u, left_om = u, np.zeros((members, comp) + u.shape[2:], np.complex128)
         rank_v = len(vel.fields)
         for _ in range(alternations):
-            om, du, dom = _grid_values(small, left_om, _gradient_planes(left_u, ik),
-                                       _gradient_planes(left_om, ik))
+            om, du, dom = _grid_values(small, left_om, gradient_planes(small, left_u),
+                                       gradient_planes(small, left_om))
             om = om[:, :, np.newaxis]
             du = du.reshape((dim, dim, members, 1) + small.shape)
             dom = dom.reshape((comp, dim, members, 1) + small.shape)
@@ -674,15 +646,14 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
         shape = out.shape
         out = out.reshape((-1,) + shape[2:])
         if lemma.tag == "u":
-            out -= parallel_part(out, kap, ksq)
-            out[(Ellipsis,) + _zero_index(small)] = 0.0
+            out = leray_coeffs(small, out)
         return _half_power(inverse, out).reshape(shape)
 
     for _ in range(alternations):
         u_vals = _grid_values(small, u)[0][:, :, np.newaxis]
         sup_w, w = _slot_maximizers(w_space,
                                     lhs(u_vals, w_space.grads[:, :, np.newaxis]))
-        dw = _grid_values(small, _gradient_planes(w, ik))[0]
+        dw = _grid_values(small, gradient_planes(small, w))[0]
         dw = dw.reshape((-1, dim, members, 1) + small.shape)
         sup_u, u = _slot_maximizers(vel, lhs(vel.values[:, np.newaxis], dw))
         best = np.maximum(best, np.maximum(sup_w, sup_u))
@@ -815,8 +786,8 @@ def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     dim = grid.dim
     tag = _ZERO_ORDER[lemma_id]
     comp = tag_components(dim)[tag]
-    # member j is the amplitude e_j at every mode but k = 0
-    eye = np.zeros((comp, comp) + grid.shape, dtype=np.complex128)
+    # member j is the amplitude e_j at every half-spectrum mode but k = 0
+    eye = np.zeros((comp, comp) + grid.half_shape, dtype=np.complex128)
     eye[...] = np.eye(comp).reshape((comp, comp) + (1,) * dim)
     eye[(Ellipsis,) + _zero_index(grid)] = 0.0
 
@@ -837,15 +808,17 @@ def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
         c = np.asarray(force.c).reshape((1, -1) + (1,) * dim) / force.lipschitz
         lhs = leray_coeffs(grid, c * eye) if lemma_id == "2.12" else c * eye
 
-    # one mode of each +-k pair, the one whose first nonzero component is
-    # positive, ordered by |k| and then lexicographically
+    # one mode of each +-k pair, ordered by |k| and then lexicographically:
+    # the half spectrum holds one of each pair with k_last > 0, and both of
+    # those on the planes k_last = 0 and -n/2, of which the one whose first
+    # nonzero component is positive
     ks = np.stack(integer_wavevectors(grid)).reshape(dim, -1)
     first = ks[np.argmax(ks != 0, axis=0), np.arange(ks.shape[1])]
-    modes = np.flatnonzero(dealias_mask(grid).reshape(-1) & (first > 0))
+    modes = np.flatnonzero(dealias_mask(grid).reshape(-1) & ((first > 0) | (ks[-1] > 0)))
     keys = tuple(ks[::-1, modes]) + (np.sum(ks[:, modes] ** 2, axis=0),)
     modes = modes[np.lexsort(keys)]
 
-    def per_mode(a):    # (members, out, *grid) -> (modes, out, members)
+    def per_mode(a):    # (members, out, *half) -> (modes, out, members)
         return np.transpose(a.reshape(a.shape[:2] + (-1,))[:, :, modes], (2, 1, 0))
 
     # the weights are real per mode; lhs(k) weight(k)^+ goes to the real
@@ -1232,7 +1205,7 @@ def energy_report(traj: TrajectoryState, params: CouplingParams,
     # transform and the 2/3 rule, as in the RHS
     forced = [(spec, traj.coeffs[tag]) for spec, tag in ((f, "u"), (g, "om"))
               if spec.kind != "zero"]
-    mask = half_spectrum(dealias_mask(grid))
+    mask = dealias_mask(grid)
     work = np.zeros(traj.node_count)
     for b in traj.node_blocks() if forced else []:
         th_vals = irfft_half(grid, traj.coeffs["th"][b, 0])

@@ -86,10 +86,9 @@ def checkpoint_read(path: str, expected_hash: str | None = None) -> TrajectorySt
                 f"{path}: checkpoint belongs to config {header.get('config_hash')!r}, "
                 f"refusing resume with {expected_hash!r}")
         grid = GridSpec.from_dict(header["grid"])
-        half_shape = grid.shape[:-1] + (grid.n // 2 + 1,)
         state = {}
         for name in TAGS:
-            shape = (1, int(header["fields"][name]["components"])) + half_shape
+            shape = (1, int(header["fields"][name]["components"])) + grid.half_shape
             nbytes = int(np.prod(shape)) * 16
             raw = fh.read(nbytes)
             if len(raw) != nbytes:

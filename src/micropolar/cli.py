@@ -44,8 +44,8 @@ from .fields import GridSpec, SpectralField, random_field
 from .gronwall import gronwall_bound, gronwall_oracle
 from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
-from .solver import (PicardConfig, TrajectoryState, WeightedNorms, global_solve, picard_solve,
-                     start_state, tag_components, window_horizons)
+from .solver import (PicardConfig, TrajectoryState, WeightedNorms, first_window, global_solve,
+                     picard_solve, start_state, tag_components, window_horizons)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -313,10 +313,10 @@ def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
     return cols, rows
 
 
-def _iteration_table(reports, first_window: int) -> tuple:
+def _iteration_table(reports, first: int) -> tuple:
     cols = ["window", "m", "total_diff", "ratio", "norm_tag", "norm_exp", "diff"]
     rows = []
-    for w, rep in enumerate(reports, first_window):
+    for w, rep in enumerate(reports, first):
         for rec in rep.iterations:
             for (tag, exp), val in sorted(rec.diffs.items()):
                 rows.append([w, rec.m, rec.total,
@@ -325,15 +325,17 @@ def _iteration_table(reports, first_window: int) -> tuple:
     return cols, rows
 
 
-def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState, first_window: int) -> int:
+def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState) -> int:
     """Solve from the start state to t_total, checkpoint each window's end
-    (windows numbered from first_window) and write the report."""
+    and write the report.  Windows are numbered as in the march from t = 0,
+    from the one the start state's time lies in (see first_window)."""
+    first = first_window(cfg.picard, float(start.times[0]))
     chash = config_hash(cfg)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
 
     def hook(w, traj):
-        window = first_window + w
+        window = first + w
         checkpoint_write(traj, os.path.join(outdir, f"checkpoint_w{window}.mpk"),
                          chash, window)
 
@@ -342,7 +344,7 @@ def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState, first_w
                           cfg.t_total, checkpoint_hook=hook)
     cols, rows = _norm_table_rows(result.traj, cfg)
     bundle.add_table("nodes", cols, rows)
-    bundle.add_table("iterations", *_iteration_table(result.reports, first_window))
+    bundle.add_table("iterations", *_iteration_table(result.reports, first))
     keys = sorted(result.e_sup)
     bundle.add_table("efunctions", ["t"] + [f"E_{tag}_{exp:.6g}" for tag, exp in keys],
                      [[float(t)] + [float(result.e_sup[k][j]) for k in keys]
@@ -367,7 +369,7 @@ def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState, first_w
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     start = start_state(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed))
-    return _march(cfg, _new_bundle(cfg, "simulate"), start, 0)
+    return _march(cfg, _new_bundle(cfg, "simulate"), start)
 
 
 def _cmd_picard(args) -> int:
@@ -632,7 +634,7 @@ def _cmd_checkpoint(args) -> int:
         return 0
     bundle = _new_bundle(cfg, "checkpoint resume")
     bundle.verdicts["resumed_from"] = t_end
-    return _march(cfg, bundle, start, read_header(args.path)["window"] + 1)
+    return _march(cfg, bundle, start)
 
 
 def _builtin_config() -> RunConfig:

@@ -1,13 +1,16 @@
 """Real fields on the periodic torus stored as truncated Fourier coefficient arrays.
 
 Coefficients follow the convention f(x) = sum_k c_k exp(i 2pi k.x / L), so the
-k=0 coefficient of a real field is its mean value.  Arrays use numpy's fftn
-layout along the spatial axes, with a leading component axis (1 for scalars,
-dim for vectors).  Transforms run on the half spectrum of the last axis
-(real-data FFTs); the other half follows from conjugate symmetry.  L2 norms
-and inner products are Parseval sums over the half spectrum alone
-(`parseval_inner`), which counts each interior last-axis column twice for
-the conjugate column it stands for.
+k=0 coefficient of a real field is its mean value.  A field is held as its
+half spectrum (comp, *half): a leading component axis (1 for scalars, dim for
+vectors), then numpy's fftn layout on every spatial axis but the last, which
+keeps the modes 0..n/2 that a real transform computes; the other modes are
+the conjugates of their negatives.  Every symbol below lives on the same
+modes, a slice of the full fftn-layout array, so the Nyquist column holds
+k = -n/2.  L2 norms and inner products are Parseval sums over the half
+spectrum alone (`parseval_inner`), which counts each interior last-axis
+column twice for the conjugate column it stands for.  The full spectrum is
+filled only for readers of `SpectralField.coeffs`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ class GridSpec:
         return self.length ** self.dim
 
     @property
+    def half_shape(self) -> tuple:
+        """Spatial shape of a half spectrum: the last axis keeps modes 0..n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
     def num_modes(self) -> int:
         return self.n ** self.dim
 
@@ -76,13 +84,24 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def integer_wavevectors(grid: GridSpec) -> tuple:
-    """Integer wavevector component arrays (fftn layout), one per axis."""
+def _full_wavevectors(grid: GridSpec) -> tuple:
+    """Integer wavevector component arrays on the full fftn layout, one per
+    axis: the modes random_field draws its noise on."""
     k1d = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # 0,1,...,N/2-1,-N/2,...,-1
     comps = np.meshgrid(*([k1d] * grid.dim), indexing="ij")
     for c in comps:
         c.setflags(write=False)
     return tuple(comps)
+
+
+@lru_cache(maxsize=64)
+def integer_wavevectors(grid: GridSpec) -> tuple:
+    """Integer wavevector component arrays on the half spectrum, one per axis
+    (the Nyquist column holds k = -n/2, as the full layout does)."""
+    comps = tuple(np.ascontiguousarray(half_spectrum(k)) for k in _full_wavevectors(grid))
+    for c in comps:
+        c.setflags(write=False)
+    return comps
 
 
 @lru_cache(maxsize=64)
@@ -120,7 +139,7 @@ def laplacian_symbol(grid: GridSpec) -> np.ndarray:
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Per-axis 2/3-rule mask: keep |k_i| <= dealias_fraction * N/2."""
     cutoff = grid.dealias_fraction * grid.n / 2.0
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.half_shape, dtype=bool)
     for k in integer_wavevectors(grid):
         mask &= np.abs(k) <= cutoff + 1e-12
     mask.setflags(write=False)
@@ -144,21 +163,23 @@ def _zero_index(grid: GridSpec) -> tuple:
 class SpectralField:
     """Immutable truncated Fourier representation of a real field.
 
-    coeffs has shape (components, n, ..., n); mean_zero marks fields whose
-    k=0 mode is structurally absent (enforced at construction).
+    half is its half spectrum, shape (components, *grid.half_shape);
+    mean_zero marks fields whose k=0 mode is structurally absent (enforced
+    at construction).
     """
 
     grid: GridSpec
-    coeffs: np.ndarray
+    half: np.ndarray
     mean_zero: bool = field(default=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.ascontiguousarray(self.half, dtype=np.complex128)
         if c.ndim == self.grid.dim:
             c = c[np.newaxis, ...]
-        if c.shape[1:] != self.grid.shape:
+        if c.shape[1:] != self.grid.half_shape:
             raise ConfigurationError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {c.shape} does not match the half spectrum "
+                f"{self.grid.half_shape} of grid {self.grid.shape}"
             )
         if c.shape[0] < 1:
             raise ConfigurationError("field needs at least one component")
@@ -166,11 +187,20 @@ class SpectralField:
             c = c.copy()
             c[(slice(None),) + _zero_index(self.grid)] = 0.0
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "half", c)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full fftn-layout spectrum (components, n, ..., n), filled on
+        each read: a view for readers outside the package, which computes on
+        the half spectrum alone."""
+        c = full_spectrum(self.grid, self.half)
+        c.setflags(write=False)
+        return c
 
     @property
     def components(self) -> int:
-        return self.coeffs.shape[0]
+        return self.half.shape[0]
 
     @property
     def is_scalar(self) -> bool:
@@ -180,22 +210,27 @@ class SpectralField:
 
     @staticmethod
     def zero(grid: GridSpec, components: int = 1, mean_zero: bool = True) -> "SpectralField":
-        return SpectralField(grid, np.zeros((components,) + grid.shape, dtype=np.complex128), mean_zero)
+        return SpectralField(grid, np.zeros((components,) + grid.half_shape, dtype=np.complex128),
+                             mean_zero)
 
     @staticmethod
     def single_mode(grid: GridSpec, k: tuple, amplitude) -> "SpectralField":
         """Real field amplitude * 2 Re[a exp(i 2pi k.x/L)] built from mode k and -k.
 
         amplitude is a scalar or a length-`components` sequence of complex
-        amplitudes a_c for mode k; the conjugate mode is filled in.
+        amplitudes a_c for mode k; the conjugate mode is filled in.  The half
+        spectrum holds whichever of +-k has last-axis index at most n/2.
         """
         amp = np.atleast_1d(np.asarray(amplitude, dtype=np.complex128))
-        c = np.zeros((amp.size,) + grid.shape, dtype=np.complex128)
+        m = grid.n // 2 + 1
+        c = np.zeros((amp.size,) + grid.half_shape, dtype=np.complex128)
         idx = tuple(int(ki) % grid.n for ki in k)
         neg = tuple((-int(ki)) % grid.n for ki in k)
         for j, a in enumerate(amp):
-            c[(j,) + idx] = a
-            c[(j,) + neg] += np.conj(a)  # self-conjugate modes collapse to 2 Re(a)
+            if idx[-1] < m:
+                c[(j,) + idx] = a
+            if neg[-1] < m:
+                c[(j,) + neg] += np.conj(a)  # self-conjugate modes collapse to 2 Re(a)
         is_dc = all(int(ki) % grid.n == 0 for ki in k)
         return SpectralField(grid, c, mean_zero=not is_dc)
 
@@ -203,16 +238,16 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
+        return SpectralField(self.grid, self.half + other.half,
                              self.mean_zero and other.mean_zero)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
+        return SpectralField(self.grid, self.half - other.half,
                              self.mean_zero and other.mean_zero)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar, self.mean_zero)
+        return SpectralField(self.grid, self.half * scalar, self.mean_zero)
 
     __rmul__ = __mul__
 
@@ -226,24 +261,23 @@ class SpectralField:
     # -- structure ---------------------------------------------------------
 
     def dealias(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * dealias_mask(self.grid), self.mean_zero)
+        return SpectralField(self.grid, self.half * dealias_mask(self.grid), self.mean_zero)
 
     def drop_mean(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs, mean_zero=True)
+        return SpectralField(self.grid, self.half, mean_zero=True)
 
     def mean_values(self) -> np.ndarray:
         """Spatial mean of each component (the k=0 coefficients)."""
-        return self.coeffs[(slice(None),) + _zero_index(self.grid)].real.copy()
+        return self.half[(slice(None),) + _zero_index(self.grid)].real.copy()
 
     def l2(self) -> float:
-        """Parseval L2 norm of the real field, sqrt(volume) * ||coeffs||_2
-        summed on the half spectrum (exact for trig polynomials)."""
-        return float(parseval_l2(self.grid, half_spectrum(self.coeffs)[np.newaxis])[0])
+        """Parseval L2 norm of the real field (exact for trig polynomials)."""
+        return float(parseval_l2(self.grid, self.half[np.newaxis])[0])
 
     def hermitian_defect(self) -> float:
-        """Max |c(-k) - conj(c(k))|; zero for a real field."""
-        c = self.coeffs
-        return float(np.max(np.abs(_reflect(c, self.grid.dim) - np.conj(c))))
+        """Max |c(-k) - conj(c(k))|; zero for a real field.  Only the planes
+        k_last = 0 and n/2 hold both of a pair, so only they can fail."""
+        return plane_defect(self.grid, self.half)
 
 
 def _reflect(c: np.ndarray, dim: int) -> np.ndarray:
@@ -334,7 +368,7 @@ def rfft_half(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 def to_physical(f: SpectralField) -> np.ndarray:
     """Inverse transform to the collocation grid; returns a real array
     of shape (components, n, ..., n)."""
-    return irfft_half(f.grid, half_spectrum(f.coeffs))
+    return irfft_half(f.grid, f.half)
 
 
 def to_spectral(grid: GridSpec, values: np.ndarray) -> SpectralField:
@@ -346,7 +380,7 @@ def to_spectral(grid: GridSpec, values: np.ndarray) -> SpectralField:
         raise ConfigurationError(
             f"physical data shape {v.shape} does not match grid {grid.shape}"
         )
-    return SpectralField(grid, full_spectrum(grid, rfft_half(grid, v)))
+    return SpectralField(grid, rfft_half(grid, v))
 
 
 def random_field(grid: GridSpec, components: int, rng: np.random.Generator,
@@ -361,20 +395,20 @@ def random_field(grid: GridSpec, components: int, rng: np.random.Generator,
     """
     shape = (components,) + grid.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    kmag = np.sqrt(sum(k * k for k in integer_wavevectors(grid)))
+    kmag = np.sqrt(sum(k * k for k in _full_wavevectors(grid)))
     envelope = np.where(kmag > 0, np.maximum(kmag, 1.0) ** (-sigma), 0.0 if mean_zero else 1.0)
     if kmax is not None:
         support = np.ones(grid.shape, dtype=bool)
-        for k in integer_wavevectors(grid):
+        for k in _full_wavevectors(grid):
             support &= np.abs(k) <= kmax
         envelope = envelope * support
     c = noise * envelope
-    # hermitianize: the real part of the field owns the symmetric part of c
-    f = SpectralField(grid, 0.5 * (c + np.conj(_reflect(c, grid.dim))))
+    # hermitianize: the real part of the field owns the symmetric part of c,
+    # whose half spectrum is the field's
+    half = half_spectrum(0.5 * (c + np.conj(_reflect(c, grid.dim))))
     if kmax is not None:
-        f = SpectralField(grid, f.coeffs * support, mean_zero=mean_zero)
-    if mean_zero:
-        f = f.drop_mean()
+        half = half * half_spectrum(support)
+    f = SpectralField(grid, half, mean_zero)
     if dealias:
         f = f.dealias()
     norm = f.l2()

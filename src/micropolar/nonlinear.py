@@ -10,7 +10,6 @@ transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,9 +18,6 @@ from .fields import (
     GridSpec,
     SpectralField,
     dealias_mask,
-    deriv_wavevectors,
-    full_spectrum,
-    half_spectrum,
     irfft_half,
     rfft_half,
     to_physical,
@@ -29,7 +25,10 @@ from .fields import (
     _zero_index,
 )
 from .operators import (
+    curl_values,
+    derivative_symbol,
     gamma_operator,
+    gradient_planes,
     laplace_operator,
     parallel_part,
     projector_symbols,
@@ -169,30 +168,12 @@ def evaluate_forcing(spec: ForcingSpec, theta: SpectralField, components: int) -
     return to_spectral(theta.grid, vals).dealias()
 
 
-@lru_cache(maxsize=64)
-def _half_symbols(grid: GridSpec) -> tuple:
-    """Half-spectrum symbols: the derivative wavevectors (Nyquist zeroed),
-    stacked and times i, the projector symbols and the dealias mask."""
-    ik = 1j * np.stack([half_spectrum(k) for k in deriv_wavevectors(grid)])
-    ik.setflags(write=False)
-    kap, ksq = projector_symbols(grid)
-    return ik, half_spectrum(kap), half_spectrum(ksq), half_spectrum(dealias_mask(grid))
-
-
-def _gradient_planes(ch: np.ndarray, ik: np.ndarray) -> np.ndarray:
-    """Half-spectrum gradients of half-spectrum coefficients (..., comp, *half)
-    as planes (..., comp * dim, *half); plane c * dim + a is d_a f_c."""
-    nd = ik.ndim - 1
-    grads = ik * np.expand_dims(ch, -nd - 1)
-    return grads.reshape(ch.shape[: ch.ndim - nd - 1] + (-1,) + ch.shape[-nd:])
-
-
-def _plane_buffer(ik: np.ndarray, values: tuple, grads: tuple) -> np.ndarray:
+def _plane_buffer(grid: GridSpec, values: tuple, grads: tuple) -> np.ndarray:
     """One plane-major buffer (planes, B, *half) of half spectra (B, comp,
     *half) that share B: the comp planes of each array of values, then the
     comp * dim gradient planes of each array of grads, plane c * dim + a of
     an array holding d_a f_c."""
-    nd = ik.ndim - 1
+    ik, nd = derivative_symbol(grid), grid.dim
     batch, half = grads[0].shape[0], grads[0].shape[2:]
     count = sum(v.shape[1] for v in values) + nd * sum(h.shape[1] for h in grads)
     buf = np.empty((count, batch) + half, dtype=np.complex128)
@@ -222,18 +203,6 @@ def _grid_values(grid: GridSpec, *halves: np.ndarray) -> list:
     return out
 
 
-def _curl_values(du: np.ndarray) -> np.ndarray:
-    """Curl from the gradient du[c, a] = d_a u_c of a field, on the grid or
-    the half spectrum: 3D vector -> vector; 2D vector -> scalar vorticity;
-    2D scalar -> vector (d_y f, -d_x f)."""
-    if du.shape[0] == 3:
-        return np.stack([du[2, 1] - du[1, 2], du[0, 2] - du[2, 0],
-                         du[1, 0] - du[0, 1]])
-    if du.shape[0] == 1:
-        return np.stack([du[0, 1], -du[0, 0]])
-    return (du[1, 0] - du[0, 1])[np.newaxis]
-
-
 def _phi_values(du, dv, om, psi, dom, dpsi, params: CouplingParams) -> np.ndarray:
     """Bilinear dissipation function at the grid points from grid values:
     velocity gradients du, dv (dim, dim, *grid) with [c, a] = d_a u_c,
@@ -242,8 +211,8 @@ def _phi_values(du, dv, om, psi, dom, dpsi, params: CouplingParams) -> np.ndarra
     d_v = d_u if dv is du else 0.5 * (dv + np.swapaxes(dv, 0, 1))
     phi = 2.0 * params.mu * np.sum(d_u * d_v, axis=(0, 1))
 
-    rel_u = 0.5 * _curl_values(du) - om
-    rel_v = rel_u if (dv is du and psi is om) else 0.5 * _curl_values(dv) - psi
+    rel_u = 0.5 * curl_values(du) - om
+    rel_v = rel_u if (dv is du and psi is om) else 0.5 * curl_values(dv) - psi
     phi = phi + 4.0 * params.mu_r * np.sum(rel_u * rel_v, axis=0)
 
     if du.shape[0] == 3 and om.shape[0] > 1:
@@ -272,10 +241,9 @@ def advect_coeffs(grid: GridSpec, uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
     """(u . grad) w on half spectra with a leading batch axis, dealiased:
     uh (B, dim, *half) and wh (B, C, *half), either B may be 1, give
     (B, C, *half).  One inverse transform takes u and grad w to the grid."""
-    ik, _, _, mask = _half_symbols(grid)
-    u_vals, dw = _grid_values(grid, uh, _gradient_planes(wh, ik))
+    u_vals, dw = _grid_values(grid, uh, gradient_planes(grid, wh))
     dw = dw.reshape((wh.shape[1], grid.dim) + dw.shape[1:])
-    return np.swapaxes(rfft_half(grid, np.sum(u_vals * dw, axis=1)), 0, 1) * mask
+    return np.swapaxes(rfft_half(grid, np.sum(u_vals * dw, axis=1)), 0, 1) * dealias_mask(grid)
 
 
 def advect(u: SpectralField, w: SpectralField) -> SpectralField:
@@ -283,9 +251,7 @@ def advect(u: SpectralField, w: SpectralField) -> SpectralField:
     _check_grids(u, w)
     if u.is_scalar:
         raise TypeError("advecting velocity must be a vector field")
-    out = advect_coeffs(u.grid, half_spectrum(u.coeffs)[np.newaxis],
-                        half_spectrum(w.coeffs)[np.newaxis])
-    return SpectralField(u.grid, full_spectrum(u.grid, out[0]))
+    return SpectralField(u.grid, advect_coeffs(u.grid, u.half[np.newaxis], w.half[np.newaxis])[0])
 
 
 def dissipation_coeffs(grid: GridSpec, uh: np.ndarray, vh: np.ndarray,
@@ -297,21 +263,20 @@ def dissipation_coeffs(grid: GridSpec, uh: np.ndarray, vh: np.ndarray,
     gradients of all four to the grid; the quadratic form (vh is uh and
     psih is omh) transforms each distinct plane once."""
     dim = grid.dim
-    ik, _, _, mask = _half_symbols(grid)
     if vh is uh and psih is omh:
-        om_v, du, dom = _grid_values(grid, omh, *(_gradient_planes(x, ik) for x in (uh, omh)))
+        om_v, du, dom = _grid_values(grid, omh, *(gradient_planes(grid, x) for x in (uh, omh)))
         du = du.reshape((dim, dim) + du.shape[1:])
         dom = dom.reshape((omh.shape[1], dim) + dom.shape[1:])
         phi = _phi_values(du, du, om_v, om_v, dom, dom, params)
     else:
         om_v, psi_v, du, dv, dom, dpsi = _grid_values(
-            grid, omh, psih, *(_gradient_planes(x, ik) for x in (uh, vh, omh, psih)))
+            grid, omh, psih, *(gradient_planes(grid, x) for x in (uh, vh, omh, psih)))
         phi = _phi_values(du.reshape((dim, dim) + du.shape[1:]),
                           dv.reshape((dim, dim) + dv.shape[1:]), om_v, psi_v,
                           dom.reshape((omh.shape[1], dim) + dom.shape[1:]),
                           dpsi.reshape((psih.shape[1], dim) + dpsi.shape[1:]), params)
     out = rfft_half(grid, phi)[:, np.newaxis]
-    return out * mask if dealias else out
+    return out * dealias_mask(grid) if dealias else out
 
 
 def dissipation_phi(u: SpectralField, v: SpectralField,
@@ -330,9 +295,9 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
     (the integral of the product) is identical either way.
     """
     _check_grids(u, v, om, psi)
-    out = dissipation_coeffs(u.grid, *(half_spectrum(x.coeffs)[np.newaxis]
-                                       for x in (u, v, om, psi)), params, dealias)
-    return SpectralField(u.grid, full_spectrum(u.grid, out[0]))
+    out = dissipation_coeffs(u.grid, *(x.half[np.newaxis] for x in (u, v, om, psi)),
+                             params, dealias)
+    return SpectralField(u.grid, out[0])
 
 
 def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarray,
@@ -360,13 +325,12 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     projection act on the half spectrum.
     """
     dim, ncomp = grid.dim, omh.shape[1]
-    ik, kap, ksq, mask = _half_symbols(grid)
     forced = f.kind != "zero" or g.kind != "zero"
 
     nout = dim + ncomp + 1
     # planes u, om, th when forced, then the gradients from plane nval on
     nval = dim + ncomp + forced
-    buf = _plane_buffer(ik, (uh, omh, thh)[: 2 + forced], (uh, omh, thh))
+    buf = _plane_buffer(grid, (uh, omh, thh)[: 2 + forced], (uh, omh, thh))
     vals = np.zeros((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
     if not linear_only:
         planes = irfft_half(grid, buf)
@@ -391,11 +355,11 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
         grad_h = buf[nval:].reshape((nout, dim) + out.shape[1:])
-        out[:dim] += two_mur * _curl_values(grad_h[dim: dim + ncomp])
+        out[:dim] += two_mur * curl_values(grad_h[dim: dim + ncomp])
         out[dim: dim + ncomp] += (-2.0 * two_mur) * buf[dim: dim + ncomp] \
-            + two_mur * _curl_values(grad_h[:dim])
+            + two_mur * curl_values(grad_h[:dim])
     out = np.swapaxes(out, 0, 1)
-    out[:, :dim] -= parallel_part(out[:, :dim], kap, ksq)
-    out *= mask
+    out[:, :dim] -= parallel_part(out[:, :dim], *projector_symbols(grid))
+    out *= dealias_mask(grid)
     out[(slice(None), slice(None, dim)) + _zero_index(grid)] = 0.0
     return out

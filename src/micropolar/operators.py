@@ -3,7 +3,9 @@
 On the torus every generator is diagonal per Fourier mode (the vector
 elliptic generator block-diagonalizes into the subspaces parallel and
 transverse to k), so fractional powers and semigroups are exact per-mode
-scalar functions of the eigenvalues.
+scalar functions of the eigenvalues.  Every coefficient array here is a
+half spectrum (comp, *half), with any leading axes, on the modes of the
+symbols in fields.
 """
 
 from __future__ import annotations
@@ -90,12 +92,12 @@ def lambda1(grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Leray projection and parallel/transverse splitting
+# Symbols, the Leray projection and the invariant subspaces
 
 
 @lru_cache(maxsize=64)
 def projector_symbols(grid: GridSpec) -> tuple:
-    """Stacked wavevectors (dim, *grid) and |kappa|^2 with 1 at k = 0, the
+    """Stacked wavevectors (dim, *half) and |kappa|^2 with 1 at k = 0, the
     symbols of the split into the parts parallel and transverse to k."""
     kap = np.stack(wavevectors(grid))
     ksq = laplacian_symbol(grid).copy()
@@ -105,24 +107,28 @@ def projector_symbols(grid: GridSpec) -> tuple:
     return kap, ksq
 
 
+@lru_cache(maxsize=64)
+def derivative_symbol(grid: GridSpec) -> np.ndarray:
+    """i kappa stacked (dim, *half), the Nyquist mode zeroed: the symbol of
+    the gradient."""
+    ik = 1j * np.stack(deriv_wavevectors(grid))
+    ik.setflags(write=False)
+    return ik
+
+
 def parallel_part(v: np.ndarray, kap: np.ndarray, ksq: np.ndarray) -> np.ndarray:
     """k (k . v) / |k|^2 per mode, zero at k=0.  v holds its vector components
-    on the axis before the spatial axes that kap and ksq span (full or half
-    spectrum); any leading axes are kept."""
+    on the axis before the spatial axes that kap and ksq span; any leading
+    axes are kept."""
     axis = -ksq.ndim - 1
     kdotv = np.sum(kap * v, axis=axis) / ksq
     return kap * np.expand_dims(kdotv, axis)
 
 
-def _split_parallel(v_coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Component of v parallel to k per mode: k (k . v) / |k|^2 (zero at k=0)."""
-    return parallel_part(v_coeffs, *projector_symbols(grid))
-
-
 def leray_coeffs(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    """v - k (k.v)/|k|^2 with the k=0 mode zeroed, on full-spectrum
-    coefficients (..., dim, *grid); any leading axes are kept."""
-    out = v - _split_parallel(v, grid)
+    """v - k (k.v)/|k|^2 with the k=0 mode zeroed, on half spectra
+    (..., dim, *half); any leading axes are kept."""
+    out = v - parallel_part(v, *projector_symbols(grid))
     out[(Ellipsis,) + _zero_index(grid)] = 0.0
     return out
 
@@ -131,7 +137,28 @@ def leray_project(v: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: v - k (k.v)/|k|^2, k=0 mode zeroed."""
     if v.is_scalar:
         raise TypeError("Leray projection expects a vector field")
-    return SpectralField(v.grid, leray_coeffs(v.grid, v.coeffs), mean_zero=True)
+    return SpectralField(v.grid, leray_coeffs(v.grid, v.half), mean_zero=True)
+
+
+def eig_families(op: OperatorSymbol, components: int) -> list:
+    """Eigenvalue arrays matching the subspace split of a field with the given
+    component count (a scalar under the vector elliptic generator sees only
+    the transverse coefficient)."""
+    eigs = list(op.eigenvalues())
+    if op.kind is OperatorKind.GAMMA and components == 1:
+        return eigs[:1]
+    return eigs
+
+
+def subspaces(op: OperatorSymbol, c: np.ndarray) -> list:
+    """(eigenvalues, part) per invariant subspace of half spectra
+    (..., comp, *half), in eig_families order: the parts transverse and
+    parallel to k of a vector under the elliptic generator, else c itself."""
+    eigs = eig_families(op, c.shape[-op.grid.dim - 1])
+    if len(eigs) == 2:
+        para = parallel_part(c, *projector_symbols(op.grid))
+        return [(eigs[0], c - para), (eigs[1], para)]
+    return [(eigs[0], c)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +173,22 @@ def _component_check(op: OperatorSymbol, f: SpectralField):
 
 
 def spectral_coeffs(op: OperatorSymbol, fn, c: np.ndarray) -> np.ndarray:
-    """fn(generator) per mode on full-spectrum coefficients (..., comp, *grid),
-    any leading axes kept, respecting GAMMA's two invariant subspaces.
+    """fn(generator) per mode on half spectra (..., comp, *half), any
+    leading axes kept, per invariant subspace; the Stokes operator acts on
+    the Leray projection.
 
     fn maps an eigenvalue array to a weight array; fn(0) is applied at k=0.
     """
-    grid = op.grid
-    if op.kind is OperatorKind.GAMMA and c.shape[-grid.dim - 1] > 1:
-        eig_perp, eig_para = op.eigenvalues()
-        para = _split_parallel(c, grid)
-        out = fn(eig_perp) * (c - para) + fn(eig_para) * para
-        # k = 0: both eigenvalues vanish; act as the scalar fn(0)
-        zi = (Ellipsis,) + _zero_index(grid)
-        out[zi] = fn(np.zeros(1))[0] * c[zi]
-        return out
     if op.kind is OperatorKind.STOKES:
-        c = leray_coeffs(grid, c)
-    return fn(op.eigenvalues()[0]) * c
+        c = leray_coeffs(op.grid, c)
+    terms = [fn(eig) * part for eig, part in subspaces(op, c)]
+    if len(terms) == 1:
+        return terms[0]
+    out = terms[0] + terms[1]
+    # k = 0: both eigenvalues vanish; act as the scalar fn(0)
+    zi = (Ellipsis,) + _zero_index(op.grid)
+    out[zi] = fn(np.zeros(1))[0] * c[zi]
+    return out
 
 
 def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
@@ -176,8 +202,8 @@ def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
 
 
 def power_coeffs(op: OperatorSymbol, c: np.ndarray) -> np.ndarray:
-    """Fractional power action on full-spectrum coefficients (..., comp, *grid);
-    each index of the leading axes is one field.
+    """Fractional power action on half spectra (..., comp, *half); each
+    index of the leading axes is one field.
 
     Zero eigenvalues map to zero for power > 0 and to identity for power = 0.
     A negative power needs every field mean-zero (SingularOperatorError
@@ -197,7 +223,7 @@ def power_coeffs(op: OperatorSymbol, c: np.ndarray) -> np.ndarray:
 def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
     """Fractional power action on one field (see power_coeffs)."""
     _component_check(op, f)
-    return SpectralField(op.grid, power_coeffs(op, f.coeffs),
+    return SpectralField(op.grid, power_coeffs(op, f.half),
                          f.mean_zero or op.power < 0)
 
 
@@ -208,7 +234,7 @@ def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralF
     if op.power != 1.0:
         raise ConfigurationError("semigroup_apply expects the generator (power=1)")
     _component_check(op, f)
-    return SpectralField(op.grid, spectral_coeffs(op, lambda eig: np.exp(-t * eig), f.coeffs),
+    return SpectralField(op.grid, spectral_coeffs(op, lambda eig: np.exp(-t * eig), f.half),
                          f.mean_zero)
 
 
@@ -216,17 +242,24 @@ def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralF
 # Differential operators (spectral)
 
 
+def gradient_planes(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """Gradients of half spectra (..., comp, *half) as planes
+    (..., comp * dim, *half); plane c * dim + a is d_a f_c."""
+    nd = grid.dim
+    grads = derivative_symbol(grid) * np.expand_dims(c, -nd - 1)
+    return grads.reshape(c.shape[: c.ndim - nd - 1] + (-1,) + c.shape[-nd:])
+
+
 def gradient(f: SpectralField) -> np.ndarray:
-    """d f_c / d x_a as a complex array of shape (components, dim, *grid)."""
-    ks = deriv_wavevectors(f.grid)
-    return np.stack([1j * ks[a] * f.coeffs for a in range(f.grid.dim)], axis=1)
+    """d f_c / d x_a as a complex half-spectrum array (components, dim, *half)."""
+    return derivative_symbol(f.grid) * f.half[:, np.newaxis]
 
 
 def divergence(v: SpectralField) -> SpectralField:
     if v.is_scalar:
         raise TypeError("divergence expects a vector field")
-    ks = deriv_wavevectors(v.grid)
-    out = sum(1j * ks[a] * v.coeffs[a] for a in range(v.grid.dim))
+    ik = derivative_symbol(v.grid)
+    out = sum(ik[a] * v.half[a] for a in range(v.grid.dim))
     return SpectralField(v.grid, out[np.newaxis], mean_zero=True)
 
 
@@ -240,13 +273,22 @@ def cross(c: np.ndarray, ks: tuple) -> np.ndarray:
     return (ks[0] * c[1] - ks[1] * c[0])[np.newaxis]
 
 
+def curl_values(du: np.ndarray) -> np.ndarray:
+    """Curl from the gradient du[c, a] = d_a u_c of a field, on the grid or
+    the half spectrum: 3D vector -> vector; 2D vector -> scalar vorticity;
+    2D scalar -> vector (d_y f, -d_x f)."""
+    if du.shape[0] == 3:
+        return np.stack([du[2, 1] - du[1, 2], du[0, 2] - du[2, 0],
+                         du[1, 0] - du[0, 1]])
+    if du.shape[0] == 1:
+        return np.stack([du[0, 1], -du[0, 0]])
+    return (du[1, 0] - du[0, 1])[np.newaxis]
+
+
 def curl(c: np.ndarray, ks: tuple) -> np.ndarray:
     """Curl of a coefficient array (components first) with derivative
-    wavevectors ks: 3D vector -> vector; 2D vector -> scalar vorticity;
-    2D scalar -> vector (d_y f, -d_x f)."""
-    if len(ks) == 2 and c.shape[0] == 1:
-        return np.stack([1j * ks[1] * c[0], -1j * ks[0] * c[0]])
-    return 1j * cross(c, ks)
+    wavevectors ks on its modes: the curl_values of its gradient."""
+    return curl_values(np.array([[1j * k * comp for k in ks] for comp in c]))
 
 
 def rot(f: SpectralField) -> SpectralField:
@@ -254,8 +296,7 @@ def rot(f: SpectralField) -> SpectralField:
     2D scalar -> vector (d_y f, -d_x f)."""
     if f.grid.dim == 3 and f.is_scalar:
         raise TypeError("3D rot expects a vector field")
-    return SpectralField(f.grid, curl(f.coeffs, deriv_wavevectors(f.grid)),
-                         mean_zero=True)
+    return SpectralField(f.grid, curl(f.half, deriv_wavevectors(f.grid)), mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +317,7 @@ def sobolev_norm(f: SpectralField, k: int, s: float) -> float:
     total = lebesgue_norm(f, s)
     current = f
     for _ in range(k):
-        g = gradient(current)  # (comp, dim, *grid)
-        stacked = g.reshape((-1,) + f.grid.shape)
-        current = SpectralField(f.grid, stacked, mean_zero=True)
+        current = SpectralField(f.grid, gradient_planes(f.grid, current.half), mean_zero=True)
         total += lebesgue_norm(current, s)
     return total
 

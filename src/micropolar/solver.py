@@ -21,22 +21,25 @@ from .exponents import ExponentConfig
 from .fields import (
     GridSpec,
     SpectralField,
-    full_spectrum,
-    half_spectrum,
     irfft_half,
     parseval_columns,
     parseval_l2,
     _zero_index,
 )
-from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators, _half_symbols
+from .nonlinear import CouplingParams, ForcingSpec, assemble_rhs, generators
 from .operators import (
     OperatorKind,
     OperatorSymbol,
     apply_operator,
     cross,
+    derivative_symbol,
+    eig_families,
     lebesgue_norm,
+    leray_coeffs,
     parallel_part,
     power_weight,
+    projector_symbols,
+    subspaces,
 )
 
 MEAN_TOL = 1e-10
@@ -97,35 +100,6 @@ def cubic_weights(eig: np.ndarray, h: float) -> tuple:
     return tuple(h ** (k + 1) * _psi(k, z) for k in range(4))
 
 
-def _decompose(op: OperatorSymbol, coeffs: np.ndarray, kap: np.ndarray,
-               ksq: np.ndarray) -> list:
-    """Split coefficients (..., comp, *modes) into the operator's invariant
-    subspaces, matching eig_families order; kap and ksq are the projector
-    symbols on the same modes (full or half spectrum)."""
-    if op.kind is OperatorKind.GAMMA and coeffs.shape[-ksq.ndim - 1] > 1:
-        para = parallel_part(coeffs, kap, ksq)
-        return [coeffs - para, para]
-    return [coeffs]
-
-
-def eig_families(op: OperatorSymbol, components: int) -> list:
-    """Eigenvalue arrays matching the subspace split of a field with the given
-    component count (a scalar under the vector elliptic generator sees only
-    the transverse coefficient)."""
-    eigs = list(op.eigenvalues())
-    if op.kind is OperatorKind.GAMMA and components == 1:
-        return eigs[:1]
-    return eigs
-
-
-def _half_subspaces(op: OperatorSymbol, half: np.ndarray) -> list:
-    """(eigenvalues, part) per invariant subspace of node-stacked half
-    spectra (nodes, comp, *half), both on the half spectrum."""
-    eigs = eig_families(op, half.shape[1])
-    _, kap, ksq, _ = _half_symbols(op.grid)
-    return list(zip((half_spectrum(e) for e in eigs), _decompose(op, half, kap, ksq)))
-
-
 class DuhamelPropagator:
     """Exact per-mode propagation of int_0^t exp(-(t-s) L) N(s) ds along a
     node grid, one subspace recursion per invariant eigenvalue family.
@@ -164,7 +138,7 @@ class DuhamelPropagator:
         field runs the recurrence on the output rows themselves; the two
         families of a vector under the elliptic generator run in their own
         node buffers, summed into each row."""
-        eigs, parts = zip(*_half_subspaces(self.op, rhs))
+        eigs, parts = zip(*subspaces(self.op, rhs))
         out = np.zeros_like(rhs)
         scratch = np.empty_like(rhs[0])
         accs = [np.zeros_like(scratch) for _ in parts] if len(parts) > 1 else None
@@ -265,12 +239,11 @@ class TrajectoryState:
 
     def _field(self, tag: str, half: np.ndarray) -> SpectralField:
         # the Stokes semigroup and the projected RHS keep the velocity mean-zero
-        return SpectralField(self.grid, full_spectrum(self.grid, half),
-                             mean_zero=tag == "u")
+        return SpectralField(self.grid, half, mean_zero=tag == "u")
 
     def state_at(self, j: int) -> tuple:
-        """(u, om, th) at node j as full-spectrum fields: a view for readers
-        of checkpoints and reports; the solver uses the arrays."""
+        """(u, om, th) at node j as fields on the stored arrays: a view for
+        readers of checkpoints and reports; the solver uses the arrays."""
         return tuple(self._field(tag, c[j]) for tag, c in self.coeffs.items())
 
     def l2_norms(self) -> dict:
@@ -280,14 +253,14 @@ class TrajectoryState:
 
     @property
     def u(self) -> tuple:
-        """The velocity at every node as full-spectrum fields: a view for
-        readers of checkpoints and reports; the solver uses the arrays."""
+        """The velocity at every node as fields on the stored arrays: a view
+        for readers of checkpoints and reports; the solver uses the arrays."""
         return tuple(self._field("u", c) for c in self.coeffs["u"])
 
 
 def start_state(u0: SpectralField, om0: SpectralField, th0: SpectralField) -> TrajectoryState:
     """The solver state of the initial data (u0, om0, th0) at t = 0."""
-    coeffs = {tag: half_spectrum(f.coeffs)[np.newaxis] for tag, f in zip(TAGS, (u0, om0, th0))}
+    coeffs = {tag: f.half[np.newaxis] for tag, f in zip(TAGS, (u0, om0, th0))}
     return TrajectoryState(np.array([0.0]), u0.grid, coeffs, coeffs)
 
 
@@ -307,7 +280,7 @@ def _free_evolution(op: OperatorSymbol, start: np.ndarray, times: np.ndarray) ->
     spectrum (comp, *half) of a real field, solenoidal under Stokes: one
     broadcast exp(-t eig) * part over the nodes per invariant subspace."""
     t = times.reshape((-1,) + (1,) * (op.grid.dim + 1))
-    terms = [np.exp(-t * eig) * part for eig, part in _half_subspaces(op, start[np.newaxis])]
+    terms = [np.exp(-t * eig) * part for eig, part in subspaces(op, start[np.newaxis])]
     # summed from the first term: 0.0 + x would turn a -0.0 into +0.0
     return sum(terms[1:], terms[0])
 
@@ -321,7 +294,7 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
     times, grid = np.asarray(times, dtype=np.float64), start.grid
     u0, om0, th0 = (start.coeffs[tag][0] for tag in TAGS)
     if strict:
-        div = np.sum(_half_symbols(grid)[0] * u0, axis=0)[np.newaxis, np.newaxis]
+        div = np.sum(derivative_symbol(grid) * u0, axis=0)[np.newaxis, np.newaxis]
         if parseval_l2(grid, div)[0] > 1e-8 * parseval_l2(grid, start.coeffs["u"])[0]:
             raise PreconditionError("initial velocity is not solenoidal")
         for name, c in zip(("velocity", "microrotation", "temperature"), (u0, om0, th0)):
@@ -329,8 +302,7 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
             if np.max(np.abs(c[(Ellipsis,) + _zero_index(grid)])) > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
     # the Stokes semigroup acts on the Leray projection of the velocity
-    u0 = u0 - parallel_part(u0, *_half_symbols(grid)[1:3])
-    u0[(Ellipsis,) + _zero_index(grid)] = 0.0
+    u0 = leray_coeffs(grid, u0)
     free = {tag: _free_evolution(op, c, times) for tag, op, c
             in zip(TAGS, generators(grid, params), (u0, om0, th0))}
     return TrajectoryState(times=times, grid=grid, coeffs=free, free=free, m=0)
@@ -445,9 +417,9 @@ class WeightedNorms:
         energies of each subspace over all nodes and exponents; other s take
         one batched inverse transform per exponent."""
         op, s, grid = self.ops[tag], self.lebesgue[tag], self.grid
-        eigs = [half_spectrum(e) for e in eig_families(op, half.shape[1])]
+        eigs = eig_families(op, half.shape[1])
         split = op.kind is OperatorKind.STOKES or len(eigs) == 2
-        _, kap, ksq, _ = _half_symbols(grid)
+        kap, ksq = projector_symbols(grid)
         if s == 2.0:
             if split:
                 # |perp|^2 = |k x c|^2 / |k|^2 and, for the second family of
@@ -617,7 +589,7 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
     out = {}
     for (tag, half), op in zip(traj.coeffs.items(), generators(traj.grid, params)):
         acc = 0.0
-        for eig, part in _half_subspaces(op, rhs[tag]):
+        for eig, part in subspaces(op, rhs[tag]):
             cs = CubicSpline(times, part.reshape(len(times), -1), axis=0).c  # (4, nodes-1, flat)
             eig_flat = np.broadcast_to(eig, part.shape[1:]).reshape(-1)
             run = np.zeros(cs.shape[2], dtype=np.complex128)
@@ -662,6 +634,12 @@ def _concat_trajectories(segments: list) -> TrajectoryState:
         m=segments[-1].m)
 
 
+def first_window(pic: PicardConfig, t0: float) -> int:
+    """Index of the window of the march from t = 0 that a march from t0
+    runs first: the one t0 lies in, or the next when t0 ends a window."""
+    return int(math.floor(t0 / pic.horizon + 1e-9))
+
+
 def window_horizons(pic: PicardConfig, t_total: float, t0: float = 0.0) -> list:
     """Horizons of the windows that march from t0 to t_total: those of the
     march from t = 0, from the window that starts at t0 on, so that a march
@@ -669,7 +647,7 @@ def window_horizons(pic: PicardConfig, t_total: float, t0: float = 0.0) -> list:
     window first runs to that window's end.  The list is empty when t0 already reaches t_total."""
     h = pic.horizon
     n_windows = int(math.ceil(t_total / h - 1e-12))
-    first = int(math.floor(t0 / h + 1e-9))
+    first = first_window(pic, t0)
     out = [min(h, t_total - w * h) for w in range(first, n_windows)]
     if out and t0 - first * h > 1e-9 * h:
         out[0] -= t0 - first * h

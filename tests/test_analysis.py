@@ -17,7 +17,6 @@ from micropolar.analysis import (
     vanishing_weight_proxy,
     verify_holder_difference,
 )
-from micropolar.fields import full_spectrum
 from micropolar.kmbounds import holder_constant, semigroup_constant
 from micropolar.solver import node_rhs
 
@@ -206,7 +205,7 @@ def test_pde_residual_linear_single_mode(grid2d, params, cfg2):
         th = traj.state_at(j)[2]
         analytic_dt = (-mu) * th
         resid = (analytic_dt + mp.apply_operator(b_op, th)
-                 - mp.SpectralField(grid2d, full_spectrum(grid2d, rhs_th[j])))
+                 - mp.SpectralField(grid2d, rhs_th[j]))
         assert resid.l2() <= 1e-10
     res = pde_residual(traj, params, ZERO, ZERO, linear_only=True)
     dt = 1.0 / 512
@@ -446,9 +445,7 @@ def test_nonhilbert_zero_order_keeps_full_ensemble(grid2d, params, lemma, forcin
 
 
 def _reference_mode_basis(grid, components, kmax):
-    from micropolar.fields import integer_wavevectors
-
-    ks = integer_wavevectors(grid)
+    ks = np.meshgrid(*[np.fft.fftfreq(grid.n, 1.0 / grid.n)] * grid.dim, indexing="ij")
     reps = []
     for idx in np.ndindex(*grid.shape):
         kv = tuple(int(ks[a][idx]) for a in range(grid.dim))
@@ -794,6 +791,27 @@ def test_generator_rows_share_work_bit_for_bit(grid2d, params, target, solenoida
     for op in ops:
         row(op, alphas[0])
     assert _probe_work.cache_info().currsize == 1
+
+
+def test_smoothing_rows_compute_each_fields_energies_once(grid2d, params, monkeypatch):
+    """The twelve rows of verify 2.1 read 15 distinct fields, the extremal
+    probe and four members per generator: each field's mode energies are
+    computed once and shared by the generator's alpha rows."""
+    from micropolar import analysis
+
+    energies, calls = analysis._mode_energies, []
+
+    def counting(*args):
+        calls.append(args[0].kind)
+        return energies(*args)
+
+    monkeypatch.setattr(analysis, "_mode_energies", counting)
+    analysis._probe_work.cache_clear()
+    for op in mp.generators(grid2d, params):
+        for alpha in (0.25, 0.5, 0.75, 1.0):
+            mp.verify_smoothing(op, alpha, 0.5 * op.min_positive_eigenvalue())
+    assert len(calls) == 15
+    assert [calls.count(op.kind) for op in mp.generators(grid2d, params)] == [5, 5, 5]
 
 
 @pytest.mark.parametrize("case", ["zero", "linear", "tanh-g", "p3"])

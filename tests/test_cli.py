@@ -257,6 +257,48 @@ def test_resume_repeats_non_binary_windows(tmp_path, capsys):
     assert "checkpoint already covers requested horizon" in capsys.readouterr().out
 
 
+def test_resume_from_picard_checkpoint_numbers_windows_from_its_time(tmp_path):
+    # picard's checkpoint_final.mpk says window 0 and ends at t = horizon:
+    # the resumed march numbers its windows from that time, so the first
+    # checkpoint it writes is checkpoint_w1.mpk
+    from micropolar.checkpoint import read_header
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_dict(str(tmp_path / "unused"), horizon=0.1,
+                                            t_total=0.3)))
+    run, resumed = str(tmp_path / "run"), str(tmp_path / "resumed")
+    assert dispatch(["picard", "--config", str(path), "--out", run]) == 0
+    final = os.path.join(run, "checkpoint_final.mpk")
+    assert read_header(final)["window"] == 0
+    assert dispatch(["checkpoint", "resume", final, "--config", str(path),
+                     "--out", resumed]) == 0
+    assert sorted(name for name in os.listdir(resumed) if name.endswith(".mpk")) \
+        == ["checkpoint_w1.mpk", "checkpoint_w2.mpk"]
+    with open(os.path.join(resumed, "iterations.csv")) as fh:
+        assert {row["window"] for row in csv.DictReader(fh)} == {"1", "2"}
+
+
+def test_resume_after_a_partial_window_keeps_the_window_names(tmp_path):
+    # a march to t_total 0.3 ends inside window 1 (horizon 0.25); extended to
+    # 1.0, its resume first finishes window 1 and names every checkpoint as
+    # the uninterrupted march does, by the window it ends
+    from micropolar.checkpoint import read_header
+
+    short, extended = tmp_path / "short.json", tmp_path / "extended.json"
+    short.write_text(json.dumps(_config_dict(str(tmp_path / "unused"), t_total=0.3)))
+    extended.write_text(json.dumps(_config_dict(str(tmp_path / "unused"), t_total=1.0)))
+    run, resumed, full = (str(tmp_path / name) for name in ("run", "resumed", "full"))
+    assert dispatch(["simulate", "--config", str(short), "--out", run]) == 0
+    assert dispatch(["checkpoint", "resume", os.path.join(run, "checkpoint_w1.mpk"),
+                     "--config", str(extended), "--out", resumed]) == 0
+    assert dispatch(["simulate", "--config", str(extended), "--out", full]) == 0
+    names = sorted(name for name in os.listdir(resumed) if name.endswith(".mpk"))
+    assert names == ["checkpoint_w1.mpk", "checkpoint_w2.mpk", "checkpoint_w3.mpk"]
+    for name in names:
+        assert read_header(os.path.join(resumed, name))["t_end"] \
+            == read_header(os.path.join(full, name))["t_end"]
+
+
 def test_simulate_refuses_empty_march(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(_config_dict(str(tmp_path / "out"), t_total=0.0)))

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import micropolar as mp
 from micropolar.errors import SingularOperatorError
-from micropolar.fields import grid_points
+from micropolar.fields import grid_points, half_spectrum
 from micropolar.operators import (
     divergence,
     divergence_defect,
@@ -73,7 +73,7 @@ def test_negative_power_needs_mean_zero(grid2d):
     c[0, 0, 0] = 1.0
     c[0, 1, 0] = 0.5
     c[0, -1, 0] = 0.5
-    f = mp.SpectralField(grid2d, c)
+    f = mp.SpectralField(grid2d, half_spectrum(c))
     b = mp.laplace_operator(grid2d, power=-0.5)
     with pytest.raises(SingularOperatorError):
         mp.apply_operator(b, f)
@@ -149,7 +149,7 @@ def test_smoothing_single_mode_exact(grid2d):
 def test_gradient_l2_equals_half_power(grid2d, rng):
     # Parseval identity oracle: ||grad u||_2 = ||A^(1/2) u||_2 for solenoidal u
     u = mp.leray_project(mp.random_field(grid2d, 2, rng))
-    g = gradient(u).reshape((-1,) + grid2d.shape)
+    g = gradient(u).reshape((-1,) + grid2d.half_shape)
     grad_norm = mp.SpectralField(grid2d, g, mean_zero=True).l2()
     half = mp.apply_operator(mp.stokes_operator(grid2d, power=0.5), u).l2()
     assert grad_norm == pytest.approx(half, rel=1e-12)
@@ -196,14 +196,14 @@ def test_batched_power_matches_per_field(grid2d, rng, kind):
           "laplace": mp.laplace_operator}[kind](grid2d)
     comp = 1 if kind == "laplace" else 2
     fields = [mp.random_field(grid2d, comp, rng) for _ in range(4)]
-    stacked = np.stack([f.coeffs for f in fields])
+    stacked = np.stack([f.half for f in fields])
     for power in (-0.5, 0.0, 0.75):
         got = power_coeffs(op.with_power(power), stacked)
-        want = np.stack([mp.apply_operator(op.with_power(power), f).coeffs
+        want = np.stack([mp.apply_operator(op.with_power(power), f).half
                          for f in fields])
         assert np.array_equal(got, want)
     if comp == 2:
-        want = np.stack([mp.leray_project(f).coeffs for f in fields])
+        want = np.stack([mp.leray_project(f).half for f in fields])
         assert np.array_equal(leray_coeffs(grid2d, stacked), want)
 
 
@@ -211,7 +211,7 @@ def test_batched_negative_power_checks_every_member(grid2d, rng):
     from micropolar.operators import power_coeffs
 
     op = mp.laplace_operator(grid2d, power=-0.5)
-    stacked = np.stack([mp.random_field(grid2d, 1, rng).coeffs for _ in range(3)])
+    stacked = np.stack([mp.random_field(grid2d, 1, rng).half for _ in range(3)])
     stacked[2, 0, 0, 0] = 0.1      # the last member alone has a mean
     with pytest.raises(SingularOperatorError):
         power_coeffs(op, stacked)
@@ -227,7 +227,7 @@ def test_cross_magnitude_equals_curl_bit_for_bit(dim):
     from micropolar.operators import cross, curl
 
     grid = mp.GridSpec(dim=dim, n=8)
-    c = mp.random_field(grid, dim, np.random.default_rng(dim)).coeffs.copy()
+    c = mp.random_field(grid, dim, np.random.default_rng(dim)).half.copy()
     c.real[..., 0] = -0.0
     ks = deriv_wavevectors(grid)
     assert np.abs(cross(c, ks)).tobytes() == np.abs(curl(c, ks)).tobytes()

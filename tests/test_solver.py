@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import micropolar as mp
 from micropolar.errors import PreconditionError
 from micropolar.fields import full_spectrum, half_spectrum
-from micropolar.operators import spectral_coeffs
+from micropolar.operators import spectral_coeffs, subspaces
 from micropolar.solver import (
     TAGS,
     DuhamelPropagator,
@@ -23,7 +23,6 @@ from micropolar.solver import (
     picard_step,
     tag_components,
     time_weight,
-    _half_subspaces,
 )
 
 ZERO = mp.ForcingSpec.zero()
@@ -35,7 +34,7 @@ def _stack(fields):
 
 
 def _field(grid, half):
-    return mp.SpectralField(grid, full_spectrum(grid, half))
+    return mp.SpectralField(grid, half)
 
 
 def _duhamel(op, rhs, times, j):
@@ -530,7 +529,7 @@ def test_rhs_block_size_follows_byte_budget(monkeypatch):
 def _integrate_nodes_reference(prop, rhs):
     """The Duhamel recurrence with one accumulator per family, rebound each
     interval and summed into every node."""
-    eigs, parts = zip(*_half_subspaces(prop.op, rhs))
+    eigs, parts = zip(*subspaces(prop.op, rhs))
     acc = [np.zeros_like(p[0]) for p in parts]
     out = np.zeros_like(rhs)
     for j in range(len(prop.times) - 1):
@@ -542,9 +541,8 @@ def _integrate_nodes_reference(prop, rhs):
 
 
 def _free_evolution_reference(op, f0, times):
-    """exp(-t op) f0 one node at a time on the full spectrum."""
-    return np.stack([half_spectrum(spectral_coeffs(op, lambda eig: np.exp(-t * eig),
-                                                   f0.coeffs))
+    """exp(-t op) f0 one node at a time."""
+    return np.stack([spectral_coeffs(op, lambda eig: np.exp(-t * eig), f0.half)
                      for t in times.tolist()])
 
 
@@ -638,8 +636,8 @@ def _count_field_builds(monkeypatch) -> list:
 
 def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
     """A sweep works on the trajectory's half spectra: it builds no
-    SpectralField and fills no full spectrum (state_at, which does both,
-    shows that the counting sees them)."""
+    SpectralField and fills no full spectrum (state_at, which builds
+    fields, and their .coeffs, which fill, show that the counting sees them)."""
     u0, om0, th0 = _initial_data(grid2d, rng)
     traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 5), params)
     calls = _count_field_builds(monkeypatch)
@@ -648,14 +646,16 @@ def test_picard_step_builds_no_fields(grid2d, params, rng, monkeypatch):
     traj = picard_step(traj, params, f, g)
     picard_step(traj, params, ZERO, ZERO, linear_only=True)
     assert calls == []
-    traj.state_at(0)
+    state = traj.state_at(0)
+    assert calls == ["field"] * 3
+    [f.coeffs for f in state]
     assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
 
 
 def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
     """The node table, the energy ledger and both residual checks read the
     trajectory's half spectra: they build no SpectralField and fill no full
-    spectrum (state_at shows that the counting sees them)."""
+    spectrum (state_at and .coeffs show that the counting sees them)."""
     from types import SimpleNamespace
 
     from micropolar.analysis import energy_report, pde_residual
@@ -672,7 +672,9 @@ def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
     pde_residual(traj, params, f, g)
     duhamel_residual(traj, params, f, g)
     assert calls == []
-    traj.state_at(0)
+    state = traj.state_at(0)
+    assert calls == ["field"] * 3
+    [f.coeffs for f in state]
     assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
 
 
@@ -680,7 +682,7 @@ def test_solver_states_build_no_fields(grid2d, params, cfg2, rng, tmp_path, monk
     """Start states, window restarts, checkpoints and resume carry the half
     spectra: global_solve over two windows, checkpoint_write, checkpoint_read
     and _march from a checkpoint build no SpectralField and fill no full
-    spectrum (state_at shows that the counting sees them)."""
+    spectrum (state_at and .coeffs show that the counting sees them)."""
     from micropolar.checkpoint import checkpoint_read, checkpoint_write
     from micropolar.cli import InitialDataSpec, RunConfig, _march, _new_bundle
 
@@ -693,11 +695,39 @@ def test_solver_states_build_no_fields(grid2d, params, cfg2, rng, tmp_path, monk
     result = mp.global_solve(start, cfg2, params, ZERO, ZERO, pic, 0.25)
     assert len(result.reports) == 2
     checkpoint_write(result.traj, path, window=1)
-    assert _march(cfg, _new_bundle(cfg, "checkpoint resume"), checkpoint_read(path), 2) == 0
+    assert _march(cfg, _new_bundle(cfg, "checkpoint resume"), checkpoint_read(path)) == 0
     assert sorted(os.listdir(cfg.output_dir))[:2] == ["checkpoint_w2.mpk", "checkpoint_w3.mpk"]
     assert calls == []
-    checkpoint_read(path).state_at(0)
+    state = checkpoint_read(path).state_at(0)
+    assert calls == ["field"] * 3
+    [f.coeffs for f in state]
     assert sorted(calls) == ["field"] * 3 + ["fill"] * 3
+
+
+def test_estimate_paths_fill_no_full_spectrum(grid2d, params, cfg2, monkeypatch):
+    """The estimate checks and the initial data work on half spectra: the
+    smoothing and difference checks, the embeddings, the exact-sup,
+    symbol and random-member coupling estimates and build_initial_data fill
+    no full spectrum (reading .coeffs shows that the counting sees it)."""
+    from micropolar.analysis import _probe_work, verify_embeddings, verify_holder_difference
+    from micropolar.cli import InitialDataSpec, build_initial_data, lambda_chain_cap
+
+    base = mp.ExponentConfig(p=3.0, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
+    p3 = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid2d, params)).config
+    a_op, _, b_op = mp.generators(grid2d, params)
+    _probe_work.cache_clear()
+    calls = _count_field_builds(monkeypatch)
+    mp.verify_smoothing(a_op, 0.5, 0.5 * a_op.min_positive_eigenvalue(), solenoidal=True)
+    verify_holder_difference(b_op, 0.5)
+    verify_embeddings(0.5, 2.0, 1, 2.0, grid2d, ensemble=2)
+    for lemma_id in ("2.5", "2.10"):
+        mp.verify_bilinear(lemma_id, cfg2, grid2d, params, ensemble=2)
+    mp.verify_bilinear("2.6", p3, grid2d, params, ensemble=2)
+    for kind in ("random", "single_mode", "zero"):
+        data = build_initial_data(grid2d, InitialDataSpec(kind=kind), seed=1)
+    assert "field" in calls and "fill" not in calls
+    [f.coeffs for f in data]
+    assert calls[-3:] == ["fill"] * 3
 
 
 @pytest.mark.parametrize("mean", [True, False], ids=["mean", "mean-zero"])
