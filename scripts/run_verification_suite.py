@@ -13,6 +13,7 @@ import time
 
 import micropolar as mp
 from micropolar.analysis import (
+    ESTIMATES,
     verify_bilinear,
     verify_embeddings,
     verify_holder_difference,
@@ -58,8 +59,7 @@ def main():
                                 seed=args.seed)
         rows.append((f"embedding a={alpha} -> W^{k},{s}", rep))
 
-    for lemma in ("2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11",
-                  "2.12", "2.13"):
+    for lemma in ESTIMATES:
         rep = verify_bilinear(lemma, cfg, grid, params,
                               ensemble=args.ensemble, seed=args.seed)
         rows.append((f"estimate {lemma}", rep))

@@ -16,6 +16,7 @@ half-ensembles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -362,7 +363,7 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
     but its ensemble sup converges slowly, so the verdict reports finiteness
     only."""
     if not (1 / p - (2 * alpha - k) / 3 - 1e-12 <= 1 / s <= 1 / p + 1e-12):
-        raise ValueError(
+        raise ConfigurationError(
             f"embedding exponents violate 1/p - (2a-k)/3 <= 1/s <= 1/p "
             f"(a={alpha}, p={p}, k={k}, s={s})")
     boundary = abs(1 / p - (2 * alpha - k) / 3 - 1 / s) <= 1e-9
@@ -397,6 +398,88 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
 # ---------------------------------------------------------------------------
 # The nine estimate constants
 #
+# Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
+# fractional norms of its arguments,
+#
+#     ||outer(left(x_1, ..., x_k))||_(L^s of out) <= C prod_i ||op_i^(e_i) x_i||,
+#
+# and ESTIMATES states each one once: every path below (the random ratio, the
+# L2 symbol, the exact sup, the Hilbert test and the fit) reads its row.
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One coupling estimate.
+
+    out is the tag of the left side's field: it fixes the Lebesgue exponent
+    of the left side, the outer operator (the Leray projection for u, then
+    the power -delta of out's generator) and the forcing a force row reads
+    (f for u, g for om).  left is the kernel: advect (x_1 . grad) x_2, phi
+    the dissipation function of (u, om) and (v, psi), rot, id, or force,
+    the forcing at the temperature x_1.  slots holds one (field tag,
+    ExponentConfig weight exponent) pair per argument, and delta names the
+    ExponentConfig inverse power, or is None."""
+
+    out: str
+    left: str
+    slots: tuple
+    delta: str | None = None
+
+    @property
+    def arguments(self) -> tuple:
+        """The slot of every argument field: phi takes two per slot, u, v
+        then om, psi."""
+        return tuple(s for s in self.slots for _ in range(2 if self.left == "phi" else 1))
+
+    def hilbert(self, cfg: ExponentConfig) -> bool:
+        """Whether every Lebesgue exponent the estimate reads is 2."""
+        lebesgue = dict(zip(TAGS, (cfg.p, cfg.q, cfg.r)))
+        return all(lebesgue[tag] == 2.0 for tag in {self.out} | set(dict(self.slots)))
+
+    @property
+    def quadratic(self) -> bool:
+        """Whether the left side is bilinear in two slots (advect, phi)
+        rather than zero-order in one (rot, id, force)."""
+        return self.left in ("advect", "phi")
+
+    def outer(self, cfg: ExponentConfig, ops: dict, half: np.ndarray,
+              power=power_coeffs) -> np.ndarray:
+        """The outer operator on stacked half spectra (..., comp, *half): the
+        Leray projection for u, then out's generator in ops to the power
+        -delta, applied by power (power_coeffs or _half_power)."""
+        if self.out == "u":
+            half = leray_coeffs(ops["u"].grid, half)
+        if self.delta is None:
+            return half
+        return power(ops[self.out].with_power(-getattr(cfg, self.delta)), half)
+
+    def forcing(self, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
+        """The forcing a force row bounds, f for u and g for om, or the
+        linear e1 probe in its place when it vanishes, since the estimate
+        divides by its Lipschitz constant."""
+        force = f if self.out == "u" else g
+        components = tag_components(dim)[self.out]
+        if force.lipschitz == 0:
+            force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
+        if len(force.c) != components:
+            raise ConfigurationError(
+                f"forcing has {len(force.c)} components, expected {components}")
+        return force
+
+
+ESTIMATES = {
+    "2.5": Estimate("u", "advect", (("u", "alpha1"), ("u", "alpha1")), "delta1"),
+    "2.6": Estimate("om", "advect", (("u", "alpha2"), ("om", "beta2")), "delta2"),
+    "2.7": Estimate("th", "advect", (("u", "alpha3"), ("th", "gamma3")), "delta3"),
+    "2.8": Estimate("th", "phi", (("u", "alpha3"), ("om", "beta3"))),
+    "2.9": Estimate("u", "rot", (("om", "beta1"),), "delta1"),
+    "2.10": Estimate("om", "id", (("om", "beta2"),)),
+    "2.11": Estimate("om", "rot", (("u", "alpha2"),), "delta2"),
+    "2.12": Estimate("u", "force", (("th", "gamma1"),)),
+    "2.13": Estimate("om", "force", (("th", "gamma2"),)),
+}
+
+
 # For the quadratic estimates in the Hilbert case the fitted constant is
 # computed by alternating exact maximization: with one argument frozen the
 # estimate's left side is linear in the other, so its sharp constant over a
@@ -495,30 +578,6 @@ def _orthonormal_fields(basis: np.ndarray, weight: OperatorSymbol) -> np.ndarray
 _EXACT_KMAX = 2
 
 
-@dataclass(frozen=True)
-class _ExactSupLemma:
-    """A quadratic estimate with exact restricted maximization: a velocity
-    slot weighted by A^alpha and a second slot of field `tag` weighted by
-    that field's generator to `exp` (2.5 has two velocity slots of one
-    kind).  For 2.5-2.7 the left side is |op^(-delta) (P) (u.grad) w| with
-    op the generator of `tag`; 2.8 (delta None) bounds Phi."""
-
-    alpha: float
-    tag: str
-    exp: float
-    delta: float | None
-
-
-def _exact_sup_lemma(lemma_id: str, cfg: ExponentConfig) -> _ExactSupLemma:
-    table = {"2.5": _ExactSupLemma(cfg.alpha1, "u", cfg.alpha1, cfg.delta1),
-             "2.6": _ExactSupLemma(cfg.alpha2, "om", cfg.beta2, cfg.delta2),
-             "2.7": _ExactSupLemma(cfg.alpha3, "th", cfg.gamma3, cfg.delta3),
-             "2.8": _ExactSupLemma(cfg.alpha3, "om", cfg.beta3, None)}
-    if lemma_id not in table:
-        raise ConfigurationError(f"no exact maximization for estimate {lemma_id!r}")
-    return table[lemma_id]
-
-
 def _exact_grid(grid: GridSpec) -> GridSpec:
     """The smallest grid that holds the exact-sup products exactly.
 
@@ -535,19 +594,19 @@ def _exact_grid(grid: GridSpec) -> GridSpec:
     return GridSpec(grid.dim, n, grid.length, cutoff / (n / 2))
 
 
-def _slot_spaces(lemma: _ExactSupLemma, grid: GridSpec,
+def _slot_spaces(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
                  params: CouplingParams) -> dict:
-    """The slot spaces of an exact-sup lemma by field tag, on _exact_grid(grid):
-    velocity slots range over the Leray-projected basis."""
+    """The slot spaces of a quadratic estimate by field tag, on
+    _exact_grid(grid): velocity slots range over the Leray-projected basis."""
     grid = _exact_grid(grid)
     ops = dict(zip(TAGS, generators(grid, params)))
     comps = tag_components(grid.dim)
     spaces = {}
-    for tag, exp in dict((("u", lemma.alpha), (lemma.tag, lemma.exp))).items():
+    for tag, name in dict(ESTIMATES[lemma_id].slots).items():
         basis = _real_mode_basis(grid, comps[tag], _EXACT_KMAX)
         if tag == "u":
             basis = leray_coeffs(grid, basis)
-        weight = ops[tag].with_power(exp)
+        weight = ops[tag].with_power(getattr(cfg, name))
         spaces[tag] = _SlotSpace(grid, weight, _orthonormal_fields(basis, weight))
     return spaces
 
@@ -575,8 +634,9 @@ def _slot_maximizers(space: _SlotSpace, images: np.ndarray) -> tuple:
     return sing[:, 0], best.reshape((len(images),) + space.fields.shape[1:])
 
 
-def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
-                spaces: dict, rngs: list, alternations: int = 3) -> np.ndarray:
+def _exact_sups(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
+                params: CouplingParams, spaces: dict, rngs: list,
+                alternations: int = 3) -> np.ndarray:
     """Alternating restricted maximization of a quadratic estimate ratio over
     the slot spaces of _slot_spaces, one member per stream of rngs, all in
     lockstep.
@@ -589,6 +649,7 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
     forms its products with the kept grid values of the varied slot, and
     returns them in one forward transform; one stacked SVD per slot gives
     every member's sup and maximizer, whose weight norm is 1."""
+    est = ESTIMATES[lemma_id]
     dim, vel = grid.dim, spaces["u"]
     small, members = vel.grid, len(rngs)
     starts = np.stack([leray_project(random_field(grid, dim, rng, sigma=_SIGMA,
@@ -609,7 +670,7 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
         values (comp, members, fields, *grid)."""
         return np.moveaxis(rfft_half(small, prod), 0, 2) * mask
 
-    if lemma.delta is None:     # 2.8: the left slot of each member is u or om
+    if est.left == "phi":     # the left slot of each member is u or om
         mic = spaces["om"]
         comp = mic.fields.shape[1]
         zero_du = np.zeros((dim, dim) + (1,) * (dim + 2))
@@ -635,19 +696,16 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
             left_u, left_om = np.where(pick, v, 0.0), np.where(pick, 0.0, psi)
         return best / (1.0 + params.mu_r)
 
-    w_space = spaces[lemma.tag]
-    op = dict(zip(TAGS, generators(small, params)))[lemma.tag]
-    inverse = op.with_power(-lemma.delta)
+    w_space = spaces[est.slots[1][0]]
+    ops = dict(zip(TAGS, generators(small, params)))
 
     def lhs(u_vals, dw):
-        """op^(-delta) (P) of sum_a u_a d_a w from grid values u (dim, ...)
-        and dw (comp, dim, ...), broadcast over (members, fields)."""
+        """The outer operator of sum_a u_a d_a w from grid values u (dim,
+        ...) and dw (comp, dim, ...), broadcast over (members, fields), its
+        power by _half_power, which projects no second time."""
         out = forward(sum(u_vals[a] * dw[:, a] for a in range(dim)))
         shape = out.shape
-        out = out.reshape((-1,) + shape[2:])
-        if lemma.tag == "u":
-            out = leray_coeffs(small, out)
-        return _half_power(inverse, out).reshape(shape)
+        return est.outer(cfg, ops, out.reshape((-1,) + shape[2:]), _half_power).reshape(shape)
 
     for _ in range(alternations):
         u_vals = _grid_values(small, u)[0][:, :, np.newaxis]
@@ -660,153 +718,65 @@ def _exact_sups(lemma: _ExactSupLemma, grid: GridSpec, params: CouplingParams,
     return best
 
 
-def _hilbert_exponents(lemma_id: str, cfg: ExponentConfig) -> bool:
-    """Whether every Lebesgue exponent the estimate reads is 2."""
-    need = {"2.5": (cfg.p,), "2.6": (cfg.p, cfg.q), "2.7": (cfg.p, cfg.r),
-            "2.8": (cfg.p, cfg.q, cfg.r), "2.9": (cfg.p, cfg.q), "2.10": (cfg.q,),
-            "2.11": (cfg.q, cfg.p), "2.12": (cfg.p, cfg.r),
-            "2.13": (cfg.q, cfg.r)}.get(lemma_id, ())
-    return bool(need) and all(s == 2.0 for s in need)
-
-
-def _bilinear_ratio(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
-                    params: CouplingParams, f: ForcingSpec, g: ForcingSpec,
-                    rng, kmax: int | None = None) -> float:
-    a_op, g_op, b_op = generators(grid, params)
-    norms = WeightedNorms(cfg, grid, params)
-    dim = grid.dim
-    om_comp = tag_components(dim)["om"]
-
-    def vec():
-        return leray_project(random_field(grid, dim, rng, sigma=_SIGMA, kmax=kmax))
-
-    def micro():
-        return random_field(grid, om_comp, rng, sigma=_SIGMA, kmax=kmax)
-
-    def scal():
-        return random_field(grid, 1, rng, sigma=_SIGMA, kmax=kmax)
-
-    if lemma_id == "2.5":
-        u, v = vec(), vec()
-        lhs_field = apply_operator(a_op.with_power(-cfg.delta1),
-                                   leray_project(advect(u, v)))
-        lhs = lebesgue_norm(lhs_field, cfg.p)
-        rhs = (norms.fractional_norm("u", u, cfg.alpha1)
-               * norms.fractional_norm("u", v, cfg.alpha1))
-    elif lemma_id == "2.6":
-        u, om = vec(), micro()
-        lhs = lebesgue_norm(apply_operator(g_op.with_power(-cfg.delta2),
-                                           advect(u, om)), cfg.q)
-        rhs = (norms.fractional_norm("u", u, cfg.alpha2)
-               * norms.fractional_norm("om", om, cfg.beta2))
-    elif lemma_id == "2.7":
-        u, th = vec(), scal()
-        lhs = lebesgue_norm(apply_operator(b_op.with_power(-cfg.delta3),
-                                           advect(u, th)), cfg.r)
-        rhs = (norms.fractional_norm("u", u, cfg.alpha3)
-               * norms.fractional_norm("th", th, cfg.gamma3))
-    elif lemma_id == "2.8":
-        u, v, om, psi = vec(), vec(), micro(), micro()
-        lhs = lebesgue_norm(dissipation_phi(u, v, om, psi, params), cfg.r)
-        nu = norms.fractional_norm("u", u, cfg.alpha3)
-        nv = norms.fractional_norm("u", v, cfg.alpha3)
-        no = norms.fractional_norm("om", om, cfg.beta3)
-        np_ = norms.fractional_norm("om", psi, cfg.beta3)
-        rhs = (1 + params.mu_r) * (nu * nv + nu * np_ + nv * no + no * np_)
-    elif lemma_id in _ZERO_ORDER:
-        draw = {"om": micro, "u": vec, "th": scal}[_ZERO_ORDER[lemma_id]]
-        return _zero_order_ratio(lemma_id, cfg, f, g, norms, draw())
+def _estimate_ratio(lemma_id: str, norms: WeightedNorms, params: CouplingParams,
+                    f: ForcingSpec, g: ForcingSpec, *fields: SpectralField) -> float:
+    """Left over right side of the estimate lemma_id at its argument fields
+    (0 when the right side vanishes)."""
+    est, cfg, grid = ESTIMATES[lemma_id], norms.cfg, norms.grid
+    norm = [norms.fractional_norm(tag, x, getattr(cfg, name))
+            for (tag, name), x in zip(est.arguments, fields)]
+    rhs = math.prod(norm)
+    if est.left == "advect":
+        left = advect(*fields)
+    elif est.left == "phi":
+        left = dissipation_phi(*fields, params)
+        # the bilinear form in (u, om) and (v, psi)
+        rhs = (1 + params.mu_r) * sum(a * b for a in norm[::2] for b in norm[1::2])
+    elif est.left == "rot":
+        left = rot(fields[0])
+    elif est.left == "id":
+        left = fields[0]
     else:
-        raise ConfigurationError(f"unknown estimate id {lemma_id!r}")
+        force = est.forcing(f, g, grid.dim)
+        left = evaluate_forcing(force, fields[0], tag_components(grid.dim)[est.out])
+        rhs = force.lipschitz * norm[0]
+    lhs = lebesgue_norm(SpectralField(grid, est.outer(cfg, norms.ops, left.half)),
+                        norms.lebesgue[est.out])
     return lhs / rhs if rhs > 0 else 0.0
-
-
-# the field each zero-order estimate bounds: microrotation, velocity or
-# temperature
-_ZERO_ORDER = {"2.9": "om", "2.10": "om", "2.11": "u", "2.12": "th", "2.13": "th"}
-
-
-def _zero_order_ratio(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
-                      g: ForcingSpec, norms: WeightedNorms, x: SpectralField) -> float:
-    """Left over right side of the zero-order estimate lemma_id at the field x
-    of the kind _ZERO_ORDER names (0 when the right side vanishes)."""
-    dim = x.grid.dim
-    om_comp = tag_components(dim)["om"]
-    if lemma_id == "2.9":
-        lhs = lebesgue_norm(apply_operator(norms.ops["u"].with_power(-cfg.delta1),
-                                           leray_project(rot(x))), cfg.p)
-        rhs = norms.fractional_norm("om", x, cfg.beta1)
-    elif lemma_id == "2.10":
-        lhs = lebesgue_norm(x, cfg.q)
-        rhs = norms.fractional_norm("om", x, cfg.beta2)
-    elif lemma_id == "2.11":
-        lhs = lebesgue_norm(apply_operator(norms.ops["om"].with_power(-cfg.delta2),
-                                           rot(x)), cfg.q)
-        rhs = norms.fractional_norm("u", x, cfg.alpha2)
-    elif lemma_id == "2.12":
-        probe = _lemma_forcing(lemma_id, f, g, dim)
-        lhs = lebesgue_norm(leray_project(evaluate_forcing(probe, x, dim)), cfg.p)
-        rhs = probe.lipschitz * norms.fractional_norm("th", x, cfg.gamma1)
-    else:
-        probe = _lemma_forcing(lemma_id, f, g, dim)
-        lhs = lebesgue_norm(evaluate_forcing(probe, x, om_comp), cfg.q)
-        rhs = probe.lipschitz * norms.fractional_norm("th", x, cfg.gamma2)
-    return lhs / rhs if rhs > 0 else 0.0
-
-
-def _lemma_forcing(lemma_id: str, f: ForcingSpec, g: ForcingSpec,
-                   dim: int) -> ForcingSpec:
-    """The forcing 2.12 (f) or 2.13 (g) bounds, or the linear e1 probe in
-    its place when it vanishes, since the estimate divides by its Lipschitz
-    constant."""
-    force = f if lemma_id == "2.12" else g
-    components = tag_components(dim)["u" if lemma_id == "2.12" else "om"]
-    if force.lipschitz == 0:
-        force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
-    if len(force.c) != components:
-        raise ConfigurationError(
-            f"forcing has {len(force.c)} components, expected {components}")
-    return force
 
 
 def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
                        g: ForcingSpec, norms: WeightedNorms) -> tuple:
     """The zero-order estimate lemma_id as an L2 Fourier multiplier (zero or
     linear forcing): at every nonzero mode k inside the 2/3 mask, one per
-    +-k pair, sup_c |lhs(k) c| / |weight(k) c| over the amplitudes c of the
-    field _ZERO_ORDER names, the forcing's Lipschitz constant divided out.
+    +-k pair, sup_c |lhs(k) c| / |weight(k) c| over the amplitudes c of its
+    argument, the forcing's Lipschitz constant divided out.
 
-    lhs(k) and weight(k) are the estimate's operators (rot, the Leray part,
-    the generators' powers, the forcing) applied to each unit amplitude at
-    every mode; the sup is the top singular value of lhs(k) weight(k)^+,
-    which is the largest ratio over the invariant families at k.  Returns
-    the modes (M, dim), ordered by |k| and then lexicographically, the sups
-    (M,) and maximizing amplitudes (M, comp)."""
-    grid, ops = norms.grid, norms.ops
+    lhs(k) is the kernel (rot, the identity or the forcing) and then the
+    outer operator, and weight(k) the argument's weight, each applied to
+    each unit amplitude at every mode; the sup is the top singular value of
+    lhs(k) weight(k)^+, which is the largest ratio over the invariant
+    families at k.  Returns the modes (M, dim), ordered by |k| and then
+    lexicographically, the sups (M,) and maximizing amplitudes (M, comp)."""
+    est, grid, ops = ESTIMATES[lemma_id], norms.grid, norms.ops
     dim = grid.dim
-    tag = _ZERO_ORDER[lemma_id]
+    [(tag, name)] = est.slots
     comp = tag_components(dim)[tag]
     # member j is the amplitude e_j at every half-spectrum mode but k = 0
     eye = np.zeros((comp, comp) + grid.half_shape, dtype=np.complex128)
     eye[...] = np.eye(comp).reshape((comp, comp) + (1,) * dim)
     eye[(Ellipsis,) + _zero_index(grid)] = 0.0
 
-    def rot(c):
-        return np.moveaxis(curl(np.moveaxis(c, 1, 0), deriv_wavevectors(grid)), 0, 1)
-
-    exp = {"2.9": cfg.beta1, "2.10": cfg.beta2, "2.11": cfg.alpha2,
-           "2.12": cfg.gamma1, "2.13": cfg.gamma2}[lemma_id]
-    weight = power_coeffs(ops[tag].with_power(exp), eye)
-    if lemma_id == "2.9":
-        lhs = power_coeffs(ops["u"].with_power(-cfg.delta1), leray_coeffs(grid, rot(eye)))
-    elif lemma_id == "2.10":
-        lhs = eye
-    elif lemma_id == "2.11":
-        lhs = power_coeffs(ops["om"].with_power(-cfg.delta2), rot(eye))
+    weight = power_coeffs(ops[tag].with_power(getattr(cfg, name)), eye)
+    if est.left == "rot":
+        left = np.moveaxis(curl(np.moveaxis(eye, 1, 0), deriv_wavevectors(grid)), 0, 1)
+    elif est.left == "id":
+        left = eye
     else:
-        force = _lemma_forcing(lemma_id, f, g, dim)
+        force = est.forcing(f, g, dim)
         c = np.asarray(force.c).reshape((1, -1) + (1,) * dim) / force.lipschitz
-        lhs = leray_coeffs(grid, c * eye) if lemma_id == "2.12" else c * eye
+        left = c * eye
+    lhs = est.outer(cfg, ops, left)
 
     # one mode of each +-k pair, ordered by |k| and then lexicographically:
     # the half spectrum holds one of each pair with k_last > 0, and both of
@@ -851,13 +821,13 @@ def _symbol_probe(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     """(symbol sup, ratio at the single mode attaining it) of a zero-order
     estimate whose forcing is zero or linear; None for the other estimates.
     With every Lebesgue exponent 2 that ratio is the estimate's constant."""
-    # tanh forcing makes 2.12 and 2.13 nonlinear: they have no symbol
-    if lemma_id not in _ZERO_ORDER or \
-            {"2.12": f, "2.13": g}.get(lemma_id, ForcingSpec.zero()).kind == "tanh":
+    est = ESTIMATES[lemma_id]
+    # tanh forcing makes a force row nonlinear: it has no symbol
+    if est.quadratic or est.left == "force" and est.forcing(f, g, grid.dim).kind == "tanh":
         return None
     norms = WeightedNorms(cfg, grid, params)
     sup, x = _symbol_extremal(lemma_id, cfg, f, g, norms)
-    return sup, _zero_order_ratio(lemma_id, cfg, f, g, norms, x)
+    return sup, _estimate_ratio(lemma_id, norms, params, f, g, x)
 
 
 def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
@@ -868,15 +838,17 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     is consumed by the bound recursion.
 
     With every Lebesgue exponent the estimate reads equal to 2, the members
-    of 2.5-2.8 are exact restricted sups, and 2.9-2.13 (zero or linear
-    forcing) are L2 Fourier multipliers: the constant is the ratio at the
-    single mode where the symbol attains its max, which must agree with that
-    max within BOUND_RTOL, and min(ensemble, CROSS_CHECK_MEMBERS) random
-    members cross-check it.  Otherwise each of the ensemble's members reports
-    the sup ratio over five full-spectrum and five low-mode field draws and
-    the symbol's extremal mode where there is one, so the member statistic
-    concentrates near the essential sup and the stability verdict is
-    meaningful."""
+    of the quadratic estimates 2.5-2.8 are exact restricted sups, and the
+    zero-order 2.9-2.13 (zero or linear forcing) are L2 Fourier multipliers: the
+    constant is the ratio at the single mode where the symbol attains its
+    max, which must agree with that max within BOUND_RTOL, and min(ensemble,
+    CROSS_CHECK_MEMBERS) random members cross-check it.  Otherwise each of
+    the ensemble's members reports the sup ratio over five full-spectrum and
+    five low-mode field draws and the symbol's extremal mode where there is
+    one, so the member statistic concentrates near the essential sup and the
+    stability verdict is meaningful."""
+    if lemma_id not in ESTIMATES:
+        raise ConfigurationError(f"unknown estimate id {lemma_id!r}")
     if not cfg.has_intermediates:
         raise ConfigurationError("estimate checks need a completed exponent config")
     from .exponents import check_config
@@ -889,25 +861,32 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     f = f or ForcingSpec.zero()
     g = g or ForcingSpec.zero()
 
-    hilbert = _hilbert_exponents(lemma_id, cfg)
-    if lemma_id in ("2.5", "2.6", "2.7", "2.8") and hilbert:
-        lemma = _exact_sup_lemma(lemma_id, cfg)
-        spaces = _slot_spaces(lemma, grid, params)
+    est = ESTIMATES[lemma_id]
+    hilbert = est.hilbert(cfg)
+    if est.quadratic and hilbert:
+        spaces = _slot_spaces(lemma_id, cfg, grid, params)
         # members are exact restricted sups, maximized in lockstep blocks
         rngs = ensemble_rngs(seed, min(ensemble, 16))
         size = _member_block_size(spaces)
         ratios = np.concatenate([
-            _exact_sups(lemma, grid, params, spaces, rngs[i: i + size])
+            _exact_sups(lemma_id, cfg, grid, params, spaces, rngs[i: i + size])
             for i in range(0, len(rngs), size)])
         return make_report(lemma_id, ratios, notes=(
             "torus-fitted constant (alternating restricted maximization)"))
 
+    norms = WeightedNorms(cfg, grid, params)
+    comps = tag_components(grid.dim)
+
+    def draw(tag, rng, kmax):
+        x = random_field(grid, comps[tag], rng, sigma=_SIGMA, kmax=kmax)
+        return leray_project(x) if tag == "u" else x
+
     def draws(rng):
-        full = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng)
-                   for _ in range(5))
-        low = max(_bilinear_ratio(lemma_id, cfg, grid, params, f, g, rng, kmax=2)
-                  for _ in range(5))
-        return max(full, low)
+        """The max ratio over five full-spectrum and five low-mode draws of
+        one field per argument."""
+        return max(_estimate_ratio(lemma_id, norms, params, f, g,
+                                   *(draw(tag, rng, kmax) for tag, _ in est.arguments))
+                   for kmax in (None,) * 5 + (2,) * 5)
 
     symbol = _symbol_probe(lemma_id, cfg, grid, params, f, g)
     if symbol is not None and hilbert:
@@ -926,18 +905,16 @@ def fit_lemma_constants(cfg: ExponentConfig, grid: GridSpec,
                         params: CouplingParams, f: ForcingSpec | None = None,
                         g: ForcingSpec | None = None, ensemble: int = 40,
                         seed: int = 0) -> LemmaConstants:
-    """The constants c1-c9 of estimates 2.5-2.13 for the bound recursion:
-    the i-th is verify_bilinear's fitted constant at seed + 101 * i.  Where
-    that is the ratio at the symbol's extremal mode (zero-order estimate,
-    every Lebesgue exponent 2, zero or linear forcing), the fit takes it
-    from the symbol alone and draws none of verify's cross-check members."""
+    """The constants c1-c9 of the ESTIMATES rows 2.5-2.13 for the bound
+    recursion: the i-th is verify_bilinear's fitted constant at seed + 101 i.
+    Where that is the ratio at the symbol's extremal mode (zero-order estimate,
+    every Lebesgue exponent 2, zero or linear forcing), the fit takes it from
+    the symbol alone and draws none of verify's cross-check members."""
     f = f or ForcingSpec.zero()
     g = g or ForcingSpec.zero()
     values = {}
-    for i, lemma_id in enumerate(
-            ["2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13"]):
-        symbol = _hilbert_exponents(lemma_id, cfg) and \
-            _symbol_probe(lemma_id, cfg, grid, params, f, g)
+    for i, (lemma_id, est) in enumerate(ESTIMATES.items()):
+        symbol = est.hilbert(cfg) and _symbol_probe(lemma_id, cfg, grid, params, f, g)
         values[f"c{i + 1}"] = symbol[1] if symbol else verify_bilinear(
             lemma_id, cfg, grid, params, f, g, ensemble=ensemble,
             seed=seed + 101 * i).fitted_constant

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    ESTIMATES,
     dependence_ratio,
     energy_report,
     fit_decay,
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .exponents import BASE, ExponentConfig, check_config, select_intermediate
 from .fields import GridSpec, SpectralField, random_field
-from .gronwall import gronwall_bound, gronwall_oracle
+from .gronwall import (MAX_VIOLATION_FRACTION, gronwall_bound, gronwall_oracle,
+                       violation_fraction)
 from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
 from .solver import (PicardConfig, TrajectoryState, WeightedNorms, first_window, global_solve,
@@ -438,7 +440,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         for alpha, p, k, s in cases:
             reports.append(verify_embeddings(alpha, p, k, s, grid,
                                              ensemble=ensemble, seed=seed))
-    elif target in {"2.5", "2.6", "2.7", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13"}:
+    elif target in ESTIMATES:
         reports.append(verify_bilinear(target, exps, grid, params,
                                        cfg.forcing_f, cfg.forcing_g,
                                        ensemble=ensemble, seed=seed))
@@ -533,11 +535,11 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
             be = rng.uniform(0.0, 0.8, lb)
             bound = gronwall_bound(a, al, b, be, 1.0)
             oracle = gronwall_oracle(a, al, b, be, 1.0, times=bound.times)
-            frac = float(np.mean(oracle.values > bound.values * (1 + 1e-9)))
+            frac = violation_fraction(bound, oracle)
             worst = max(worst, frac)
             rows.append([case, frac])
         bundle.add_table("gronwall", ["case", "violation_fraction"], rows)
-        bundle.verdicts["4.3 domination"] = worst <= 0.01
+        bundle.verdicts["4.3 domination"] = worst <= MAX_VIOLATION_FRACTION
     else:
         raise ConfigurationError(f"unknown verification target {target!r}")
     return reports
@@ -608,11 +610,11 @@ def _cmd_gronwall(args) -> int:
     rows = [[float(t), float(bv), float(ov)]
             for t, bv, ov in zip(bound.times, bound.values, oracle.values)]
     bundle.add_table("gronwall", ["t", "bound", "oracle"], rows, provenance="bound")
-    frac = float(np.mean(oracle.values > bound.values * (1 + 1e-9)))
-    bundle.verdicts["domination"] = frac <= 0.01
+    frac = violation_fraction(bound, oracle)
+    bundle.verdicts["domination"] = frac <= MAX_VIOLATION_FRACTION
     bundle.verdicts["violation_fraction"] = frac
     write_report(bundle, args.out)
-    return 0 if frac <= 0.01 else CHECK_FAILED
+    return 0 if frac <= MAX_VIOLATION_FRACTION else CHECK_FAILED
 
 
 def _cmd_checkpoint(args) -> int:

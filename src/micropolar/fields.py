@@ -186,6 +186,8 @@ class SpectralField:
         if self.mean_zero:
             c = c.copy()
             c[(slice(None),) + _zero_index(self.grid)] = 0.0
+        # a view: the caller's array keeps its flags
+        c = c.view()
         c.setflags(write=False)
         object.__setattr__(self, "half", c)
 

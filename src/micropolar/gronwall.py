@@ -18,6 +18,10 @@ from .solver import beta_function
 
 MAX_ORACLE_POINTS = 2 ** 21   # refined oracle grid; bounds its memory
 
+# the largest share of grid points at which the oracle may exceed the bound
+# for the bound still to count as dominating it
+MAX_VIOLATION_FRACTION = 0.01
+
 
 def _validate(a, alphas, b, betas):
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
@@ -76,6 +80,12 @@ def gronwall_bound(a, alphas, b, betas, t_max: float, n_points: int = 400,
         tail = 1.0 + tail_arg * np.exp(tail_arg) / (1.0 - alpha_max)
         values = a_curve * series * tail
     return GronwallBound(times, values, n, bc)
+
+
+def violation_fraction(bound: GronwallBound, oracle: GronwallBound) -> float:
+    """The share of the common grid points at which the oracle exceeds the
+    bound by more than 1e-9 relative, a slack for the rounding of both."""
+    return float(np.mean(oracle.values > bound.values * (1 + 1e-9)))
 
 
 def gronwall_oracle(a, alphas, b, betas, t_max: float, n_points: int = 1200,

@@ -354,10 +354,10 @@ _SYMBOL_PARAMS = mp.CouplingParams(mu=0.7, mu_r=0.2, c0=0.4, ca=0.3, cd=0.6,
                                    kappa=0.8, rho=1.3)
 
 
-def _selected(grid, params, p=2.0):
+def _selected(grid, params, p=2.0, q=2.0, r=2.0):
     from micropolar.cli import lambda_chain_cap
 
-    base = mp.ExponentConfig(p=p, q=2, r=2, alpha0=0.5, beta0=0.5, gamma0=0.0)
+    base = mp.ExponentConfig(p=p, q=q, r=r, alpha0=0.5, beta0=0.5, gamma0=0.0)
     sel = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params))
     assert sel.feasible
     return sel.config
@@ -374,7 +374,7 @@ def _forcings(dim, kind):
 @pytest.mark.parametrize("forcing", ["zero", "linear"])
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 32), (3, 8)])
 def test_zero_order_symbol_sup_is_its_single_mode_ratio(dim, n, forcing):
-    from micropolar.analysis import _symbol_extremal, _zero_order_ratio
+    from micropolar.analysis import _estimate_ratio, _symbol_extremal
     from micropolar.solver import WeightedNorms
 
     grid, params = mp.GridSpec(dim=dim, n=n), _SYMBOL_PARAMS
@@ -383,7 +383,7 @@ def test_zero_order_symbol_sup_is_its_single_mode_ratio(dim, n, forcing):
     norms = WeightedNorms(cfg, grid, params)
     for lemma in ("2.9", "2.10", "2.11", "2.12", "2.13"):
         sup, x = _symbol_extremal(lemma, cfg, f, g, norms)
-        ratio = _zero_order_ratio(lemma, cfg, f, g, norms, x)
+        ratio = _estimate_ratio(lemma, norms, params, f, g, x)
         assert ratio == pytest.approx(sup, rel=1e-12), lemma
     # 2.10 in closed form: the lowest transverse mode, (c_perp lambda1)^-beta2
     sup, _ = _symbol_extremal("2.10", cfg, f, g, norms)
@@ -393,8 +393,8 @@ def test_zero_order_symbol_sup_is_its_single_mode_ratio(dim, n, forcing):
         # off e1 the Leray factor |P(k)c|/|c| peaks off the lowest modes: the
         # symbol's mode beats the transverse mode of the unit e1 probe
         k_perp = (0,) * (dim - 1) + (1,)
-        low = _zero_order_ratio("2.12", cfg, f, g, norms,
-                                mp.SpectralField.single_mode(grid, k_perp, 1.0))
+        low = _estimate_ratio("2.12", norms, params, f, g,
+                              mp.SpectralField.single_mode(grid, k_perp, 1.0))
         assert _symbol_extremal("2.12", cfg, f, g, norms)[0] > 1.001 * low
 
 
@@ -419,7 +419,7 @@ def test_zero_order_constant_is_symbol_mode_with_cross_check(grid2d, params, cfg
     ("2.12", "tanh", 2.0), ("2.13", "tanh", 2.0), ("2.9", "zero", 3.0),
     ("2.12", "zero", 3.0)])
 def test_nonhilbert_zero_order_keeps_full_ensemble(grid2d, params, lemma, forcing, p):
-    from micropolar.analysis import _symbol_extremal, _zero_order_ratio
+    from micropolar.analysis import _estimate_ratio, _symbol_extremal
     from micropolar.solver import WeightedNorms
 
     cfg = _selected(grid2d, params, p=p)
@@ -434,7 +434,7 @@ def test_nonhilbert_zero_order_keeps_full_ensemble(grid2d, params, lemma, forcin
         # every member folds in the ratio at the L2 symbol's extremal mode
         norms = WeightedNorms(cfg, grid2d, params)
         x = _symbol_extremal(lemma, cfg, f, g, norms)[1]
-        assert np.all(rep.ratios >= _zero_order_ratio(lemma, cfg, f, g, norms, x))
+        assert np.all(rep.ratios >= _estimate_ratio(lemma, norms, params, f, g, x))
 
 
 # -- exact restricted maximization against the per-field reference --------
@@ -569,8 +569,7 @@ _EXACT_SUP_CASES = (
 def test_exact_pair_sup_matches_per_field_reference(dim, n, lemma, params):
     # the reference runs on the configured grid, the batched path on the
     # alias-free grid of its mode basis
-    from micropolar.analysis import (_exact_sup_lemma, _exact_sups, _slot_spaces,
-                                     ensemble_rngs)
+    from micropolar.analysis import _exact_sups, _slot_spaces, ensemble_rngs
     from micropolar.cli import lambda_chain_cap
 
     grid = mp.GridSpec(dim=dim, n=n)
@@ -578,10 +577,9 @@ def test_exact_pair_sup_matches_per_field_reference(dim, n, lemma, params):
     cfg = mp.select_intermediate(base, lambda_cap=lambda_chain_cap(grid, params)).config
     # the 3D basis has 372 velocity fields: one member, one alternation
     members, alternations = (2, 3) if dim == 2 else (1, 1)
-    spec = _exact_sup_lemma(lemma, cfg)
-    spaces = _slot_spaces(spec, grid, params)
+    spaces = _slot_spaces(lemma, cfg, grid, params)
     assert all(s.grid.n == min(n, 10) for s in spaces.values())
-    sups = _exact_sups(spec, grid, params, spaces, ensemble_rngs(3, members),
+    sups = _exact_sups(lemma, cfg, grid, params, spaces, ensemble_rngs(3, members),
                        alternations=alternations)
     assert sups.shape == (members,)
     for got, rng_ref in zip(sups, ensemble_rngs(3, members)):
@@ -616,25 +614,25 @@ def test_exact_sup_blocks_follow_byte_budget(params, monkeypatch):
     # 20 members, so 2D n = 32 runs its 16 in one block; the 248 x 3 planes
     # of 3D (5.9 MB) allow one
     from micropolar import analysis
-    from micropolar.analysis import _exact_sup_lemma, _member_block_size, _slot_spaces
+    from micropolar.analysis import _member_block_size, _slot_spaces
     from micropolar.solver import RHS_BLOCK_BYTES
 
     grid2, grid3 = mp.GridSpec(dim=2, n=32), mp.GridSpec(dim=3, n=16)
     cfg = _selected(grid2, params)
     for lemma in _LEMMAS:
-        spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid2, params)
+        spaces = _slot_spaces(lemma, cfg, grid2, params)
         assert spaces["u"].values.shape == (2, 24, 10, 10)
         assert _member_block_size(spaces) == RHS_BLOCK_BYTES // (24 * 2 * 100 * 8) == 20
-    spaces = _slot_spaces(_exact_sup_lemma("2.5", _selected(grid3, params)), grid3, params)
+    spaces = _slot_spaces("2.5", _selected(grid3, params), grid3, params)
     assert spaces["u"].values.shape == (3, 248, 10, 10, 10)
     assert 248 * 3 * 1000 * 8 > RHS_BLOCK_BYTES
     assert _member_block_size(spaces) == 1
 
     blocks, sups = [], analysis._exact_sups
 
-    def counted(lemma, grid, params, spaces, rngs, **kw):
+    def counted(lemma, cfg, grid, params, spaces, rngs, **kw):
         blocks.append(len(rngs))
-        return sups(lemma, grid, params, spaces, rngs, **kw)
+        return sups(lemma, cfg, grid, params, spaces, rngs, **kw)
 
     monkeypatch.setattr(analysis, "_exact_sups", counted)
     rep = mp.verify_bilinear("2.7", cfg, grid2, params, ensemble=40, seed=1)
@@ -648,8 +646,7 @@ def test_slot_spaces_are_weight_orthonormal(dim, params, monkeypatch):
     # has 48 fields); the kept grid values are theirs.  Every SVD has at
     # most 25 columns, below LAPACK's divide-and-conquer crossover, whose
     # calls wake OpenBLAS's threads
-    from micropolar.analysis import (_exact_sup_lemma, _half_power, _parseval_rows,
-                                     _slot_spaces)
+    from micropolar.analysis import _half_power, _parseval_rows, _slot_spaces
     from micropolar.fields import half_spectrum, irfft_half
 
     columns, svd = [], np.linalg.svd
@@ -664,7 +661,7 @@ def test_slot_spaces_are_weight_orthonormal(dim, params, monkeypatch):
     for lemma in ("2.6", "2.7"):
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", recorded)
-            spaces = _slot_spaces(_exact_sup_lemma(lemma, cfg), grid, params)
+            spaces = _slot_spaces(lemma, cfg, grid, params)
         assert columns and max(columns) <= 25
         for tag, space in spaces.items():
             small = space.grid
@@ -831,34 +828,49 @@ def test_fitted_constants_equal_verify_bilinear(grid2d, params, case):
         assert getattr(consts, f"c{i + 1}") == rep.fitted_constant, lemma
 
 
-@pytest.mark.parametrize("case", ["linear", "tanh-g", "p3"])
+@pytest.mark.parametrize("case", ["linear", "tanh-g", "p3", "q3", "r2.5"])
 def test_fit_draws_no_dead_ensemble(grid2d, params, cfg2, monkeypatch, case):
     """In the Hilbert zero/linear case only 2.5-2.8 spawn member streams, 16
-    each; a tanh g leaves 2.13 without a symbol, so it spawns its ensemble,
-    and with p = 3 every estimate that reads p spawns its ensemble."""
+    each, on the exact path; a tanh g leaves 2.13 without a symbol, so it
+    spawns its ensemble.  Off the Hilbert exponents every estimate that reads
+    an exponent other than 2 spawns its ensemble, and only the quadratic
+    estimates that read none take the exact path."""
     from micropolar import analysis
 
-    spawned = []
-    rngs = analysis.ensemble_rngs
+    spawned, exact = [], []
+    rngs, sups = analysis.ensemble_rngs, analysis._exact_sups
 
     def counting(seed, n):
         spawned.append((seed, n))
         return rngs(seed, n)
 
+    def counted(lemma, *args, **kw):
+        exact.append(lemma)
+        return sups(lemma, *args, **kw)
+
     monkeypatch.setattr(analysis, "ensemble_rngs", counting)
+    monkeypatch.setattr(analysis, "_exact_sups", counted)
     f = mp.ForcingSpec("linear", (0.6, 0.8))
     g = mp.ForcingSpec("tanh" if case == "tanh-g" else "linear", (0.5,), scale=0.5)
-    if case == "p3":
-        # 2.5-2.9, 2.11 and 2.12 read p; 2.10 and 2.13 stay L2 multipliers
-        cfg = _selected(grid2d, params, p=3.0)
+    # per exponent set: the config, the estimates that spawn their ensemble
+    # and those maximized exactly.  2.5-2.9, 2.11 and 2.12 read p; 2.6, 2.8,
+    # 2.9, 2.10, 2.11 and 2.13 read q; 2.7, 2.8, 2.12 and 2.13 read r
+    off = {"p3": ({"p": 3.0}, (0, 1, 2, 3, 4, 6, 7), []),
+           "q3": ({"q": 3.0}, (0, 1, 2, 3, 4, 5, 6, 8), ["2.5", "2.7"]),
+           "r2.5": ({"r": 2.5}, (0, 1, 2, 3, 7, 8), ["2.5", "2.6"])}
+    if case in off:
+        exps, spawn, want_exact = off[case]
+        cfg = _selected(grid2d, params, **exps)
         analysis.fit_lemma_constants(cfg, grid2d, params, f, g, ensemble=2, seed=5)
-        assert spawned == [(5 + 101 * i, 2) for i in (0, 1, 2, 3, 4, 6, 7)]
+        assert spawned == [(5 + 101 * i, 2) for i in spawn]
+        assert exact == want_exact
         return
     analysis.fit_lemma_constants(cfg2, grid2d, params, f, g, ensemble=20, seed=5)
     want = [(5 + 101 * i, 16) for i in range(4)]
     if case == "tanh-g":
         want.append((5 + 101 * 8, 20))
     assert spawned == want
+    assert exact == ["2.5", "2.6", "2.7", "2.8"]
 
 
 def test_singular_derivative_fit(grid2d, params, cfg2):

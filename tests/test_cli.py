@@ -187,6 +187,18 @@ def test_estimates_use_the_grids_decay_rate_cap(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_verify_embeddings_off_their_exponents_is_usage_error(tmp_path, capsys):
+    # the W^{1,2} row needs 1/2 <= 1/p: at p = 3 it is refused, not raised
+    cfg = _config_dict(str(tmp_path / "out"))
+    cfg["exponents"]["p"] = 3
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["verify", "2.4", "--config", str(path), "--ensemble", "2",
+                     "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding exponents violate") and "Traceback" not in err
+
+
 def _read_dir(path) -> dict:
     return {name: open(os.path.join(path, name), "rb").read()
             for name in os.listdir(path)}

@@ -78,6 +78,14 @@ def test_mean_zero_flag(grid2d):
     assert g.mean_values()[0] == pytest.approx(3.0)
 
 
+def test_field_leaves_the_callers_array_writeable(grid2d):
+    # the field holds a read-only view: the array it was built from keeps
+    # its flags
+    c = np.zeros((1,) + grid2d.half_shape, complex)
+    f = mp.SpectralField(grid2d, c)
+    assert c.flags.writeable and not f.half.flags.writeable
+
+
 def test_single_mode_realness(grid3d):
     f = mp.SpectralField.single_mode(grid3d, (1, 2, 0), [0.3 + 0.1j, 0.0, 0.2])
     assert f.hermitian_defect() < 1e-14
