@@ -43,7 +43,6 @@ from .nonlinear import (
     CouplingParams,
     ForcingSpec,
     advect,
-    dissipation_coeffs,
     dissipation_phi,
     evaluate_forcing,
     generators,
@@ -56,6 +55,7 @@ from .operators import (
     OperatorSymbol,
     apply_operator,
     curl,
+    curl_values,
     eig_families,
     gradient_planes,
     lebesgue_norm,
@@ -1159,6 +1159,35 @@ class EnergyLog:
         return dk + mid_d - mid_w
 
 
+def _dissipation_integrals(grid: GridSpec, uh: np.ndarray, omh: np.ndarray,
+                           params: CouplingParams) -> np.ndarray:
+    """int Phi(u; om) dx at every node of node-stacked half spectra uh (B,
+    dim, *half) and omh (B, C, *half), by discrete Parseval: one
+    parseval_inner sum per node over the spectral planes of the strain
+    D = (grad u + grad u^T) / 2, the relative rotation rot u / 2 - om and
+    grad om, with in 3D div om and the transposed product
+    grad om : grad om^T, each weighted by its coefficient in Phi.
+
+    Parseval holds exactly for the grid values of the products, so this is
+    the grid integral of the dissipation function, the mean mode of
+    dissipation_coeffs times the volume, up to rounding, with no transform."""
+    dim, ncomp, batch = grid.dim, omh.shape[1], uh.shape[0]
+    half = uh.shape[2:]
+    du = gradient_planes(grid, uh).reshape((batch, dim, dim) + half)  # [., c, a] = d_a u_c
+    dom = gradient_planes(grid, omh).reshape((batch, ncomp, dim) + half)
+    strain = 0.5 * (du + np.swapaxes(du, 1, 2))
+    rel = 0.5 * np.swapaxes(curl_values(np.moveaxis(du, 0, 2)), 0, 1) - omh
+    # (coefficient, plane of the left factor, plane of the right factor)
+    terms = [(2.0 * params.mu, strain, strain), (4.0 * params.mu_r, rel, rel),
+             (params.ca + params.cd, dom, dom)]
+    if dim == 3 and ncomp > 1:
+        div = np.trace(dom, axis1=1, axis2=2)[:, np.newaxis]
+        terms += [(params.c0, div, div), (params.cd - params.ca, dom, np.swapaxes(dom, 1, 2))]
+    left = np.concatenate([w * a.reshape((batch, -1) + half) for w, a, _ in terms], axis=1)
+    right = np.concatenate([b.reshape((batch, -1) + half) for _, _, b in terms], axis=1)
+    return parseval_inner(grid, left, right)
+
+
 def energy_report(traj: TrajectoryState, params: CouplingParams,
                   f: ForcingSpec, g: ForcingSpec) -> EnergyLog:
     """Track the exact invariant: with zero forcing the kinetic plus thermal
@@ -1173,10 +1202,9 @@ def energy_report(traj: TrajectoryState, params: CouplingParams,
                         for a, b in zip(l2["u"].tolist(), l2["om"].tolist())])
     heat = params.rho * params.cv * vol * traj.coeffs["th"][mean].real
     u, om = traj.coeffs["u"], traj.coeffs["om"]
-    # one view per block and field: dissipation_coeffs transforms each plane once
-    blocks = [(u[b], om[b]) for b in traj.node_blocks()]
-    dissipation = vol * np.concatenate([
-        dissipation_coeffs(grid, ub, ub, omb, omb, params)[mean].real for ub, omb in blocks])
+    # per node block: the planes of a whole trajectory would set the peak memory
+    dissipation = np.concatenate([_dissipation_integrals(grid, u[b], om[b], params)
+                                  for b in traj.node_blocks()])
     # the work of each forcing on the field it drives, per node block: one
     # inverse transform of theta, the forcing at the grid points, a forward
     # transform and the 2/3 rule, as in the RHS

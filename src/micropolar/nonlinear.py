@@ -30,7 +30,6 @@ from .operators import (
     gamma_operator,
     gradient_planes,
     laplace_operator,
-    parallel_part,
     projector_symbols,
     stokes_operator,
 )
@@ -203,30 +202,97 @@ def _grid_values(grid: GridSpec, *halves: np.ndarray) -> list:
     return out
 
 
+# the (c, a, c', a') of each curl component d_a u_c - d_a' u_c': one in 2D,
+# three in 3D
+_CURL_INDICES = {2: ((1, 0, 0, 1),), 3: ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1))}
+
+
 def _phi_values(du, dv, om, psi, dom, dpsi, params: CouplingParams) -> np.ndarray:
     """Bilinear dissipation function at the grid points from grid values:
     velocity gradients du, dv (dim, dim, *grid) with [c, a] = d_a u_c,
-    microrotations om, psi (C, *grid) and their gradients (C, dim, *grid)."""
-    d_u = 0.5 * (du + np.swapaxes(du, 0, 1))
-    d_v = d_u if dv is du else 0.5 * (dv + np.swapaxes(dv, 0, 1))
-    phi = 2.0 * params.mu * np.sum(d_u * d_v, axis=(0, 1))
+    microrotations om, psi (C, *grid) and their gradients (C, dim, *grid);
+    the axes after the component axes broadcast together.
 
-    rel_u = 0.5 * curl_values(du) - om
-    rel_v = rel_u if (dv is du and psi is om) else 0.5 * curl_values(dv) - psi
-    phi = phi + 4.0 * params.mu_r * np.sum(rel_u * rel_v, axis=0)
+    Each part is formed plane by plane in a few preallocated planes, its
+    sum over component pairs taken in C order, and added to the result
+    times its coefficient:
+    2 mu sum_ca D_u[c, a] D_v[c, a] with D = (d + d^T) / 2, each
+    off-diagonal product formed once; 4 mu_r sum_i r_u[i] r_v[i] with
+    r = rot / 2 - om; in 3D (c0 div om) div psi,
+    (ca + cd) sum_ca dom[c, a] dpsi[c, a] and
+    (cd - ca) sum_ij dom[j, i] dpsi[i, j]; in 2D
+    (ca + cd) sum_a dom[0, a] dpsi[0, a]."""
+    dim = du.shape[0]
+    shape = np.broadcast_shapes(du.shape[2:], dv.shape[2:], om.shape[1:], psi.shape[1:],
+                                dom.shape[2:], dpsi.shape[2:])
+    phi, term, prod = np.empty(shape), np.empty(shape), np.empty(shape)
 
-    if du.shape[0] == 3 and om.shape[0] > 1:
-        div_om = np.trace(np.swapaxes(dom, 0, 1))  # sum_i d_i om_i
-        div_psi = np.trace(np.swapaxes(dpsi, 0, 1))
-        phi = phi + params.c0 * div_om * div_psi
-        grad_om = np.swapaxes(dom, 0, 1)  # (i, j) = d_i om_j
-        grad_psi = np.swapaxes(dpsi, 0, 1)
-        phi = phi + (params.ca + params.cd) * np.sum(grad_om * grad_psi, axis=(0, 1))
-        phi = phi + (params.cd - params.ca) * np.sum(
-            grad_om * np.swapaxes(grad_psi, 0, 1), axis=(0, 1))
+    def dot(pairs, out):
+        """sum of a * b over the (a, b) pairs, in order."""
+        for k, (a, b) in enumerate(pairs):
+            if k == 0:
+                np.multiply(a, b, out=out)
+            else:
+                out += np.multiply(a, b, out=prod)
+        return out
+
+    def strain(d, c, a, out):
+        np.add(d[c, a], d[a, c], out=out)
+        return np.multiply(0.5, out, out=out)
+
+    su = np.empty(du.shape[2:])
+    sv = su if dv is du else np.empty(dv.shape[2:])
+    off = {}                              # D is symmetric: D[c, a] = D[a, c]
+    for c in range(dim):
+        for a in range(dim):
+            if a < c:
+                phi += off[a, c]
+                continue
+            strain(du, c, a, su)
+            if sv is not su:
+                strain(dv, c, a, sv)
+            if c == a == 0:
+                np.multiply(su, sv, out=phi)
+            elif a > c:
+                off[c, a] = np.multiply(su, sv)
+                phi += off[c, a]
+            else:
+                phi += np.multiply(su, sv, out=term)
+    np.multiply(2.0 * params.mu, phi, out=phi)
+
+    def relative(d, o, i, out):
+        c1, a1, c2, a2 = _CURL_INDICES[dim][i]
+        np.subtract(d[c1, a1], d[c2, a2], out=out)
+        np.multiply(0.5, out, out=out)
+        return np.subtract(out, o[i], out=out)
+
+    ru = np.empty(np.broadcast_shapes(du.shape[2:], om.shape[1:]))
+    rv = ru if (dv is du and psi is om) else np.empty(np.broadcast_shapes(dv.shape[2:],
+                                                                         psi.shape[1:]))
+    for i in range(len(_CURL_INDICES[dim])):
+        relative(du, om, i, ru)
+        if rv is not ru:
+            relative(dv, psi, i, rv)
+        if i == 0:
+            np.multiply(ru, rv, out=term)
+        else:
+            term += np.multiply(ru, rv, out=prod)
+    phi += np.multiply(4.0 * params.mu_r, term, out=term)
+
+    if dim == 3 and om.shape[0] > 1:
+        div_om = dom[0, 0] + dom[1, 1]      # sum_i d_i om_i
+        div_om += dom[2, 2]
+        div_psi = dpsi[0, 0] + dpsi[1, 1]
+        div_psi += dpsi[2, 2]
+        phi += np.multiply(np.multiply(params.c0, div_om, out=div_om), div_psi, out=term)
+        grad = dot([(dom[c, a], dpsi[c, a]) for c in range(3) for a in range(3)], term)
+        phi += np.multiply(params.ca + params.cd, grad, out=grad)
+        grad_t = dot([(dom[j, i], dpsi[i, j]) for i in range(3) for j in range(3)], term)
+        phi += np.multiply(params.cd - params.ca, grad_t, out=grad_t)
     else:
         # planar microrotation: only the transverse gradient part survives
-        phi = phi + (params.ca + params.cd) * np.sum(dom[0] * dpsi[0], axis=0)
+        grad = dot([(dom[0, a], dpsi[0, a]) for a in range(dim)], term)
+        phi += np.multiply(params.ca + params.cd, grad, out=grad)
     return phi
 
 
@@ -331,15 +397,22 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     # planes u, om, th when forced, then the gradients from plane nval on
     nval = dim + ncomp + forced
     buf = _plane_buffer(grid, (uh, omh, thh)[: 2 + forced], (uh, omh, thh))
-    vals = np.zeros((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
-    if not linear_only:
+    vals = np.empty((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
+    if linear_only:
+        vals[...] = 0.0
+    else:
         planes = irfft_half(grid, buf)
         grads = planes[nval:].reshape((nout, dim) + vals.shape[1:])
-        vals -= np.sum(planes[:dim] * grads, axis=1)
+        # transport 0 - (u_0 d_0 f + u_1 d_1 f + ...) of every plane f
+        np.multiply(planes[0], grads[:, 0], out=vals)
+        scratch = np.empty_like(vals)
+        for a in range(1, dim):
+            vals += np.multiply(planes[a], grads[:, a], out=scratch)
+        np.subtract(0.0, vals, out=vals)
         du, dom = grads[:dim], grads[dim: dim + ncomp]
         om_vals = planes[dim: dim + ncomp]
-        vals[-1] += _phi_values(du, du, om_vals, om_vals, dom, dom, params) \
-            / (params.rho * params.cv)
+        phi = _phi_values(du, du, om_vals, om_vals, dom, dom, params)
+        vals[-1] += np.divide(phi, params.rho * params.cv, out=phi)
     if forced:
         # theta at the grid points of every node, (B, *grid)
         th_vals = irfft_half(grid, buf[nval - 1]) if linear_only else planes[nval - 1]
@@ -352,14 +425,27 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     else:
         out = np.zeros((nout, uh.shape[0]) + uh.shape[2:], dtype=np.complex128)
 
+    # the linear terms and the projection, on half-spectrum planes (B, *half)
+    scratch = np.empty((2,) + out.shape[1:], dtype=np.complex128)
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
         grad_h = buf[nval:].reshape((nout, dim) + out.shape[1:])
-        out[:dim] += two_mur * curl_values(grad_h[dim: dim + ncomp])
-        out[dim: dim + ncomp] += (-2.0 * two_mur) * buf[dim: dim + ncomp] \
-            + two_mur * curl_values(grad_h[:dim])
-    out = np.swapaxes(out, 0, 1)
-    out[:, :dim] -= parallel_part(out[:, :dim], *projector_symbols(grid))
+        rot_om = curl_values(grad_h[dim: dim + ncomp])
+        out[:dim] += np.multiply(two_mur, rot_om, out=rot_om)
+        rot_u = curl_values(grad_h[:dim])
+        np.multiply(two_mur, rot_u, out=rot_u)
+        for c in range(ncomp):
+            lin = np.multiply(-2.0 * two_mur, buf[dim + c], out=scratch[0])
+            lin += rot_u[c]
+            out[dim + c] += lin
+    # F -= k (k . F) / |k|^2
+    kap, ksq = projector_symbols(grid)
+    kdotf = np.multiply(kap[0], out[0], out=scratch[0])
+    for a in range(1, dim):
+        kdotf += np.multiply(kap[a], out[a], out=scratch[1])
+    np.divide(kdotf, ksq, out=kdotf)
+    for a in range(dim):
+        out[a] -= np.multiply(kap[a], kdotf, out=scratch[1])
     out *= dealias_mask(grid)
-    out[(slice(None), slice(None, dim)) + _zero_index(grid)] = 0.0
-    return out
+    out[(slice(None, dim), slice(None)) + _zero_index(grid)] = 0.0
+    return np.swapaxes(out, 0, 1)

@@ -102,55 +102,82 @@ def cubic_weights(eig: np.ndarray, h: float) -> tuple:
 
 class DuhamelPropagator:
     """Exact per-mode propagation of int_0^t exp(-(t-s) L) N(s) ds along a
-    node grid, one subspace recursion per invariant eigenvalue family.
+    node grid for fields stacked on the component axis: ops[i] generates the
+    comps[i] planes of field i, in stack order.
 
-    start_rhs is the RHS at node 0 once picard_step has assembled it there:
-    node 0 is the window's start state in every sweep."""
+    Every invariant eigenvalue family of every field is one set of planes
+    of a single recurrence on the real view of the node-stacked planes,
+    with real weights per plane and re/im slot; the two families of a
+    vector under the elliptic generator become two sets of planes, summed
+    into the field's planes at every node.
 
-    def __init__(self, op: OperatorSymbol, times: np.ndarray):
-        self.op = op.with_power(1.0)
+    start_rhs is the stacked RHS at node 0 once picard_step has assembled
+    it there: node 0 is the window's start state in every sweep."""
+
+    def __init__(self, ops: tuple, comps: tuple, times: np.ndarray):
+        self.ops = tuple(op.with_power(1.0) for op in ops)
+        self.comps = tuple(comps)
         self.times = np.asarray(times, dtype=np.float64)
         self._weights = {}
-        self._steps = {}
+        self._steps = None
         self.start_rhs = None
 
-    def _interval(self, h: float, eigs: list) -> list:
-        key = (round(h, 15), len(eigs))
+    def _families(self) -> list:
+        """The eigenvalue arrays of each field's invariant families."""
+        return [eig_families(op, c) for op, c in zip(self.ops, self.comps)]
+
+    def _interval(self, h: float) -> tuple:
+        """(decay, w0, w1) of interval_weights on every recurrence plane, as
+        float64 arrays laid out like the real view of a complex node row:
+        each weight repeated for the real and imaginary part."""
+        key = round(h, 15)
         if key not in self._weights:
-            self._weights[key] = [interval_weights(eig, h) for eig in eigs]
+            per_family = [(interval_weights(eig, h), c) for eigs, c
+                          in zip(self._families(), self.comps) for eig in eigs]
+            self._weights[key] = tuple(
+                np.repeat(np.concatenate([np.broadcast_to(w[k], (c,) + w[k].shape)
+                                          for w, c in per_family]), 2, axis=-1)
+                for k in range(3))
         return self._weights[key]
 
-    def _intervals(self, eigs: list) -> list:
+    def _intervals(self) -> list:
         """_interval of every interval in node order; intervals of one
         length share their weights."""
-        if len(eigs) not in self._steps:
-            self._steps[len(eigs)] = [self._interval(float(self.times[j + 1] - self.times[j]),
-                                                     eigs)
-                                      for j in range(len(self.times) - 1)]
-        return self._steps[len(eigs)]
+        if self._steps is None:
+            self._steps = [self._interval(float(self.times[j + 1] - self.times[j]))
+                           for j in range(len(self.times) - 1)]
+        return self._steps
 
     def integrate_nodes(self, rhs: np.ndarray) -> np.ndarray:
         """Duhamel integrals at every node of RHS samples at the nodes, both
-        node-stacked half spectra (nodes, comp, *half).
+        node-stacked half spectra (nodes, sum(comps), *half).
 
         Each interval writes decay * I_j, then adds w0 N_j and w1 N_{j+1},
-        in that order, in place through one scratch node.  A one-family
-        field runs the recurrence on the output rows themselves; the two
-        families of a vector under the elliptic generator run in their own
-        node buffers, summed into each row."""
-        eigs, parts = zip(*subspaces(self.op, rhs))
-        out = np.zeros_like(rhs)
-        scratch = np.empty_like(rhs[0])
-        accs = [np.zeros_like(scratch) for _ in parts] if len(parts) > 1 else None
-        for j, weights in enumerate(self._intervals(eigs)):
-            for i, (decay, w0, w1) in enumerate(weights):
-                prev, acc = (out[j], out[j + 1]) if accs is None else (accs[i], accs[i])
-                np.multiply(decay, prev, out=acc)
-                acc += np.multiply(w0, parts[i][j], out=scratch)
-                acc += np.multiply(w1, parts[i][j + 1], out=scratch)
-            if accs is not None:
-                np.add(accs[0], accs[1], out=out[j + 1])
-        return out
+        in that order, in place through one scratch node, on the output
+        rows themselves."""
+        blocks, start = [], 0
+        for op, c in zip(self.ops, self.comps):
+            blocks.append(subspaces(op, rhs[:, start: start + c]))
+            start += c
+        split = any(len(b) > 1 for b in blocks)
+        parts = np.concatenate([part for b in blocks for _, part in b], axis=1) \
+            if split else np.ascontiguousarray(rhs)
+        out = np.zeros_like(parts)
+        real, samples = out.view(np.float64), parts.view(np.float64)
+        scratch = np.empty_like(real[0])
+        for j, (decay, w0, w1) in enumerate(self._intervals()):
+            np.multiply(decay, real[j], out=real[j + 1])
+            real[j + 1] += np.multiply(w0, samples[j], out=scratch)
+            real[j + 1] += np.multiply(w1, samples[j + 1], out=scratch)
+        if not split:
+            return out
+        fields, start = [], 0
+        for b, c in zip(blocks, self.comps):
+            fields.append(out[:, start: start + c])
+            if len(b) > 1:
+                fields[-1] = fields[-1] + out[:, start + c: start + 2 * c]
+            start += len(b) * c
+        return np.concatenate(fields, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +192,15 @@ def tag_components(dim: int) -> dict:
     """Component count of each field tag on a dim-dimensional grid; the
     planar microrotation is a scalar."""
     return {"u": dim, "om": 1 if dim == 2 else 3, "th": 1}
+
+
+def window_propagator(grid: GridSpec, params: CouplingParams,
+                      times: np.ndarray) -> DuhamelPropagator:
+    """The propagator of the system's three generators on the stacked RHS
+    (nodes, dim + C + 1, *half) of the fields of TAGS, in that order."""
+    comps = tag_components(grid.dim)
+    return DuhamelPropagator(generators(grid, params), tuple(comps[tag] for tag in TAGS),
+                             times)
 
 
 @dataclass(frozen=True)
@@ -308,12 +344,19 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
     return TrajectoryState(times=times, grid=grid, coeffs=free, free=free, m=0)
 
 
-def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
-             g: ForcingSpec, linear_only: bool = False, first: int = 0) -> dict:
+def _tag_views(stack: np.ndarray) -> dict:
+    """The planes of each field of TAGS in a stack (nodes, dim + C + 1,
+    *half) of them, as views keyed by tag."""
+    dim = stack.ndim - 2
+    return dict(zip(TAGS, np.split(stack, [dim, stack.shape[1] - 1], axis=1)))
+
+
+def _rhs_stack(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+               g: ForcingSpec, linear_only: bool, first: int) -> np.ndarray:
     """Right-hand sides of the iterate at the nodes from first on, one
     assemble_rhs call per block of rhs_block_size nodes on its half spectra,
-    as node-stacked half spectra keyed by the tag of the equation they
-    drive; the rows before first are left for the caller to fill."""
+    stacked (nodes, dim + C + 1, *half); the rows before first are left for
+    the caller to fill."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
     half = traj.coeffs["u"].shape[2:]
     # filled block by block: the blocks' results and a joined copy of them
@@ -322,33 +365,38 @@ def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
     for b in traj.node_blocks(first):
         rhs[b] = assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
                               params, f, g, linear_only=linear_only)
-    return dict(zip(TAGS, np.split(rhs, [dim, dim + ncomp], axis=1)))
+    return rhs
+
+
+def node_rhs(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
+             g: ForcingSpec, linear_only: bool = False) -> dict:
+    """Right-hand sides of the iterate at every node, as node-stacked half
+    spectra keyed by the tag of the equation they drive."""
+    return _tag_views(_rhs_stack(traj, params, f, g, linear_only, 0))
 
 
 def picard_step(traj: TrajectoryState, params: CouplingParams,
                 f: ForcingSpec, g: ForcingSpec,
                 linear_only: bool = False,
-                propagators: tuple | None = None) -> TrajectoryState:
+                propagator: DuhamelPropagator | None = None) -> TrajectoryState:
     """One successive-approximation sweep: the RHS of the input iterate at
     every node, then free evolution plus its Duhamel integral.
 
     Node 0 of every iterate of a window is the window's start state, so its
-    RHS is the same in every sweep.  The first sweep through propagators
-    keeps it in their start_rhs; a later sweep through the same
-    propagators, which must then serve the same window and forcing,
-    assembles nodes 1.. only."""
-    if propagators is None:
-        propagators = tuple(DuhamelPropagator(op, traj.times)
-                            for op in generators(traj.grid, params))
-    kept = propagators[0].start_rhs is not None
-    rhs = node_rhs(traj, params, f, g, linear_only, 1 if kept else 0)
-    new = {}
-    for tag, prop in zip(TAGS, propagators):
-        if kept:
-            rhs[tag][0] = prop.start_rhs
-        else:
-            prop.start_rhs = rhs[tag][0].copy()
-        new[tag] = traj.free[tag] + prop.integrate_nodes(rhs[tag])
+    RHS is the same in every sweep.  The first sweep through a propagator
+    keeps it in its start_rhs; a later sweep through the same propagator,
+    which must then serve the same window and forcing, assembles nodes 1..
+    only."""
+    if propagator is None:
+        propagator = window_propagator(traj.grid, params, traj.times)
+    kept = propagator.start_rhs is not None
+    rhs = _rhs_stack(traj, params, f, g, linear_only, 1 if kept else 0)
+    if kept:
+        rhs[0] = propagator.start_rhs
+    else:
+        propagator.start_rhs = rhs[0].copy()
+    integral = _tag_views(propagator.integrate_nodes(rhs))
+    new = {tag: traj.free[tag] + integral[tag] for tag in TAGS}
     new["u"][(Ellipsis,) + _zero_index(traj.grid)] = 0.0
     return replace(traj, coeffs=new, m=traj.m + 1)
 
@@ -537,7 +585,7 @@ def picard_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
             report.notes.append(f"horizon {float(times[-1]):.4g} exceeds estimated "
                                 f"contraction horizon T*={hres.tstar:.4g}; proceeding")
 
-    props = tuple(DuhamelPropagator(op, times) for op in generators(start.grid, params))
+    prop = window_propagator(start.grid, params, times)
     traj = initial_trajectory(start, times, params, strict=float(start.times[0]) == 0.0)
     if record_norms:
         report.iterate_norms.append(norms.iteration_table(traj))
@@ -545,7 +593,7 @@ def picard_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
     bad_streak = 0
     for m in range(1, pic.m_max + 1):
         new = picard_step(traj, params, f, g, linear_only=pic.linear_only,
-                          propagators=props)
+                          propagator=prop)
         diffs = norms.difference(new, traj)
         total = max(diffs.values()) if diffs else 0.0
         ratio = None if prev_total in (None, 0.0) else total / prev_total

@@ -325,6 +325,44 @@ def test_forced_ledger_work_matches_per_node_inner_products(dim, n, params, monk
     np.testing.assert_allclose(elog.forcing_work, want, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("mu_r", [0.1, 0.4])
+def test_ledger_dissipation_of_a_shear_flow(mu_r):
+    """u = (0, a sin x), om = 0: D has the off-diagonal a cos(x) / 2 and
+    rot u = a cos x, so int Phi = (mu + mu_r) a^2 |Omega| / 2."""
+    from micropolar.analysis import _dissipation_integrals
+
+    grid, a = mp.GridSpec(dim=2, n=16), 0.7
+    params = mp.CouplingParams(mu=0.8, mu_r=mu_r)
+    u = mp.SpectralField.single_mode(grid, (1, 0), [0.0, -0.5j * a])
+    om = mp.SpectralField.zero(grid, 1)
+    got = _dissipation_integrals(grid, u.half[np.newaxis], om.half[np.newaxis], params)[0]
+    want = (params.mu + mu_r) * a ** 2 * grid.volume / 2
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("mu_r", [0.0, 0.3])
+def test_ledger_dissipation_matches_transformed_phi(dim, n, mu_r):
+    """The Parseval sum of every node is the volume times the mean mode of
+    dissipation_coeffs, the grid integral of the transformed dissipation
+    function, within rounding, on random states inside the dealias ball."""
+    from micropolar.analysis import _dissipation_integrals
+    from micropolar.nonlinear import dissipation_coeffs
+
+    grid = mp.GridSpec(dim=dim, n=n)
+    params = mp.CouplingParams(mu=0.7, mu_r=mu_r, c0=0.4, ca=0.3, cd=0.8)
+    om_comp = 1 if dim == 2 else 3
+    rng = np.random.default_rng(5)
+    uh = np.stack([mp.random_field(grid, dim, rng, sigma=1.0).half for _ in range(4)])
+    omh = np.stack([mp.random_field(grid, om_comp, rng, sigma=1.0, mean_zero=False).half
+                    for _ in range(4)])
+    got = _dissipation_integrals(grid, uh, omh, params)
+    mean = (slice(None), 0) + (0,) * dim
+    want = grid.volume * dissipation_coeffs(grid, uh, uh, omh, omh, params)[mean].real
+    assert np.min(want) > 0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_fitted_constants_seed_stable(grid2d, params, cfg2):
     """Fitted estimate constants reproduce across seeds within 10%."""
     for lemma in ("2.5", "2.9"):

@@ -819,9 +819,11 @@ def test_verify_hoelder_refuses_a_short_run(tmp_path, capsys, monkeypatch):
 def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, dim, n):
     """The l2 columns of nodes.csv and the energy ledger, read from the
     trajectory's arrays in node blocks, write the bytes of the per-node
-    field computation: state_at(j), SpectralField.l2 and the mean mode of
-    dissipation_phi."""
+    field computation: state_at(j), SpectralField.l2 and the Parseval sum
+    of the dissipation function of node j alone (its agreement with the
+    transformed dissipation function is tests/test_analysis.py's)."""
     from micropolar import solver
+    from micropolar.analysis import _dissipation_integrals
     from micropolar.cli import _norm_table_rows
 
     # blocks of 5 nodes, so that the ledger spans several blocks and a short one
@@ -844,8 +846,8 @@ def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, di
         u, om, th = traj.state_at(j)
         kinetic = 0.5 * p.rho * (u.l2() ** 2 + om.l2() ** 2)
         heat = p.rho * p.cv * vol * float(np.sum(th.mean_values()))
-        phi = mp.dissipation_phi(u, u, om, om, p)
-        dissipation = vol * float(np.sum(phi.mean_values()))
+        dissipation = _dissipation_integrals(cfg.grid, u.half[np.newaxis],
+                                             om.half[np.newaxis], p)[0]
         got.append(row[1:4] + [elog.kinetic[j], elog.heat[j], elog.dissipation[j],
                                elog.total[j]])
         want.append([u.l2(), om.l2(), th.l2(), kinetic, heat, dissipation,

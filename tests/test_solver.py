@@ -23,6 +23,7 @@ from micropolar.solver import (
     picard_step,
     tag_components,
     time_weight,
+    window_propagator,
 )
 
 ZERO = mp.ForcingSpec.zero()
@@ -39,7 +40,8 @@ def _field(grid, half):
 
 def _duhamel(op, rhs, times, j):
     """Duhamel integral at node j of node-stacked half-spectrum RHS samples."""
-    return _field(op.grid, DuhamelPropagator(op, times).integrate_nodes(rhs)[j])
+    prop = DuhamelPropagator((op,), (rhs.shape[1],), times)
+    return _field(op.grid, prop.integrate_nodes(rhs)[j])
 
 
 # -- beta function ----------------------------------------------------------
@@ -518,23 +520,24 @@ def test_rhs_block_size_follows_byte_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "assemble_rhs", counting)
     params = mp.CouplingParams()
-    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid2, params))
-    traj = picard_step(traj, params, ZERO, ZERO, propagators=props)
-    picard_step(traj, params, ZERO, ZERO, propagators=props)
+    prop = window_propagator(grid2, params, traj.times)
+    traj = picard_step(traj, params, ZERO, ZERO, propagator=prop)
+    picard_step(traj, params, ZERO, ZERO, propagator=prop)
     assert rows == [8] * 8 + [1] + [8] * 8
 
 
 # -- one sweep against its per-interval and per-node references -------------
 
-def _integrate_nodes_reference(prop, rhs):
-    """The Duhamel recurrence with one accumulator per family, rebound each
-    interval and summed into every node."""
-    eigs, parts = zip(*subspaces(prop.op, rhs))
+def _integrate_nodes_reference(op, times, rhs):
+    """The Duhamel recurrence of one field with one complex accumulator per
+    family, rebound each interval and summed into every node."""
+    eigs, parts = zip(*subspaces(op, rhs))
     acc = [np.zeros_like(p[0]) for p in parts]
     out = np.zeros_like(rhs)
-    for j in range(len(prop.times) - 1):
-        h = float(prop.times[j + 1] - prop.times[j])
-        for i, (decay, w0, w1) in enumerate(prop._interval(h, eigs)):
+    for j in range(len(times) - 1):
+        h = float(times[j + 1] - times[j])
+        for i, eig in enumerate(eigs):
+            decay, w0, w1 = interval_weights(eig, h)
             acc[i] = decay * acc[i] + w0 * parts[i][j] + w1 * parts[i][j + 1]
         out[j + 1] = sum(acc[1:], acc[0])
     return out
@@ -550,8 +553,7 @@ def _reference_sweep(traj, params, f, g):
     """A sweep that assembles the RHS at every node and integrates it by the
     reference recurrence."""
     rhs = node_rhs(traj, params, f, g)
-    new = {tag: traj.free[tag] + _integrate_nodes_reference(DuhamelPropagator(op, traj.times),
-                                                            rhs[tag])
+    new = {tag: traj.free[tag] + _integrate_nodes_reference(op, traj.times, rhs[tag])
            for tag, op in zip(TAGS, mp.generators(traj.grid, params))}
     new["u"][(Ellipsis,) + (0,) * traj.grid.dim] = 0.0
     return new
@@ -588,9 +590,9 @@ def test_sweep_matches_references_bit_for_bit(case):
     grid, params, f, g, start, traj = _sweep_case(case)
     for tag, op, f0 in zip(TAGS, mp.generators(grid, params), start):
         assert traj.free[tag].tobytes() == _free_evolution_reference(op, f0, traj.times).tobytes()
-    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid, params))
+    prop = window_propagator(grid, params, traj.times)
     for _ in range(3):
-        new = picard_step(traj, params, f, g, propagators=props)
+        new = picard_step(traj, params, f, g, propagator=prop)
         ref = _reference_sweep(traj, params, f, g)
         for tag in TAGS:
             assert new.coeffs[tag].tobytes() == ref[tag].tobytes()
@@ -602,11 +604,11 @@ def test_kept_start_rhs_matches_fresh_assembly(case):
     """The node-0 RHS a window's first sweep keeps is, bit for bit, the one
     a fresh assemble_rhs gives at node 0 of a later iterate."""
     grid, params, f, g, _, traj = _sweep_case(case)
-    props = tuple(DuhamelPropagator(op, traj.times) for op in mp.generators(grid, params))
+    prop = window_propagator(grid, params, traj.times)
     for _ in range(2):
-        traj = picard_step(traj, params, f, g, propagators=props)
+        traj = picard_step(traj, params, f, g, propagator=prop)
     fresh = mp.assemble_rhs(grid, *(traj.coeffs[tag][:1] for tag in TAGS), params, f, g)[0]
-    kept = np.concatenate([prop.start_rhs for prop in props])
+    kept = prop.start_rhs
     assert kept.tobytes() == fresh.tobytes()
 
 
