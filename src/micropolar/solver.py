@@ -395,8 +395,10 @@ def picard_step(traj: TrajectoryState, params: CouplingParams,
         rhs[0] = propagator.start_rhs
     else:
         propagator.start_rhs = rhs[0].copy()
-    integral = _tag_views(propagator.integrate_nodes(rhs))
-    new = {tag: traj.free[tag] + integral[tag] for tag in TAGS}
+    # the new iterate, free evolution plus integral, in the integral's planes
+    new = _tag_views(propagator.integrate_nodes(rhs))
+    for tag in TAGS:
+        np.add(traj.free[tag], new[tag], out=new[tag])
     new["u"][(Ellipsis,) + _zero_index(traj.grid)] = 0.0
     return replace(traj, coeffs=new, m=traj.m + 1)
 
