@@ -459,16 +459,26 @@ def _search(names: tuple, rules: list, env: ExponentConfig, res: int) -> tuple:
     return None, (group, shape, masks)
 
 
-def _group_searches(env: ExponentConfig, res: int) -> tuple:
+def _group_searches(env: ExponentConfig, res: int, searches: dict | None = None) -> tuple:
     """Search each exponent group on a 1/res lattice, with the base exponents
     and the deltas of env substituted into its rules.
 
     Returns (intermediates, None) with the nine intermediates, or
-    (None, failure) for the first group with no feasible lattice point."""
+    (None, failure) for the first group with no feasible lattice point.
+    searches, when given, keeps each group's search under the group, the
+    lattice, its picked rules and the values they and its box read, so that
+    a call whose env differs only in values a group does not read reuses
+    that group's search."""
+    searches = {} if searches is None else searches
     out = {}
     for names in _GROUPS:
-        rules = [rule for rule in _GROUP_RULES[names] if rule.picked(env)]
-        point, failure = _search(names, rules, env, res)
+        rules = tuple(rule for rule in _GROUP_RULES[names] if rule.picked(env))
+        reads = set().union(*(rule.reads for rule in rules)) - set(names)
+        reads |= {n[:-1] + "0" for n in names} | {_BOXES[n[:-1]] for n in names}
+        key = (names, res, rules, tuple((v, getattr(env, v)) for v in sorted(reads)))
+        if key not in searches:
+            searches[key] = _search(names, list(rules), env, res)
+        point, failure = searches[key]
         if point is None:
             return None, failure
         out.update(zip(names, point))
@@ -535,13 +545,13 @@ def select_intermediate(cfg: ExponentConfig, lambda_cap: float = 1.0) -> Selecti
                     if abs(f * cap - primary[i]) > 1e-9]
         return [primary[i]] + fallback
 
-    binding = []
+    binding, searches = [], {}
     for d1, d2, d3 in itertools.islice(
             itertools.product(delta_candidates(0), delta_candidates(1),
                               delta_candidates(2)), 125):
         env = replace(cfg, delta1=d1, delta2=d2, delta3=d3)
         for res in LATTICES:
-            found, failure = _group_searches(env, res)
+            found, failure = _group_searches(env, res, searches)
             if found is not None:
                 break
         if found is None:

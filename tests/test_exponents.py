@@ -222,3 +222,27 @@ def test_serialization_roundtrip():
     assert "lambda" in d and "alpha1" in d
     back = mp.ExponentConfig.from_dict(d)
     assert back == sel.config
+
+
+def test_group_searches_reuse_the_searches_of_unread_values(monkeypatch):
+    """A group's search reads only its box and the values of its picked
+    rules: with one shared table, envs that differ in delta2 and delta3
+    search group alpha1 (which reads delta1) once, and every result is the
+    one a search of its own gives."""
+    import micropolar.exponents as exponents
+
+    names = []
+    search = exponents._search
+    monkeypatch.setattr(exponents, "_search",
+                        lambda group, *args: names.append(group) or search(group, *args))
+    cfg = mp.ExponentConfig(p=3, q=4, r=1.25, alpha0=0.0, beta0=0.0, gamma0=0.0)
+    searches = {}
+    for d2, d3 in [(0.1, 0.1), (0.1, 0.3), (0.2, 0.1), (0.2, 0.3)]:
+        env = replace(cfg, delta1=0.25, delta2=d2, delta3=d3)
+        shared, alone = _group_searches(env, 64, searches), _group_searches(env, 64)
+        assert shared[0] == alone[0]
+        assert (shared[1] is None) == (alone[1] is None)
+        if alone[1] is not None:
+            assert _binding_constraints(shared[1]) == _binding_constraints(alone[1])
+    # four searches of their own, and one shared
+    assert names.count(("alpha1",)) == 5

@@ -492,6 +492,26 @@ def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
     assert rows == [8, 1] + [8] * (sweeps - 1)
 
 
+def test_picard_solve_integrates_once_per_sweep(grid2d, params, cfg2, rng, monkeypatch):
+    """One recurrence serves the three fields: each sweep of a window runs
+    integrate_nodes once, on the RHS stacked (nodes, dim + C + 1, *half)."""
+    import micropolar.solver as solver
+
+    shapes = []
+    original = solver.DuhamelPropagator.integrate_nodes
+
+    def counting(self, rhs):
+        shapes.append(rhs.shape)
+        return original(self, rhs)
+
+    monkeypatch.setattr(solver.DuhamelPropagator, "integrate_nodes", counting)
+    u0, om0, th0 = _initial_data(grid2d, rng)
+    pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
+    assert rep.converged
+    assert shapes == [(traj.node_count, 4) + grid2d.half_shape] * len(rep.iterations)
+
+
 def test_rhs_block_size_follows_byte_budget(monkeypatch):
     """Blocks hold about RHS_BLOCK_BYTES of inverse-transform grid values:
     11 planes a node in 2D, 27 in 3D.  The first sweep of a window blocks
