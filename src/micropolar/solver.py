@@ -105,11 +105,12 @@ class DuhamelPropagator:
     node grid for fields stacked on the component axis: ops[i] generates the
     comps[i] planes of field i, in stack order.
 
-    Every invariant eigenvalue family of every field is one set of planes
-    of a single recurrence on the real view of the node-stacked planes,
-    with real weights per plane and re/im slot; the two families of a
-    vector under the elliptic generator become two sets of planes, summed
-    into the field's planes at every node.
+    One recurrence runs on the real view of all the planes, with real
+    weights per plane, repeated for the real and imaginary parts.  A field
+    with two invariant families (a vector under the elliptic generator)
+    keeps its first family in its own planes and its second in extra planes
+    after the last field's; the two are summed into the field's planes at
+    every node.
 
     start_rhs is the stacked RHS at node 0 once picard_step has assembled
     it there: node 0 is the window's start state in every sweep."""
@@ -122,21 +123,19 @@ class DuhamelPropagator:
         self._steps = None
         self.start_rhs = None
 
-    def _families(self) -> list:
-        """The eigenvalue arrays of each field's invariant families."""
-        return [eig_families(op, c) for op, c in zip(self.ops, self.comps)]
-
     def _interval(self, h: float) -> tuple:
         """(decay, w0, w1) of interval_weights on every recurrence plane, as
-        float64 arrays laid out like the real view of a complex node row:
-        each weight repeated for the real and imaginary part."""
+        float64 arrays laid out like the real view of a complex node row."""
         key = round(h, 15)
         if key not in self._weights:
-            per_family = [(interval_weights(eig, h), c) for eigs, c
-                          in zip(self._families(), self.comps) for eig in eigs]
+            families = [eig_families(op, c) for op, c in zip(self.ops, self.comps)]
+            # each field's first family, then the second families
+            planes = [(eigs[0], c) for eigs, c in zip(families, self.comps)]
+            planes += [(eigs[1], c) for eigs, c in zip(families, self.comps) if len(eigs) > 1]
+            weights = [(interval_weights(eig, h), c) for eig, c in planes]
             self._weights[key] = tuple(
                 np.repeat(np.concatenate([np.broadcast_to(w[k], (c,) + w[k].shape)
-                                          for w, c in per_family]), 2, axis=-1)
+                                          for w, c in weights]), 2, axis=-1)
                 for k in range(3))
         return self._weights[key]
 
@@ -152,32 +151,36 @@ class DuhamelPropagator:
         """Duhamel integrals at every node of RHS samples at the nodes, both
         node-stacked half spectra (nodes, sum(comps), *half).
 
-        Each interval writes decay * I_j, then adds w0 N_j and w1 N_{j+1},
-        in that order, in place through one scratch node, on the output
-        rows themselves."""
-        blocks, start = [], 0
+        The samples are split into the recurrence planes of one working
+        array, whose rows the integrals then replace: each interval writes
+        decay * I_j, then adds w0 N_j and w1 N_{j+1}, in that order, into a
+        spare node row, and row j, whose sample is spent, takes I_j."""
+        firsts, seconds, start = [], [], 0
         for op, c in zip(self.ops, self.comps):
-            blocks.append(subspaces(op, rhs[:, start: start + c]))
+            parts = [part for _, part in subspaces(op, rhs[:, start: start + c])]
+            firsts.append(parts[0])
+            seconds += parts[1:]
             start += c
-        split = any(len(b) > 1 for b in blocks)
-        parts = np.concatenate([part for b in blocks for _, part in b], axis=1) \
-            if split else np.ascontiguousarray(rhs)
-        out = np.zeros_like(parts)
-        real, samples = out.view(np.float64), parts.view(np.float64)
-        scratch = np.empty_like(real[0])
+        work = np.concatenate(firsts + seconds, axis=1)
+        del firsts, seconds, parts
+        real = work.view(np.float64)
+        prev, spare, scratch = np.zeros_like(real[0]), np.empty_like(real[0]), \
+            np.empty_like(real[0])
         for j, (decay, w0, w1) in enumerate(self._intervals()):
-            np.multiply(decay, real[j], out=real[j + 1])
-            real[j + 1] += np.multiply(w0, samples[j], out=scratch)
-            real[j + 1] += np.multiply(w1, samples[j + 1], out=scratch)
-        if not split:
-            return out
-        fields, start = [], 0
-        for b, c in zip(blocks, self.comps):
-            fields.append(out[:, start: start + c])
-            if len(b) > 1:
-                fields[-1] = fields[-1] + out[:, start + c: start + 2 * c]
-            start += len(b) * c
-        return np.concatenate(fields, axis=1)
+            np.multiply(decay, prev, out=spare)
+            spare += np.multiply(w0, real[j], out=scratch)
+            spare += np.multiply(w1, real[j + 1], out=scratch)
+            real[j] = prev
+            prev, spare = spare, prev
+        real[-1] = prev
+        at, start = rhs.shape[1], 0
+        for op, c in zip(self.ops, self.comps):
+            if len(eig_families(op, c)) > 1:
+                field = work[:, start: start + c]
+                np.add(field, work[:, at: at + c], out=field)
+                at += c
+            start += c
+        return work[:, : rhs.shape[1]]
 
 
 # ---------------------------------------------------------------------------
