@@ -180,7 +180,8 @@ class DuhamelPropagator:
                 np.add(field, work[:, at: at + c], out=field)
                 at += c
             start += c
-        return work[:, : rhs.shape[1]]
+        # a copy only with second-family planes, which the iterate need not keep
+        return np.ascontiguousarray(work[:, : rhs.shape[1]])
 
 
 # ---------------------------------------------------------------------------
