@@ -118,6 +118,7 @@ class DuhamelPropagator:
     def __init__(self, ops: tuple, comps: tuple, times: np.ndarray):
         self.ops = tuple(op.with_power(1.0) for op in ops)
         self.comps = tuple(comps)
+        self._families = [eig_families(op, c) for op, c in zip(self.ops, comps)]
         self.times = np.asarray(times, dtype=np.float64)
         self._weights = {}
         self._steps = None
@@ -128,10 +129,10 @@ class DuhamelPropagator:
         float64 arrays laid out like the real view of a complex node row."""
         key = round(h, 15)
         if key not in self._weights:
-            families = [eig_families(op, c) for op, c in zip(self.ops, self.comps)]
             # each field's first family, then the second families
-            planes = [(eigs[0], c) for eigs, c in zip(families, self.comps)]
-            planes += [(eigs[1], c) for eigs, c in zip(families, self.comps) if len(eigs) > 1]
+            fields = list(zip(self._families, self.comps))
+            planes = [(eigs[0], c) for eigs, c in fields]
+            planes += [(eigs[1], c) for eigs, c in fields if len(eigs) > 1]
             weights = [(interval_weights(eig, h), c) for eig, c in planes]
             self._weights[key] = tuple(
                 np.repeat(np.concatenate([np.broadcast_to(w[k], (c,) + w[k].shape)
@@ -174,8 +175,8 @@ class DuhamelPropagator:
             prev, spare = spare, prev
         real[-1] = prev
         at, start = rhs.shape[1], 0
-        for op, c in zip(self.ops, self.comps):
-            if len(eig_families(op, c)) > 1:
+        for eigs, c in zip(self._families, self.comps):
+            if len(eigs) > 1:
                 field = work[:, start: start + c]
                 np.add(field, work[:, at: at + c], out=field)
                 at += c
