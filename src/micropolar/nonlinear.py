@@ -388,7 +388,9 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     transport, Phi and the forcing are formed with the node axis after the
     plane axis, and one forward transform returns them.  The linear terms
     read the buffer's gradient planes; they, the 2/3 rule and the
-    projection act on the half spectrum.
+    projection act on the half spectrum.  Transport, Phi, the linear terms
+    and the projection write into preallocated planes; each sum runs over
+    its terms in component order.
     """
     dim, ncomp = grid.dim, omh.shape[1]
     forced = f.kind != "zero" or g.kind != "zero"
@@ -426,7 +428,7 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
         out = np.zeros((nout, uh.shape[0]) + uh.shape[2:], dtype=np.complex128)
 
     # the linear terms and the projection, on half-spectrum planes (B, *half)
-    scratch = np.empty((2,) + out.shape[1:], dtype=np.complex128)
+    spare = np.empty((2,) + out.shape[1:], dtype=np.complex128)
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
         grad_h = buf[nval:].reshape((nout, dim) + out.shape[1:])
@@ -435,17 +437,17 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
         rot_u = curl_values(grad_h[:dim])
         np.multiply(two_mur, rot_u, out=rot_u)
         for c in range(ncomp):
-            lin = np.multiply(-2.0 * two_mur, buf[dim + c], out=scratch[0])
+            lin = np.multiply(-2.0 * two_mur, buf[dim + c], out=spare[0])
             lin += rot_u[c]
             out[dim + c] += lin
     # F -= k (k . F) / |k|^2
     kap, ksq = projector_symbols(grid)
-    kdotf = np.multiply(kap[0], out[0], out=scratch[0])
+    kdotf = np.multiply(kap[0], out[0], out=spare[0])
     for a in range(1, dim):
-        kdotf += np.multiply(kap[a], out[a], out=scratch[1])
+        kdotf += np.multiply(kap[a], out[a], out=spare[1])
     np.divide(kdotf, ksq, out=kdotf)
     for a in range(dim):
-        out[a] -= np.multiply(kap[a], kdotf, out=scratch[1])
+        out[a] -= np.multiply(kap[a], kdotf, out=spare[1])
     out *= dealias_mask(grid)
     out[(slice(None, dim), slice(None)) + _zero_index(grid)] = 0.0
     return np.swapaxes(out, 0, 1)

@@ -119,6 +119,13 @@ class DuhamelPropagator:
         self.ops = tuple(op.with_power(1.0) for op in ops)
         self.comps = tuple(comps)
         self._families = [eig_families(op, c) for op, c in zip(self.ops, comps)]
+        # (field planes, its second family's planes after the last field's)
+        self._second_planes, start, at = [], 0, sum(self.comps)
+        for eigs, c in zip(self._families, self.comps):
+            if len(eigs) > 1:
+                self._second_planes.append((slice(start, start + c), slice(at, at + c)))
+                at += c
+            start += c
         self.times = np.asarray(times, dtype=np.float64)
         self._weights = {}
         self._steps = None
@@ -152,37 +159,37 @@ class DuhamelPropagator:
         """Duhamel integrals at every node of RHS samples at the nodes, both
         node-stacked half spectra (nodes, sum(comps), *half).
 
-        The samples are split into the recurrence planes of one working
-        array, whose rows the integrals then replace: each interval writes
-        decay * I_j, then adds w0 N_j and w1 N_{j+1}, in that order, into a
-        spare node row, and row j, whose sample is spent, takes I_j."""
+        Each interval writes decay * I_j, then adds w0 N_j and w1 N_{j+1},
+        in that order, through one scratch row.  With one family per field
+        the recurrence runs on the output rows themselves; with second
+        families it runs on a pair of spare rows, and each new row's second
+        families are added into its fields' output planes."""
         firsts, seconds, start = [], [], 0
         for op, c in zip(self.ops, self.comps):
             parts = [part for _, part in subspaces(op, rhs[:, start: start + c])]
             firsts.append(parts[0])
             seconds += parts[1:]
             start += c
-        work = np.concatenate(firsts + seconds, axis=1)
+        samples = np.concatenate(firsts + seconds, axis=1) if seconds \
+            else np.ascontiguousarray(rhs)
         del firsts, seconds, parts
-        real = work.view(np.float64)
-        prev, spare, scratch = np.zeros_like(real[0]), np.empty_like(real[0]), \
-            np.empty_like(real[0])
+        out = np.empty(rhs.shape, dtype=np.complex128)
+        out[0] = 0.0
+        real, data = out.view(np.float64), samples.view(np.float64)
+        spare = np.zeros((2,) + data.shape[1:]) if self._second_planes else None
+        scratch = np.empty_like(data[0])
         for j, (decay, w0, w1) in enumerate(self._intervals()):
-            np.multiply(decay, prev, out=spare)
-            spare += np.multiply(w0, real[j], out=scratch)
-            spare += np.multiply(w1, real[j + 1], out=scratch)
-            real[j] = prev
-            prev, spare = spare, prev
-        real[-1] = prev
-        at, start = rhs.shape[1], 0
-        for eigs, c in zip(self._families, self.comps):
-            if len(eigs) > 1:
-                field = work[:, start: start + c]
-                np.add(field, work[:, at: at + c], out=field)
-                at += c
-            start += c
-        # a copy only with second-family planes, which the iterate need not keep
-        return np.ascontiguousarray(work[:, : rhs.shape[1]])
+            prev, new = (real[j], real[j + 1]) if spare is None else (spare[j % 2],
+                                                                    spare[(j + 1) % 2])
+            np.multiply(decay, prev, out=new)
+            new += np.multiply(w0, data[j], out=scratch)
+            new += np.multiply(w1, data[j + 1], out=scratch)
+            if spare is not None:
+                row = new.view(np.complex128)
+                out[j + 1] = row[: rhs.shape[1]]
+                for field, second in self._second_planes:
+                    out[j + 1, field] += row[second]
+        return out
 
 
 # ---------------------------------------------------------------------------
