@@ -258,16 +258,17 @@ class TrajectoryState:
     of TAGS, in that order, to the read-only half spectra (nodes, comp, *half)
     of the iterate and of the window's free evolution.  A one-node trajectory
     is a solver state (a solve's start, a window's end, a checkpoint), its
-    own free evolution over a window of length 0."""
+    own free evolution over a window of length 0.  The run global_solve
+    joins from its windows has no one free evolution: its free is None."""
 
     times: np.ndarray
     grid: GridSpec
     coeffs: dict
-    free: dict
+    free: dict | None
     m: int = 0
 
     def __post_init__(self):
-        for arr in (*self.coeffs.values(), *self.free.values()):
+        for arr in (*self.coeffs.values(), *(self.free or {}).values()):
             arr.setflags(write=False)
 
     @property
@@ -683,19 +684,6 @@ class GlobalResult:
     completed: bool = True
 
 
-def _concat_trajectories(segments: list) -> TrajectoryState:
-    """Join consecutive windows (absolute times); each window after the first
-    starts at the node that ended the one before."""
-    def join(arrays):
-        return np.concatenate([arrays[0]] + [a[1:] for a in arrays[1:]])
-
-    return TrajectoryState(
-        times=join([seg.times for seg in segments]), grid=segments[0].grid,
-        coeffs={tag: join([seg.coeffs[tag] for seg in segments]) for tag in TAGS},
-        free={tag: join([seg.free[tag] for seg in segments]) for tag in TAGS},
-        m=segments[-1].m)
-
-
 def first_window(pic: PicardConfig, t0: float) -> int:
     """Index of the window of the march from t = 0 that a march from t0
     runs first: the one t0 lies in, or the next when t0 ends a window."""
@@ -724,27 +712,44 @@ def global_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
     decay-weighted sup functions along the way.
 
     Node times are absolute.  checkpoint_hook(w, traj) receives each
-    converged window."""
+    converged window.  The run is held once: one run-length array per field,
+    sized from every window's node grid up front, into which each window's
+    nodes are copied when it ends (a later window's node 0 is the row that
+    ended the one before); the next window starts from a view of the last
+    filled row, so no window's arrays outlive it.  An unconverged last
+    window is kept too.  The result's trajectory views the filled rows; its
+    free is None."""
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
     t0 = float(start.times[0])
     horizons = window_horizons(pic, t_total, t0)
     if not horizons:
         raise ConfigurationError(f"t_total {t_total:g} must exceed the start time {t0:g}")
-    segments, reports = [], []
-    cur = start
-    for w, horizon in enumerate(horizons):
+    grids = [pic.node_grid(horizon=horizon) for horizon in horizons]
+    rows = 1 + sum(len(times) - 1 for times in grids)
+    times = np.empty(rows)
+    run = {tag: np.empty((rows,) + c.shape[1:], dtype=np.complex128)
+           for tag, c in start.coeffs.items()}
+    reports, cur, filled = [], start, 0
+    for w, window_times in enumerate(grids):
         traj, rep = picard_solve(cur, cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
-                                 times=pic.node_grid(horizon=horizon))
-        segments.append(traj)
+                                 times=window_times)
         reports.append(rep)
+        first = 0 if w == 0 else 1
+        stop = filled + traj.node_count - first
+        times[filled:stop] = traj.times[first:]
+        for tag in TAGS:
+            run[tag][filled:stop] = traj.coeffs[tag][first:]
+        filled = stop
+        full = TrajectoryState(times[:stop], start.grid,
+                               {tag: c[:stop] for tag, c in run.items()}, None, m=traj.m)
         if not rep.converged:
             break
-        cur = traj.end_state()
+        cur = full.end_state()
         if checkpoint_hook is not None:
             checkpoint_hook(w, traj)
-    full = _concat_trajectories(segments)
+        del traj
 
     norms = WeightedNorms(cfg, start.grid, params)
     e_sup = {}
