@@ -362,9 +362,10 @@ def irfft_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
                          norm="forward")
 
 
-def rfft_half(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Half spectrum of real grid values over the last dim axes (scaled by 1/N)."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+def rfft_half(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real grid values over the last dim axes (scaled by
+    1/N), written into out when given."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward", out=out)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:

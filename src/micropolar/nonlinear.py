@@ -368,7 +368,7 @@ def dissipation_phi(u: SpectralField, v: SpectralField,
 
 def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarray,
                  params: CouplingParams, f: ForcingSpec, g: ForcingSpec,
-                 *, linear_only: bool = False) -> np.ndarray:
+                 *, linear_only: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Right-hand sides of the projected system at a block of nodes.
 
     Velocity:       F = -P(u.grad)u + (2 mu_r / rho) P rot om + P f(theta)
@@ -377,8 +377,10 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
 
     uh, omh and thh are the node-stacked half spectra (B, comp, *half) of u,
     om and th; the result stacks F, G and H on the component axis,
-    (B, dim + C + 1, *half).  Each node's result is the one a block of that
-    node alone gives, bit for bit.  linear_only drops transport and the
+    (B, dim + C + 1, *half), written into out when given (a C-ordered array
+    of that shape, such as rows of a caller's node stack) and into a new
+    array otherwise.  Each node's result is the one a block of that node
+    alone gives, bit for bit.  linear_only drops transport and the
     dissipation function (linear-regime diagnostics).  All outputs are
     dealiased; F is solenoidal and mean-zero.
 
@@ -386,9 +388,10 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     is forcing, and the gradients i k (u, om, th), at every node of the
     block.  One inverse real transform takes it to the grid, where
     transport, Phi and the forcing are formed with the node axis after the
-    plane axis, and one forward transform returns them.  The linear terms
-    read the buffer's gradient planes; they, the 2/3 rule and the
-    projection act on the half spectrum.  Transport, Phi, the linear terms
+    plane axis, and one forward transform returns them into the plane-major
+    view of the result.  The linear terms read the buffer's gradient
+    planes; they, the 2/3 rule and the projection act in place on the half
+    spectrum.  Transport, Phi, the linear terms
     and the projection write into preallocated planes; each sum runs over
     its terms in component order.
     """
@@ -422,32 +425,35 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
             vals[:dim] += _forcing_values(f, th_vals, dim)
         if g.kind != "zero":
             vals[dim: dim + ncomp] += _forcing_values(g, th_vals, ncomp)
+    if out is None:
+        out = np.empty((uh.shape[0], nout) + uh.shape[2:], dtype=np.complex128)
+    res = np.swapaxes(out, 0, 1)        # F, G, H plane-major, (nout, B, *half)
     if forced or not linear_only:
-        out = rfft_half(grid, vals)
+        rfft_half(grid, vals, out=res)
     else:
-        out = np.zeros((nout, uh.shape[0]) + uh.shape[2:], dtype=np.complex128)
+        res[...] = 0.0
 
     # the linear terms and the projection, on half-spectrum planes (B, *half)
-    spare = np.empty((2,) + out.shape[1:], dtype=np.complex128)
+    spare = np.empty((2,) + res.shape[1:], dtype=np.complex128)
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
-        grad_h = buf[nval:].reshape((nout, dim) + out.shape[1:])
+        grad_h = buf[nval:].reshape((nout, dim) + res.shape[1:])
         rot_om = curl_values(grad_h[dim: dim + ncomp])
-        out[:dim] += np.multiply(two_mur, rot_om, out=rot_om)
+        res[:dim] += np.multiply(two_mur, rot_om, out=rot_om)
         rot_u = curl_values(grad_h[:dim])
         np.multiply(two_mur, rot_u, out=rot_u)
         for c in range(ncomp):
             lin = np.multiply(-2.0 * two_mur, buf[dim + c], out=spare[0])
             lin += rot_u[c]
-            out[dim + c] += lin
+            res[dim + c] += lin
     # F -= k (k . F) / |k|^2
     kap, ksq = projector_symbols(grid)
-    kdotf = np.multiply(kap[0], out[0], out=spare[0])
+    kdotf = np.multiply(kap[0], res[0], out=spare[0])
     for a in range(1, dim):
-        kdotf += np.multiply(kap[a], out[a], out=spare[1])
+        kdotf += np.multiply(kap[a], res[a], out=spare[1])
     np.divide(kdotf, ksq, out=kdotf)
     for a in range(dim):
-        out[a] -= np.multiply(kap[a], kdotf, out=spare[1])
-    out *= dealias_mask(grid)
-    out[(slice(None, dim), slice(None)) + _zero_index(grid)] = 0.0
-    return np.swapaxes(out, 0, 1)
+        res[a] -= np.multiply(kap[a], kdotf, out=spare[1])
+    res *= dealias_mask(grid)
+    res[(slice(None, dim), slice(None)) + _zero_index(grid)] = 0.0
+    return out

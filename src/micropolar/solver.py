@@ -372,12 +372,11 @@ def _rhs_stack(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
     the caller to fill."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
     half = traj.coeffs["u"].shape[2:]
-    # filled block by block: the blocks' results and a joined copy of them
-    # are never held at once
+    # each block's RHS is written straight into its rows
     rhs = np.empty((traj.node_count, dim + ncomp + 1) + half, dtype=np.complex128)
     for b in traj.node_blocks(first):
-        rhs[b] = assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
-                              params, f, g, linear_only=linear_only)
+        assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
+                     params, f, g, linear_only=linear_only, out=rhs[b])
     return rhs
 
 
