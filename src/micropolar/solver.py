@@ -126,14 +126,17 @@ class DuhamelPropagator:
                 self._second_planes.append((slice(start, start + c), slice(at, at + c)))
                 at += c
             start += c
+        # the recurrence planes of the samples: the stack's, then each second family's
+        self._pieces = [slice(0, start)] + [second for _, second in self._second_planes]
         self.times = np.asarray(times, dtype=np.float64)
         self._weights = {}
         self._steps = None
         self.start_rhs = None
 
-    def _interval(self, h: float) -> tuple:
-        """(decay, w0, w1) of interval_weights on every recurrence plane, as
-        float64 arrays laid out like the real view of a complex node row."""
+    def _interval(self, h: float) -> list:
+        """(decay, w0, w1) of interval_weights on the planes of each piece of
+        the recurrence, as float64 arrays laid out like the real view of a
+        complex node row."""
         key = round(h, 15)
         if key not in self._weights:
             # each field's first family, then the second families
@@ -141,10 +144,10 @@ class DuhamelPropagator:
             planes = [(eigs[0], c) for eigs, c in fields]
             planes += [(eigs[1], c) for eigs, c in fields if len(eigs) > 1]
             weights = [(interval_weights(eig, h), c) for eig, c in planes]
-            self._weights[key] = tuple(
-                np.repeat(np.concatenate([np.broadcast_to(w[k], (c,) + w[k].shape)
-                                          for w, c in weights]), 2, axis=-1)
-                for k in range(3))
+            full = [np.repeat(np.concatenate([np.broadcast_to(w[k], (c,) + w[k].shape)
+                                              for w, c in weights]), 2, axis=-1)
+                    for k in range(3)]
+            self._weights[key] = [tuple(w[piece] for w in full) for piece in self._pieces]
         return self._weights[key]
 
     def _intervals(self) -> list:
@@ -159,33 +162,39 @@ class DuhamelPropagator:
         """Duhamel integrals at every node of RHS samples at the nodes, both
         node-stacked half spectra (nodes, sum(comps), *half).
 
+        A field with two families keeps its first in its planes, split in
+        place as subspaces splits it, and its second apart: a C-ordered rhs
+        is overwritten.
         Each interval writes decay * I_j, then adds w0 N_j and w1 N_{j+1},
-        in that order, through one scratch row.  With one family per field
-        the recurrence runs on the output rows themselves; with second
-        families it runs on a pair of spare rows, and each new row's second
-        families are added into its fields' output planes."""
-        firsts, seconds, start = [], [], 0
-        for op, c in zip(self.ops, self.comps):
-            parts = [part for _, part in subspaces(op, rhs[:, start: start + c])]
-            firsts.append(parts[0])
-            seconds += parts[1:]
-            start += c
-        samples = np.concatenate(firsts + seconds, axis=1) if seconds \
-            else np.ascontiguousarray(rhs)
-        del firsts, seconds, parts
+        in that order, through one scratch row, on the stack's planes and
+        then on each second family's.  With one family per field the
+        recurrence runs on the output rows themselves; with second families
+        it runs on a pair of spare rows, and each new row's second families
+        are added into its fields' output planes."""
+        rhs = np.ascontiguousarray(rhs)
+        samples = [rhs]
+        if self._second_planes:
+            kap, ksq = projector_symbols(self.ops[0].grid)
+            for field, _ in self._second_planes:
+                para = parallel_part(rhs[:, field], kap, ksq)
+                rhs[:, field] -= para
+                samples.append(para)
         out = np.empty(rhs.shape, dtype=np.complex128)
         out[0] = 0.0
-        real, data = out.view(np.float64), samples.view(np.float64)
-        spare = np.zeros((2,) + data.shape[1:]) if self._second_planes else None
-        scratch = np.empty_like(data[0])
-        for j, (decay, w0, w1) in enumerate(self._intervals()):
-            prev, new = (real[j], real[j + 1]) if spare is None else (spare[j % 2],
-                                                                    spare[(j + 1) % 2])
-            np.multiply(decay, prev, out=new)
-            new += np.multiply(w0, data[j], out=scratch)
-            new += np.multiply(w1, data[j + 1], out=scratch)
-            if spare is not None:
-                row = new.view(np.complex128)
+        real = out.view(np.float64)
+        rows = real if len(samples) == 1 else \
+            np.zeros((2, self._pieces[-1].stop) + real.shape[2:])
+        scratch = np.empty(rows.shape[1:])
+        parts = [(rows[:, piece], data.view(np.float64), scratch[piece])
+                 for piece, data in zip(self._pieces, samples)]
+        for j, weights in enumerate(self._intervals()):
+            a, b = (j, j + 1) if rows is real else (j % 2, (j + 1) % 2)
+            for (decay, w0, w1), (acc, data, tmp) in zip(weights, parts):
+                new = np.multiply(decay, acc[a], out=acc[b])
+                new += np.multiply(w0, data[j], out=tmp)
+                new += np.multiply(w1, data[j + 1], out=tmp)
+            if rows is not real:
+                row = rows[b].view(np.complex128)
                 out[j + 1] = row[: rhs.shape[1]]
                 for field, second in self._second_planes:
                     out[j + 1, field] += row[second]
