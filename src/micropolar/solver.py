@@ -348,7 +348,10 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
     """Free-evolution trajectory (iteration zero) from the one-node start
     state, at the times elapsed since it.  strict checks the preconditions
     on initial data: a solenoidal velocity (the L2 norm of its divergence
-    within 1e-8 of its own) and mean-zero fields."""
+    within 1e-8 of its own) and mean-zero fields.  A start at t = 0 is
+    initial data, whose velocity the Stokes semigroup sees Leray-projected;
+    a later start is a state of the solver, already projected, and node 0
+    keeps its bits."""
     times, grid = np.asarray(times, dtype=np.float64), start.grid
     u0, om0, th0 = (start.coeffs[tag][0] for tag in TAGS)
     if strict:
@@ -359,8 +362,8 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
             scale = max(1.0, float(np.max(np.abs(c))))
             if np.max(np.abs(c[(Ellipsis,) + _zero_index(grid)])) > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
-    # the Stokes semigroup acts on the Leray projection of the velocity
-    u0 = leray_coeffs(grid, u0)
+    if float(start.times[0]) == 0.0:
+        u0 = leray_coeffs(grid, u0)
     free = {tag: _free_evolution(op, c, times) for tag, op, c
             in zip(TAGS, generators(grid, params), (u0, om0, th0))}
     return TrajectoryState(times=times, grid=grid, coeffs=free, free=free, m=0)

@@ -119,11 +119,12 @@ def test_resume_matches_uninterrupted(grid2d, params, cfg2, tmp_path):
     checkpoint_write(half.traj, str(path), config_hash="h")
     loaded = checkpoint_read(str(path), expected_hash="h")
     resumed = mp.global_solve(loaded, cfg2, params, ZERO, ZERO, pic, 0.5)
-    # every node after t0 = 0.25 repeats the uninterrupted march bit for bit
+    # every node from t0 = 0.25 on repeats the uninterrupted march bit for
+    # bit: a restart at t0 > 0 does not project the velocity again
     j0 = half.traj.node_count - 1
     assert resumed.traj.times.tobytes() == full.traj.times[j0:].tobytes()
     for tag in resumed.traj.coeffs:
-        assert resumed.traj.coeffs[tag][1:].tobytes() == full.traj.coeffs[tag][j0 + 1:].tobytes()
+        assert resumed.traj.coeffs[tag].tobytes() == full.traj.coeffs[tag][j0:].tobytes()
 
 
 def test_version_mismatch_refused(grid2d, params, tmp_path):
