@@ -5,6 +5,7 @@ large-time exponential rates against the configured target rate."""
 import argparse
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -43,9 +44,15 @@ def main():
     start = mp.start_state(u0 * scale, om0 * scale, th0 * scale)
 
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=64, tol=1e-12, m_max=30)
+    tracemalloc.start()
     result = mp.global_solve(start, cfg, params, ZERO, ZERO, pic, args.t_total)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     print(f"completed={result.completed} windows={len(result.reports)} "
           f"nodes={result.traj.node_count}")
+    # the march holds one copy of the run: its peak is that plus one window's work
+    run_mb = sum(c.nbytes for c in result.traj.coeffs.values()) / 1e6
+    print(f"memory: traced peak {peak / 1e6:.2f} MB, run coefficients {run_mb:.2f} MB")
 
     # the base-exponent norms at every node, from the trajectory's arrays
     traj = result.traj
