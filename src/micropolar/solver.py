@@ -738,15 +738,20 @@ def global_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
         raise ConfigurationError(f"t_total {t_total:g} must exceed the start time {t0:g}")
     grids = [pic.node_grid(horizon=horizon) for horizon in horizons]
     rows = 1 + sum(len(times) - 1 for times in grids)
-    times = np.empty(rows)
-    run = {tag: np.empty((rows,) + c.shape[1:], dtype=np.complex128)
-           for tag, c in start.coeffs.items()}
-    reports, cur, filled = [], start, 0
+    reports, cur = [], start
     for w, window_times in enumerate(grids):
         traj, rep = picard_solve(cur, cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
                                  times=window_times)
         reports.append(rep)
+        if w == 0:
+            # allocated once the first window has run, above the memory it
+            # frees: glibc's allocator then keeps that memory for the later
+            # windows instead of trimming it and faulting it in again
+            times = np.empty(rows)
+            run = {tag: np.empty((rows,) + c.shape[1:], dtype=np.complex128)
+                   for tag, c in traj.coeffs.items()}
+            filled = 0
         first = 0 if w == 0 else 1
         stop = filled + traj.node_count - first
         times[filled:stop] = traj.times[first:]
@@ -760,7 +765,7 @@ def global_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
         cur = full.end_state()
         if checkpoint_hook is not None:
             checkpoint_hook(w, traj)
-        del traj
+        del traj                    # the window's arrays go before the next one
 
     norms = WeightedNorms(cfg, start.grid, params)
     e_sup = {}
