@@ -13,13 +13,13 @@ import time
 
 import micropolar as mp
 from micropolar.analysis import (
-    ESTIMATES,
     verify_bilinear,
     verify_embeddings,
     verify_holder_difference,
     verify_smoothing,
     vanishing_weight_proxy,
 )
+from micropolar.kmbounds import ESTIMATES
 from micropolar.nonlinear import generators, lambda_chain_cap
 
 

@@ -38,7 +38,7 @@ from .fields import (
     rfft_half,
     _zero_index,
 )
-from .kmbounds import LemmaConstants, holder_constant, semigroup_constant
+from .kmbounds import ESTIMATES, LemmaConstants, holder_constant, semigroup_constant
 from .nonlinear import (
     CouplingParams,
     ForcingSpec,
@@ -398,86 +398,8 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
 # ---------------------------------------------------------------------------
 # The nine estimate constants
 #
-# Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
-# fractional norms of its arguments,
-#
-#     ||outer(left(x_1, ..., x_k))||_(L^s of out) <= C prod_i ||op_i^(e_i) x_i||,
-#
-# and ESTIMATES states each one once: every path below (the random ratio, the
-# L2 symbol, the exact sup, the Hilbert test and the fit) reads its row.
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """One coupling estimate.
-
-    out is the tag of the left side's field: it fixes the Lebesgue exponent
-    of the left side, the outer operator (the Leray projection for u, then
-    the power -delta of out's generator) and the forcing a force row reads
-    (f for u, g for om).  left is the kernel: advect (x_1 . grad) x_2, phi
-    the dissipation function of (u, om) and (v, psi), rot, id, or force,
-    the forcing at the temperature x_1.  slots holds one (field tag,
-    ExponentConfig weight exponent) pair per argument, and delta names the
-    ExponentConfig inverse power, or is None."""
-
-    out: str
-    left: str
-    slots: tuple
-    delta: str | None = None
-
-    @property
-    def arguments(self) -> tuple:
-        """The slot of every argument field: phi takes two per slot, u, v
-        then om, psi."""
-        return tuple(s for s in self.slots for _ in range(2 if self.left == "phi" else 1))
-
-    def hilbert(self, cfg: ExponentConfig) -> bool:
-        """Whether every Lebesgue exponent the estimate reads is 2."""
-        lebesgue = dict(zip(TAGS, (cfg.p, cfg.q, cfg.r)))
-        return all(lebesgue[tag] == 2.0 for tag in {self.out} | set(dict(self.slots)))
-
-    @property
-    def quadratic(self) -> bool:
-        """Whether the left side is bilinear in two slots (advect, phi)
-        rather than zero-order in one (rot, id, force)."""
-        return self.left in ("advect", "phi")
-
-    def outer(self, cfg: ExponentConfig, ops: dict, half: np.ndarray,
-              power=power_coeffs) -> np.ndarray:
-        """The outer operator on stacked half spectra (..., comp, *half): the
-        Leray projection for u, then out's generator in ops to the power
-        -delta, applied by power (power_coeffs or _half_power)."""
-        if self.out == "u":
-            half = leray_coeffs(ops["u"].grid, half)
-        if self.delta is None:
-            return half
-        return power(ops[self.out].with_power(-getattr(cfg, self.delta)), half)
-
-    def forcing(self, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
-        """The forcing a force row bounds, f for u and g for om, or the
-        linear e1 probe in its place when it vanishes, since the estimate
-        divides by its Lipschitz constant."""
-        force = f if self.out == "u" else g
-        components = tag_components(dim)[self.out]
-        if force.lipschitz == 0:
-            force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
-        if len(force.c) != components:
-            raise ConfigurationError(
-                f"forcing has {len(force.c)} components, expected {components}")
-        return force
-
-
-ESTIMATES = {
-    "2.5": Estimate("u", "advect", (("u", "alpha1"), ("u", "alpha1")), "delta1"),
-    "2.6": Estimate("om", "advect", (("u", "alpha2"), ("om", "beta2")), "delta2"),
-    "2.7": Estimate("th", "advect", (("u", "alpha3"), ("th", "gamma3")), "delta3"),
-    "2.8": Estimate("th", "phi", (("u", "alpha3"), ("om", "beta3"))),
-    "2.9": Estimate("u", "rot", (("om", "beta1"),), "delta1"),
-    "2.10": Estimate("om", "id", (("om", "beta2"),)),
-    "2.11": Estimate("om", "rot", (("u", "alpha2"),), "delta2"),
-    "2.12": Estimate("u", "force", (("th", "gamma1"),)),
-    "2.13": Estimate("om", "force", (("th", "gamma2"),)),
-}
+# Every path below (the random ratio, the L2 symbol, the exact sup, the
+# Hilbert test and the fit) reads the estimate's row of kmbounds.ESTIMATES.
 
 
 # For the quadratic estimates in the Hilbert case the fitted constant is

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
-    ESTIMATES,
     dependence_ratio,
     energy_report,
     fit_decay,
@@ -44,6 +43,7 @@ from .exponents import BASE, ExponentConfig, check_config, select_intermediate
 from .fields import GridSpec, SpectralField, random_field
 from .gronwall import (MAX_VIOLATION_FRACTION, gronwall_bound, gronwall_oracle,
                        violation_fraction)
+from .kmbounds import ESTIMATES
 from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
 from .solver import (PicardConfig, TrajectoryState, WeightedNorms, first_window, global_solve,

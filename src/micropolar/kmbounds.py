@@ -10,6 +10,7 @@ or the spectral radius of a 3x3 comparison matrix (equality branches).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +20,9 @@ from .errors import ConfigurationError
 from .exponents import ExponentConfig, equality_branches
 from .fields import GridSpec
 from .nonlinear import CouplingParams, ForcingSpec, generators
-from .solver import (TrajectoryState, WeightedNorms, beta_function, initial_trajectory,
-                     time_weight)
+from .operators import leray_coeffs, power_coeffs
+from .solver import (TAGS, TrajectoryState, WeightedNorms, beta_function, initial_trajectory,
+                     tag_components, time_weight)
 
 
 def semigroup_constant(a: float, lam: float, lam_min: float) -> float:
@@ -65,18 +67,109 @@ class LemmaConstants:
     c9: float
     semigroup_scale: float = 1.0
 
+    @property
+    def by_row(self) -> tuple:
+        """c1..c9, one per ESTIMATES row in table order."""
+        return tuple(getattr(self, f"c{i}") for i in range(1, 10))
+
     def inflated(self, factor: float) -> "LemmaConstants":
-        return LemmaConstants(*(getattr(self, f"c{i}") * factor for i in range(1, 10)),
+        return LemmaConstants(*(c * factor for c in self.by_row),
                               semigroup_scale=self.semigroup_scale * factor)
 
-    def to_dict(self) -> dict:
-        d = {f"c{i}": getattr(self, f"c{i}") for i in range(1, 10)}
-        d["semigroup_scale"] = self.semigroup_scale
-        return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LemmaConstants":
-        return LemmaConstants(**{k: float(v) for k, v in d.items()})
+# ---------------------------------------------------------------------------
+# The nine estimate constants
+#
+# Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
+# fractional norms of its arguments,
+#
+#     ||outer(left(x_1, ..., x_k))||_(L^s of out) <= C prod_i ||op_i^(e_i) x_i||,
+#
+# and ESTIMATES states each one once: the bound recursion below and every
+# estimate path of analysis read its row.
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One coupling estimate.
+
+    out is the tag of the left side's field: it fixes the Lebesgue exponent
+    of the left side, the outer operator (the Leray projection for u, then
+    the power -delta of out's generator) and the forcing a force row reads
+    (f for u, g for om).  left is the kernel: advect (x_1 . grad) x_2, phi
+    the dissipation function of (u, om) and (v, psi), rot, id, or force,
+    the forcing at the temperature x_1.  slots holds one (field tag,
+    ExponentConfig weight exponent) pair per argument, and delta names the
+    ExponentConfig inverse power, or is None."""
+
+    out: str
+    left: str
+    slots: tuple
+    delta: str | None = None
+
+    @property
+    def arguments(self) -> tuple:
+        """The slot of every argument field: phi takes two per slot, u, v
+        then om, psi."""
+        return tuple(s for s in self.slots for _ in range(2 if self.left == "phi" else 1))
+
+    def hilbert(self, cfg: ExponentConfig) -> bool:
+        """Whether every Lebesgue exponent the estimate reads is 2."""
+        lebesgue = dict(zip(TAGS, (cfg.p, cfg.q, cfg.r)))
+        return all(lebesgue[tag] == 2.0 for tag in {self.out} | set(dict(self.slots)))
+
+    @property
+    def quadratic(self) -> bool:
+        """Whether the left side is bilinear in two slots (advect, phi)
+        rather than zero-order in one (rot, id, force)."""
+        return self.left in ("advect", "phi")
+
+    def outer(self, cfg: ExponentConfig, ops: dict, half: np.ndarray,
+              power=power_coeffs) -> np.ndarray:
+        """The outer operator on stacked half spectra (..., comp, *half): the
+        Leray projection for u, then out's generator in ops to the power
+        -delta, applied by power (power_coeffs or _half_power)."""
+        if self.out == "u":
+            half = leray_coeffs(ops["u"].grid, half)
+        if self.delta is None:
+            return half
+        return power(ops[self.out].with_power(-getattr(cfg, self.delta)), half)
+
+    def terms(self, cfg: ExponentConfig) -> tuple:
+        """(multiplicity, sources) of each bound-recursion term of the row,
+        the sources being its slots as (field tag, exponent in cfg) pairs:
+        phi, quadratic in (u, om), gives the three terms of (|u| + |om|)^2."""
+        slots = tuple((tag, getattr(cfg, name)) for tag, name in self.slots)
+        if self.left != "phi":
+            return ((1, slots),)
+        return tuple((1 if a == b else 2, (a, b))
+                     for a, b in itertools.combinations_with_replacement(slots, 2))
+
+    def forcing(self, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
+        """The forcing a force row bounds, f for u and g for om, or the
+        linear e1 probe in its place when it vanishes, since the estimate
+        divides by its Lipschitz constant."""
+        force = f if self.out == "u" else g
+        components = tag_components(dim)[self.out]
+        if force.lipschitz == 0:
+            force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
+        if len(force.c) != components:
+            raise ConfigurationError(
+                f"forcing has {len(force.c)} components, expected {components}")
+        return force
+
+
+ESTIMATES = {
+    "2.5": Estimate("u", "advect", (("u", "alpha1"), ("u", "alpha1")), "delta1"),
+    "2.6": Estimate("om", "advect", (("u", "alpha2"), ("om", "beta2")), "delta2"),
+    "2.7": Estimate("th", "advect", (("u", "alpha3"), ("th", "gamma3")), "delta3"),
+    "2.8": Estimate("th", "phi", (("u", "alpha3"), ("om", "beta3"))),
+    "2.9": Estimate("u", "rot", (("om", "beta1"),), "delta1"),
+    "2.10": Estimate("om", "id", (("om", "beta2"),)),
+    "2.11": Estimate("om", "rot", (("u", "alpha2"),), "delta2"),
+    "2.12": Estimate("u", "force", (("th", "gamma1"),)),
+    "2.13": Estimate("om", "force", (("th", "gamma2"),)),
+}
 
 
 @dataclass
@@ -102,75 +195,50 @@ def k0_curves(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParam
     return {key: np.maximum.accumulate(curve) for key, curve in table.items()}
 
 
+# Coefficient of each kernel in the right-hand side (nonlinear.assemble_rhs),
+# from the material constants and the forcing of the row's field.
+KERNEL_COEFFICIENTS = {
+    "advect": lambda params, force: 1.0,
+    "phi": lambda params, force: (1 + params.mu_r) / (params.rho * params.cv),
+    "rot": lambda params, force: 2 * params.mu_r / params.rho,
+    "id": lambda params, force: 4 * params.mu_r / params.rho,
+    "force": lambda params, force: force.lipschitz,
+}
+
+
 def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
                             constants: LemmaConstants, grid: GridSpec,
                             f: ForcingSpec, g: ForcingSpec) -> dict:
-    """Beta-function coefficient of every recursion term, for each tracked
-    exponent, with the generators' spectral gaps on grid and the Lipschitz
-    constants of the forcings f and g.  Keys: (tag, exp) -> list of
-    (coefficient, power, sources)."""
+    """Every recursion term of each tracked exponent, (tag, exp) -> list of
+    (coefficient, power, sources), with the generators' spectral gaps on
+    grid and the Lipschitz constants of the forcings f and g.  Each ESTIMATES
+    row with out = tag gives its terms (Estimate.terms): its constant times
+    its kernel's coefficient, the semigroup constant of tag's generator at
+    exp + delta and the beta function of the time convolution."""
     lam = cfg.lam if cfg.lam is not None else 0.0
-    a_min, g_min, b_min = (op.min_positive_eigenvalue() for op in generators(grid, params))
-    lf, lg = f.lipschitz, g.lipschitz
-    sc = constants.semigroup_scale
-    a0, b0, g0 = cfg.alpha0, cfg.beta0, cfg.gamma0
-    d1, d2, d3 = cfg.delta1, cfg.delta2, cfg.delta3
-    mur = params.mu_r
+    gaps = dict(zip(TAGS, (op.min_positive_eigenvalue() for op in generators(grid, params))))
+    base = dict(zip(TAGS, (cfg.alpha0, cfg.beta0, cfg.gamma0)))
+    tracked = dict(zip(TAGS, (cfg.alphas(), cfg.betas(), cfg.gammas())))
+    forcing = {"u": f, "om": g}
     out = {}
-    for a in cfg.alphas():
-        ca_shift = sc * semigroup_constant(a + d1, lam, a_min)
-        ca_plain = sc * semigroup_constant(a, lam, a_min)
-        out[("u", a)] = [
-            (ca_shift * constants.c1 * beta_function(1 - (a + d1), 1 + 2 * (a0 - cfg.alpha1)),
-             1 + a0 - 2 * cfg.alpha1 - d1, (("u", cfg.alpha1), ("u", cfg.alpha1))),
-            (2 * ca_shift * constants.c5 * mur
-             * beta_function(1 - (a + d1), 1 + b0 - cfg.beta1),
-             1 + b0 - a0 - cfg.beta1 - d1, (("om", cfg.beta1),)),
-            (ca_plain * constants.c8 * lf * beta_function(1 - a, 1 + g0 - cfg.gamma1),
-             1 + g0 - a0 - cfg.gamma1, (("th", cfg.gamma1),)),
-        ]
-    for b in cfg.betas():
-        cg_shift = sc * semigroup_constant(b + d2, lam, g_min)
-        cg_plain = sc * semigroup_constant(b, lam, g_min)
-        out[("om", b)] = [
-            (cg_shift * constants.c2
-             * beta_function(1 - (b + d2), 1 + a0 + b0 - cfg.alpha2 - cfg.beta2),
-             1 + a0 - cfg.alpha2 - cfg.beta2 - d2,
-             (("u", cfg.alpha2), ("om", cfg.beta2))),
-            (4 * cg_plain * constants.c6 * mur * beta_function(1 - b, 1 + b0 - cfg.beta2),
-             1 - cfg.beta2, (("om", cfg.beta2),)),
-            (2 * cg_shift * constants.c7 * mur
-             * beta_function(1 - (b + d2), 1 + a0 - cfg.alpha2),
-             1 + a0 - b0 - cfg.alpha2 - d2, (("u", cfg.alpha2),)),
-            (cg_plain * constants.c9 * lg * beta_function(1 - b, 1 + g0 - cfg.gamma2),
-             1 + g0 - b0 - cfg.gamma2, (("th", cfg.gamma2),)),
-        ]
-    for g in cfg.gammas():
-        cb_shift = sc * semigroup_constant(g + d3, lam, b_min)
-        cb_plain = sc * semigroup_constant(g, lam, b_min)
-        out[("th", g)] = [
-            (cb_shift * constants.c3
-             * beta_function(1 - (g + d3), 1 + a0 + g0 - cfg.alpha3 - cfg.gamma3),
-             1 + a0 - cfg.alpha3 - cfg.gamma3 - d3,
-             (("u", cfg.alpha3), ("th", cfg.gamma3))),
-            (cb_plain * constants.c4 * (1 + mur)
-             * beta_function(1 - g, 1 + 2 * (a0 - cfg.alpha3)),
-             1 + 2 * a0 - g0 - 2 * cfg.alpha3, (("u", cfg.alpha3), ("u", cfg.alpha3))),
-            (2 * cb_plain * constants.c4 * (1 + mur)
-             * beta_function(1 - g, 1 + a0 + b0 - cfg.alpha3 - cfg.beta3),
-             1 + a0 + b0 - g0 - cfg.alpha3 - cfg.beta3,
-             (("u", cfg.alpha3), ("om", cfg.beta3))),
-            (cb_plain * constants.c4 * (1 + mur)
-             * beta_function(1 - g, 1 + 2 * (b0 - cfg.beta3)),
-             1 + 2 * b0 - g0 - 2 * cfg.beta3, (("om", cfg.beta3), ("om", cfg.beta3))),
-        ]
+    for tag in TAGS:
+        for x in tracked[tag]:
+            terms = out[(tag, x)] = []
+            for est, c in zip(ESTIMATES.values(), constants.by_row):
+                if est.out != tag:
+                    continue
+                delta = getattr(cfg, est.delta) if est.delta else 0.0
+                kernel = KERNEL_COEFFICIENTS[est.left](params, forcing.get(tag))
+                scaled = (constants.semigroup_scale * semigroup_constant(x + delta, lam, gaps[tag])
+                          * c * kernel)
+                for copies, sources in est.terms(cfg):
+                    # 1 + sum x0_i - sum e_i: the weighted source norms make
+                    # the integrand s^(second - 1) near s = 0
+                    second = sum([base[src] for src, _ in sources]
+                                 + [-e for _, e in sources], 1.0)
+                    terms.append((copies * scaled * beta_function(1 - (x + delta), second),
+                                  second - base[tag] - delta, sources))
     return out
-
-
-def _recursion_weight(times: np.ndarray, power: float) -> np.ndarray:
-    """t^power with the recursion's value at t = 0: 1 for power 0, else 0
-    (time_weight gives 1 there for a negative power)."""
-    return np.where(times > 0, time_weight(times, power), float(power == 0))
 
 
 def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
@@ -189,7 +257,7 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
     times = np.asarray(times, dtype=np.float64)
     coeffs = _recursion_coefficients(cfg, params, constants, grid, f, g)
     tracker = KmTracker(times=times, history=[dict(k0)])
-    tpow = {power: _recursion_weight(times, power)
+    tpow = {power: time_weight(times, power)
             for terms in coeffs.values() for _, power, _ in terms}
 
     for m in range(1, m_max + 1):
@@ -265,8 +333,8 @@ def _matrix_spectral_radius_curve(k0max: np.ndarray, cfg: ExponentConfig,
     via the cubic characteristic polynomial.  Data-size entries carry the
     quadratic coefficient, coupling entries the linear one."""
     e_ab = 1 + cfg.alpha0 - cfg.beta0 - cfg.alpha2 - cfg.delta2
-    tas = cl * _recursion_weight(times, e_ab)
-    tbs = cl * _recursion_weight(times, 1 - cfg.beta2)
+    tas = cl * time_weight(times, e_ab)
+    tbs = cl * time_weight(times, 1 - cfg.beta2)
     rho = np.zeros_like(times)
     for j, (ta, tb) in enumerate(zip(tas, tbs)):
         k0 = cq * k0max[j]
@@ -294,8 +362,10 @@ def local_horizon(start: TrajectoryState, cfg: ExponentConfig, params: CouplingP
     the system with forcing f, g (zero by default) from the start state.
 
     Strict branches: the scalar factors C (K0(t) + t^a), C (K0(t) + t^b) and
-    C K0(t) must stay below one.  If any coupling rule sits in its equality
-    branch, the spectral radius of the comparison matrix is used instead."""
+    C K0(t) must stay below one, a and b the smallest time powers of the
+    recursion's single-source u and om terms.  If any coupling rule sits in
+    its equality branch, the spectral radius of the comparison matrix is
+    used instead."""
     times = np.asarray(times, dtype=np.float64)
     k0 = k0_curves(start, cfg, params, times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
@@ -313,17 +383,11 @@ def local_horizon(start: TrajectoryState, cfg: ExponentConfig, params: CouplingP
         ok = rho < 1.0
         branch = "equality"
     else:
-        a = min(1 + cfg.beta0 - cfg.alpha0 - cfg.beta1 - cfg.delta1,
-                1 + cfg.gamma0 - cfg.alpha0 - cfg.gamma1)
-        b = min(1 + cfg.alpha0 - cfg.beta0 - cfg.alpha2 - cfg.delta2,
-                1 - cfg.beta2,
-                1 + cfg.gamma0 - cfg.beta0 - cfg.gamma2)
-        # at t = 0 the factors are the data terms alone, whatever the sign of a, b
-        ta = time_weight(times, a) * (times > 0)
-        tb = time_weight(times, b) * (times > 0)
-        factors["velocity"] = cq * k0max + cl * ta
-        factors["microrotation"] = cq * k0max + cl * tb
-        factors["temperature"] = cq * k0max
+        coeffs = _recursion_coefficients(cfg, params, constants, start.grid, f, g)
+        for tag, name in zip(TAGS, ("velocity", "microrotation", "temperature")):
+            powers = [power for (t, _), terms in coeffs.items() if t == tag
+                      for _, power, sources in terms if len(sources) == 1]
+            factors[name] = cq * k0max + (cl * time_weight(times, min(powers)) if powers else 0)
         ok = np.ones_like(times, dtype=bool)
         for f in factors.values():
             ok &= f < 1.0

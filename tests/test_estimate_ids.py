@@ -1,5 +1,6 @@
-"""Each coupling estimate is stated once, in analysis.ESTIMATES: no module
-names an estimate id 2.5-2.13 outside that table."""
+"""Each coupling estimate is stated once, in kmbounds.ESTIMATES: no module
+names an estimate id 2.5-2.13 outside that table, nor one of its constants
+c1-c9 by name."""
 
 import ast
 import pathlib
@@ -29,8 +30,22 @@ def test_estimate_ids_only_in_the_table():
     package = sorted((ROOT / "src" / "micropolar").glob("*.py"))
     scripts = sorted((ROOT / "scripts").glob("*.py"))
     assert scripts
-    inside, _ = _id_literals(ROOT / "src" / "micropolar" / "analysis.py")
+    inside, _ = _id_literals(ROOT / "src" / "micropolar" / "kmbounds.py")
     assert sorted(v for _, v in inside) == sorted(IDS)
     offenders = {str(p.relative_to(ROOT)): _id_literals(p)[1]
                  for p in package + scripts if _id_literals(p)[1]}
+    assert offenders == {}
+
+
+def test_estimate_constants_read_by_row():
+    """The fit and the bound recursion index the constants by table row;
+    no module reads one as an attribute .c1 to .c9."""
+    names = {f"c{i}" for i in range(1, 10)}
+    offenders = {}
+    for path in sorted((ROOT / "src" / "micropolar").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in names]
+        if lines:
+            offenders[path.name] = sorted(lines)
     assert offenders == {}

@@ -4,6 +4,7 @@ import pytest
 import micropolar as mp
 from micropolar.analysis import fit_lemma_constants
 from micropolar.cli import lambda_chain_cap
+from micropolar.exponents import equality_branches
 from micropolar.kmbounds import (
     check_domination,
     contraction_coefficients,
@@ -13,6 +14,7 @@ from micropolar.kmbounds import (
     local_horizon,
     semigroup_constant,
     _matrix_spectral_radius_curve,
+    _recursion_coefficients,
 )
 
 ZERO = mp.ForcingSpec.zero()
@@ -76,17 +78,57 @@ def test_km_monotone_and_convergent(grid2d, params, cfg2, constants):
             assert np.all(tracker.history[m + 1][key] >= tracker.history[m][key] - 1e-12)
 
 
-def test_km_domination_with_inflated_constants(grid2d, params, cfg2, constants):
-    u0, om0, th0 = _small_data(grid2d)
+def _domination_excess(grid, cfg, params, constants) -> float:
+    """Worst excess of the Picard iterates over the K^m bound with the
+    constants inflated by 1.1; nonpositive means dominated."""
+    u0, om0, th0 = _small_data(grid)
     pic = mp.PicardConfig(horizon=0.4, nodes_per_unit=64, tol=1e-10, m_max=20)
-    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic,
+    traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic,
                                 record_norms=True)
     assert rep.converged
-    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg2, params, traj.times)
-    tracker = km_recursion(k0, cfg2, params, constants.inflated(1.1), traj.times,
-                           grid2d, m_max=len(rep.iterate_norms) + 2)
-    excess = check_domination(tracker, rep.iterate_norms)
-    assert max(excess.values()) <= 0.0
+    k0 = k0_curves(mp.start_state(u0, om0, th0), cfg, params, traj.times)
+    tracker = km_recursion(k0, cfg, params, constants.inflated(1.1), traj.times,
+                           grid, m_max=len(rep.iterate_norms) + 2)
+    return max(check_domination(tracker, rep.iterate_norms).values())
+
+
+def test_km_domination_with_inflated_constants(grid2d, params, cfg2, constants):
+    assert _domination_excess(grid2d, cfg2, params, constants) <= 0.0
+
+
+def test_km_domination_counts_rho_and_cv(grid2d, cfg2):
+    """The right-hand side divides the couplings by rho and Phi by rho cv,
+    and so do the recursion's kernel coefficients: at rho = cv = 0.1 the
+    bound still dominates the iterates."""
+    params = mp.CouplingParams(rho=0.1, cv=0.1)
+    constants = fit_lemma_constants(cfg2, grid2d, params, ensemble=8, seed=11)
+    assert _domination_excess(grid2d, cfg2, params, constants) <= 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("base,branch", [
+    ((2, 2, 2, 0.5, 0.5, 0.0), "strict"),
+    ((3, 3, 3, 0.5, 0.5, 0.25), "strict"),
+    ((2, 2, 2, 0.75, 0.75, 0.5), "strict"),
+    ((9, 9, 4, 0.0, 0.0, 0.0), "strict"),
+    ((2, 2, 1.2, 0.75, 0.25, 0.25), "equality"),
+])
+def test_recursion_powers_are_nonnegative(params, dim, base, branch):
+    """Every time power of the recursion is the slack of a <= rule, so
+    time_weight's value at t = 0 (1 for power 0, else 0) is the recursion's;
+    on the strict branch the single-source powers behind the horizon
+    factors are positive."""
+    sel = mp.select_intermediate(mp.ExponentConfig(*base))
+    assert sel.feasible and mp.check_config(sel.config)
+    assert any(equality_branches(sel.config)) == (branch == "equality")
+    grid = mp.GridSpec(dim=dim, n=8)
+    f, g = mp.ForcingSpec("linear", (1.0,) * dim), mp.ForcingSpec("linear", (1.0,))
+    coeffs = _recursion_coefficients(sel.config, params, mp.LemmaConstants(*[0.5] * 9), grid,
+                                     f, g)
+    terms = [term for key_terms in coeffs.values() for term in key_terms]
+    assert len(terms) >= 11 and all(power >= 0 for _, power, _ in terms)
+    if branch == "strict":
+        assert all(power > 0 for _, power, sources in terms if len(sources) == 1)
 
 
 def test_local_horizon_zero_data(grid2d, params, cfg2, constants):
