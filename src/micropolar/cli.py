@@ -436,7 +436,8 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
             res = vanishing_weight_proxy(op, 0.5, ensemble=min(ensemble, 20), seed=seed)
             bundle.verdicts[f"2.3 {name} monotone"] = res["all_monotone"]
     elif target == "2.4":
-        cases = [(0.5, exps.p, 1, 2.0), (0.25, exps.p, 0, exps.p), (0.5, exps.p, 0, 6.0)]
+        cases = [(0.5, exps.p, 1, float(exps.p)), (0.25, exps.p, 0, exps.p),
+                 (0.5, exps.p, 0, 6.0)]
         for alpha, p, k, s in cases:
             reports.append(verify_embeddings(alpha, p, k, s, grid,
                                              ensemble=ensemble, seed=seed))

@@ -187,10 +187,24 @@ def test_estimates_use_the_grids_decay_rate_cap(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_verify_embeddings_off_their_exponents_is_usage_error(tmp_path, capsys):
-    # the W^{1,2} row needs 1/2 <= 1/p: at p = 3 it is refused, not raised
+def test_verify_embeddings_above_p_2(tmp_path, capsys):
+    # the W^{1,s} row takes s = p, which 1/p - (2a-1)/3 <= 1/s <= 1/p admits
     cfg = _config_dict(str(tmp_path / "out"))
     cfg["exponents"]["p"] = 3
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = dispatch(["verify", "2.4", "--config", str(path), "--ensemble", "2",
+                   "--out", str(tmp_path / "v")])
+    assert rc in (0, 1)
+    verdicts = json.loads((tmp_path / "v" / "verdicts.json").read_text())
+    assert "embedding a=0.5 p=3.0 -> W^1,3.0" in verdicts
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_embeddings_off_their_exponents_is_usage_error(tmp_path, capsys):
+    # the L^6 row needs 1/6 <= 1/p: at p = 7 it is refused, not raised
+    cfg = _config_dict(str(tmp_path / "out"))
+    cfg["exponents"].update(p=7, q=7, r=7, gamma0=0.25)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert dispatch(["verify", "2.4", "--config", str(path), "--ensemble", "2",
