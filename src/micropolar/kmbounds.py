@@ -3,7 +3,8 @@
 The weighted norms of the iterates are dominated by monotone functions
 K^m(t) obeying an explicit quadratic recursion whose coefficients combine
 semigroup smoothing constants, the nine estimate constants, and beta
-functions of the exponent configuration.  The same coefficients give an
+functions of the exponent configuration; each term comes from one row of
+ESTIMATES, the table of the coupling estimates.  The same coefficients give an
 a-priori contraction horizon: either three scalar factors (strict branch)
 or the spectral radius of a 3x3 comparison matrix (equality branches).
 """
@@ -78,7 +79,7 @@ class LemmaConstants:
 
 
 # ---------------------------------------------------------------------------
-# The nine estimate constants
+# The coupling estimates
 #
 # Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
 # fractional norms of its arguments,
