@@ -48,24 +48,23 @@ def main():
     result = mp.global_solve(start, cfg, params, ZERO, ZERO, pic, args.t_total)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    log = result.log
     print(f"completed={result.completed} windows={len(result.reports)} "
-          f"nodes={result.traj.node_count}")
-    # the march holds one copy of the run: its peak is that plus one window's work
-    run_mb = sum(c.nbytes for c in result.traj.coeffs.values()) / 1e6
-    print(f"memory: traced peak {peak / 1e6:.2f} MB, run coefficients {run_mb:.2f} MB")
+          f"nodes={len(log['t'])}")
+    # the march holds one window's arrays at a time: its peak does not grow
+    # with t_total
+    print(f"memory: traced peak {peak / 1e6:.2f} MB")
 
-    # the base-exponent norms at every node, from the trajectory's arrays
-    traj = result.traj
-    base = [norms.weighted_curve(tag, half, traj.times, norms.base[tag])
-            for tag, half in traj.coeffs.items()]
+    # the base-exponent norms at every node, from the run's node log
+    base = [log[(tag, norms.base[tag])] for tag in ("u", "om", "th")]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "norms.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x_alpha0_u", "y_beta0_om", "z_gamma0_th", "provenance"])
-        for j, t in enumerate(traj.times):
+        for j, t in enumerate(log["t"]):
             w.writerow([float(t), *(float(curve[j]) for curve in base), "measured"])
 
-    fits = fit_decay(result.traj, cfg, params,
+    fits = fit_decay(log, cfg,
                      exponents={"u": [cfg.alpha0], "om": [cfg.beta0],
                                 "th": [cfg.gamma0]},
                      window_large=(1.0, args.t_total), rate_floor=cfg.lam,

@@ -616,7 +616,7 @@ def _exact_sups(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
             best = np.maximum(best, np.maximum(sup_v, sup_p))
             pick = (sup_v >= sup_p).reshape((-1,) + (1,) * (dim + 1))
             left_u, left_om = np.where(pick, v, 0.0), np.where(pick, 0.0, psi)
-        return best / (1.0 + params.mu_r)
+        return best
 
     w_space = spaces[est.slots[1][0]]
     ops = dict(zip(TAGS, generators(small, params)))
@@ -653,7 +653,7 @@ def _estimate_ratio(lemma_id: str, norms: WeightedNorms, params: CouplingParams,
     elif est.left == "phi":
         left = dissipation_phi(*fields, params)
         # the bilinear form in (u, om) and (v, psi)
-        rhs = (1 + params.mu_r) * sum(a * b for a in norm[::2] for b in norm[1::2])
+        rhs = sum(a * b for a in norm[::2] for b in norm[1::2])
     elif est.left == "rot":
         left = rot(fields[0])
     elif est.left == "id":
@@ -878,47 +878,40 @@ def _window_fit(times: np.ndarray, values: np.ndarray, lo: float, hi: float,
     return float(coef[0]), residual
 
 
-def fit_decay(traj: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
-              exponents: dict | None = None, window_small: tuple | None = None,
-              window_large: tuple | None = None, slope_tol: float = 0.1,
-              rate_floor: float | None = None,
+def fit_decay(log: dict, cfg: ExponentConfig, exponents: dict | None = None,
+              window_small: tuple | None = None, window_large: tuple | None = None,
+              slope_tol: float = 0.1, rate_floor: float | None = None,
               residual_tol: float = 0.05) -> list:
     """Fit the near-zero power-law slopes and/or the large-time exponential
-    rates of the fractional norms along a trajectory.
+    rates of the fractional norms in a node log (solver.node_log).
 
     exponents maps field tag to a list of fractional exponents; defaults to
     the configured intermediate exponents.  An exponent listed twice is
     fitted once, at its first place.
     """
-    norms = WeightedNorms(cfg, traj.grid, params)
+    base = {"u": cfg.alpha0, "om": cfg.beta0, "th": cfg.gamma0}
     if exponents is None:
-        exponents = norms.exps
+        exponents = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
     fits = []
     for tag, exps in exponents.items():
-        base = norms.base[tag]
-        curves = {}
-        for exp, vals in zip(exps, norms.node_norms(tag, traj.coeffs[tag], exps)):
-            curves.setdefault(exp, vals)
-        for exp, vals in curves.items():
+        for exp in dict.fromkeys(exps):
+            vals = log[(tag, exp)]
             if np.all(vals < 1e-300):
                 fits.append(DecayFit(f"{tag}^{exp}", (0, 0), "skipped",
                                      0.0, 0.0, 0.0, None))
                 continue
             if window_small is not None:
-                slope, res = _window_fit(traj.times, vals, *window_small, loglog=True)
-                expected = base - exp
+                slope, res = _window_fit(log["t"], vals, *window_small, loglog=True)
+                expected = base[tag] - exp
                 fits.append(DecayFit(f"{tag}^{exp}", window_small, "slope", slope,
                                      expected, res,
                                      passed=slope >= expected - slope_tol))
             if window_large is not None:
-                slope, res = _window_fit(traj.times, vals, *window_large,
-                                         loglog=False)
-                rate = -slope
-                floor = rate_floor
-                passed = None if floor is None else (
-                    rate >= floor and res <= residual_tol)
-                fits.append(DecayFit(f"{tag}^{exp}", window_large, "rate", rate,
-                                     floor if floor is not None else np.nan,
+                slope, res = _window_fit(log["t"], vals, *window_large, loglog=False)
+                passed = None if rate_floor is None else (
+                    -slope >= rate_floor and res <= residual_tol)
+                fits.append(DecayFit(f"{tag}^{exp}", window_large, "rate", -slope,
+                                     np.nan if rate_floor is None else rate_floor,
                                      res, passed=passed))
     return fits
 

@@ -47,7 +47,7 @@ from .kmbounds import ESTIMATES
 from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
 from .solver import (PicardConfig, TrajectoryState, WeightedNorms, first_window, global_solve,
-                     picard_solve, start_state, tag_components, window_horizons)
+                     node_log, picard_solve, start_state, tag_components, window_horizons)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -302,17 +302,13 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _norm_table_rows(traj, cfg: RunConfig) -> tuple:
-    """The nodes table."""
-    norms = WeightedNorms(cfg.exponents, cfg.grid, cfg.params)
+def _norm_table_rows(log: dict, cfg: RunConfig) -> tuple:
+    """The nodes table of a node_log."""
     cols = ["t", "l2_u", "l2_om", "l2_th",
             "x_alpha0_u", "y_beta0_om", "z_gamma0_th"]
-    # at the base exponents the time weight is 1: these are the plain norms
-    base = np.stack([norms.weighted_curve(tag, half, traj.times, norms.base[tag])
-                     for tag, half in traj.coeffs.items()])
-    l2 = np.stack(list(traj.l2_norms().values()))
-    rows = [[float(t), *l2[:, j], *base[:, j]] for j, t in enumerate(traj.times)]
-    return cols, rows
+    exps = cfg.exponents
+    keys = ["t", "u", "om", "th", ("u", exps.alpha0), ("om", exps.beta0), ("th", exps.gamma0)]
+    return cols, [[float(x) for x in row] for row in zip(*(log[key] for key in keys))]
 
 
 def _iteration_table(reports, first: int) -> tuple:
@@ -344,14 +340,13 @@ def _march(cfg: RunConfig, bundle: ReportBundle, start: TrajectoryState) -> int:
     result = global_solve(start, cfg.exponents, cfg.params,
                           cfg.forcing_f, cfg.forcing_g, cfg.picard,
                           cfg.t_total, checkpoint_hook=hook)
-    cols, rows = _norm_table_rows(result.traj, cfg)
-    bundle.add_table("nodes", cols, rows)
+    bundle.add_table("nodes", *_norm_table_rows(result.log, cfg))
     bundle.add_table("iterations", *_iteration_table(result.reports, first))
     keys = sorted(result.e_sup)
     bundle.add_table("efunctions", ["t"] + [f"E_{tag}_{exp:.6g}" for tag, exp in keys],
                      [[float(t)] + [float(result.e_sup[k][j]) for k in keys]
-                      for j, t in enumerate(result.traj.times)])
-    elog = energy_report(result.traj, cfg.params, cfg.forcing_f, cfg.forcing_g)
+                      for j, t in enumerate(result.log["t"])])
+    elog = result.ledger
     bundle.add_table("energy", ["t", "kinetic", "heat", "dissipation", "total"],
                      [[float(elog.times[j]), elog.kinetic[j], elog.heat[j],
                        elog.dissipation[j], elog.total[j]]
@@ -389,8 +384,8 @@ def _cmd_picard(args) -> int:
     for note in rep.notes:
         print(f"note: {note}", file=sys.stderr)
     bundle.add_table("iterations", *_iteration_table([rep], 0))
-    cols, rows = _norm_table_rows(traj, cfg)
-    bundle.add_table("nodes", cols, rows)
+    log = node_log(traj, WeightedNorms(cfg.exponents, cfg.grid, cfg.params))
+    bundle.add_table("nodes", *_norm_table_rows(log, cfg))
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     checkpoint_write(traj, os.path.join(outdir, "checkpoint_final.mpk"),
@@ -472,7 +467,8 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
             raise ConfigurationError("local-decay verification: run diverged")
         horizon = float(traj.times[-1])
         window = (max(2.0 * float(traj.times[1]), horizon / 256), horizon / 16)
-        fits = fit_decay(traj, exps, params, window_small=window)
+        fits = fit_decay(node_log(traj, WeightedNorms(exps, grid, params)), exps,
+                         window_small=window)
         bundle.add_table("decay", list(fits[0].to_row()),
                          [list(f.to_row().values()) for f in fits])
         bundle.verdicts["theorem-2.1 slopes"] = all(
@@ -482,8 +478,7 @@ def _verify_targets(target: str, cfg: RunConfig, seed: int, ensemble: int,
         start = start_state(*build_initial_data(cfg.grid, cfg.initial_data, seed))
         result = global_solve(start, exps, params, cfg.forcing_f,
                               cfg.forcing_g, cfg.picard, cfg.t_total)
-        fits = fit_decay(result.traj, exps, params,
-                         window_large=(1.0, cfg.t_total),
+        fits = fit_decay(result.log, exps, window_large=(1.0, cfg.t_total),
                          rate_floor=exps.lam)
         bundle.add_table("decay", list(fits[0].to_row()),
                          [list(f.to_row().values()) for f in fits])

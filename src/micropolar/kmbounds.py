@@ -179,6 +179,7 @@ class KmTracker:
     history: list = field(default_factory=list)   # per-m dict (tag, exp) -> curve
     converged: bool = False
     sup_change: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
 
     @property
     def final(self) -> dict:
@@ -200,7 +201,7 @@ def k0_curves(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParam
 # from the material constants and the forcing of the row's field.
 KERNEL_COEFFICIENTS = {
     "advect": lambda params, force: 1.0,
-    "phi": lambda params, force: (1 + params.mu_r) / (params.rho * params.cv),
+    "phi": lambda params, force: 1 / (params.rho * params.cv),
     "rot": lambda params, force: 2 * params.mu_r / params.rho,
     "id": lambda params, force: 4 * params.mu_r / params.rho,
     "force": lambda params, force: force.lipschitz,
@@ -242,6 +243,7 @@ def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
                  constants: LemmaConstants, times: np.ndarray, grid: GridSpec,
                  f: ForcingSpec = ForcingSpec(), g: ForcingSpec = ForcingSpec(),
@@ -250,7 +252,8 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
     system on grid with forcing f, g (zero by default).
 
     k0 maps the nine (tag, exponent) keys to the free-evolution sup curves;
-    the recursion is monotone in m and converges on a contraction horizon."""
+    the recursion is monotone in m and converges on a contraction horizon;
+    it stops at the first bound that is not finite and says so in notes."""
     if constants is None:
         raise ConfigurationError("km_recursion needs fitted estimate constants")
     if not cfg.has_intermediates:
@@ -272,8 +275,11 @@ def km_recursion(k0: dict, cfg: ExponentConfig, params: CouplingParams,
                     prod = prod * prev[src]
                 acc = acc + coefficient * prod * tpow[power]
             cur[key] = acc
-        change = max(float(np.max(np.abs(cur[k] - prev[k]))) for k in cur)
         tracker.history.append(cur)
+        if not np.isfinite(list(cur.values())).all():
+            tracker.notes.append(f"the bound is not finite at m = {m}: the recursion diverged")
+            break
+        change = max(float(np.max(np.abs(cur[k] - prev[k]))) for k in cur)
         tracker.sup_change.append(change)
         if change < tol:
             tracker.converged = True
@@ -285,14 +291,15 @@ def check_domination(tracker: KmTracker, iterate_norms: list,
                      rtol: float = 1e-9) -> dict:
     """Compare recorded iterate weighted norms against the bound curves.
 
-    Returns per-(m, key) worst excess; nonpositive means dominated."""
+    Returns per-(m, key) worst excess; nonpositive means dominated, inf a bound that diverged."""
+    bounded = np.isfinite(list(tracker.final.values())).all()
     out = {}
     for m, table in enumerate(iterate_norms):
         if m >= len(tracker.history):
             break
         bound = tracker.history[m]
         for key, curve in table.items():
-            excess = np.max(curve - bound[key] * (1 + rtol))
+            excess = np.max(curve - bound[key] * (1 + rtol)) if bounded else math.inf
             out[(m, key)] = float(excess)
     return out
 

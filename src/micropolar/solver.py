@@ -267,17 +267,16 @@ class TrajectoryState:
     of TAGS, in that order, to the read-only half spectra (nodes, comp, *half)
     of the iterate and of the window's free evolution.  A one-node trajectory
     is a solver state (a solve's start, a window's end, a checkpoint), its
-    own free evolution over a window of length 0.  The run global_solve
-    joins from its windows has no one free evolution: its free is None."""
+    own free evolution over a window of length 0."""
 
     times: np.ndarray
     grid: GridSpec
     coeffs: dict
-    free: dict | None
+    free: dict
     m: int = 0
 
     def __post_init__(self):
-        for arr in (*self.coeffs.values(), *(self.free or {}).values()):
+        for arr in (*self.coeffs.values(), *self.free.values()):
             arr.setflags(write=False)
 
     @property
@@ -291,8 +290,8 @@ class TrajectoryState:
         return [slice(j, min(j + size, n)) for j in range(first, n, size)]
 
     def end_state(self) -> "TrajectoryState":
-        """The last node as a one-node trajectory, a view of its arrays."""
-        last = {tag: c[-1:] for tag, c in self.coeffs.items()}
+        """The last node as a one-node trajectory, a copy that outlives the arrays."""
+        last = {tag: c[-1:].copy() for tag, c in self.coeffs.items()}
         return TrajectoryState(self.times[-1:], self.grid, last, last, m=self.m)
 
     def _field(self, tag: str, half: np.ndarray) -> SpectralField:
@@ -431,6 +430,11 @@ def picard_step(traj: TrajectoryState, params: CouplingParams,
 # Weighted norms
 
 
+def _energies(c: np.ndarray) -> np.ndarray:
+    """|c|^2 of complex coefficients, as re^2 + im^2."""
+    return c.real * c.real + c.imag * c.imag
+
+
 def time_weight(times: np.ndarray, power: float) -> np.ndarray:
     """t^power at every node; at t = 0 the weight is 0 for power > 0, else 1."""
     w = np.ones_like(times)
@@ -488,7 +492,8 @@ class WeightedNorms:
 
         The split into the generator's invariant subspaces is computed once.
         For s = 2 the norms are one Parseval reduction of the per-mode
-        energies of each subspace over all nodes and exponents; other s take
+        energies re^2 + im^2 of each subspace, one (1 x modes) product per
+        node, so a node's bits do not depend on the row count; other s take
         one batched inverse transform per exponent."""
         op, s, grid = self.ops[tag], self.lebesgue[tag], self.grid
         eigs = eig_families(op, half.shape[1])
@@ -501,15 +506,14 @@ class WeightedNorms:
                 # k = 0 the whole coefficient belongs to the first family
                 comps = np.moveaxis(half, 1, 0)
                 zero = (Ellipsis,) + _zero_index(grid)
-                perp = np.sum(np.abs(cross(comps, tuple(kap))) ** 2, axis=0) / ksq
-                perp[zero] = np.sum(np.abs(half[zero]) ** 2, axis=1)
+                perp = np.sum(_energies(cross(comps, tuple(kap))), axis=0) / ksq
+                perp[zero] = np.sum(_energies(half[zero]), axis=1)
                 parts = [perp]
                 if len(eigs) == 2:
-                    parts.append(np.abs(sum(kap[a] * comps[a] for a in range(grid.dim))) ** 2
-                                 / ksq)
+                    parts.append(_energies(sum(kap[a] * comps[a] for a in range(grid.dim))) / ksq)
             else:
-                parts = [np.sum(np.abs(half) ** 2, axis=1)]
-            total = sum(e.reshape(len(e), -1) @ w for e, w in
+                parts = [np.sum(_energies(half), axis=1)]
+            total = sum(np.matmul(e.reshape(len(e), 1, -1), w)[:, 0] for e, w in
                         zip(parts, self._parseval_weights(tag, eigs, exps)))
             return np.sqrt(grid.volume * total).T
         parts = [half]
@@ -687,12 +691,32 @@ def duhamel_residual(traj: TrajectoryState, params: CouplingParams,
 
 @dataclass
 class GlobalResult:
-    traj: TrajectoryState
+    log: dict                      # node_log of the run, the windows joined
+    ledger: object                 # the run's energy ledger, an analysis.EnergyLog
     reports: list
+    end: TrajectoryState           # the last node, the state a resume starts from
     e_sup: dict                    # (tag, exp) -> running sup (the E functions)
     e_bound: float | None = None   # small-data self-consistency threshold
     bound_crossed: bool = False
     completed: bool = True
+
+
+def node_log(traj: TrajectoryState, norms: WeightedNorms) -> dict:
+    """Per-node scalars: "t", each field's L2 norm by tag (l2_norms) and its norms at the
+    tracked and the base exponents by (tag, exp), one node_norms call each (a column's bits
+    depend on its call's columns, not on its rows, so the logs of windows join)."""
+    log = {"t": traj.times, **traj.l2_norms()}
+    for tag, half in traj.coeffs.items():
+        for exps in (norms.exps[tag], [norms.base[tag]]):
+            log.update(zip([(tag, x) for x in exps], norms.node_norms(tag, half, exps)))
+    return log
+
+
+def _join(parts: list) -> dict:
+    """Consecutive windows' per-node arrays, keyed alike, joined at their
+    shared end nodes; other values are the first window's."""
+    return {key: np.concatenate([first] + [p[key][1:] for p in parts[1:]])
+            if isinstance(first, np.ndarray) else first for key, first in parts[0].items()}
 
 
 def first_window(pic: PicardConfig, t0: float) -> int:
@@ -723,61 +747,42 @@ def global_solve(start: TrajectoryState, cfg: ExponentConfig, params: CouplingPa
     decay-weighted sup functions along the way.
 
     Node times are absolute.  checkpoint_hook(w, traj) receives each
-    converged window.  The run is held once: one run-length array per field,
-    sized from every window's node grid up front, into which each window's
-    nodes are copied when it ends (a later window's node 0 is the row that
-    ended the one before); the next window starts from a view of the last
-    filled row, so no window's arrays outlive it.  An unconverged last
-    window is kept too.  The result's trajectory views the filled rows; its
-    free is None."""
+    converged window.  Each window, an unconverged last one too, is reduced
+    to its node_log and energy ledger when it ends and then dropped, so the
+    march holds one window's arrays at a time."""
+    from .analysis import EnergyLog, energy_report
+
     if not cfg.has_lambdas:
         raise ConfigurationError("global_solve needs the decay-rate chain")
     t0 = float(start.times[0])
     horizons = window_horizons(pic, t_total, t0)
     if not horizons:
         raise ConfigurationError(f"t_total {t_total:g} must exceed the start time {t0:g}")
-    grids = [pic.node_grid(horizon=horizon) for horizon in horizons]
-    rows = 1 + sum(len(times) - 1 for times in grids)
-    reports, cur = [], start
-    for w, window_times in enumerate(grids):
-        traj, rep = picard_solve(cur, cfg, params, f, g, pic,
+    norms = WeightedNorms(cfg, start.grid, params)
+    logs, ledgers, reports, end = [], [], [], start
+    for w, horizon in enumerate(horizons):
+        traj, rep = picard_solve(end, cfg, params, f, g, pic,
                                  constants=constants if w == 0 else None,
-                                 times=window_times)
+                                 times=pic.node_grid(horizon=horizon))
         reports.append(rep)
-        if w == 0:
-            # allocated once the first window has run, above the memory it
-            # frees: glibc's allocator then keeps that memory for the later
-            # windows instead of trimming it and faulting it in again
-            times = np.empty(rows)
-            run = {tag: np.empty((rows,) + c.shape[1:], dtype=np.complex128)
-                   for tag, c in traj.coeffs.items()}
-            filled = 0
-        first = 0 if w == 0 else 1
-        stop = filled + traj.node_count - first
-        times[filled:stop] = traj.times[first:]
-        for tag in TAGS:
-            run[tag][filled:stop] = traj.coeffs[tag][first:]
-        filled = stop
-        full = TrajectoryState(times[:stop], start.grid,
-                               {tag: c[:stop] for tag, c in run.items()}, None, m=traj.m)
+        logs.append(node_log(traj, norms))
+        ledgers.append(vars(energy_report(traj, params, f, g)))
+        end = traj.end_state()
         if not rep.converged:
             break
-        cur = full.end_state()
         if checkpoint_hook is not None:
             checkpoint_hook(w, traj)
         del traj                    # the window's arrays go before the next one
 
-    norms = WeightedNorms(cfg, start.grid, params)
-    e_sup = {}
-    t = full.times
-    for tag, half in full.coeffs.items():
-        rate = cfg.lam2 if tag == "th" else cfg.lam
-        curves = norms.weighted_curve(tag, half, np.minimum(t, 1.0), norms.exps[tag])
-        for exp, weighted in zip(norms.exps[tag], curves):
-            e_sup[(tag, exp)] = np.maximum.accumulate(weighted * np.exp(rate * t))
+    log = _join(logs)
+    t = log["t"]
+    e_sup = {(tag, x): np.maximum.accumulate(
+        time_weight(np.minimum(t, 1.0), x - norms.base[tag]) * log[(tag, x)]
+        * np.exp((cfg.lam2 if tag == "th" else cfg.lam) * t))
+        for tag in TAGS for x in norms.exps[tag]}
 
-    result = GlobalResult(traj=full, reports=reports, e_sup=e_sup,
-                          completed=all(rep.converged for rep in reports))
+    result = GlobalResult(log=log, ledger=EnergyLog(**_join(ledgers)), reports=reports,
+                          end=end, e_sup=e_sup, completed=all(rep.converged for rep in reports))
     if constants is not None:
         from .kmbounds import contraction_coefficients
         cg = max(contraction_coefficients(cfg, params, constants, start.grid, f, g))

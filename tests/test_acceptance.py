@@ -173,9 +173,11 @@ def test_criterion_05_local_smoothing_rates():
                           m_max=30, grading=2.0)
     traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic)
     assert rep.converged
-    fits = fit_decay(traj, cfg, params,
-                     exponents={"u": [0.625, 0.75], "om": [0.625, 0.75],
-                                "th": [0.25, 0.5]},
+    exponents = {"u": [0.625, 0.75], "om": [0.625, 0.75], "th": [0.25, 0.5]}
+    norms = WeightedNorms(cfg, grid, params)
+    log = {"t": traj.times, **{(tag, x): v for tag, xs in exponents.items()
+                               for x, v in zip(xs, norms.node_norms(tag, traj.coeffs[tag], xs))}}
+    fits = fit_decay(log, cfg, exponents=exponents,
                      window_small=(3e-3, 0.03), slope_tol=0.1)
     ok = all(f.passed for f in fits)
     _verdict(5, "local smoothing rates", ok,
@@ -204,7 +206,7 @@ def test_criterion_06_global_decay():
     pic = mp.PicardConfig(horizon=0.5, nodes_per_unit=64, tol=1e-12, m_max=30)
     result = mp.global_solve(mp.start_state(u0, om0, th0), cfg, params, ZERO, ZERO, pic, 5.0)
     assert result.completed
-    fits = fit_decay(result.traj, cfg, params,
+    fits = fit_decay(result.log, cfg,
                      exponents={"u": [cfg.alpha0], "om": [cfg.beta0],
                                 "th": [cfg.gamma0]},
                      window_large=(1.0, 5.0), rate_floor=cfg.lam,

@@ -18,7 +18,7 @@ from micropolar.analysis import (
     verify_holder_difference,
 )
 from micropolar.kmbounds import holder_constant, semigroup_constant
-from micropolar.solver import node_rhs
+from micropolar.solver import WeightedNorms, node_log, node_rhs
 
 ZERO = mp.ForcingSpec.zero()
 
@@ -142,7 +142,7 @@ def test_fit_decay_pure_semigroup_single_mode(grid2d, params, cfg2):
     # quadratically graded nodes resolve the small-t window
     times = 2.0 * np.linspace(0, 1, 257) ** 2
     traj = mp.initial_trajectory(mp.start_state(z2, z1, th0), times, params)
-    fits = mp.fit_decay(traj, cfg2, params,
+    fits = mp.fit_decay(node_log(traj, WeightedNorms(cfg2, grid2d, params)), cfg2,
                         exponents={"th": [cfg2.gamma0]},
                         window_small=(times[1], 3e-3),
                         window_large=(0.5, 2.0))
@@ -160,7 +160,8 @@ def test_fit_decay_fits_each_distinct_exponent_once(grid2d, params):
     cfg = load_config(example).exponents
     assert cfg.gammas() == (0.03125, 0.03125, 0.03125)
     _, traj = _solve(grid2d, params, cfg, horizon=0.1, npu=320)
-    fits = mp.fit_decay(traj, cfg, params, window_small=(traj.times[2], 0.05))
+    fits = mp.fit_decay(node_log(traj, WeightedNorms(cfg, grid2d, params)), cfg,
+                        window_small=(traj.times[2], 0.05))
     want = [f"{tag}^{x}" for tag, exps in (("u", cfg.alphas()), ("om", cfg.betas()),
                                            ("th", cfg.gammas()))
             for x in dict.fromkeys(exps)]
@@ -173,7 +174,8 @@ def test_fit_decay_zero_data_skipped(grid2d, params, cfg2):
     z1 = mp.SpectralField.zero(grid2d, 1)
     times = np.linspace(0, 1, 33)
     traj = mp.initial_trajectory(mp.start_state(z2, z1, z1), times, params)
-    fits = mp.fit_decay(traj, cfg2, params, window_small=(times[1], 0.5))
+    fits = mp.fit_decay(node_log(traj, WeightedNorms(cfg2, grid2d, params)), cfg2,
+                        window_small=(times[1], 0.5))
     assert all(f.kind == "skipped" for f in fits)
 
 
@@ -570,7 +572,7 @@ def _reference_pair_sup(lemma_id, cfg, grid, params, rng, kmax=2, alternations=3
                 left_tag, left = "u", unit("u", v, cfg.alpha3)
             else:
                 left_tag, left = "om", unit("om", psi, cfg.beta3)
-        return best / (1.0 + params.mu_r)
+        return best
     op, delta, tag, exp, basis, project = {
         "2.5": (a_op, cfg.delta1, "u", cfg.alpha1, vec, P),
         "2.6": (g_op, cfg.delta2, "om", cfg.beta2, mic, None),

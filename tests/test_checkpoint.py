@@ -6,7 +6,7 @@ import pytest
 import micropolar as mp
 from micropolar.checkpoint import checkpoint_read, checkpoint_write, read_header
 from micropolar.errors import CheckpointError
-from micropolar.solver import picard_step, tag_components
+from micropolar.solver import TAGS, picard_step, tag_components
 
 ZERO = mp.ForcingSpec.zero()
 
@@ -116,15 +116,21 @@ def test_resume_matches_uninterrupted(grid2d, params, cfg2, tmp_path):
 
     half = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic, 0.25)
     path = tmp_path / "w.mpk"
-    checkpoint_write(half.traj, str(path), config_hash="h")
+    checkpoint_write(half.end, str(path), config_hash="h")
     loaded = checkpoint_read(str(path), expected_hash="h")
     resumed = mp.global_solve(loaded, cfg2, params, ZERO, ZERO, pic, 0.5)
     # every node from t0 = 0.25 on repeats the uninterrupted march bit for
     # bit: a restart at t0 > 0 does not project the velocity again
-    j0 = half.traj.node_count - 1
-    assert resumed.traj.times.tobytes() == full.traj.times[j0:].tobytes()
-    for tag in resumed.traj.coeffs:
-        assert resumed.traj.coeffs[tag].tobytes() == full.traj.coeffs[tag][j0:].tobytes()
+    j0 = len(half.log["t"]) - 1
+    assert resumed.log.keys() == full.log.keys()
+    for key, values in resumed.log.items():
+        assert values.tobytes() == full.log[key][j0:].tobytes(), key
+    for name in ("times", "kinetic", "heat", "dissipation", "total"):
+        assert getattr(resumed.ledger, name).tobytes() \
+            == getattr(full.ledger, name)[j0:].tobytes(), name
+    assert resumed.end.times.tobytes() == full.end.times.tobytes()
+    for tag in TAGS:
+        assert resumed.end.coeffs[tag].tobytes() == full.end.coeffs[tag].tobytes()
 
 
 def test_version_mismatch_refused(grid2d, params, tmp_path):

@@ -849,21 +849,27 @@ def test_report_norms_and_energy_match_per_node_fields(tmp_path, monkeypatch, di
     path.write_text(json.dumps(cfg_dict))
     cfg = load_config(str(path))
     start = mp.start_state(*build_initial_data(cfg.grid, cfg.initial_data, cfg.seed))
+    windows = []
     result = mp.global_solve(start, cfg.exponents, cfg.params, cfg.forcing_f, cfg.forcing_g,
-                             cfg.picard, cfg.t_total)
-    traj, p, vol = result.traj, cfg.params, cfg.grid.volume
-    assert len(result.reports) == 2 and len(traj.node_blocks()) >= 3
-    _, rows = _norm_table_rows(traj, cfg)
-    elog = mp.energy_report(traj, p, cfg.forcing_f, cfg.forcing_g)
+                             cfg.picard, cfg.t_total,
+                             checkpoint_hook=lambda w, traj: windows.append(traj))
+    p, vol = cfg.params, cfg.grid.volume
+    assert len(result.reports) == 2 and len(windows[0].node_blocks()) >= 3
+    _, rows = _norm_table_rows(result.log, cfg)
+    elog = result.ledger
+    # the run's nodes: each window's, a later window's node 0 being the
+    # node that ended the one before
+    nodes = [(w, j) for i, w in enumerate(windows) for j in range(i > 0, w.node_count)]
+    assert len(nodes) == len(rows)
     got, want = [], []
-    for j, row in enumerate(rows):
-        u, om, th = traj.state_at(j)
+    for k, ((window, j), row) in enumerate(zip(nodes, rows)):
+        u, om, th = window.state_at(j)
         kinetic = 0.5 * p.rho * (u.l2() ** 2 + om.l2() ** 2)
         heat = p.rho * p.cv * vol * float(np.sum(th.mean_values()))
         dissipation = _dissipation_integrals(cfg.grid, u.half[np.newaxis],
                                              om.half[np.newaxis], p)[0]
-        got.append(row[1:4] + [elog.kinetic[j], elog.heat[j], elog.dissipation[j],
-                               elog.total[j]])
+        got.append(row[1:4] + [elog.kinetic[k], elog.heat[k], elog.dissipation[k],
+                               elog.total[k]])
         want.append([u.l2(), om.l2(), th.l2(), kinetic, heat, dissipation,
                      kinetic + heat])
     assert [[repr(float(x)) for x in r] for r in got] \

@@ -6,6 +6,7 @@ from micropolar.analysis import fit_lemma_constants
 from micropolar.cli import lambda_chain_cap
 from micropolar.exponents import equality_branches
 from micropolar.kmbounds import (
+    LemmaConstants,
     check_domination,
     contraction_coefficients,
     holder_constant,
@@ -103,6 +104,25 @@ def test_km_domination_counts_rho_and_cv(grid2d, cfg2):
     params = mp.CouplingParams(rho=0.1, cv=0.1)
     constants = fit_lemma_constants(cfg2, grid2d, params, ensemble=8, seed=11)
     assert _domination_excess(grid2d, cfg2, params, constants) <= 0.0
+
+
+def test_diverged_bound_dominates_nothing(params, cfg2):
+    """Past the contraction horizon the bound overflows: the recursion stops
+    at the first curve that is not finite and says so, and the domination
+    check fails rather than reading an infinite bound as dominating."""
+    grid = mp.GridSpec(dim=2, n=16)
+    start = mp.start_state(*_small_data(grid, seed=3, amp=2.0))
+    times = np.linspace(0, 0.5, 33)
+    pic = mp.PicardConfig(horizon=0.5, m_max=30)
+    _, rep = mp.picard_solve(start, cfg2, params, ZERO, ZERO, pic, times=times,
+                             record_norms=True)
+    k0 = k0_curves(start, cfg2, params, times)
+    tracker = km_recursion(k0, cfg2, params, LemmaConstants(*[1.0] * 9), times, grid,
+                           m_max=30)
+    assert not tracker.converged
+    assert len(tracker.history) == 11 and len(tracker.sup_change) == 9
+    assert tracker.notes == ["the bound is not finite at m = 10: the recursion diverged"]
+    assert max(check_domination(tracker, rep.iterate_norms).values()) > 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -18,6 +18,7 @@ from micropolar.solver import (
     WeightedNorms,
     duhamel_residual,
     interval_weights,
+    node_log,
     node_rhs,
     TrajectoryState,
     picard_step,
@@ -264,13 +265,13 @@ def test_restart_consistency(grid2d, params, cfg2, rng):
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic1 = mp.PicardConfig(horizon=0.5, nodes_per_unit=96, tol=1e-11, m_max=40)
     pic2 = mp.PicardConfig(horizon=0.25, nodes_per_unit=96, tol=1e-11, m_max=40)
-    g1 = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic1, 0.5)
+    windows = []
+    g1 = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic1, 0.5,
+                         checkpoint_hook=lambda w, traj: windows.append(traj))
     g2 = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic2, 0.5)
-    res = duhamel_residual(g1.traj, params)
+    res = duhamel_residual(windows[0], params)
     quad_err = max(float(np.max(v)) for v in res.values())
-    end1 = g1.traj.state_at(g1.traj.node_count - 1)
-    end2 = g2.traj.state_at(g2.traj.node_count - 1)
-    for a, b in zip(end1, end2):
+    for a, b in zip(g1.end.state_at(0), g2.end.state_at(0)):
         assert (a - b).l2() <= 10 * max(quad_err, 1e-12)
 
 
@@ -283,21 +284,31 @@ def test_duhamel_residual_of_joined_and_resumed_windows(grid2d, params, cfg2):
     om0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
     th0 = mp.random_field(grid2d, 1, rng, amplitude=0.2, sigma=3.0)
 
-    def worst(traj):
-        return max(float(np.max(v)) for v in duhamel_residual(traj, params).values())
+    def worst(windows):
+        """The worst residual of the windows joined at their shared end nodes."""
+        coeffs = {tag: np.concatenate([windows[0].coeffs[tag]]
+                                      + [w.coeffs[tag][1:] for w in windows[1:]])
+                  for tag in TAGS}
+        times = np.concatenate([windows[0].times] + [w.times[1:] for w in windows[1:]])
+        joined = TrajectoryState(times, windows[0].grid, coeffs, coeffs)
+        return max(float(np.max(v)) for v in duhamel_residual(joined, params).values())
 
     pics = [mp.PicardConfig(horizon=h, nodes_per_unit=96, tol=1e-11, m_max=40)
             for h in (0.5, 0.25)]
-    ends = []
-    one = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pics[0], 0.5)
-    two = mp.global_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pics[1], 0.5,
-                          checkpoint_hook=lambda w, traj: ends.append(traj.end_state()))
+    runs = {"one": [], "two": [], "resumed": []}
+
+    def solve(name, start, pic):
+        return mp.global_solve(start, cfg2, params, ZERO, ZERO, pic, 0.5,
+                               checkpoint_hook=lambda w, traj: runs[name].append(traj))
+
+    one = solve("one", mp.start_state(u0, om0, th0), pics[0])
+    two = solve("two", mp.start_state(u0, om0, th0), pics[1])
     assert len(one.reports) == 1 and len(two.reports) == 2
-    assert worst(two.traj) <= 2 * worst(one.traj)
+    assert worst(runs["two"]) <= 2 * worst(runs["one"])
     # resume from the end state of the first window, as checkpoint resume does
-    resumed = mp.global_solve(ends[0], cfg2, params, ZERO, ZERO, pics[1], 0.5)
-    assert resumed.traj.times[0] == 0.25
-    assert worst(resumed.traj) <= 2 * worst(one.traj)
+    resumed = solve("resumed", runs["two"][0].end_state(), pics[1])
+    assert resumed.log["t"][0] == 0.25
+    assert worst(runs["resumed"]) <= 2 * worst(runs["one"])
 
 
 def test_global_solve_elog_zero_data(grid2d, params, cfg2):
@@ -689,7 +700,8 @@ def test_reports_build_no_fields(grid2d, params, cfg2, rng, monkeypatch):
     traj = mp.initial_trajectory(mp.start_state(u0, om0, th0), np.linspace(0, 0.1, 5), params)
     traj = picard_step(traj, params, f, g)
     calls = _count_field_builds(monkeypatch)
-    _norm_table_rows(traj, SimpleNamespace(exponents=cfg2, grid=grid2d, params=params))
+    _norm_table_rows(node_log(traj, WeightedNorms(cfg2, grid2d, params)),
+                     SimpleNamespace(exponents=cfg2))
     energy_report(traj, params, f, g)
     pde_residual(traj, params, f, g)
     duhamel_residual(traj, params, f, g)
@@ -716,7 +728,7 @@ def test_solver_states_build_no_fields(grid2d, params, cfg2, rng, tmp_path, monk
     calls = _count_field_builds(monkeypatch)
     result = mp.global_solve(start, cfg2, params, ZERO, ZERO, pic, 0.25)
     assert len(result.reports) == 2
-    checkpoint_write(result.traj, path, window=1)
+    checkpoint_write(result.end, path, window=1)
     assert _march(cfg, _new_bundle(cfg, "checkpoint resume"), checkpoint_read(path)) == 0
     assert sorted(os.listdir(cfg.output_dir))[:2] == ["checkpoint_w2.mpk", "checkpoint_w3.mpk"]
     assert calls == []
@@ -792,7 +804,10 @@ def test_state_at_is_full_spectrum_of_stored_arrays(grid2d, grid3d, params, cfg2
             == [traj.state_at(j)[0].coeffs.tobytes() for j in range(traj.node_count)]
 
 
-def test_global_trajectory_joins_windows_at_shared_end_nodes(grid2d, params, cfg2, rng):
+def test_global_log_joins_window_logs_at_shared_end_nodes(grid2d, params, cfg2, rng):
+    """The run's log and energy ledger are each window's node_log and
+    energy_report, bit for bit, joined at the shared end nodes; the end
+    state is the last window's last node."""
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.125, nodes_per_unit=64, tol=1e-10, m_max=30)
     windows = []
@@ -801,25 +816,27 @@ def test_global_trajectory_joins_windows_at_shared_end_nodes(grid2d, params, cfg
     assert res.completed and len(windows) == 3
     for a, b in zip(windows, windows[1:]):
         assert b.times[0] == a.times[-1]
-    full = res.traj
-    assert np.array_equal(full.times, np.concatenate(
-        [windows[0].times] + [w.times[1:] for w in windows[1:]]))
+    norms = WeightedNorms(cfg2, grid2d, params)
+    logs = [node_log(w, norms) for w in windows]
+    ledgers = [vars(mp.energy_report(w, params, ZERO, ZERO)) for w in windows]
+    for got, parts in ((res.log, logs), (vars(res.ledger), ledgers)):
+        assert got.keys() == parts[0].keys()
+        for key, value in got.items():
+            if isinstance(value, np.ndarray):
+                joined = np.concatenate([parts[0][key]] + [p[key][1:] for p in parts[1:]])
+                assert value.tobytes() == joined.tobytes(), key
+    assert set(logs[0]) >= {"t", *TAGS} | set(res.e_sup)
+    assert res.end.times.tobytes() == windows[-1].times[-1:].tobytes()
     for tag in TAGS:
-        joined = np.concatenate([windows[0].coeffs[tag]]
-                                + [w.coeffs[tag][1:] for w in windows[1:]])
-        assert full.coeffs[tag].tobytes() == joined.tobytes()
-    # the windows' free evolutions restart at each window's start: the joined
-    # run carries none
-    assert full.free is None
-    assert full.m == windows[-1].m
+        assert res.end.coeffs[tag].tobytes() == windows[-1].coeffs[tag][-1:].tobytes()
+    assert res.end.m == windows[-1].m
 
 
-def test_global_solve_holds_one_copy_of_the_run(grid2d, params, cfg2, rng):
-    """The march keeps one run-length array per field and no window's arrays
-    after it ends: from 2 to 6 windows, the traced peak of global_solve grows
-    by at most 1.5 times the added windows' coefficient bytes (a march that
-    keeps every window's iterate and free evolution and joins them grows by
-    over 3 times)."""
+def test_global_solve_holds_one_window_at_a_time(grid2d, params, cfg2, rng):
+    """The march reduces each window to per-node scalars and drops it before
+    the next: from 2 to 6 windows, the traced peak of global_solve grows by
+    less than one window's coefficient bytes (a march that keeps one copy of
+    the run grows by four)."""
     import tracemalloc
 
     start = mp.start_state(*_initial_data(grid2d, rng))
@@ -831,5 +848,22 @@ def test_global_solve_holds_one_copy_of_the_run(grid2d, params, cfg2, rng):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         assert res.completed
-    added = 4 * 16 * sum(c.nbytes for c in start.coeffs.values())
-    assert peaks[1] - peaks[0] <= 1.5 * added
+    window = 17 * sum(c.nbytes for c in start.coeffs.values())
+    assert peaks[1] - peaks[0] < window
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_node_norms_do_not_depend_on_the_row_count(params, cfg2, dim, n):
+    """A node's node_norms (s = 2) have the same bits in blocks of 1, 8 and
+    33 nodes as in all 65: in 3D the microrotation's second family too."""
+    grid = mp.GridSpec(dim=dim, n=n)
+    norms = WeightedNorms(cfg2, grid, params)
+    start = mp.start_state(*_initial_data(grid, np.random.default_rng(5)))
+    traj = picard_step(mp.initial_trajectory(start, np.linspace(0, 0.25, 65), params),
+                       params, ZERO, ZERO)
+    for tag, half in traj.coeffs.items():
+        exps = (norms.base[tag],) + tuple(norms.exps[tag])
+        whole = norms.node_norms(tag, half, exps)
+        for size in (1, 8, 33):
+            blocks = [norms.node_norms(tag, half[j:j + size], exps) for j in range(0, 65, size)]
+            assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes(), (tag, size)
