@@ -19,7 +19,7 @@ from micropolar.analysis import (
     verify_smoothing,
     vanishing_weight_proxy,
 )
-from micropolar.kmbounds import ESTIMATES
+from micropolar.exponents import ESTIMATES
 from micropolar.nonlinear import generators, lambda_chain_cap
 
 

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .exponents import ExponentConfig
+from .exponents import ESTIMATES, TAGS, Estimate, ExponentConfig
 from .fields import (
     GridSpec,
     SpectralField,
@@ -38,7 +38,7 @@ from .fields import (
     rfft_half,
     _zero_index,
 )
-from .kmbounds import ESTIMATES, LemmaConstants, holder_constant, semigroup_constant
+from .kmbounds import LemmaConstants, holder_constant, semigroup_constant
 from .nonlinear import (
     CouplingParams,
     ForcingSpec,
@@ -69,7 +69,6 @@ from .operators import (
 )
 from .solver import (
     RHS_BLOCK_BYTES,
-    TAGS,
     TrajectoryState,
     WeightedNorms,
     node_rhs,
@@ -399,7 +398,38 @@ def verify_embeddings(alpha: float, p: float, k: int, s: float,
 # The nine estimate constants
 #
 # Every path below (the random ratio, the L2 symbol, the exact sup, the
-# Hilbert test and the fit) reads the estimate's row of kmbounds.ESTIMATES.
+# Hilbert test and the fit) reads the estimate's row of exponents.ESTIMATES.
+
+
+def _hilbert(est: Estimate, cfg: ExponentConfig) -> bool:
+    """Whether every Lebesgue exponent the estimate reads is 2."""
+    return all(cfg.by_tag("lebesgue")[tag] == 2.0 for tag in {est.out} | set(dict(est.slots)))
+
+
+def _outer(est: Estimate, cfg: ExponentConfig, ops: dict, half: np.ndarray,
+           power=power_coeffs) -> np.ndarray:
+    """The estimate's outer operator on stacked half spectra (..., comp,
+    *half): the Leray projection for u, then out's generator in ops to the
+    power -delta, applied by power (power_coeffs or _half_power)."""
+    if est.out == "u":
+        half = leray_coeffs(ops["u"].grid, half)
+    if est.delta is None:
+        return half
+    return power(ops[est.out].with_power(-getattr(cfg, est.delta)), half)
+
+
+def _forcing(est: Estimate, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
+    """The forcing a force row bounds, f for u and g for om, or the linear
+    e1 probe in its place when it vanishes, since the estimate divides by
+    its Lipschitz constant."""
+    force = f if est.out == "u" else g
+    components = tag_components(dim)[est.out]
+    if force.lipschitz == 0:
+        force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
+    if len(force.c) != components:
+        raise ConfigurationError(
+            f"forcing has {len(force.c)} components, expected {components}")
+    return force
 
 
 # For the quadratic estimates in the Hilbert case the fitted constant is
@@ -627,7 +657,7 @@ def _exact_sups(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
         power by _half_power, which projects no second time."""
         out = forward(sum(u_vals[a] * dw[:, a] for a in range(dim)))
         shape = out.shape
-        return est.outer(cfg, ops, out.reshape((-1,) + shape[2:]), _half_power).reshape(shape)
+        return _outer(est, cfg, ops, out.reshape((-1,) + shape[2:]), _half_power).reshape(shape)
 
     for _ in range(alternations):
         u_vals = _grid_values(small, u)[0][:, :, np.newaxis]
@@ -659,10 +689,10 @@ def _estimate_ratio(lemma_id: str, norms: WeightedNorms, params: CouplingParams,
     elif est.left == "id":
         left = fields[0]
     else:
-        force = est.forcing(f, g, grid.dim)
+        force = _forcing(est, f, g, grid.dim)
         left = evaluate_forcing(force, fields[0], tag_components(grid.dim)[est.out])
         rhs = force.lipschitz * norm[0]
-    lhs = lebesgue_norm(SpectralField(grid, est.outer(cfg, norms.ops, left.half)),
+    lhs = lebesgue_norm(SpectralField(grid, _outer(est, cfg, norms.ops, left.half)),
                         norms.lebesgue[est.out])
     return lhs / rhs if rhs > 0 else 0.0
 
@@ -695,10 +725,10 @@ def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     elif est.left == "id":
         left = eye
     else:
-        force = est.forcing(f, g, dim)
+        force = _forcing(est, f, g, dim)
         c = np.asarray(force.c).reshape((1, -1) + (1,) * dim) / force.lipschitz
         left = c * eye
-    lhs = est.outer(cfg, ops, left)
+    lhs = _outer(est, cfg, ops, left)
 
     # one mode of each +-k pair, ordered by |k| and then lexicographically:
     # the half spectrum holds one of each pair with k_last > 0, and both of
@@ -745,7 +775,7 @@ def _symbol_probe(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     With every Lebesgue exponent 2 that ratio is the estimate's constant."""
     est = ESTIMATES[lemma_id]
     # tanh forcing makes a force row nonlinear: it has no symbol
-    if est.quadratic or est.left == "force" and est.forcing(f, g, grid.dim).kind == "tanh":
+    if est.quadratic or est.left == "force" and _forcing(est, f, g, grid.dim).kind == "tanh":
         return None
     norms = WeightedNorms(cfg, grid, params)
     sup, x = _symbol_extremal(lemma_id, cfg, f, g, norms)
@@ -784,7 +814,7 @@ def verify_bilinear(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     g = g or ForcingSpec.zero()
 
     est = ESTIMATES[lemma_id]
-    hilbert = est.hilbert(cfg)
+    hilbert = _hilbert(est, cfg)
     if est.quadratic and hilbert:
         spaces = _slot_spaces(lemma_id, cfg, grid, params)
         # members are exact restricted sups, maximized in lockstep blocks
@@ -836,7 +866,7 @@ def fit_lemma_constants(cfg: ExponentConfig, grid: GridSpec,
     g = g or ForcingSpec.zero()
     values = {}
     for i, (lemma_id, est) in enumerate(ESTIMATES.items()):
-        symbol = est.hilbert(cfg) and _symbol_probe(lemma_id, cfg, grid, params, f, g)
+        symbol = _hilbert(est, cfg) and _symbol_probe(lemma_id, cfg, grid, params, f, g)
         values[f"c{i + 1}"] = symbol[1] if symbol else verify_bilinear(
             lemma_id, cfg, grid, params, f, g, ensemble=ensemble,
             seed=seed + 101 * i).fitted_constant
@@ -889,9 +919,9 @@ def fit_decay(log: dict, cfg: ExponentConfig, exponents: dict | None = None,
     the configured intermediate exponents.  An exponent listed twice is
     fitted once, at its first place.
     """
-    base = {"u": cfg.alpha0, "om": cfg.beta0, "th": cfg.gamma0}
+    base = cfg.by_tag("base")
     if exponents is None:
-        exponents = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
+        exponents = cfg.by_tag("tracked")
     fits = []
     for tag, exps in exponents.items():
         for exp in dict.fromkeys(exps):
@@ -982,13 +1012,14 @@ def singular_derivative_fit(traj: TrajectoryState, cfg: ExponentConfig,
 def dependence_ratio(base: TrajectoryState, pert: TrajectoryState,
                      cfg: ExponentConfig, params: CouplingParams,
                      d0: float) -> dict:
-    """Weighted-difference norm over the initial-data distance, per triple."""
+    """Weighted-difference norm over the initial-data distance, per triple
+    (alpha_i, beta_i, gamma_i) of tracked exponents."""
     if base.node_count != pert.node_count or not np.allclose(base.times, pert.times):
         raise ConfigurationError("dependence runs must share a node grid")
     norms = WeightedNorms(cfg, base.grid, params)
     out = {}
     diff = {tag: base.coeffs[tag] - pert.coeffs[tag] for tag in TAGS}
-    for triple in cfg.triples():
+    for triple in zip(*norms.exps.values()):
         curve = sum(norms.weighted_curve(tag, diff[tag], base.times, exp)
                     for tag, exp in zip(TAGS, triple))
         out[triple] = float(np.max(curve)) / d0
@@ -998,9 +1029,8 @@ def dependence_ratio(base: TrajectoryState, pert: TrajectoryState,
 def initial_distance(u0, up, om0, omp, th0, thp, cfg: ExponentConfig,
                      params: CouplingParams) -> float:
     norms = WeightedNorms(cfg, u0.grid, params)
-    return (norms.fractional_norm("u", u0 - up, cfg.alpha0)
-            + norms.fractional_norm("om", om0 - omp, cfg.beta0)
-            + norms.fractional_norm("th", th0 - thp, cfg.gamma0))
+    return sum(norms.fractional_norm(tag, a - b, norms.base[tag])
+               for tag, a, b in zip(TAGS, (u0, om0, th0), (up, omp, thp)))
 
 
 # growth of the Hoelder quotient over two halvings of h that counts as a

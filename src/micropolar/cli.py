@@ -39,11 +39,10 @@ from .errors import (
     PreconditionError,
     SingularOperatorError,
 )
-from .exponents import BASE, ExponentConfig, check_config, select_intermediate
+from .exponents import BASE, ESTIMATES, ExponentConfig, check_config, select_intermediate
 from .fields import GridSpec, SpectralField, random_field
 from .gronwall import (MAX_VIOLATION_FRACTION, gronwall_bound, gronwall_oracle,
                        violation_fraction)
-from .kmbounds import ESTIMATES
 from .nonlinear import CouplingParams, ForcingSpec, generators, lambda_chain_cap
 from .operators import leray_project
 from .solver import (PicardConfig, TrajectoryState, WeightedNorms, first_window, global_solve,
@@ -144,7 +143,7 @@ def _config_fields():
         yield
     except ConfigurationError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config field: {exc}") from None
 
 
@@ -306,8 +305,7 @@ def _norm_table_rows(log: dict, cfg: RunConfig) -> tuple:
     """The nodes table of a node_log."""
     cols = ["t", "l2_u", "l2_om", "l2_th",
             "x_alpha0_u", "y_beta0_om", "z_gamma0_th"]
-    exps = cfg.exponents
-    keys = ["t", "u", "om", "th", ("u", exps.alpha0), ("om", exps.beta0), ("th", exps.gamma0)]
+    keys = ["t", "u", "om", "th", *cfg.exponents.by_tag("base").items()]
     return cols, [[float(x) for x in row] for row in zip(*(log[key] for key in keys))]
 
 
@@ -667,7 +665,9 @@ def _positive(kind):
     return _number(kind, lambda v: 0 < v < math.inf, "a positive number")
 
 
-_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
+_count = _number(int, lambda v: v >= 0, "a non-negative integer")
+_step = _number(float, lambda v: 0 < v < math.inf and 1 / v < math.inf,
+                "a positive number with a finite inverse")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -687,17 +687,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "picard"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=_seed)
+        p.add_argument("--seed", type=_count)
         p.add_argument("--out")
-        p.add_argument("--dt", type=_positive(float))
-        p.add_argument("--refine", type=int)
+        p.add_argument("--dt", type=_step)
+        p.add_argument("--refine", type=_count)
         if name == "picard":
             p.add_argument("--fit-constants", action="store_true")
 
     p_ver = sub.add_parser("verify", help="verify an estimate or theorem")
     p_ver.add_argument("target")
     p_ver.add_argument("--config")
-    p_ver.add_argument("--seed", type=_seed)
+    p_ver.add_argument("--seed", type=_count)
     p_ver.add_argument("--ensemble", type=_positive(int), default=100)
     p_ver.add_argument("--out")
 

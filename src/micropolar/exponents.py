@@ -6,7 +6,9 @@ exponents (alpha0, beta0, gamma0), auxiliary negative-power exponents
 (lambda, lambda1, lambda2).  Each inequality is stated once, as a row of
 RULES: check_config evaluates the rows literally at a point and reports each
 violation with its left/right values, and the selection evaluates the same
-rows over lattices of the intermediate exponents.
+rows over lattices of the intermediate exponents.  ESTIMATES, the table of
+the coupling estimates, names exponents only, and its terms give the
+recursion weight rows as well as the beta arguments of the bound recursion.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ import numpy as np
 from .errors import ConfigurationError
 
 EQ_TOL = 1e-12
+
+# the field tags in the order of generators(): velocity, microrotation,
+# temperature
+TAGS = ("u", "om", "th")
+# the base exponent of each field tag
+_BASE_NAMES = dict(zip(TAGS, ("alpha0", "beta0", "gamma0")))
 
 # lattice resolutions 1/res of the exponent group searches, coarsest first
 LATTICES = (32, 64, 128, 256)
@@ -75,9 +83,13 @@ class ExponentConfig:
     def gammas(self) -> tuple:
         return (self.gamma1, self.gamma2, self.gamma3)
 
-    def triples(self) -> tuple:
-        """The three (alpha_i, beta_i, gamma_i) weighted-norm triples."""
-        return tuple(zip(self.alphas(), self.betas(), self.gammas()))
+    def by_tag(self, kind: str) -> dict:
+        """{field tag: exponent} of one kind: "lebesgue" (p, q, r), "base"
+        (alpha0, beta0, gamma0) or "tracked" (alphas(), betas(), gammas())."""
+        if kind == "tracked":
+            return dict(zip(TAGS, (self.alphas(), self.betas(), self.gammas())))
+        names = {"lebesgue": ("p", "q", "r"), "base": _BASE_NAMES.values()}[kind]
+        return {tag: getattr(self, name) for tag, name in zip(TAGS, names)}
 
     def validate_ranges(self):
         for name in ("p", "q", "r"):
@@ -195,9 +207,91 @@ def _window(text: str, fn, levels=(BASE, REGULARITY)) -> tuple:
             Rule(f"{text} <= 1", fn, "<=", 1.0, levels))
 
 
-def _weight(text: str, fn) -> Rule:
-    """A time-weight exponent of the bound recursion stays positive."""
-    return Rule(f"recursion weight {text} > 0", fn, ">", 0.0)
+# ---------------------------------------------------------------------------
+# The coupling estimates
+#
+# Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
+# fractional norms of its arguments,
+#
+#     ||outer(left(x_1, ..., x_k))||_(L^s of out) <= C prod_i ||op_i^(e_i) x_i||,
+#
+# and ESTIMATES states each one once: the bound recursion, the recursion
+# weight rules below and every estimate path of analysis read its row.
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One coupling estimate.
+
+    out is the tag of the left side's field: it fixes the Lebesgue exponent
+    of the left side, the outer operator (the Leray projection for u, then
+    the power -delta of out's generator) and the forcing a force row reads
+    (f for u, g for om).  left is the kernel: advect (x_1 . grad) x_2, phi
+    the dissipation function of (u, om) and (v, psi), rot, id, or force,
+    the forcing at the temperature x_1.  slots holds one (field tag,
+    ExponentConfig weight exponent) pair per argument, and delta names the
+    ExponentConfig inverse power, or is None."""
+
+    out: str
+    left: str
+    slots: tuple
+    delta: str | None = None
+
+    @property
+    def arguments(self) -> tuple:
+        """The slot of every argument field: phi takes two per slot, u, v
+        then om, psi."""
+        return tuple(s for s in self.slots for _ in range(2 if self.left == "phi" else 1))
+
+    @property
+    def quadratic(self) -> bool:
+        """Whether the left side is bilinear in two slots (advect, phi)
+        rather than zero-order in one (rot, id, force)."""
+        return self.left in ("advect", "phi")
+
+    @property
+    def terms(self) -> tuple:
+        """(multiplicity, sources) of each bound-recursion term of the row,
+        the sources being slots: phi, quadratic in (u, om), gives the three
+        terms of (|u| + |om|)^2."""
+        if self.left != "phi":
+            return ((1, self.slots),)
+        return tuple((1 if a == b else 2, (a, b))
+                     for a, b in itertools.combinations_with_replacement(self.slots, 2))
+
+
+ESTIMATES = {
+    "2.5": Estimate("u", "advect", (("u", "alpha1"), ("u", "alpha1")), "delta1"),
+    "2.6": Estimate("om", "advect", (("u", "alpha2"), ("om", "beta2")), "delta2"),
+    "2.7": Estimate("th", "advect", (("u", "alpha3"), ("th", "gamma3")), "delta3"),
+    "2.8": Estimate("th", "phi", (("u", "alpha3"), ("om", "beta3"))),
+    "2.9": Estimate("u", "rot", (("om", "beta1"),), "delta1"),
+    "2.10": Estimate("om", "id", (("om", "beta2"),)),
+    "2.11": Estimate("om", "rot", (("u", "alpha2"),), "delta2"),
+    "2.12": Estimate("u", "force", (("th", "gamma1"),)),
+    "2.13": Estimate("om", "force", (("th", "gamma2"),)),
+}
+
+
+def beta_argument(v, sources: tuple):
+    """The recursion weight 1 + sum x0_i - sum e_i of a term with the given
+    sources (Estimate.terms) at v, an ExponentConfig or a rule's namespace:
+    the weighted source norms make the term's time convolution integrand
+    s^(weight - 1) near s = 0, the second argument of its beta function."""
+    return sum([getattr(v, _BASE_NAMES[tag]) for tag, _ in sources]
+               + [-getattr(v, name) for _, name in sources], 1.0)
+
+
+def _weight_rule(sources: tuple) -> Rule:
+    """The recursion weight of a term stays positive; its label reads
+    1+x0-x, 1+2(x0-x) for a repeated source, or 1+x0+y0-x-y."""
+    bases = [_BASE_NAMES[tag] for tag, _ in sources]
+    if len(set(sources)) < len(sources):
+        text = f"1+2({bases[0]}-{sources[0][1]})"
+    else:
+        text = "+".join(["1"] + bases) + "".join(f"-{name}" for _, name in sources)
+    return Rule(f"recursion weight {text} > 0", lambda v: beta_argument(v, sources),
+                ">", 0.0)
 
 
 # the box of each searched family: family0 < x < 1 - delta
@@ -311,19 +405,11 @@ RULES = (
                         when=lambda v, k=k: equality_branches(v)[k]),
                    Rule(f"{lhs_text} < {rhs_text} (strict branch)", lhs, "<", rhs,
                         when=lambda v, k=k: not equality_branches(v)[k]))),
-    # positivity of every time-weight exponent in the bound recursion
-    _weight("1+2(alpha0-alpha1)", lambda v: 1 + 2 * (v.alpha0 - v.alpha1)),
-    _weight("1+beta0-beta1", lambda v: 1 + v.beta0 - v.beta1),
-    _weight("1+gamma0-gamma1", lambda v: 1 + v.gamma0 - v.gamma1),
-    _weight("1+alpha0+beta0-alpha2-beta2", lambda v: 1 + v.alpha0 + v.beta0 - v.alpha2 - v.beta2),
-    _weight("1+beta0-beta2", lambda v: 1 + v.beta0 - v.beta2),
-    _weight("1+alpha0-alpha2", lambda v: 1 + v.alpha0 - v.alpha2),
-    _weight("1+gamma0-gamma2", lambda v: 1 + v.gamma0 - v.gamma2),
-    _weight("1+alpha0+gamma0-alpha3-gamma3",
-            lambda v: 1 + v.alpha0 + v.gamma0 - v.alpha3 - v.gamma3),
-    _weight("1+2(alpha0-alpha3)", lambda v: 1 + 2 * (v.alpha0 - v.alpha3)),
-    _weight("1+alpha0+beta0-alpha3-beta3", lambda v: 1 + v.alpha0 + v.beta0 - v.alpha3 - v.beta3),
-    _weight("1+2(beta0-beta3)", lambda v: 1 + 2 * (v.beta0 - v.beta3)),
+    # positivity of every distinct bound-recursion term's weight, in the
+    # recursion's order: by out tag, then by table row
+    *(_weight_rule(sources) for sources in dict.fromkeys(
+        sources for tag in TAGS for est in ESTIMATES.values() if est.out == tag
+        for _, sources in est.terms)),
     # decay-rate chain
     Rule("lambda > 0", "lam", ">", 0.0),
     Rule("lambda < lambda1", "lam", "<", "lam1"),
@@ -367,11 +453,6 @@ RULES = (
 _BRANCH_BOUNDS = (_D49, _W50[1], _W51[1])
 _DELTA_CAPS = (_CAP1, _CAP2, _CAP3)
 _SEARCHED = frozenset(ExponentConfig._INTERMEDIATES)
-
-
-def branch_values(cfg: ExponentConfig) -> tuple:
-    """Defining expressions of the three strict/equality branch conditions."""
-    return tuple(rule.lhs(cfg) for rule in _BRANCH_BOUNDS)
 
 
 def equality_branches(cfg: ExponentConfig) -> tuple:

@@ -4,26 +4,24 @@ The weighted norms of the iterates are dominated by monotone functions
 K^m(t) obeying an explicit quadratic recursion whose coefficients combine
 semigroup smoothing constants, the nine estimate constants, and beta
 functions of the exponent configuration; each term comes from one row of
-ESTIMATES, the table of the coupling estimates.  The same coefficients give an
-a-priori contraction horizon: either three scalar factors (strict branch)
-or the spectral radius of a 3x3 comparison matrix (equality branches).
+exponents.ESTIMATES, the table of the coupling estimates.  The same
+coefficients give an a-priori contraction horizon: either three scalar
+factors (strict branch) or the spectral radius of a 3x3 comparison matrix
+(equality branches).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .exponents import ExponentConfig, equality_branches
+from .exponents import ESTIMATES, TAGS, ExponentConfig, beta_argument, equality_branches
 from .fields import GridSpec
 from .nonlinear import CouplingParams, ForcingSpec, generators
-from .operators import leray_coeffs, power_coeffs
-from .solver import (TAGS, TrajectoryState, WeightedNorms, beta_function, initial_trajectory,
-                     tag_components, time_weight)
+from .solver import TrajectoryState, WeightedNorms, beta_function, initial_trajectory, time_weight
 
 
 def semigroup_constant(a: float, lam: float, lam_min: float) -> float:
@@ -78,101 +76,6 @@ class LemmaConstants:
                               semigroup_scale=self.semigroup_scale * factor)
 
 
-# ---------------------------------------------------------------------------
-# The coupling estimates
-#
-# Each of the coupling estimates 2.5-2.13 bounds one left side by weighted
-# fractional norms of its arguments,
-#
-#     ||outer(left(x_1, ..., x_k))||_(L^s of out) <= C prod_i ||op_i^(e_i) x_i||,
-#
-# and ESTIMATES states each one once: the bound recursion below and every
-# estimate path of analysis read its row.
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """One coupling estimate.
-
-    out is the tag of the left side's field: it fixes the Lebesgue exponent
-    of the left side, the outer operator (the Leray projection for u, then
-    the power -delta of out's generator) and the forcing a force row reads
-    (f for u, g for om).  left is the kernel: advect (x_1 . grad) x_2, phi
-    the dissipation function of (u, om) and (v, psi), rot, id, or force,
-    the forcing at the temperature x_1.  slots holds one (field tag,
-    ExponentConfig weight exponent) pair per argument, and delta names the
-    ExponentConfig inverse power, or is None."""
-
-    out: str
-    left: str
-    slots: tuple
-    delta: str | None = None
-
-    @property
-    def arguments(self) -> tuple:
-        """The slot of every argument field: phi takes two per slot, u, v
-        then om, psi."""
-        return tuple(s for s in self.slots for _ in range(2 if self.left == "phi" else 1))
-
-    def hilbert(self, cfg: ExponentConfig) -> bool:
-        """Whether every Lebesgue exponent the estimate reads is 2."""
-        lebesgue = dict(zip(TAGS, (cfg.p, cfg.q, cfg.r)))
-        return all(lebesgue[tag] == 2.0 for tag in {self.out} | set(dict(self.slots)))
-
-    @property
-    def quadratic(self) -> bool:
-        """Whether the left side is bilinear in two slots (advect, phi)
-        rather than zero-order in one (rot, id, force)."""
-        return self.left in ("advect", "phi")
-
-    def outer(self, cfg: ExponentConfig, ops: dict, half: np.ndarray,
-              power=power_coeffs) -> np.ndarray:
-        """The outer operator on stacked half spectra (..., comp, *half): the
-        Leray projection for u, then out's generator in ops to the power
-        -delta, applied by power (power_coeffs or _half_power)."""
-        if self.out == "u":
-            half = leray_coeffs(ops["u"].grid, half)
-        if self.delta is None:
-            return half
-        return power(ops[self.out].with_power(-getattr(cfg, self.delta)), half)
-
-    def terms(self, cfg: ExponentConfig) -> tuple:
-        """(multiplicity, sources) of each bound-recursion term of the row,
-        the sources being its slots as (field tag, exponent in cfg) pairs:
-        phi, quadratic in (u, om), gives the three terms of (|u| + |om|)^2."""
-        slots = tuple((tag, getattr(cfg, name)) for tag, name in self.slots)
-        if self.left != "phi":
-            return ((1, slots),)
-        return tuple((1 if a == b else 2, (a, b))
-                     for a, b in itertools.combinations_with_replacement(slots, 2))
-
-    def forcing(self, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
-        """The forcing a force row bounds, f for u and g for om, or the
-        linear e1 probe in its place when it vanishes, since the estimate
-        divides by its Lipschitz constant."""
-        force = f if self.out == "u" else g
-        components = tag_components(dim)[self.out]
-        if force.lipschitz == 0:
-            force = ForcingSpec("linear", (1.0,) + (0.0,) * (components - 1))
-        if len(force.c) != components:
-            raise ConfigurationError(
-                f"forcing has {len(force.c)} components, expected {components}")
-        return force
-
-
-ESTIMATES = {
-    "2.5": Estimate("u", "advect", (("u", "alpha1"), ("u", "alpha1")), "delta1"),
-    "2.6": Estimate("om", "advect", (("u", "alpha2"), ("om", "beta2")), "delta2"),
-    "2.7": Estimate("th", "advect", (("u", "alpha3"), ("th", "gamma3")), "delta3"),
-    "2.8": Estimate("th", "phi", (("u", "alpha3"), ("om", "beta3"))),
-    "2.9": Estimate("u", "rot", (("om", "beta1"),), "delta1"),
-    "2.10": Estimate("om", "id", (("om", "beta2"),)),
-    "2.11": Estimate("om", "rot", (("u", "alpha2"),), "delta2"),
-    "2.12": Estimate("u", "force", (("th", "gamma1"),)),
-    "2.13": Estimate("om", "force", (("th", "gamma2"),)),
-}
-
-
 @dataclass
 class KmTracker:
     times: np.ndarray
@@ -219,12 +122,11 @@ def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
     exp + delta and the beta function of the time convolution."""
     lam = cfg.lam if cfg.lam is not None else 0.0
     gaps = dict(zip(TAGS, (op.min_positive_eigenvalue() for op in generators(grid, params))))
-    base = dict(zip(TAGS, (cfg.alpha0, cfg.beta0, cfg.gamma0)))
-    tracked = dict(zip(TAGS, (cfg.alphas(), cfg.betas(), cfg.gammas())))
+    base = cfg.by_tag("base")
     forcing = {"u": f, "om": g}
     out = {}
-    for tag in TAGS:
-        for x in tracked[tag]:
+    for tag, tracked in cfg.by_tag("tracked").items():
+        for x in tracked:
             terms = out[(tag, x)] = []
             for est, c in zip(ESTIMATES.values(), constants.by_row):
                 if est.out != tag:
@@ -233,13 +135,11 @@ def _recursion_coefficients(cfg: ExponentConfig, params: CouplingParams,
                 kernel = KERNEL_COEFFICIENTS[est.left](params, forcing.get(tag))
                 scaled = (constants.semigroup_scale * semigroup_constant(x + delta, lam, gaps[tag])
                           * c * kernel)
-                for copies, sources in est.terms(cfg):
-                    # 1 + sum x0_i - sum e_i: the weighted source norms make
-                    # the integrand s^(second - 1) near s = 0
-                    second = sum([base[src] for src, _ in sources]
-                                 + [-e for _, e in sources], 1.0)
+                for copies, sources in est.terms:
+                    second = beta_argument(cfg, sources)
                     terms.append((copies * scaled * beta_function(1 - (x + delta), second),
-                                  second - base[tag] - delta, sources))
+                                  second - base[tag] - delta,
+                                  tuple((src, getattr(cfg, name)) for src, name in sources)))
     return out
 
 
@@ -308,21 +208,32 @@ def contraction_coefficients(cfg: ExponentConfig, params: CouplingParams,
                              constants: LemmaConstants, grid: GridSpec,
                              f: ForcingSpec, g: ForcingSpec) -> tuple:
     """(quadratic, linear) coefficient maxima of the bound recursion of the
-    system on grid with forcing f, g; the larger is the generic constant.
+    system on grid with forcing f, g; the larger is the generic constant."""
+    return _coefficient_maxima(_recursion_coefficients(cfg, params, constants, grid, f, g))
+
+
+def _coefficient_maxima(coeffs: dict) -> tuple:
+    """(quadratic, linear) maxima of the recursion coefficients coeffs.
 
     Terms with two norm sources multiply the data size K^0 in the
     difference-contraction factor; single-source terms carry the coupling
     constants and multiply pure powers of t.  Keeping them separate gives a
     sharper (still sufficient) horizon factor cq K0(t) + cl t^a."""
-    coeffs = _recursion_coefficients(cfg, params, constants, grid, f, g)
-    cq = cl = 0.0
-    for terms in coeffs.values():
-        for coefficient, _, sources in terms:
-            if len(sources) >= 2:
-                cq = max(cq, coefficient)
-            else:
-                cl = max(cl, coefficient)
-    return cq, cl
+    terms = [term for key_terms in coeffs.values() for term in key_terms]
+    quadratic = [c for c, _, sources in terms if len(sources) >= 2]
+    linear = [c for c, _, sources in terms if len(sources) < 2]
+    return max([0.0] + quadratic), max([0.0] + linear)
+
+
+def _linear_powers(coeffs: dict, tag: str) -> dict:
+    """Source tag -> smallest time power of the single-source recursion
+    terms of tag's equation in coeffs."""
+    out = {}
+    for (key_tag, _), terms in coeffs.items():
+        for _, power, sources in terms:
+            if key_tag == tag and len(sources) == 1:
+                out[sources[0][0]] = min(power, out.get(sources[0][0], power))
+    return out
 
 
 @dataclass
@@ -334,32 +245,17 @@ class HorizonResult:
     times: np.ndarray
 
 
-def _matrix_spectral_radius_curve(k0max: np.ndarray, cfg: ExponentConfig,
-                                  cq: float, cl: float,
+def _matrix_spectral_radius_curve(k0max: np.ndarray, coeffs: dict, cq: float, cl: float,
                                   times: np.ndarray) -> np.ndarray:
-    """Spectral radius of the 3x3 difference-comparison matrix at each node,
-    via the cubic characteristic polynomial.  Data-size entries carry the
-    quadratic coefficient, coupling entries the linear one."""
-    e_ab = 1 + cfg.alpha0 - cfg.beta0 - cfg.alpha2 - cfg.delta2
-    tas = cl * time_weight(times, e_ab)
-    tbs = cl * time_weight(times, 1 - cfg.beta2)
-    rho = np.zeros_like(times)
-    for j, (ta, tb) in enumerate(zip(tas, tbs)):
-        k0 = cq * k0max[j]
-        mat = np.array([
-            [k0, cl, cl],
-            [k0 + ta, k0 + tb, cl],
-            [k0, k0, k0],
-        ])
-        tr = np.trace(mat)
-        minors = (
-            mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1]
-            + mat[0, 0] * mat[2, 2] - mat[0, 2] * mat[2, 0]
-            + mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-        det = np.linalg.det(mat)
-        roots = np.roots([1.0, -tr, minors, -det])
-        rho[j] = float(np.max(np.abs(roots)))
-    return rho
+    """Spectral radius of the 3x3 difference-comparison matrix at each node.
+    Data-size entries carry the quadratic coefficient, coupling entries the
+    linear one; the om row's u and om entries also grow with t to the power
+    of the om equation's single-source term with that source in coeffs."""
+    powers = _linear_powers(coeffs, "om")
+    k0, c = cq * k0max, np.full_like(k0max, cl)
+    ta, tb = (cl * time_weight(times, powers[src]) for src in ("u", "om"))
+    mats = np.moveaxis(np.array([[k0, c, c], [k0 + ta, k0 + tb, c], [k0, k0, k0]]), -1, 0)
+    return np.max(np.abs(np.linalg.eigvals(mats)), axis=1)
 
 
 def local_horizon(start: TrajectoryState, cfg: ExponentConfig, params: CouplingParams,
@@ -377,36 +273,24 @@ def local_horizon(start: TrajectoryState, cfg: ExponentConfig, params: CouplingP
     times = np.asarray(times, dtype=np.float64)
     k0 = k0_curves(start, cfg, params, times)
     k0max = np.max(np.stack(list(k0.values())), axis=0)
-    cq, cl = contraction_coefficients(cfg, params, constants, start.grid, f, g)
+    coeffs = _recursion_coefficients(cfg, params, constants, start.grid, f, g)
+    cq, cl = _coefficient_maxima(coeffs)
     cg = max(cq, cl)
     if float(np.max(k0max)) == 0.0:
         # zero data: the iteration is stationary at the fixed point
         return HorizonResult(tstar=float(times[-1]), branch="trivial",
                              generic_c=cg, factors={}, times=times)
-    eq = equality_branches(cfg)
-    factors = {}
-    if any(eq):
-        rho = _matrix_spectral_radius_curve(k0max, cfg, cq, cl, times)
-        factors["spectral_radius"] = rho
-        ok = rho < 1.0
+    if any(equality_branches(cfg)):
         branch = "equality"
+        factors = {"spectral_radius": _matrix_spectral_radius_curve(k0max, coeffs, cq, cl, times)}
     else:
-        coeffs = _recursion_coefficients(cfg, params, constants, start.grid, f, g)
+        branch, factors = "strict", {}
         for tag, name in zip(TAGS, ("velocity", "microrotation", "temperature")):
-            powers = [power for (t, _), terms in coeffs.items() if t == tag
-                      for _, power, sources in terms if len(sources) == 1]
+            powers = _linear_powers(coeffs, tag).values()
             factors[name] = cq * k0max + (cl * time_weight(times, min(powers)) if powers else 0)
-        ok = np.ones_like(times, dtype=bool)
-        for f in factors.values():
-            ok &= f < 1.0
-        branch = "strict"
-    admissible = np.nonzero(ok)[0]
-    if admissible.size == 0 or not ok[0]:
-        tstar = None
-    else:
-        # largest prefix of admissible nodes (the factors are monotone)
-        breakpoints = np.nonzero(~ok)[0]
-        last = (breakpoints[0] - 1) if breakpoints.size else (len(times) - 1)
-        tstar = float(times[last]) if last >= 1 else None
+    ok = np.all([factor < 1.0 for factor in factors.values()], axis=0)
+    # the last node of the admissible prefix (the factors are monotone)
+    last = len(times) - 1 if ok.all() else int(np.argmin(ok)) - 1
+    tstar = float(times[last]) if last >= 1 else None
     return HorizonResult(tstar=tstar, branch=branch, generic_c=cg,
                          factors=factors, times=times)

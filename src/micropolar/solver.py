@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .exponents import ExponentConfig
+from .exponents import TAGS, ExponentConfig
 from .fields import (
     GridSpec,
     SpectralField,
@@ -204,11 +204,6 @@ class DuhamelPropagator:
 # ---------------------------------------------------------------------------
 # Trajectories
 
-# the field tags in the order of generators(): velocity, microrotation,
-# temperature
-TAGS = ("u", "om", "th")
-
-
 def tag_components(dim: int) -> dict:
     """Component count of each field tag on a dim-dimensional grid; the
     planar microrotation is a scalar."""
@@ -234,10 +229,13 @@ class PicardConfig:
     linear_only: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.tol <= 0 or self.m_max < 1:
+        if not (self.horizon > 0 and self.tol > 0 and self.m_max >= 1):
             raise ConfigurationError("horizon, tol must be positive and m_max >= 1")
         if self.nodes_per_unit < 1:
             raise ConfigurationError("nodes_per_unit must be >= 1")
+        if self.nodes_per_unit >= np.iinfo(np.intp).max / self.horizon:
+            raise ConfigurationError(f"nodes_per_unit gives a window of {self.horizon:g} "
+                                     f"more nodes than an array can index")
 
     def node_grid(self, horizon: float | None = None) -> np.ndarray:
         T = self.horizon if horizon is None else horizon
@@ -453,9 +451,9 @@ class WeightedNorms:
         self.cfg = cfg
         self.grid = grid
         self.ops = dict(zip(TAGS, generators(grid, params)))
-        self.lebesgue = {"u": cfg.p, "om": cfg.q, "th": cfg.r}
-        self.base = {"u": cfg.alpha0, "om": cfg.beta0, "th": cfg.gamma0}
-        self.exps = {"u": cfg.alphas(), "om": cfg.betas(), "th": cfg.gammas()}
+        self.lebesgue = cfg.by_tag("lebesgue")
+        self.base = cfg.by_tag("base")
+        self.exps = cfg.by_tag("tracked")
         self._parseval = {}
 
     def fractional_norm(self, tag: str, fld: SpectralField, exp: float) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import time
@@ -608,6 +609,36 @@ def test_nonpositive_dt_is_usage_error(config_path, tmp_path, capsys, dt):
     assert rc == 2
     assert sum("error:" in ln for ln in err.splitlines()) == 1
     assert "--dt" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+@pytest.mark.parametrize("flags,picard", [
+    (["--refine", "-1"], {}),               # not a halving: refused at parse time
+    (["--refine", "60"], {}),
+    (["--refine", "5000"], {}),             # past the float range
+    (["--dt", "1e-300"], {}),
+    (["--dt", "1e-320"], {}),               # 1/dt overflows
+    ([], {"nodes_per_unit": 1e30}),
+    ([], {"nodes_per_unit": math.inf}),     # how JSON reads 1e400
+    ([], {"horizon": math.nan}),
+    ([], {"tol": math.nan}),
+], ids=["refine-negative", "refine-60", "refine-5000", "dt-1e-300", "dt-1e-320",
+        "npu-1e30", "npu-inf", "horizon-nan", "tol-nan"])
+def test_unusable_picard_settings_are_usage_errors(tmp_path, capsys, command, flags, picard):
+    # a window with more nodes than an array can index, or a horizon or
+    # tolerance that is not a number, is refused before any solve, with one
+    # error line
+    out = tmp_path / "o"
+    cfg = _config_dict(str(out))
+    cfg["picard"].update(picard)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    rc = dispatch([command, "--config", str(path), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

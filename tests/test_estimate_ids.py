@@ -1,4 +1,4 @@
-"""Each coupling estimate is stated once, in kmbounds.ESTIMATES: no module
+"""Each coupling estimate is stated once, in exponents.ESTIMATES: no module
 names an estimate id 2.5-2.13 outside that table, nor one of its constants
 c1-c9 by name."""
 
@@ -30,7 +30,7 @@ def test_estimate_ids_only_in_the_table():
     package = sorted((ROOT / "src" / "micropolar").glob("*.py"))
     scripts = sorted((ROOT / "scripts").glob("*.py"))
     assert scripts
-    inside, _ = _id_literals(ROOT / "src" / "micropolar" / "kmbounds.py")
+    inside, _ = _id_literals(ROOT / "src" / "micropolar" / "exponents.py")
     assert sorted(v for _, v in inside) == sorted(IDS)
     offenders = {str(p.relative_to(ROOT)): _id_literals(p)[1]
                  for p in package + scripts if _id_literals(p)[1]}

@@ -11,6 +11,7 @@ from micropolar.exponents import (
     CLASSICAL,
     REGULARITY,
     RULES,
+    _BRANCH_BOUNDS,
     _binding_constraints,
     _group_searches,
     equality_branches,
@@ -75,7 +76,7 @@ def test_selection_on_worked_example():
 
 
 def test_selection_equality_branches_pinned():
-    d49, d50, d51 = mp.exponents.branch_values(BOUNDARY)
+    d49, d50, d51 = (rule.lhs(BOUNDARY) for rule in _BRANCH_BOUNDS)
     assert d49 == pytest.approx(0.5)
     assert d50 == pytest.approx(1.0)
     eq = equality_branches(BOUNDARY)

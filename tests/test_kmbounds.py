@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import micropolar as mp
+from micropolar import kmbounds
 from micropolar.analysis import fit_lemma_constants
 from micropolar.cli import lambda_chain_cap
-from micropolar.exponents import equality_branches
+from micropolar.exponents import RULES, equality_branches
 from micropolar.kmbounds import (
     LemmaConstants,
     check_domination,
@@ -125,14 +126,18 @@ def test_diverged_bound_dominates_nothing(params, cfg2):
     assert max(check_domination(tracker, rep.iterate_norms).values()) > 0.0
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("base,branch", [
+# base exponents (p, q, r, alpha0, beta0, gamma0) of selections on both branches
+SELECTIONS = [
     ((2, 2, 2, 0.5, 0.5, 0.0), "strict"),
     ((3, 3, 3, 0.5, 0.5, 0.25), "strict"),
     ((2, 2, 2, 0.75, 0.75, 0.5), "strict"),
     ((9, 9, 4, 0.0, 0.0, 0.0), "strict"),
     ((2, 2, 1.2, 0.75, 0.25, 0.25), "equality"),
-])
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("base,branch", SELECTIONS)
 def test_recursion_powers_are_nonnegative(params, dim, base, branch):
     """Every time power of the recursion is the slack of a <= rule, so
     time_weight's value at t = 0 (1 for power 0, else 0) is the recursion's;
@@ -149,6 +154,30 @@ def test_recursion_powers_are_nonnegative(params, dim, base, branch):
     assert len(terms) >= 11 and all(power >= 0 for _, power, _ in terms)
     if branch == "strict":
         assert all(power > 0 for _, power, sources in terms if len(sources) == 1)
+
+
+@pytest.mark.parametrize("base", [base for base, _ in SELECTIONS])
+def test_recursion_weight_rules_are_the_beta_arguments(monkeypatch, grid2d, params, base):
+    """RULES holds one recursion weight row per distinct term of the bound
+    recursion, in its order, and each row's left side is, bit for bit, the
+    second argument of that term's beta function."""
+    cfg = mp.select_intermediate(mp.ExponentConfig(*base)).config
+    seconds = []
+    monkeypatch.setattr(kmbounds, "beta_function", lambda a, b: seconds.append(b) or 1.0)
+    coeffs = _recursion_coefficients(cfg, params, mp.LemmaConstants(*[0.5] * 9), grid2d,
+                                     ZERO, ZERO)
+    # each tag's three tracked exponents run through the same terms
+    distinct, start = [], 0
+    for tag in ("u", "om", "th"):
+        count = len(next(terms for (t, _), terms in coeffs.items() if t == tag))
+        block = seconds[start: start + 3 * count]
+        assert block == block[:count] * 3
+        distinct += block[:count]
+        start += 3 * count
+    assert start == len(seconds)
+    weights = [rule for rule in RULES if rule.label.startswith("recursion weight")]
+    assert len(weights) == len(distinct) == 11
+    assert [rule.lhs(cfg) for rule in weights] == distinct
 
 
 def test_local_horizon_zero_data(grid2d, params, cfg2, constants):
@@ -172,11 +201,13 @@ def test_local_horizon_monotone_in_data(grid2d, params, cfg2, constants):
         previous = res.tstar if res.tstar is not None else 0.0
 
 
-def test_spectral_radius_matches_eigensolve(cfg2):
+def test_spectral_radius_matches_eigensolve(grid2d, params, cfg2):
     times = np.array([0.0, 0.1, 0.3])
     k0max = np.array([0.0, 0.2, 0.5])
     cq, cl = 0.8, 0.6
-    rho = _matrix_spectral_radius_curve(k0max, cfg2, cq, cl, times)
+    coeffs = _recursion_coefficients(cfg2, params, LemmaConstants(*[0.5] * 9), grid2d,
+                                     ZERO, ZERO)
+    rho = _matrix_spectral_radius_curve(k0max, coeffs, cq, cl, times)
     e_ab = 1 + cfg2.alpha0 - cfg2.beta0 - cfg2.alpha2 - cfg2.delta2
     e_b2 = 1 - cfg2.beta2
     for j, t in enumerate(times):
