@@ -28,7 +28,6 @@ from .fields import (
     GridSpec,
     SpectralField,
     dealias_mask,
-    deriv_wavevectors,
     integer_wavevectors,
     irfft_half,
     parseval_columns,
@@ -54,15 +53,14 @@ from .nonlinear import (
 from .operators import (
     OperatorSymbol,
     apply_operator,
-    curl,
     curl_values,
+    derivative_symbol,
     eig_families,
     gradient_planes,
     lebesgue_norm,
     leray_coeffs,
     leray_project,
     power_coeffs,
-    power_weight,
     rot,
     sobolev_norm,
     subspaces,
@@ -406,16 +404,15 @@ def _hilbert(est: Estimate, cfg: ExponentConfig) -> bool:
     return all(cfg.by_tag("lebesgue")[tag] == 2.0 for tag in {est.out} | set(dict(est.slots)))
 
 
-def _outer(est: Estimate, cfg: ExponentConfig, ops: dict, half: np.ndarray,
-           power=power_coeffs) -> np.ndarray:
+def _outer(est: Estimate, cfg: ExponentConfig, ops: dict, half: np.ndarray) -> np.ndarray:
     """The estimate's outer operator on stacked half spectra (..., comp,
     *half): the Leray projection for u, then out's generator in ops to the
-    power -delta, applied by power (power_coeffs or _half_power)."""
+    power -delta."""
     if est.out == "u":
         half = leray_coeffs(ops["u"].grid, half)
     if est.delta is None:
         return half
-    return power(ops[est.out].with_power(-getattr(cfg, est.delta)), half)
+    return power_coeffs(ops[est.out].with_power(-getattr(cfg, est.delta)), half)
 
 
 def _forcing(est: Estimate, f: ForcingSpec, g: ForcingSpec, dim: int) -> ForcingSpec:
@@ -474,12 +471,6 @@ def _parseval_rows(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def _half_power(op: OperatorSymbol, half: np.ndarray) -> np.ndarray:
-    """op's power on stacked half spectra (fields, comp, *half), per
-    invariant subspace; unlike power_coeffs, no Leray projection."""
-    return sum(power_weight(eig, op.power) * part for eig, part in subspaces(op, half))
-
-
 @dataclass(frozen=True)
 class _SlotSpace:
     """One argument slot of a quadratic estimate restricted to a mode basis,
@@ -517,7 +508,7 @@ def _orthonormal_fields(basis: np.ndarray, weight: OperatorSymbol) -> np.ndarray
     OpenBLAS's worker thread, and on a shared 2-core host waking it made a
     48-column call take anywhere from 0.4 to 50 ms."""
     group = 2 * basis.shape[1]
-    rows = _parseval_rows(weight.grid, _half_power(weight, basis))
+    rows = _parseval_rows(weight.grid, power_coeffs(weight, basis))
     rows = rows.reshape((-1, group, rows.shape[-1]))
     _, sing, vt = np.linalg.svd(np.swapaxes(rows, 1, 2), full_matrices=False)
     keep = sing > 1e-10 * np.max(sing)
@@ -612,7 +603,7 @@ def _exact_sups(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
     low = (slice(None),) * 2 + np.ix_(*ks)
     u = np.zeros(starts.shape[:2] + vel.fields.shape[2:], dtype=np.complex128)
     u[low] = starts[low]
-    rows = _parseval_rows(small, _half_power(vel.weight, u))
+    rows = _parseval_rows(small, power_coeffs(vel.weight, u))
     u = u * (1.0 / np.sqrt(np.sum(rows ** 2, axis=1))).reshape((-1,) + (1,) * (dim + 1))
     mask = dealias_mask(small)
     best = np.zeros(members)
@@ -653,11 +644,10 @@ def _exact_sups(lemma_id: str, cfg: ExponentConfig, grid: GridSpec,
 
     def lhs(u_vals, dw):
         """The outer operator of sum_a u_a d_a w from grid values u (dim,
-        ...) and dw (comp, dim, ...), broadcast over (members, fields), its
-        power by _half_power, which projects no second time."""
+        ...) and dw (comp, dim, ...), broadcast over (members, fields)."""
         out = forward(sum(u_vals[a] * dw[:, a] for a in range(dim)))
         shape = out.shape
-        return _outer(est, cfg, ops, out.reshape((-1,) + shape[2:]), _half_power).reshape(shape)
+        return _outer(est, cfg, ops, out.reshape((-1,) + shape[2:])).reshape(shape)
 
     for _ in range(alternations):
         u_vals = _grid_values(small, u)[0][:, :, np.newaxis]
@@ -719,9 +709,11 @@ def _zero_order_symbol(lemma_id: str, cfg: ExponentConfig, f: ForcingSpec,
     eye[...] = np.eye(comp).reshape((comp, comp) + (1,) * dim)
     eye[(Ellipsis,) + _zero_index(grid)] = 0.0
 
-    weight = power_coeffs(ops[tag].with_power(getattr(cfg, name)), eye)
+    amps = leray_coeffs(grid, eye) if tag == "u" else eye
+    weight = power_coeffs(ops[tag].with_power(getattr(cfg, name)), amps)
     if est.left == "rot":
-        left = np.moveaxis(curl(np.moveaxis(eye, 1, 0), deriv_wavevectors(grid)), 0, 1)
+        m = np.moveaxis(eye, 1, 0)
+        left = np.moveaxis(curl_values(derivative_symbol(grid)[:, None] * m[:, None]), 0, 1)
     elif est.left == "id":
         left = eye
     else:
@@ -971,7 +963,7 @@ def pde_residual(traj: TrajectoryState, params: CouplingParams,
     rhs = node_rhs(traj, params, f, g, linear_only)
     out = {"times": traj.times[1:-1]}
     for (tag, half), op in zip(traj.coeffs.items(), generators(grid, params)):
-        resid = (_node_derivative(traj.times, half) + _half_power(op, half[1:-1])
+        resid = (_node_derivative(traj.times, half) + power_coeffs(op, half[1:-1])
                  - rhs[tag][1:-1])
         out[tag] = parseval_l2(grid, resid)
     return out

@@ -176,6 +176,9 @@ def load_config(path: str) -> RunConfig:
         seed = int(raw.get("seed", 0))
         if seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+        t_total = float(raw.get("t_total", 1.0))
+        if not math.isfinite(t_total):
+            raise ConfigurationError(f"t_total must be a finite number, got {t_total}")
         return RunConfig(
             grid=grid, exponents=exps, params=params,
             forcing_f=ForcingSpec.from_dict(raw.get("forcing_f", {"kind": "zero"})),
@@ -183,7 +186,7 @@ def load_config(path: str) -> RunConfig:
             picard=PicardConfig.from_dict(raw.get("picard", {})),
             initial_data=InitialDataSpec.from_dict(raw.get("initial_data", {})),
             seed=seed,
-            t_total=float(raw.get("t_total", 1.0)),
+            t_total=t_total,
             output_dir=str(raw.get("output_dir", "out")))
 
 
@@ -291,6 +294,11 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         pic = PicardConfig.from_dict({**pic.to_dict(),
                                       "nodes_per_unit": int(round(1.0 / args.dt))})
     if getattr(args, "refine", None):
+        # refused before the exact 2 ** refine, whose size grows with refine,
+        # when the window's node count is far past the index range
+        if math.log2(pic.horizon * pic.nodes_per_unit) + args.refine > 2 * np.iinfo(np.intp).bits:
+            raise ConfigurationError(f"--refine {args.refine} gives a window of {pic.horizon:g} "
+                                     f"more nodes than an array can index")
         pic = PicardConfig.from_dict({**pic.to_dict(),
                                       "nodes_per_unit": pic.nodes_per_unit * 2 ** args.refine})
     cfg.picard = pic

@@ -173,22 +173,17 @@ def _component_check(op: OperatorSymbol, f: SpectralField):
 
 
 def spectral_coeffs(op: OperatorSymbol, fn, c: np.ndarray) -> np.ndarray:
-    """fn(generator) per mode on half spectra (..., comp, *half), any
-    leading axes kept, per invariant subspace; the Stokes operator acts on
-    the Leray projection.
+    """fn(generator) on half spectra (..., comp, *half), any leading axes
+    kept: the sum over the invariant subspaces of fn(eigenvalues) times the
+    part.  A Stokes argument is a solenoidal velocity, projected where it
+    enters; no function of a generator Leray-projects it again.
 
-    fn maps an eigenvalue array to a weight array; fn(0) is applied at k=0.
+    fn maps an eigenvalue array to a weight array that broadcasts against
+    the parts; at k = 0 every eigenvalue is 0, so fn(0) acts there.
     """
-    if op.kind is OperatorKind.STOKES:
-        c = leray_coeffs(op.grid, c)
     terms = [fn(eig) * part for eig, part in subspaces(op, c)]
-    if len(terms) == 1:
-        return terms[0]
-    out = terms[0] + terms[1]
-    # k = 0: both eigenvalues vanish; act as the scalar fn(0)
-    zi = (Ellipsis,) + _zero_index(op.grid)
-    out[zi] = fn(np.zeros(1))[0] * c[zi]
-    return out
+    # summed from the first term: 0.0 + x would turn a -0.0 into +0.0
+    return sum(terms[1:], terms[0])
 
 
 def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
@@ -202,8 +197,9 @@ def power_weight(eig: np.ndarray, power: float) -> np.ndarray:
 
 
 def power_coeffs(op: OperatorSymbol, c: np.ndarray) -> np.ndarray:
-    """Fractional power action on half spectra (..., comp, *half); each
-    index of the leading axes is one field.
+    """Fractional power action on half spectra (..., comp, *half), by
+    spectral_coeffs; each index of the leading axes is one field, and under
+    Stokes a solenoidal velocity.
 
     Zero eigenvalues map to zero for power > 0 and to identity for power = 0.
     A negative power needs every field mean-zero (SingularOperatorError
@@ -221,14 +217,16 @@ def power_coeffs(op: OperatorSymbol, c: np.ndarray) -> np.ndarray:
 
 
 def apply_operator(op: OperatorSymbol, f: SpectralField) -> SpectralField:
-    """Fractional power action on one field (see power_coeffs)."""
+    """Fractional power action on one field, a solenoidal velocity under
+    Stokes (see power_coeffs)."""
     _component_check(op, f)
     return SpectralField(op.grid, power_coeffs(op, f.half),
                          f.mean_zero or op.power < 0)
 
 
 def semigroup_apply(op: OperatorSymbol, t: float, f: SpectralField) -> SpectralField:
-    """exp(-t * generator) applied per mode; t = 0 is the identity."""
+    """exp(-t * generator) applied per mode by spectral_coeffs, to a
+    solenoidal velocity under Stokes; t = 0 is the identity."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     if op.power != 1.0:
@@ -285,18 +283,12 @@ def curl_values(du: np.ndarray) -> np.ndarray:
     return (du[1, 0] - du[0, 1])[np.newaxis]
 
 
-def curl(c: np.ndarray, ks: tuple) -> np.ndarray:
-    """Curl of a coefficient array (components first) with derivative
-    wavevectors ks on its modes: the curl_values of its gradient."""
-    return curl_values(np.array([[1j * k * comp for k in ks] for comp in c]))
-
-
 def rot(f: SpectralField) -> SpectralField:
     """Curl. 3D vector -> vector; 2D vector -> scalar vorticity;
     2D scalar -> vector (d_y f, -d_x f)."""
     if f.grid.dim == 3 and f.is_scalar:
         raise TypeError("3D rot expects a vector field")
-    return SpectralField(f.grid, curl(f.half, deriv_wavevectors(f.grid)), mean_zero=True)
+    return SpectralField(f.grid, curl_values(gradient(f)), mean_zero=True)
 
 
 # ---------------------------------------------------------------------------

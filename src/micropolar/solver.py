@@ -37,8 +37,10 @@ from .operators import (
     lebesgue_norm,
     leray_coeffs,
     parallel_part,
+    power_coeffs,
     power_weight,
     projector_symbols,
+    spectral_coeffs,
     subspaces,
 )
 
@@ -333,11 +335,9 @@ def rhs_block_size(grid: GridSpec, ncomp: int) -> int:
 def _free_evolution(op: OperatorSymbol, start: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-t op) start at every node as stacked half spectra, from the half
     spectrum (comp, *half) of a real field, solenoidal under Stokes: one
-    broadcast exp(-t eig) * part over the nodes per invariant subspace."""
+    broadcast exp(-t eig) over the nodes."""
     t = times.reshape((-1,) + (1,) * (op.grid.dim + 1))
-    terms = [np.exp(-t * eig) * part for eig, part in subspaces(op, start[np.newaxis])]
-    # summed from the first term: 0.0 + x would turn a -0.0 into +0.0
-    return sum(terms[1:], terms[0])
+    return spectral_coeffs(op, lambda eig: np.exp(-t * eig), start[np.newaxis])
 
 
 def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: CouplingParams,
@@ -463,13 +463,6 @@ class WeightedNorms:
             return g.l2()
         return lebesgue_norm(g, s)
 
-    def _weight(self, tag: str, eig: np.ndarray, exp: float) -> np.ndarray:
-        w = power_weight(eig, exp)
-        if self.ops[tag].kind is OperatorKind.STOKES:
-            w = w.copy()
-            w[_zero_index(self.grid)] = 0.0  # the projection removes the mean
-        return w
-
     def _parseval_weights(self, tag: str, eigs: list, exps) -> list:
         """Per subspace, the (half-spectrum modes, exponents) matrix of
         |eig^exp|^2, with the interior half-spectrum columns counted twice
@@ -478,7 +471,7 @@ class WeightedNorms:
         if key not in self._parseval:
             cols = parseval_columns(self.grid)
             self._parseval[key] = [
-                np.stack([(self._weight(tag, eig, x) ** 2 * cols).reshape(-1)
+                np.stack([(power_weight(eig, x) ** 2 * cols).reshape(-1)
                           for x in exps], axis=1)
                 for eig in eigs]
         return self._parseval[key]
@@ -488,17 +481,16 @@ class WeightedNorms:
         (exponents, nodes), from the stacked half-spectrum coefficients
         (nodes, comp, *half) of real fields.
 
-        The split into the generator's invariant subspaces is computed once.
         For s = 2 the norms are one Parseval reduction of the per-mode
-        energies re^2 + im^2 of each subspace, one (1 x modes) product per
-        node, so a node's bits do not depend on the row count; other s take
-        one batched inverse transform per exponent."""
+        energies re^2 + im^2 of each invariant subspace, split once, one
+        (1 x modes) product per node, so a node's bits do not depend on the
+        row count; other s take power_coeffs and one batched inverse
+        transform per exponent."""
         op, s, grid = self.ops[tag], self.lebesgue[tag], self.grid
-        eigs = eig_families(op, half.shape[1])
-        split = op.kind is OperatorKind.STOKES or len(eigs) == 2
-        kap, ksq = projector_symbols(grid)
         if s == 2.0:
-            if split:
+            eigs = eig_families(op, half.shape[1])
+            kap, ksq = projector_symbols(grid)
+            if op.kind is OperatorKind.STOKES or len(eigs) == 2:
                 # |perp|^2 = |k x c|^2 / |k|^2 and, for the second family of
                 # the elliptic generator, |para|^2 = |k . c|^2 / |k|^2; at
                 # k = 0 the whole coefficient belongs to the first family
@@ -514,15 +506,10 @@ class WeightedNorms:
             total = sum(np.matmul(e.reshape(len(e), 1, -1), w)[:, 0] for e, w in
                         zip(parts, self._parseval_weights(tag, eigs, exps)))
             return np.sqrt(grid.volume * total).T
-        parts = [half]
-        if split:
-            para = parallel_part(half, kap, ksq)
-            parts = [half - para, para]
         out = []
         for x in exps:
-            g = sum(self._weight(tag, eig, x) * p for p, eig in zip(parts, eigs))
-            vals = irfft_half(grid, g)
-            mag = np.sum(vals * vals, axis=1).reshape(len(g), -1)
+            vals = irfft_half(grid, power_coeffs(op.with_power(x), half))
+            mag = np.sum(vals * vals, axis=1).reshape(len(half), -1)
             out.append((np.sum(mag ** (s / 2.0), axis=1) * grid.cell_volume) ** (1.0 / s))
         return np.array(out)
 

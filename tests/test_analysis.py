@@ -686,8 +686,9 @@ def test_slot_spaces_are_weight_orthonormal(dim, params, monkeypatch):
     # has 48 fields); the kept grid values are theirs.  Every SVD has at
     # most 25 columns, below LAPACK's divide-and-conquer crossover, whose
     # calls wake OpenBLAS's threads
-    from micropolar.analysis import _half_power, _parseval_rows, _slot_spaces
+    from micropolar.analysis import _parseval_rows, _slot_spaces
     from micropolar.fields import half_spectrum, irfft_half
+    from micropolar.operators import power_coeffs
 
     columns, svd = [], np.linalg.svd
 
@@ -705,7 +706,7 @@ def test_slot_spaces_are_weight_orthonormal(dim, params, monkeypatch):
         assert columns and max(columns) <= 25
         for tag, space in spaces.items():
             small = space.grid
-            rows = _parseval_rows(small, _half_power(space.weight, space.fields))
+            rows = _parseval_rows(small, power_coeffs(space.weight, space.fields))
             assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
             basis = _reference_mode_basis(small, comps[tag], 2)
             if tag == "u":

@@ -642,6 +642,50 @@ def test_unusable_picard_settings_are_usage_errors(tmp_path, capsys, command, fl
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def first_checkpoint(tmp_path_factory):
+    """checkpoint_w0.mpk of a one-window simulate of _config_dict."""
+    run = tmp_path_factory.mktemp("run")
+    path = run / "run.json"
+    path.write_text(json.dumps(_config_dict(str(run / "out"))))
+    assert dispatch(["simulate", "--config", str(path)]) == 0
+    return str(run / "out" / "checkpoint_w0.mpk")
+
+
+@pytest.mark.parametrize("command", ["simulate", "resume", "theorem-2.2"])
+@pytest.mark.parametrize("t_total", [math.nan, math.inf, -math.inf])
+def test_nonfinite_t_total_is_usage_error(tmp_path, capsys, first_checkpoint, command,
+                                          t_total):
+    # refused when the config is read, before a window is counted
+    args = {"simulate": ["simulate"], "theorem-2.2": ["verify", "theorem-2.2"],
+            "resume": ["checkpoint", "resume", first_checkpoint]}[command]
+    out = tmp_path / "o"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_dict(str(out), t_total=t_total)))
+    capsys.readouterr()
+    rc = dispatch([*args, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in ln for ln in err.splitlines()) == 1
+    assert "t_total" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_refused_refine_builds_no_large_integer(config_path, tmp_path, capsys):
+    # 2 ** 100000000 alone would take 12.5 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = dispatch(["picard", "--config", config_path, "--refine", "100000000",
+                       "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert rc == 2 and "--refine" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "picard", "verify"])
 def test_negative_seed_is_usage_error(config_path, tmp_path, capsys, command):
     out = tmp_path / "o"

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import micropolar as mp
 from micropolar.errors import PreconditionError
 from micropolar.fields import full_spectrum, half_spectrum
-from micropolar.operators import spectral_coeffs, subspaces
+from micropolar.operators import OperatorKind, leray_coeffs, spectral_coeffs, subspaces
 from micropolar.solver import (
     TAGS,
     DuhamelPropagator,
@@ -575,8 +575,10 @@ def _integrate_nodes_reference(op, times, rhs):
 
 
 def _free_evolution_reference(op, f0, times):
-    """exp(-t op) f0 one node at a time."""
-    return np.stack([spectral_coeffs(op, lambda eig: np.exp(-t * eig), f0.half)
+    """exp(-t op) f0 one node at a time, f0 Leray-projected under Stokes as
+    initial data is."""
+    c = leray_coeffs(f0.grid, f0.half) if op.kind is OperatorKind.STOKES else f0.half
+    return np.stack([spectral_coeffs(op, lambda eig: np.exp(-t * eig), c)
                      for t in times.tolist()])
 
 
