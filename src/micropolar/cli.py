@@ -79,6 +79,12 @@ def build_initial_data(grid: GridSpec, spec: InitialDataSpec, seed: int) -> tupl
                 SpectralField.zero(grid, 1))
     if spec.kind == "single_mode":
         k = (tuple(spec.mode) + (0,) * grid.dim)[: grid.dim]
+        # the solver's products are alias-free only inside the 2/3 ball
+        cutoff = grid.dealias_fraction * grid.n / 2.0
+        if max(abs(ki) for ki in k) > cutoff + 1e-12:
+            raise ConfigurationError(
+                f"initial_data mode {list(k)} lies outside the dealias ball "
+                f"|k_i| <= {cutoff:g} of the n = {grid.n} grid")
         amp_u = [0.0] * grid.dim
         # amplitude transverse to k so the mode is solenoidal
         amp_u[-1] = spec.amplitude[0] if k[-1] == 0 else 0.0
@@ -692,13 +698,17 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["base", "regularity", "classical"])
     p_exp.add_argument("--out")
 
+    def run_options(p):
+        """The overrides _apply_overrides reads that enter config_hash."""
+        p.add_argument("--seed", type=_count)
+        p.add_argument("--dt", type=_step)
+        p.add_argument("--refine", type=_count)
+
     for name in ("simulate", "picard"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=_count)
         p.add_argument("--out")
-        p.add_argument("--dt", type=_step)
-        p.add_argument("--refine", type=_count)
+        run_options(p)
         if name == "picard":
             p.add_argument("--fit-constants", action="store_true")
 
@@ -722,6 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ck.add_argument("path")
     p_ck.add_argument("--config")
     p_ck.add_argument("--out")
+    # a resume takes the overrides of the run it continues, to match its hash
+    run_options(p_ck)
     return parser
 
 

@@ -362,10 +362,40 @@ def irfft_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
                          norm="forward")
 
 
-def rfft_half(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of real grid values over the last dim axes (scaled by
-    1/N), written into out when given."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward", out=out)
+def rfft_half(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of real grid values over the last dim axes (scaled by 1/N)."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+@lru_cache(maxsize=64)
+def kept_columns(grid: GridSpec) -> int:
+    """Number of leading last-axis columns of the half spectrum that hold
+    every mode the 2/3 rule keeps (11 of 17 at n = 32)."""
+    return int(np.count_nonzero(dealias_mask(grid)[(0,) * (grid.dim - 1)]))
+
+
+def irfft_kept(grid: GridSpec, kept: np.ndarray) -> np.ndarray:
+    """irfft_half of half spectra that are zero past the kept columns, from
+    a C-ordered array of those columns alone (..., *lead, kept), which the
+    transforms of the leading axes overwrite: the same one-axis transforms
+    in the same order, the leading axes on kept_columns(grid) columns only."""
+    for ax in range(-grid.dim, -1):
+        np.fft.ifft(kept, axis=ax, norm="forward", out=kept)
+    return np.fft.irfft(kept, n=grid.n, axis=-1, norm="forward")
+
+
+def rfft_kept(grid: GridSpec, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rfft_half of real grid values into out on the kept columns, the
+    other columns zero: the same one-axis transforms in the same order, the
+    leading axes on kept_columns(grid) columns only.  For a caller that
+    applies the 2/3 rule to the result."""
+    np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    kk = kept_columns(grid)
+    kept = out[..., :kk]
+    for ax in range(-2, -grid.dim - 1, -1):
+        np.fft.fft(kept, axis=ax, norm="forward", out=kept)
+    out[..., kk:] = 0.0
+    return out
 
 
 def to_physical(f: SpectralField) -> np.ndarray:

@@ -19,7 +19,10 @@ from .fields import (
     SpectralField,
     dealias_mask,
     irfft_half,
+    irfft_kept,
+    kept_columns,
     rfft_half,
+    rfft_kept,
     to_physical,
     to_spectral,
     _zero_index,
@@ -168,22 +171,23 @@ def evaluate_forcing(spec: ForcingSpec, theta: SpectralField, components: int) -
 
 
 def _plane_buffer(grid: GridSpec, values: tuple, grads: tuple) -> np.ndarray:
-    """One plane-major buffer (planes, B, *half) of half spectra (B, comp,
-    *half) that share B: the comp planes of each array of values, then the
-    comp * dim gradient planes of each array of grads, plane c * dim + a of
-    an array holding d_a f_c."""
-    ik, nd = derivative_symbol(grid), grid.dim
-    batch, half = grads[0].shape[0], grads[0].shape[2:]
+    """One plane-major buffer (planes, B, *lead, kept) of the kept columns
+    (kept_columns) of half spectra (B, comp, *half) that share B: the comp
+    planes of each array of values, then the comp * dim gradient planes of
+    each array of grads, plane c * dim + a of an array holding d_a f_c."""
+    kk, nd = kept_columns(grid), grid.dim
+    ik = derivative_symbol(grid)[..., :kk]
+    batch, kept = grads[0].shape[0], ik.shape[1:]
     count = sum(v.shape[1] for v in values) + nd * sum(h.shape[1] for h in grads)
-    buf = np.empty((count, batch) + half, dtype=np.complex128)
+    buf = np.empty((count, batch) + kept, dtype=np.complex128)
     p = 0
     for v in values:
-        buf[p: p + v.shape[1]] = np.swapaxes(v, 0, 1)
+        buf[p: p + v.shape[1]] = np.swapaxes(v[..., :kk], 0, 1)
         p += v.shape[1]
     for h in grads:
         c = h.shape[1]
-        np.multiply(ik[:, np.newaxis], np.swapaxes(h, 0, 1)[:, np.newaxis],
-                    out=buf[p: p + c * nd].reshape((c, nd, batch) + half))
+        np.multiply(ik[:, np.newaxis], np.swapaxes(h[..., :kk], 0, 1)[:, np.newaxis],
+                    out=buf[p: p + c * nd].reshape((c, nd, batch) + kept))
         p += c * nd
     return buf
 
@@ -382,78 +386,87 @@ def assemble_rhs(grid: GridSpec, uh: np.ndarray, omh: np.ndarray, thh: np.ndarra
     array otherwise.  Each node's result is the one a block of that node
     alone gives, bit for bit.  linear_only drops transport and the
     dissipation function (linear-regime diagnostics).  All outputs are
-    dealiased; F is solenoidal and mean-zero.
+    dealiased; F is solenoidal and mean-zero.  The inputs must lie inside
+    the 2/3 ball, as the solver's iterates do: only the last-axis columns
+    it keeps (kept_columns) are read.
 
-    One plane-major buffer (planes, B, *half) holds u, om, th when there
-    is forcing, and the gradients i k (u, om, th), at every node of the
-    block.  One inverse real transform takes it to the grid, where
+    One plane-major buffer (planes, B, *lead, kept) holds those columns of
+    u, om, th when there is forcing, and of the gradients i k (u, om, th),
+    at every node of the block.  One inverse transform (irfft_kept, in
+    place on the buffer until its last axis) takes it to the grid, where
     transport, Phi and the forcing are formed with the node axis after the
-    plane axis, and one forward transform returns them into the plane-major
-    view of the result.  The linear terms read the buffer's gradient
-    planes; they, the 2/3 rule and the projection act in place on the half
-    spectrum.  Transport, Phi, the linear terms
-    and the projection write into preallocated planes; each sum runs over
-    its terms in component order.
+    plane axis, and one forward transform (rfft_kept) returns them into the
+    plane-major view of the result.  The linear terms take their curls
+    from the buffer's gradient planes before the transform; they, the 2/3
+    rule and the projection act in place on the kept columns of the
+    result, and the other columns are zero.  Transport, Phi, the linear
+    terms and the projection write into preallocated planes; each sum runs
+    over its terms in component order.
     """
     dim, ncomp = grid.dim, omh.shape[1]
     forced = f.kind != "zero" or g.kind != "zero"
-
-    nout = dim + ncomp + 1
+    kk, nout = kept_columns(grid), dim + ncomp + 1
     # planes u, om, th when forced, then the gradients from plane nval on
     nval = dim + ncomp + forced
     buf = _plane_buffer(grid, (uh, omh, thh)[: 2 + forced], (uh, omh, thh))
-    vals = np.empty((nout, uh.shape[0]) + grid.shape)  # F, G, H at the grid points
+    if params.mu_r > 0:
+        # the curls of the linear terms, before the transforms overwrite buf
+        grad_h = buf[nval:].reshape((nout, dim) + buf.shape[1:])
+        rot_om, rot_u = curl_values(grad_h[dim: dim + ncomp]), curl_values(grad_h[:dim])
+        del grad_h
     if linear_only:
-        vals[...] = 0.0
+        vals = np.zeros((nout, uh.shape[0]) + grid.shape)   # F, G, H at the grid points
+        if forced:
+            th_vals = irfft_kept(grid, buf[nval - 1])
     else:
-        planes = irfft_half(grid, buf)
-        grads = planes[nval:].reshape((nout, dim) + vals.shape[1:])
-        # transport 0 - (u_0 d_0 f + u_1 d_1 f + ...) of every plane f
-        np.multiply(planes[0], grads[:, 0], out=vals)
-        scratch = np.empty_like(vals)
-        for a in range(1, dim):
-            vals += np.multiply(planes[a], grads[:, a], out=scratch)
-        np.subtract(0.0, vals, out=vals)
+        planes = irfft_kept(grid, buf)
+        del buf                         # its memory is free once on the grid
+        grads = planes[nval:].reshape((nout, dim) + planes.shape[1:])
         du, dom = grads[:dim], grads[dim: dim + ncomp]
         om_vals = planes[dim: dim + ncomp]
         phi = _phi_values(du, du, om_vals, om_vals, dom, dom, params)
+        # transport 0 - (u_0 d_0 f + u_1 d_1 f + ...) of every plane f, each
+        # product after the first written over the gradients it reads, so
+        # after Phi, which reads them too
+        vals = np.multiply(planes[0], grads[:, 0])
+        for a in range(1, dim):
+            vals += np.multiply(planes[a], grads[:, a], out=grads[:, a])
+        np.subtract(0.0, vals, out=vals)
         vals[-1] += np.divide(phi, params.rho * params.cv, out=phi)
+        th_vals = planes[nval - 1]
     if forced:
-        # theta at the grid points of every node, (B, *grid)
-        th_vals = irfft_half(grid, buf[nval - 1]) if linear_only else planes[nval - 1]
         if f.kind != "zero":
             vals[:dim] += _forcing_values(f, th_vals, dim)
         if g.kind != "zero":
             vals[dim: dim + ncomp] += _forcing_values(g, th_vals, ncomp)
     if out is None:
         out = np.empty((uh.shape[0], nout) + uh.shape[2:], dtype=np.complex128)
-    res = np.swapaxes(out, 0, 1)        # F, G, H plane-major, (nout, B, *half)
+    full = np.swapaxes(out, 0, 1)       # F, G, H plane-major, (nout, B, *half)
     if forced or not linear_only:
-        rfft_half(grid, vals, out=res)
+        rfft_kept(grid, vals, full)
     else:
-        res[...] = 0.0
+        full[...] = 0.0
+    del vals                            # free before the linear terms' planes
 
-    # the linear terms and the projection, on half-spectrum planes (B, *half)
+    # the linear terms and the projection, on the kept columns (nout, B, *kept)
+    res = full[..., :kk]
     spare = np.empty((2,) + res.shape[1:], dtype=np.complex128)
     if params.mu_r > 0:
         two_mur = 2.0 * params.mu_r / params.rho
-        grad_h = buf[nval:].reshape((nout, dim) + res.shape[1:])
-        rot_om = curl_values(grad_h[dim: dim + ncomp])
         res[:dim] += np.multiply(two_mur, rot_om, out=rot_om)
-        rot_u = curl_values(grad_h[:dim])
         np.multiply(two_mur, rot_u, out=rot_u)
         for c in range(ncomp):
-            lin = np.multiply(-2.0 * two_mur, buf[dim + c], out=spare[0])
+            lin = np.multiply(-2.0 * two_mur, omh[:, c, ..., :kk], out=spare[0])
             lin += rot_u[c]
             res[dim + c] += lin
     # F -= k (k . F) / |k|^2
-    kap, ksq = projector_symbols(grid)
+    kap, ksq = (s[..., :kk] for s in projector_symbols(grid))
     kdotf = np.multiply(kap[0], res[0], out=spare[0])
     for a in range(1, dim):
         kdotf += np.multiply(kap[a], res[a], out=spare[1])
     np.divide(kdotf, ksq, out=kdotf)
     for a in range(dim):
         res[a] -= np.multiply(kap[a], kdotf, out=spare[1])
-    res *= dealias_mask(grid)
+    res *= dealias_mask(grid)[..., :kk]
     res[(slice(None, dim), slice(None)) + _zero_index(grid)] = 0.0
     return out

@@ -12,6 +12,8 @@ spacing); the linear part is therefore treated exactly.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from .exponents import TAGS, ExponentConfig
 from .fields import (
     GridSpec,
     SpectralField,
+    dealias_mask,
     irfft_half,
     parseval_columns,
     parseval_l2,
@@ -345,7 +348,9 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
     """Free-evolution trajectory (iteration zero) from the one-node start
     state, at the times elapsed since it.  strict checks the preconditions
     on initial data: a solenoidal velocity (the L2 norm of its divergence
-    within 1e-8 of its own) and mean-zero fields.  A start at t = 0 is
+    within 1e-8 of its own), mean-zero fields, and no mode outside the 2/3
+    ball (dealias_mask), where products would alias and which the RHS
+    transforms do not read.  A start at t = 0 is
     initial data, whose velocity the Stokes semigroup sees Leray-projected;
     a later start is a state of the solver, already projected, and node 0
     keeps its bits."""
@@ -359,6 +364,9 @@ def initial_trajectory(start: TrajectoryState, times: np.ndarray, params: Coupli
             scale = max(1.0, float(np.max(np.abs(c))))
             if np.max(np.abs(c[(Ellipsis,) + _zero_index(grid)])) > MEAN_TOL * scale:
                 raise PreconditionError(f"initial {name} must be mean-zero")
+            if np.max(np.abs(c[:, ~dealias_mask(grid)]), initial=0.0) > MEAN_TOL * scale:
+                raise PreconditionError(f"initial {name} has modes outside the 2/3 "
+                                        f"dealias ball")
     if float(start.times[0]) == 0.0:
         u0 = leray_coeffs(grid, u0)
     free = {tag: _free_evolution(op, c, times) for tag, op, c
@@ -373,19 +381,57 @@ def _tag_views(stack: np.ndarray) -> dict:
     return dict(zip(TAGS, np.split(stack, [dim, stack.shape[1] - 1], axis=1)))
 
 
+def workers() -> int:
+    """Threads a sweep's RHS blocks share: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _rhs_stack(traj: TrajectoryState, params: CouplingParams, f: ForcingSpec,
                g: ForcingSpec, linear_only: bool, first: int) -> np.ndarray:
     """Right-hand sides of the iterate at the nodes from first on, one
     assemble_rhs call per block of rhs_block_size nodes on its half spectra,
     stacked (nodes, dim + C + 1, *half); the rows before first are left for
-    the caller to fill."""
+    the caller to fill.
+
+    The blocks are dealt out in strides to the calling thread and
+    min(workers(), blocks) - 1 helper threads, started here and joined
+    before the return; their transforms and ufuncs release the interpreter
+    lock.  Each block writes only its own rows, and a block's RHS does not
+    depend on the others, so the bits do not depend on the thread count.
+    The first exception of any block is raised here once every thread has
+    stopped."""
     dim, ncomp = traj.grid.dim, traj.coeffs["om"].shape[1]
     half = traj.coeffs["u"].shape[2:]
-    # each block's RHS is written straight into its rows
     rhs = np.empty((traj.node_count, dim + ncomp + 1) + half, dtype=np.complex128)
-    for b in traj.node_blocks(first):
-        assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
-                     params, f, g, linear_only=linear_only, out=rhs[b])
+    blocks = traj.node_blocks(first)
+    errors = []
+
+    def run(share):
+        for b in share:
+            if errors:                  # another thread has failed: stop
+                return
+            try:
+                assemble_rhs(traj.grid, *(traj.coeffs[tag][b] for tag in TAGS),
+                             params, f, g, linear_only=linear_only, out=rhs[b])
+            except Exception as exc:
+                errors.append(exc)
+                return
+
+    count = max(1, min(workers(), len(blocks)))
+    helpers = [threading.Thread(target=run, args=(blocks[i::count],))
+               for i in range(1, count)]
+    for t in helpers:
+        t.start()
+    try:
+        run(blocks[::count])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
     return rhs
 
 

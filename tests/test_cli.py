@@ -18,7 +18,7 @@ from micropolar.cli import (
     load_config,
     write_report,
 )
-from micropolar.errors import PreconditionError, SingularOperatorError
+from micropolar.errors import ConfigurationError, PreconditionError, SingularOperatorError
 from micropolar.operators import divergence_defect
 
 
@@ -59,6 +59,25 @@ def test_build_initial_data_kinds(grid2d):
     s = build_initial_data(grid2d, InitialDataSpec(kind="single_mode",
                                                    mode=(1, 0)), seed=0)
     assert divergence_defect(s[0]) <= 1e-12
+
+
+def test_initial_data_outside_dealias_ball_refused(tmp_path, capsys):
+    """A single mode outside the 2/3 ball (n = 32: |k_i| <= 10) is a usage
+    error with one error line, not a run whose products alias."""
+    grid = mp.GridSpec(dim=2, n=32)
+    build_initial_data(grid, InitialDataSpec(kind="single_mode", mode=(10, 3)), seed=0)
+    with pytest.raises(ConfigurationError, match="dealias ball"):
+        build_initial_data(grid, InitialDataSpec(kind="single_mode", mode=(12, 3)), seed=0)
+    cfg = _config_dict(str(tmp_path / "out"), n=32)
+    cfg["initial_data"] = {"kind": "single_mode", "mode": [12, 3],
+                           "amplitude": [0.1, 0.1, 0.1]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert dispatch(["picard", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_completes_exponents(config_path):
@@ -215,8 +234,11 @@ def test_verify_embeddings_off_their_exponents_is_usage_error(tmp_path, capsys):
 
 
 def _read_dir(path) -> dict:
-    return {name: open(os.path.join(path, name), "rb").read()
-            for name in os.listdir(path)}
+    files = {}
+    for name in os.listdir(path):
+        with open(os.path.join(path, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
 
 
 def test_resume_extends_into_another_directory(tmp_path):
@@ -246,6 +268,57 @@ def test_resume_extends_into_another_directory(tmp_path):
         iterations[:1] + [r for r in iterations[1:] if r.split(",")[0] in ("2", "3")]
     verdicts = json.loads(got["verdicts.json"])
     assert verdicts["completed"] is True and verdicts["resumed_from"] == 0.5
+
+
+def test_resume_takes_the_runs_overrides(tmp_path, capsys):
+    """A run made with --seed and --dt resumes from its own config with the
+    same flags (they enter the config hash) and reproduces the run's node
+    rows from t = 0.5 on; without them the checkpoint is refused."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_dict(str(tmp_path / "unused"), t_total=1.0)))
+    flags = ["--seed", "1", "--dt", "0.0078125"]
+    full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
+    assert dispatch(["simulate", "--config", str(path), "--out", full] + flags) == 0
+    ck = os.path.join(full, "checkpoint_w1.mpk")
+    capsys.readouterr()
+    assert dispatch(["checkpoint", "resume", ck, "--config", str(path),
+                     "--out", resumed]) == 2
+    assert "checkpoint belongs to config" in capsys.readouterr().err
+    assert dispatch(["checkpoint", "resume", ck, "--config", str(path),
+                     "--out", resumed] + flags) == 0
+    rows = _read_dir(full)["nodes.csv"].decode().splitlines()
+    assert len(rows) == 1 + 128 + 1
+    assert _read_dir(resumed)["nodes.csv"].decode().splitlines() == \
+        rows[:1] + [r for r in rows[1:] if float(r.split(",")[0]) >= 0.5]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_simulate_bytes_do_not_depend_on_cpu_count(tmp_path):
+    """simulate in a process pinned to one CPU and in one with the inherited
+    CPU set writes byte-identical report directories, checkpoints included:
+    a sweep's RHS blocks (two a sweep here) run on as many threads as the
+    process has CPUs, and no node's bits depend on that."""
+    import subprocess
+    import sys
+
+    cfg = _config_dict(str(tmp_path / "unused"), n=16, npu=256, t_total=0.5)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    one = min(os.sched_getaffinity(0))
+    dirs = {}
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {one})), ("all", None)):
+        dirs[name] = str(tmp_path / name)
+        proc = subprocess.run([sys.executable, "-m", "micropolar", "simulate",
+                               "--config", str(path), "--out", dirs[name]],
+                              capture_output=True, text=True, env=env,
+                              preexec_fn=pin, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    got, want = _read_dir(dirs["one"]), _read_dir(dirs["all"])
+    assert {"checkpoint_w0.mpk", "checkpoint_w1.mpk", "nodes.csv"} <= set(want)
+    assert got == want
 
 
 def test_resume_refuses_to_overwrite_its_run(config_path, tmp_path, capsys):

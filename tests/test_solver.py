@@ -173,6 +173,26 @@ def test_initial_trajectory_rejects_bad_data(grid2d, params, rng):
         mp.initial_trajectory(mp.start_state(u0, z1, th_mean), times, params)
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_initial_trajectory_rejects_modes_outside_dealias_ball(grid2d, params, tag):
+    """Initial data with a mode outside the 2/3 ball (n = 16: |k_i| <= 5) is
+    refused, on the scale of the mean-mode check; the RHS transforms read
+    the kept columns only.  A mode on the ball's edge is accepted."""
+    comps = tag_components(2)
+    times = np.linspace(0, 0.25, 5)
+
+    def start(k):
+        fields = {t: mp.SpectralField.zero(grid2d, c) for t, c in comps.items()}
+        amp = [0.0, 0.1] if tag == "u" else [0.1] * comps[tag]  # solenoidal for k = (k0, 0)
+        fields[tag] = mp.SpectralField.single_mode(grid2d, k, amp)
+        return mp.start_state(*(fields[t] for t in TAGS))
+
+    mp.initial_trajectory(start((5, 0)), times, params)
+    with pytest.raises(PreconditionError, match="dealias ball"):
+        mp.initial_trajectory(start((6, 0)), times, params)
+    mp.initial_trajectory(start((6, 0)), times, params, strict=False)
+
+
 def test_picard_zero_data_fixed_point(grid2d, params, cfg2):
     z2 = mp.SpectralField.zero(grid2d, 2)
     z1 = mp.SpectralField.zero(grid2d, 1)
@@ -493,6 +513,8 @@ def test_picard_solve_evaluates_one_rhs_per_node_and_sweep(grid2d, params, cfg2,
 
     monkeypatch.setattr(solver, "assemble_rhs", counting)
     monkeypatch.setattr(solver, "RHS_BLOCK_BYTES", 8 * 11 * grid2d.num_modes * 8)
+    # one thread, so that the blocks are assembled in order
+    monkeypatch.setattr(solver, "workers", lambda: 1)
     u0, om0, th0 = _initial_data(grid2d, rng)
     pic = mp.PicardConfig(horizon=0.25, nodes_per_unit=32, tol=1e-10, m_max=30)
     traj, rep = mp.picard_solve(mp.start_state(u0, om0, th0), cfg2, params, ZERO, ZERO, pic)
@@ -550,11 +572,77 @@ def test_rhs_block_size_follows_byte_budget(monkeypatch):
         return original(grid, uh, *args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_rhs", counting)
+    monkeypatch.setattr(solver, "workers", lambda: 1)
     params = mp.CouplingParams()
     prop = window_propagator(grid2, params, traj.times)
     traj = picard_step(traj, params, ZERO, ZERO, propagator=prop)
     picard_step(traj, params, ZERO, ZERO, propagator=prop)
     assert rows == [8] * 8 + [1] + [8] * 8
+
+
+def _blocked_trajectory(dim, n, forced):
+    """A 33-node iterate whose sweep takes five blocks (2D n = 32: 8 nodes a
+    block; 3D n = 8: 7), and its forcings."""
+    grid, params = mp.GridSpec(dim=dim, n=n), mp.CouplingParams()
+    data = _initial_data(grid, np.random.default_rng(11), amp=0.5)
+    traj = mp.initial_trajectory(mp.start_state(*data), np.linspace(0, 0.25, 33), params)
+    assert len(traj.node_blocks()) == 5
+    comps = tag_components(dim)
+    f, g = ((mp.ForcingSpec("tanh", (0.7,) * comps["u"], 0.5),
+             mp.ForcingSpec("linear", (-0.4,) * comps["om"])) if forced else (ZERO, ZERO))
+    return traj, params, f, g
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+def test_rhs_stack_bits_do_not_depend_on_workers(monkeypatch, dim, n, forced):
+    """Every node's RHS has the same bytes with 1, 2 and 3 threads, and
+    with 8 threads, more than the 5 blocks and than the host's cores, with
+    the interpreter switching threads every microsecond."""
+    import sys
+
+    import micropolar.solver as solver
+
+    traj, params, f, g = _blocked_trajectory(dim, n, forced)
+    stacks = {}
+    for count in (1, 2, 3, 8):
+        monkeypatch.setattr(solver, "workers", lambda count=count: count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stacks[count] = [solver._rhs_stack(traj, params, f, g, False, first)[first:]
+                             for first in (0, 1)]
+        finally:
+            sys.setswitchinterval(interval)
+    for count in (2, 3, 8):
+        for got, want in zip(stacks[count], stacks[1]):
+            assert got.tobytes() == want.tobytes(), count
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_rhs_stack_raises_a_failed_blocks_error(monkeypatch, count):
+    """An exception in the block that starts at node 9 (a helper's block
+    with 2 or 3 threads) reaches the caller, and every thread the sweep
+    started has ended when it does."""
+    import threading
+
+    import micropolar.solver as solver
+
+    traj, params, f, g = _blocked_trajectory(2, 32, False)
+    original = solver.assemble_rhs
+    ninth = traj.coeffs["u"][9:].__array_interface__["data"][0]
+
+    def failing(grid, uh, *args, **kwargs):
+        if uh.__array_interface__["data"][0] == ninth:
+            raise RuntimeError("block at node 9")
+        return original(grid, uh, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_rhs", failing)
+    monkeypatch.setattr(solver, "workers", lambda: count)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block at node 9"):
+        solver._rhs_stack(traj, params, f, g, False, 1)
+    assert threading.active_count() == before
 
 
 # -- one sweep against its per-interval and per-node references -------------
